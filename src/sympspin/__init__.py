@@ -64,10 +64,8 @@ from .connections import (
 )
 from .verify import (
     ActionReport,
-    lemma_suites,
     spinor_curvature_action,
     verify_corollary11,
-    verify_symbol_complex,
     verify_theorem9,
     verify_theorem10,
 )

@@ -1,5 +1,12 @@
 """Command-line harness: run identity suites, emit reports, return exit codes.
 
+Suites, their checks, paper anchors, requirements and documented display
+verdicts all come from the registry `sympspin.verify.SUITES`; this module
+holds the run configuration and its validation (including the size ceiling
+MAX_L / MAX_DEGREE), the report records, emission and parsing, and the
+`sympspin` entry point.  `--replay` re-runs the counterexamples in a file and
+exits 2 with a one-line message on a file it cannot replay.
+
 Report schema (JSON):
 
     {"config": {...}, "checks": [{"name": str, "paper_anchor": str,
@@ -29,18 +36,12 @@ from dataclasses import dataclass
 
 from .exact import RandomStream
 from .verify import (
+    MAX_DEGREE,
+    MAX_L,
+    SUITES,
     ActionReport,
-    corollary11_suite,
-    fedosov_suite,
-    lemma1_suite,
-    lemma4_suite,
-    lemma5_suite,
-    lemma6_suite,
-    lemma7_suite,
     replay_counterexample,
-    symbol_complex_suite,
-    theorem9_suite,
-    theorem10_suite,
+    theorem9_suite,  # noqa: F401  re-exported: callers import it from here
 )
 
 __all__ = [
@@ -53,65 +54,25 @@ __all__ = [
     "main",
 ]
 
-SUITE_ORDER = (
-    "lemma1",
-    "lemma4",
-    "lemma5",
-    "lemma6",
-    "lemma7",
-    "theorem9",
-    "theorem10",
-    "corollary11",
-    "symbol-complex",
-    "fedosov",
-)
+# Everything below is read off the registry in sympspin.verify.
+SUITE_ORDER = tuple(name for name, suite in SUITES.items() if suite.cli)
 
-SPINOR_SUITES = frozenset(
-    {"lemma1", "lemma4", "lemma5", "theorem9", "theorem10", "corollary11", "symbol-complex"}
-)
-THEOREM_SUITES = frozenset({"theorem9", "theorem10", "corollary11", "symbol-complex"})
 
-ANCHORS = {
-    "lemma1": "e_a.e_b.s - e_b.e_a.s = -i omega(e_a, e_b) s",
-    "lemma4": "XY + YX = i (r - l) Id on degree-r forms",
-    "lemma5.idempotency": "p.p = p for each of the five projectors",
-    "lemma5.orthogonality": "p_a.p_b = 0 for distinct projectors of one form degree",
-    "lemma5.partition-of-identity": "p10 + p11 = Id and p20 + p21 + p22 = Id",
-    "lemma6": "R^{ijkl} omega_kl = 2 sigma^{ij} and sigma symmetric",
-    "lemma7.weyl-trace-free": "all six omega-traces of W vanish; 4-term cyclic identity",
-    "lemma7.ricci-section": "ricci(sigma_tilde(s)) = s for symmetric s",
-    "theorem9": "p22 of the Ricci-type spinor action vanishes",
-    "theorem9.eq9-display": "printed p20 of the Ricci-type action vs projector oracle",
-    "theorem9.eq10-display": "printed p21 of the Ricci-type action vs projector oracle",
-    "theorem10": "p20 and Y^2 of the trace-free spinor action vanish",
-    "theorem10.eq11-display": "printed p21 of the trace-free action vs projector oracle",
-    "theorem10.eq12-display": "printed p22 of the trace-free action (bound variant) vs oracle",
-    "corollary11": "p2j(action R) = p2j(action sigma_tilde) + p2j(action W), j = 0,1,2",
-    "corollary11.p20-display": "printed p20 of the full action vs projector oracle",
-    "corollary11.p21-display": "printed p21 of the full action vs projector oracle",
-    "corollary11.p22-display": "printed p22 of the full action vs projector oracle",
-    "symbol-complex": "p22(xi ^ p10(eta)) = 0 for random covectors and 1-forms",
-    "symbol-complex.negative-control": "p22(xi ^ p11(eta)) != 0 for a recorded witness",
-    "fedosov.axioms": "nabla omega = 0 and zero torsion as polynomial identities",
-    "fedosov.curvature-symmetries": "evaluated curvatures satisfy all four symmetries",
-    "fedosov.decomposition": "R = sigma_tilde(ricci R) + W with W trace-free, pointwise",
-}
+def _display_record_name(suite: str, display: str) -> str:
+    return f"{suite}.{display}" if display.endswith("-display") else f"{suite}.{display}-display"
+
+
+ANCHORS = {check.name: check.anchor for suite in SUITES.values() for check in suite.checks}
+ANCHORS.update(
+    (_display_record_name(suite.name, d.name), d.anchor)
+    for suite in SUITES.values()
+    for d in suite.displays
+)
 
 # Documented verdicts for the printed displays: (literal_match, corrected_match).
-# The p20/p21 displays of the Ricci-type action omit the 1/(2(l+1))
-# normalization of sigma_tilde and so exceed the oracle by exactly 2(l+1);
-# the trace-free p21 display carries a spurious factor of 2i; and the printed
-# trace-free p22 display has an unbound index, so only its bound variant is
-# evaluable.  Each corrected variant matches the oracle exactly.  A display
-# check fails only when a comparison disagrees with this documented account.
+# A display check fails only when a comparison disagrees with this account.
 EXPECTED_DISPLAYS = {
-    ("theorem9", "eq9"): (False, True),
-    ("theorem9", "eq10"): (False, True),
-    ("theorem10", "eq11"): (False, True),
-    ("theorem10", "eq12"): (None, True),
-    ("corollary11", "p20-display"): (False, True),
-    ("corollary11", "p21-display"): (False, True),
-    ("corollary11", "p22-display"): (False, True),
+    (suite.name, d.name): d.expected for suite in SUITES.values() for d in suite.displays
 }
 
 
@@ -196,34 +157,23 @@ def validate_config(config: RunConfig) -> list[str]:
     selected = expand_suites(config.suites)
     if config.l < 1 or config.max_degree < 0 or config.pad < 0 or config.trials < 0:
         raise ValueError("l, max_degree, pad, trials must be non-negative (l >= 1)")
-    if config.l < 2 and any(s in SPINOR_SUITES for s in selected):
-        raise ValueError("spinor suites require l >= 2")
-    if config.pad < 6 and any(s in THEOREM_SUITES for s in selected):
-        raise ValueError("theorem suites require pad >= 6")
+    if config.l > MAX_L or config.max_degree > MAX_DEGREE:
+        raise ValueError(f"size ceiling: l <= {MAX_L} and max_degree <= {MAX_DEGREE}")
+    for name in selected:
+        suite = SUITES[name]
+        if config.l < suite.min_l:
+            raise ValueError(f"suite {name} requires l >= {suite.min_l}")
+        if config.pad < suite.min_pad:
+            raise ValueError(f"suite {name} requires pad >= {suite.min_pad}")
     if config.format not in ("json", "text"):
         raise ValueError("format must be json or text")
     return selected
 
 
-def _report_to_record(report: ActionReport, anchor_key: str, elapsed_ms: int) -> CheckRecord:
-    return CheckRecord(
-        name=report.theorem_id,
-        paper_anchor=ANCHORS.get(anchor_key, anchor_key),
-        status=report.status,
-        trials_run=report.trials,
-        elapsed_ms=elapsed_ms,
-        counterexample=report.counterexample,
-    )
-
-
 def _display_records(suite: str, report: ActionReport, elapsed_ms: int) -> list[CheckRecord]:
     records = []
     for d in report.displays:
-        expected = EXPECTED_DISPLAYS.get((suite, d.display))
-        if expected is None:
-            continue
-        actual = (d.literal_match, d.corrected_match)
-        as_documented = actual == expected
+        expected = EXPECTED_DISPLAYS[(suite, d.display)]
         payload = {
             "literal_match": d.literal_match,
             "corrected_match": d.corrected_match,
@@ -231,55 +181,26 @@ def _display_records(suite: str, report: ActionReport, elapsed_ms: int) -> list[
             "expected_corrected_match": expected[1],
             "note": d.note,
         }
-        name = f"{suite}.{d.display}" if "-display" in d.display else f"{suite}.{d.display}-display"
+        name = _display_record_name(suite, d.display)
+        as_documented = (d.literal_match, d.corrected_match) == expected
         records.append(
-            CheckRecord(
-                name=name,
-                paper_anchor=ANCHORS.get(name, name),
-                status="pass" if (as_documented and report.status != "skipped") else "fail",
-                trials_run=report.trials,
-                elapsed_ms=elapsed_ms,
-                counterexample=payload,
-            )
+            CheckRecord(name, ANCHORS[name], "pass" if as_documented else "fail",
+                        report.trials, elapsed_ms, payload)
         )
     return records
 
 
 def _run_named_suite(name: str, config: RunConfig, seed: int) -> list[CheckRecord]:
-    l, deg, trials = config.l, config.max_degree, config.trials
     t0 = time.perf_counter()
-    reports: list[ActionReport] = []
-    displays_from: list[ActionReport] = []
-    if name == "lemma1":
-        reports = [lemma1_suite(l, deg, trials, seed)]
-    elif name == "lemma4":
-        reports = [lemma4_suite(l, deg, trials, seed)]
-    elif name == "lemma5":
-        reports = lemma5_suite(l, deg, trials, seed)
-    elif name == "lemma6":
-        reports = [lemma6_suite(l, trials, seed)]
-    elif name == "lemma7":
-        reports = lemma7_suite(l, trials, seed)
-    elif name == "theorem9":
-        rep = theorem9_suite(l, deg, trials, seed)
-        reports, displays_from = [rep], [rep]
-    elif name == "theorem10":
-        rep = theorem10_suite(l, deg, trials, seed)
-        reports, displays_from = [rep], [rep]
-    elif name == "corollary11":
-        rep = corollary11_suite(l, deg, trials, seed)
-        reports, displays_from = [rep], [rep]
-    elif name == "symbol-complex":
-        reports = symbol_complex_suite(l, deg, trials, seed)
-    elif name == "fedosov":
-        n_conn = 0 if trials == 0 else 5
-        reports = fedosov_suite(l, seed, n_connections=n_conn, n_points=5)
-    else:
-        raise ValueError(f"unknown suite {name!r}")
+    reports = SUITES[name].run(config.l, config.max_degree, config.trials, seed)
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    records = [_report_to_record(r, r.theorem_id, elapsed_ms) for r in reports]
-    for rep in displays_from:
-        records.extend(_display_records(name, rep, elapsed_ms))
+    records = [
+        CheckRecord(r.theorem_id, ANCHORS[r.theorem_id], r.status, r.trials, elapsed_ms,
+                    r.counterexample)
+        for r in reports
+    ]
+    for report in reports:
+        records.extend(_display_records(name, report, elapsed_ms))
     return records
 
 
@@ -380,27 +301,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _replay_main(path: str) -> int:
-    with open(path, "rb") as fh:
-        obj = json.load(fh)
-    if "checks" in obj:
-        items = [c["counterexample"] for c in obj["checks"]
-                 if c["counterexample"] and "check" in c["counterexample"]]
-    elif "check" in obj:
-        items = [obj]
+# What an unreadable or malformed replay file raises: a missing file, bad JSON
+# or an unknown check (ValueError), missing keys, wrongly typed fields, a zero
+# denominator.
+_BAD_REPLAY = (OSError, ValueError, LookupError, TypeError, AttributeError, ArithmeticError)
+
+
+def _counterexamples(obj) -> list[dict]:
+    """The replayable objects in a counterexample or a whole report."""
+    if isinstance(obj, dict) and "checks" in obj:
+        found = [c["counterexample"] for c in obj["checks"]]
     else:
-        print("replay file contains no counterexample", file=sys.stderr)
+        found = [obj]
+    return [ce for ce in found if isinstance(ce, dict) and "check" in ce]
+
+
+def _replay_main(path: str) -> int:
+    try:
+        with open(path, "rb") as fh:
+            items = _counterexamples(json.load(fh))
+        if not items:
+            print("replay file contains no counterexample", file=sys.stderr)
+            return 2
+        results = [replay_counterexample(ce) for ce in items]
+    except _BAD_REPLAY as exc:
+        print(f"cannot replay {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    if not items:
-        print("replay file contains no counterexample", file=sys.stderr)
-        return 2
-    worst = 0
-    for ce in items:
-        result = replay_counterexample(ce)
+    for result in results:
         print(json.dumps(result))
-        if result["status"] == "fail":
-            worst = 1
-    return worst
+    return 1 if any(r["status"] == "fail" for r in results) else 0
 
 
 def main(argv=None) -> int:

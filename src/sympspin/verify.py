@@ -20,12 +20,20 @@ statements.  Two systematic discrepancies are expected and documented:
     not-applicable.
 
 All checks are exact zero tests; there are no tolerances anywhere.
+
+Every suite is one entry of the registry SUITES: its checks and paper anchors,
+its requirements, a sampler, one `holds` per check, a decoder from a
+counterexample back to an instance and, for theorem suites, the documented
+display verdicts.  One trial loop runs any suite and one replay re-decides any
+counterexample; the `*_suite` functions are thin entry points into the loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .curvature import (
     CurvatureTensor,
@@ -54,6 +62,7 @@ from .connections import (
 from .exact import GR_I, GaussianRational, RandomStream
 from .forms import (
     SpinorForm,
+    _accumulate,
     op_X,
     op_Y,
     op_H,
@@ -78,12 +87,14 @@ from .symplectic import SymplecticSpace, raise_lower_index, standard_symplectic_
 __all__ = [
     "ActionReport",
     "DisplayComparison",
+    "Check",
+    "Display",
+    "Suite",
+    "SUITES",
     "spinor_curvature_action",
     "verify_theorem9",
     "verify_theorem10",
     "verify_corollary11",
-    "verify_symbol_complex",
-    "lemma_suites",
     "theorem9_suite",
     "theorem10_suite",
     "corollary11_suite",
@@ -144,9 +155,8 @@ class ActionReport:
 # ---------------------------------------------------------------------------
 
 
-def _raise_first_two(T: CurvatureTensor, space: SymplecticSpace):
-    t = raise_lower_index(T.entries, 0, "raise", space)
-    return raise_lower_index(t, 1, "raise", space)
+def _raise_first_two(entries, space: SymplecticSpace):
+    return raise_lower_index(raise_lower_index(entries, 0, "raise", space), 1, "raise", space)
 
 
 def spinor_curvature_action(
@@ -159,7 +169,7 @@ def spinor_curvature_action(
     if phi.headroom() < 2:
         raise DegreeCapError("action needs spinor headroom >= 2")
     n = space.n
-    raised = _raise_first_two(T, space)
+    raised = _raise_first_two(T.entries, space)
     half_i = GaussianRational(0, Fraction(1, 2))
     out: dict[tuple[int, int], PolySpinor] = {}
     for i in range(n):
@@ -176,26 +186,13 @@ def spinor_curvature_action(
                     if not c or k == m:
                         continue
                     key, sign = ((k, m), 1) if k < m else ((m, k), -1)
-                    term = s_ij.scale(half_i * (c * sign))
-                    if term.is_zero():
-                        continue
-                    cur = out.get(key)
-                    tot = term if cur is None else cur + term
-                    if tot.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = tot
+                    _accumulate(out, key, s_ij.scale(half_i * (c * sign)))
     return SpinorForm(T.l, 2, phi.cap, out)
 
 
 # ---------------------------------------------------------------------------
 # Literal right-hand sides, evaluated independently of the projectors
 # ---------------------------------------------------------------------------
-
-
-def _sigma_raised(sigma: RicciTensor, space: SymplecticSpace):
-    t = raise_lower_index(sigma.entries, 0, "raise", space)
-    return raise_lower_index(t, 1, "raise", space)
 
 
 def _omega_two_form(space: SymplecticSpace, s: PolySpinor) -> SpinorForm:
@@ -216,7 +213,7 @@ def _omega_two_form(space: SymplecticSpace, s: PolySpinor) -> SpinorForm:
 def literal_p20_ricci(sigma: RicciTensor, phi: PolySpinor, space: SymplecticSpace) -> SpinorForm:
     """As displayed: i sigma^{ij} omega_kl e^k ∧ e^l ⊗ (1 + 1/l) e_i.e_j.phi."""
     n = space.n
-    sig_up = _sigma_raised(sigma, space)
+    sig_up = _raise_first_two(sigma.entries, space)
     spin = PolySpinor.zero(phi.l, phi.cap)
     for i in range(n):
         for j in range(n):
@@ -232,7 +229,7 @@ def literal_p21_ricci(sigma: RicciTensor, phi: PolySpinor, space: SymplecticSpac
     n = space.n
     l = space.l
     lo = space.omega_lower
-    sig_up = _sigma_raised(sigma, space)
+    sig_up = _raise_first_two(sigma.entries, space)
     cl_cache: dict[tuple[int, int], PolySpinor] = {}
 
     def cl2(a: int, b: int) -> PolySpinor:
@@ -241,7 +238,6 @@ def literal_p21_ricci(sigma: RicciTensor, phi: PolySpinor, space: SymplecticSpac
             cl_cache[key] = clifford_basis(a, clifford_basis(b, phi))
         return cl_cache[key]
 
-    acc = SpinorForm.zero(l, 2, phi.cap)
     trace_spin = PolySpinor.zero(phi.l, phi.cap)
     comps: dict[tuple[int, int], PolySpinor] = {}
     for i in range(n):
@@ -258,15 +254,7 @@ def literal_p21_ricci(sigma: RicciTensor, phi: PolySpinor, space: SymplecticSpac
                     if k == m:
                         continue
                     key, sign = ((k, m), 1) if k < m else ((m, k), -1)
-                    term = cl2(k, j).scale(2 * c * w * sign)
-                    if term.is_zero():
-                        continue
-                    cur = comps.get(key)
-                    tot = term if cur is None else cur + term
-                    if tot.is_zero():
-                        comps.pop(key, None)
-                    else:
-                        comps[key] = tot
+                    _accumulate(comps, key, cl2(k, j).scale(2 * c * w * sign))
     acc = SpinorForm(l, 2, phi.cap, comps)
     acc = acc - _omega_two_form(space, trace_spin).scale(Fraction(1, l))
     return acc.scale(GR_I)
@@ -296,13 +284,7 @@ def literal_p21_weyl(W: CurvatureTensor, phi: PolySpinor, space: SymplecticSpace
                         if not c or m == mm:
                             continue
                         key, sign = ((m, mm), 1) if m < mm else ((mm, m), -1)
-                        term = s4.scale(c * sign)
-                        cur = comps.get(key)
-                        tot = term if cur is None else cur + term
-                        if tot.is_zero():
-                            comps.pop(key, None)
-                        else:
-                            comps[key] = tot
+                        _accumulate(comps, key, s4.scale(c * sign))
     coeff = GaussianRational(0, Fraction(2, 1 - space.l))
     return SpinorForm(space.l, 2, phi.cap, comps).scale(coeff)
 
@@ -461,75 +443,6 @@ def symbol_negative_control(xi, eta: SpinorForm, space: SymplecticSpace) -> bool
     return not project("p22", wedge_covector(xi, rest), space).is_zero()
 
 
-def verify_symbol_complex(l: int, trials: int, seed: int) -> ActionReport:
-    reports = symbol_complex_suite(l, 4, trials, seed)
-    return reports[0]
-
-
-# ---------------------------------------------------------------------------
-# Suites: deterministic trial loops that produce ActionReports
-# ---------------------------------------------------------------------------
-
-
-def _skipped(theorem_id: str) -> ActionReport:
-    return ActionReport(theorem_id, 0, "skipped")
-
-
-def lemma1_suite(l: int, degree: int, trials: int, seed: int) -> ActionReport:
-    """Clifford commutator: e_a.e_b.s - e_b.e_a.s + i omega_ab s = 0."""
-    if trials == 0:
-        return _skipped("lemma1")
-    space = standard_symplectic_form(l)
-    stream = RandomStream(seed)
-    n = space.n
-    for _ in range(trials):
-        s = random_spinor(l, degree, degree + 2, stream)
-        for a in range(n):
-            for b in range(n):
-                resid = (
-                    clifford_basis(a, clifford_basis(b, s))
-                    - clifford_basis(b, clifford_basis(a, s))
-                    + s.scale(GR_I * space.omega_lower[a][b])
-                )
-                if not resid.is_zero():
-                    ce = {
-                        "check": "lemma1",
-                        "l": l,
-                        "a": a + 1,
-                        "b": b + 1,
-                        "spinor": poly_spinor_to_json(s),
-                    }
-                    return ActionReport("lemma1", trials, "fail", ce)
-    return ActionReport("lemma1", trials, "pass")
-
-
-def lemma4_suite(l: int, degree: int, trials: int, seed: int) -> ActionReport:
-    """H = i (r - l) Id on degree-r forms, r = 0, 1, 2."""
-    if trials == 0:
-        return _skipped("lemma4")
-    space = standard_symplectic_form(l)
-    stream = RandomStream(seed)
-    for _ in range(trials):
-        for r in (0, 1, 2):
-            phi = random_form(l, r, degree, degree + 2, stream)
-            expected = phi.scale(GaussianRational(0, r - l))
-            if op_H(phi, space) != expected:
-                ce = {
-                    "check": "lemma4",
-                    "l": l,
-                    "form": spinor_form_to_json(phi),
-                }
-                return ActionReport("lemma4", trials, "fail", ce)
-    return ActionReport("lemma4", trials, "pass")
-
-
-def _projector_forms(l, degree, stream):
-    cap = degree + 8
-    one_form = random_form(l, 1, degree, cap, stream)
-    two_form = random_form(l, 2, degree, cap, stream)
-    return one_form, two_form
-
-
 def lemma5_idempotency_instance(space, one_form, two_form) -> str | None:
     for which, phi in (("p10", one_form), ("p11", one_form),
                        ("p20", two_form), ("p21", two_form), ("p22", two_form)):
@@ -562,38 +475,6 @@ def lemma5_partition_instance(space, one_form, two_form) -> str | None:
     return None
 
 
-def lemma5_suite(l: int, degree: int, trials: int, seed: int) -> list[ActionReport]:
-    names = ("lemma5.idempotency", "lemma5.orthogonality", "lemma5.partition-of-identity")
-    if trials == 0:
-        return [_skipped(n) for n in names]
-    space = standard_symplectic_form(l)
-    stream = RandomStream(seed)
-    failures: dict[str, dict | None] = {n: None for n in names}
-    for _ in range(trials):
-        one_form, two_form = _projector_forms(l, degree, stream)
-        ce_base = {
-            "l": l,
-            "one_form": spinor_form_to_json(one_form),
-            "two_form": spinor_form_to_json(two_form),
-        }
-        if failures[names[0]] is None:
-            bad = lemma5_idempotency_instance(space, one_form, two_form)
-            if bad is not None:
-                failures[names[0]] = {"check": names[0], "projector": bad, **ce_base}
-        if failures[names[1]] is None:
-            bad = lemma5_orthogonality_instance(space, one_form, two_form)
-            if bad is not None:
-                failures[names[1]] = {"check": names[1], "pair": list(bad), **ce_base}
-        if failures[names[2]] is None:
-            bad = lemma5_partition_instance(space, one_form, two_form)
-            if bad is not None:
-                failures[names[2]] = {"check": names[2], "degree": bad, **ce_base}
-    return [
-        ActionReport(n, trials, "fail" if failures[n] else "pass", failures[n])
-        for n in names
-    ]
-
-
 def lemma6_instance(R: CurvatureTensor, space: SymplecticSpace) -> bool:
     n = space.n
     sig = _ricci_entries(R, space)
@@ -603,9 +484,7 @@ def lemma6_instance(R: CurvatureTensor, space: SymplecticSpace) -> bool:
                 return False
     raised = raise_all(R, space)
     lo = space.omega_lower
-    sig_up = raise_lower_index(
-        raise_lower_index(sig, 0, "raise", space), 1, "raise", space
-    )
+    sig_up = _raise_first_two(sig, space)
     for i in range(n):
         for j in range(n):
             acc = Fraction(0)
@@ -617,20 +496,6 @@ def lemma6_instance(R: CurvatureTensor, space: SymplecticSpace) -> bool:
             if acc != 2 * sig_up[i][j]:
                 return False
     return True
-
-
-def lemma6_suite(l: int, trials: int, seed: int) -> ActionReport:
-    """Raised trace identity R^{ijkl} omega_kl = 2 sigma^{ij}, sigma symmetric."""
-    if trials == 0:
-        return _skipped("lemma6")
-    space = standard_symplectic_form(l)
-    stream = RandomStream(seed)
-    for _ in range(trials):
-        R = random_curvature(l, stream.next_int(0, 2**31 - 1))
-        if not lemma6_instance(R, space):
-            ce = {"check": "lemma6", "l": l, "curvature": curvature_to_json(R)}
-            return ActionReport("lemma6", trials, "fail", ce)
-    return ActionReport("lemma6", trials, "pass")
 
 
 def lemma7_weyl_instance(R: CurvatureTensor, space: SymplecticSpace) -> bool:
@@ -653,198 +518,6 @@ def lemma7_section_instance(sigma: RicciTensor, space: SymplecticSpace) -> bool:
     return RicciTensor(sigma.l, _ricci_entries(st, space)) == sigma
 
 
-def lemma7_suite(l: int, trials: int, seed: int) -> list[ActionReport]:
-    names = ("lemma7.weyl-trace-free", "lemma7.ricci-section")
-    if trials == 0:
-        return [_skipped(n) for n in names]
-    space = standard_symplectic_form(l)
-    stream = RandomStream(seed)
-    fail_weyl = fail_section = None
-    for _ in range(trials):
-        R = random_curvature(l, stream.next_int(0, 2**31 - 1))
-        if fail_weyl is None and not lemma7_weyl_instance(R, space):
-            fail_weyl = {"check": names[0], "l": l, "curvature": curvature_to_json(R)}
-        sigma = RicciTensor.random(l, stream)
-        if fail_section is None and not lemma7_section_instance(sigma, space):
-            fail_section = {"check": names[1], "l": l, "sigma": ricci_to_json(sigma)}
-    return [
-        ActionReport(names[0], trials, "fail" if fail_weyl else "pass", fail_weyl),
-        ActionReport(names[1], trials, "fail" if fail_section else "pass", fail_section),
-    ]
-
-
-def lemma_suites(l: int, degree: int, trials: int, seed: int) -> list[ActionReport]:
-    """Every lemma-level invariant, with the given trial budget per check."""
-    if l < 2:
-        raise ValueError("lemma suites need l >= 2")
-    if trials > 0 and degree < 4:
-        raise ValueError("lemma suites expect degree >= 4")
-    base = RandomStream(seed)
-    out = [lemma1_suite(l, degree, trials, base.split(1).next_int(0, 2**31 - 1))]
-    out.append(lemma4_suite(l, degree, trials, base.split(2).next_int(0, 2**31 - 1)))
-    out.extend(lemma5_suite(l, degree, trials, base.split(3).next_int(0, 2**31 - 1)))
-    out.append(lemma6_suite(l, trials, base.split(4).next_int(0, 2**31 - 1)))
-    out.extend(lemma7_suite(l, trials, base.split(5).next_int(0, 2**31 - 1)))
-    return out
-
-
-def _aggregate_displays(per_trial: list[list[DisplayComparison]]) -> list[DisplayComparison]:
-    """AND the comparisons across trials, display by display."""
-    if not per_trial:
-        return []
-    agg = []
-    for idx, first in enumerate(per_trial[0]):
-        lit = first.literal_match
-        corr = first.corrected_match
-        for row in per_trial[1:]:
-            d = row[idx]
-            if lit is not None:
-                lit = lit and d.literal_match
-            if corr is not None:
-                corr = corr and d.corrected_match
-        agg.append(DisplayComparison(first.display, lit, corr, first.note))
-    return agg
-
-
-def theorem9_suite(l: int, degree: int, trials: int, seed: int) -> ActionReport:
-    if trials == 0:
-        return _skipped("theorem9")
-    space = standard_symplectic_form(l)
-    stream = RandomStream(seed)
-    ce = None
-    status = "pass"
-    displays = []
-    for _ in range(trials):
-        sigma = RicciTensor.random(l, stream)
-        phi = random_spinor(l, degree, degree + 6, stream)
-        rep = verify_theorem9(sigma, phi, space)
-        displays.append(rep.displays)
-        if rep.status == "fail" and ce is None:
-            status, ce = "fail", rep.counterexample
-    agg = _aggregate_displays(displays)
-    literal = "pass" if all(d.literal_match for d in agg) else "fail"
-    return ActionReport("theorem9", trials, status, ce, literal, agg)
-
-
-def theorem10_suite(l: int, degree: int, trials: int, seed: int) -> ActionReport:
-    if trials == 0:
-        return _skipped("theorem10")
-    space = standard_symplectic_form(l)
-    stream = RandomStream(seed)
-    ce = None
-    status = "pass"
-    displays = []
-    for _ in range(trials):
-        W = random_weyl(l, stream.next_int(0, 2**31 - 1))
-        phi = random_spinor(l, degree, degree + 6, stream)
-        rep = verify_theorem10(W, phi, space)
-        displays.append(rep.displays)
-        if rep.status == "fail" and ce is None:
-            status, ce = "fail", rep.counterexample
-    agg = _aggregate_displays(displays)
-    lit = agg[0].literal_match if agg else None
-    return ActionReport(
-        "theorem10", trials, status, ce,
-        "pass" if lit else "fail", agg,
-    )
-
-
-def corollary11_suite(l: int, degree: int, trials: int, seed: int) -> ActionReport:
-    if trials == 0:
-        return _skipped("corollary11")
-    space = standard_symplectic_form(l)
-    stream = RandomStream(seed)
-    ce = None
-    status = "pass"
-    displays = []
-    for _ in range(trials):
-        R = random_curvature(l, stream.next_int(0, 2**31 - 1))
-        phi = random_spinor(l, degree, degree + 6, stream)
-        rep = verify_corollary11(R, phi, space)
-        displays.append(rep.displays)
-        if rep.status == "fail" and ce is None:
-            status, ce = "fail", rep.counterexample
-    agg = _aggregate_displays(displays)
-    literal = "pass" if all(d.literal_match for d in agg) else "fail"
-    return ActionReport("corollary11", trials, status, ce, literal, agg)
-
-
-def symbol_complex_suite(l: int, degree: int, trials: int, seed: int) -> list[ActionReport]:
-    names = ("symbol-complex", "symbol-complex.negative-control")
-    if trials == 0:
-        return [_skipped(n) for n in names]
-    space = standard_symplectic_form(l)
-    stream = RandomStream(seed)
-    ce = None
-    witness = None
-    for _ in range(trials):
-        xi = [stream.next_fraction(5) for _ in range(space.n)]
-        eta = random_form(l, 1, degree, degree + 6, stream)
-        if ce is None and not symbol_complex_instance(xi, eta, space):
-            ce = {
-                "check": "symbol-complex",
-                "l": l,
-                "xi": [str(x) for x in xi],
-                "eta": spinor_form_to_json(eta),
-            }
-        if witness is None and symbol_negative_control(xi, eta, space):
-            witness = {
-                "l": l,
-                "xi": [str(x) for x in xi],
-                "eta": spinor_form_to_json(eta),
-            }
-    main = ActionReport(names[0], trials, "fail" if ce else "pass", ce)
-    neg_ce = None if witness else {"check": names[1], "l": l,
-                                   "note": "no nonzero witness found"}
-    negative = ActionReport(
-        names[1], trials, "pass" if witness else "fail", neg_ce, witness=witness
-    )
-    return [main, negative]
-
-
-def fedosov_suite(
-    l: int,
-    seed: int,
-    n_connections: int = 5,
-    n_points: int = 5,
-    degree: int = 2,
-) -> list[ActionReport]:
-    names = ("fedosov.axioms", "fedosov.curvature-symmetries", "fedosov.decomposition")
-    if n_connections == 0:
-        return [_skipped(n) for n in names]
-    space = standard_symplectic_form(l)
-    stream = RandomStream(seed)
-    fails: dict[str, dict | None] = {n: None for n in names}
-    total = n_connections * n_points
-    for c in range(n_connections):
-        conn = random_connection(l, degree, stream.next_int(0, 2**31 - 1))
-        conn_json = connection_to_json(conn)
-        report = check_connection_axioms(conn)
-        if not report.ok() and fails[names[0]] is None:
-            fails[names[0]] = {"check": names[0], "connection": conn_json}
-            continue
-        field = curvature_field_of(conn)
-        for _ in range(n_points):
-            point = [stream.next_fraction(3) for _ in range(space.n)]
-            R = evaluate_curvature_at(field, point)
-            if not check_symmetries(R).all_hold() and fails[names[1]] is None:
-                fails[names[1]] = {
-                    "check": names[1],
-                    "connection": conn_json,
-                    "point": [str(x) for x in point],
-                }
-            if fails[names[2]] is None and not _decomposition_instance(R, space):
-                fails[names[2]] = {
-                    "check": names[2],
-                    "connection": conn_json,
-                    "point": [str(x) for x in point],
-                }
-    return [
-        ActionReport(n, total, "fail" if fails[n] else "pass", fails[n])
-        for n in names
-    ]
-
-
 def _decomposition_instance(R: CurvatureTensor, space: SymplecticSpace) -> bool:
     sigma = RicciTensor(R.l, _ricci_entries(R, space))
     st = sigma_tilde_of(sigma, space)
@@ -865,23 +538,449 @@ def equivariance_instance(A: SpLieElement, phi: SpinorForm, space: SymplecticSpa
     return lhs_y == rhs_y
 
 
-def equivariance_suite(l: int, degree: int, trials: int, seed: int) -> ActionReport:
+def _aggregate_displays(per_trial: list[list[DisplayComparison]]) -> list[DisplayComparison]:
+    """AND the comparisons across trials, display by display; None stays None."""
+    def every(verdicts):
+        return None if verdicts[0] is None else all(verdicts)
+
+    return [
+        DisplayComparison(col[0].display, every([d.literal_match for d in col]),
+                          every([d.corrected_match for d in col]), col[0].note)
+        for col in zip(*per_trial)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# The check registry
+# ---------------------------------------------------------------------------
+
+# Size ceiling for a run and for a replayed counterexample.  At l = 4 a
+# theorem trial takes seconds and the fedosov suite far longer; much beyond,
+# the set-up (dense elimination, constraint-space bases) alone does not end
+# in useful time.  Raise these when the kernels make larger sizes practical.
+MAX_L = 4
+MAX_DEGREE = 16
+
+FEDOSOV_CONNECTIONS = 5     # connections a CLI run samples whenever trials > 0
+FEDOSOV_POINTS = 5          # curvature evaluation points per connection
+
+
+@dataclass(frozen=True)
+class Check:
+    """One identity.  `holds(instance, space)` is None when the instance
+    satisfies it, else the failure payload (the counterexample minus "check").
+    A witness check is existential: holds returns a witness when the instance
+    exhibits one, and the check passes once any trial has.  Holds reaches the
+    instance verdicts through their module-level names, so whatever rebinds
+    those names (a tracer, a test) sees every call."""
+
+    name: str
+    anchor: str
+    holds: Callable
+    witness: bool = False
+
+
+@dataclass(frozen=True)
+class Display:
+    """A printed right-hand side and its documented (literal, corrected) verdict."""
+
+    name: str                                   # as in DisplayComparison.display
+    anchor: str
+    expected: tuple[bool | None, bool | None]
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One suite.  `sample(l, degree, stream)` draws a trial's instance from the
+    suite's one stream; `decode(counterexample)` rebuilds `(l, instance)`.  In a
+    theorem suite (one with displays) holds returns (payload, comparisons).
+    `run(l, degree, trials, seed)` calls the suite's module-level entry point,
+    by name, as a CLI run configures it, and returns its reports."""
+
+    name: str
+    checks: tuple[Check, ...]
+    sample: Callable
+    decode: Callable
+    run: Callable
+    min_l: int = 1
+    min_pad: int = 0
+    displays: tuple[Display, ...] = ()
+    per_trial: int = 1          # instances decided per sampled trial
+    cli: bool = True            # a --suite choice and part of "all"
+
+
+def _seed(stream: RandomStream) -> int:
+    return stream.next_int(0, 2**31 - 1)
+
+
+def _strs(xs) -> list[str]:
+    return [str(x) for x in xs]
+
+
+def _curvature_payload(R: CurvatureTensor) -> dict:
+    return {"l": R.l, "curvature": curvature_to_json(R)}
+
+
+def _lemma1_holds(instance, space):
+    s, pairs = instance
+    for a, b in pairs:
+        resid = (
+            clifford_basis(a, clifford_basis(b, s))
+            - clifford_basis(b, clifford_basis(a, s))
+            + s.scale(GR_I * space.omega_lower[a][b])
+        )
+        if not resid.is_zero():
+            return {"l": s.l, "a": a + 1, "b": b + 1, "spinor": poly_spinor_to_json(s)}
+    return None
+
+
+def _lemma4_holds(forms, space):
+    for phi in forms:
+        if op_H(phi, space) != phi.scale(GaussianRational(0, phi.r - phi.l)):
+            return {"l": phi.l, "form": spinor_form_to_json(phi)}
+    return None
+
+
+def _lemma5_payload(key: str, bad, forms) -> dict | None:
+    if bad is None:
+        return None
+    one_form, two_form = forms
+    return {key: list(bad) if isinstance(bad, tuple) else bad, "l": one_form.l,
+            "one_form": spinor_form_to_json(one_form), "two_form": spinor_form_to_json(two_form)}
+
+
+def _lemma7_decode(ce):
+    """Each lemma7 counterexample carries only the part its check uses."""
+    if ce["check"] == "lemma7.ricci-section":
+        return ce["l"], (None, ricci_from_json(ce["sigma"]))
+    return ce["l"], (curvature_from_json(ce["curvature"]), None)
+
+
+def _theorem(report: ActionReport):
+    return report.counterexample, report.displays
+
+
+def _theorem_decode(ce, key, from_json):
+    return ce["l"], (from_json(ce[key]), poly_spinor_from_json(ce["phi"]))
+
+
+def _symbol_payload(instance) -> dict:
+    xi, eta = instance
+    return {"l": eta.l, "xi": _strs(xi), "eta": spinor_form_to_json(eta)}
+
+
+class _FedosovTrial:
+    """A connection and points; its curvature there is computed on first use."""
+
+    def __init__(self, conn, points):
+        self.conn, self.points = conn, points
+
+    @cached_property
+    def curvatures(self):
+        curvature = curvature_field_of(self.conn)
+        return [evaluate_curvature_at(curvature, p) for p in self.points]
+
+    def failure(self, ok) -> dict | None:
+        """Payload naming the first point whose curvature fails `ok`."""
+        for point, R in zip(self.points, self.curvatures):
+            if not ok(R):
+                return {"connection": connection_to_json(self.conn), "point": _strs(point)}
+        return None
+
+
+def _fedosov_sample(l, degree, stream, n_points=FEDOSOV_POINTS):
+    conn = random_connection(l, degree, _seed(stream))
+    points = [[stream.next_fraction(3) for _ in range(2 * l)] for _ in range(n_points)]
+    return _FedosovTrial(conn, points)
+
+
+def _fedosov_decode(ce):
+    conn = connection_from_json(ce["connection"])
+    points = [] if ce["check"] == "fedosov.axioms" else [[Fraction(x) for x in ce["point"]]]
+    return conn.l, _FedosovTrial(conn, points)
+
+
+def _equivariance_payload(instance) -> dict:
+    A, phi = instance
+    return {"l": A.l, "matrix": [_strs(row) for row in A.matrix], "form": spinor_form_to_json(phi)}
+
+
+SUITES: dict[str, Suite] = {suite.name: suite for suite in (
+    Suite(
+        "lemma1",
+        (Check("lemma1", "e_a.e_b.s - e_b.e_a.s = -i omega(e_a, e_b) s", _lemma1_holds),),
+        # a spinor and every ordered pair of basis vectors
+        sample=lambda l, degree, stream: (random_spinor(l, degree, degree + 2, stream),
+                                          [(a, b) for a in range(2 * l) for b in range(2 * l)]),
+        decode=lambda ce: (ce["l"], (poly_spinor_from_json(ce["spinor"]),
+                                     [(ce["a"] - 1, ce["b"] - 1)])),
+        run=lambda l, degree, trials, seed: [lemma1_suite(l, degree, trials, seed)],
+        min_l=2,
+    ),
+    Suite(
+        "lemma4",
+        (Check("lemma4", "XY + YX = i (r - l) Id on degree-r forms", _lemma4_holds),),
+        sample=lambda l, degree, stream: [random_form(l, r, degree, degree + 2, stream)
+                                          for r in (0, 1, 2)],
+        decode=lambda ce: (ce["l"], [spinor_form_from_json(ce["form"])]),
+        run=lambda l, degree, trials, seed: [lemma4_suite(l, degree, trials, seed)],
+        min_l=2,
+    ),
+    Suite(
+        "lemma5",
+        (
+            Check("lemma5.idempotency", "p.p = p for each of the five projectors",
+                  lambda forms, space: _lemma5_payload(
+                      "projector", lemma5_idempotency_instance(space, *forms), forms)),
+            Check("lemma5.orthogonality", "p_a.p_b = 0 for distinct projectors of one form degree",
+                  lambda forms, space: _lemma5_payload(
+                      "pair", lemma5_orthogonality_instance(space, *forms), forms)),
+            Check("lemma5.partition-of-identity", "p10 + p11 = Id and p20 + p21 + p22 = Id",
+                  lambda forms, space: _lemma5_payload(
+                      "degree", lemma5_partition_instance(space, *forms), forms)),
+        ),
+        sample=lambda l, degree, stream: (random_form(l, 1, degree, degree + 8, stream),
+                                          random_form(l, 2, degree, degree + 8, stream)),
+        decode=lambda ce: (ce["l"], (spinor_form_from_json(ce["one_form"]),
+                                     spinor_form_from_json(ce["two_form"]))),
+        run=lambda l, degree, trials, seed: lemma5_suite(l, degree, trials, seed),
+        min_l=2,
+    ),
+    Suite(
+        "lemma6",
+        (Check("lemma6", "R^{ijkl} omega_kl = 2 sigma^{ij} and sigma symmetric",
+               lambda R, space: None if lemma6_instance(R, space) else _curvature_payload(R)),),
+        sample=lambda l, degree, stream: random_curvature(l, _seed(stream)),
+        decode=lambda ce: (ce["l"], curvature_from_json(ce["curvature"])),
+        run=lambda l, degree, trials, seed: [lemma6_suite(l, trials, seed)],
+    ),
+    Suite(
+        "lemma7",
+        (
+            Check("lemma7.weyl-trace-free",
+                  "all six omega-traces of W vanish; 4-term cyclic identity",
+                  lambda inst, space: None if lemma7_weyl_instance(inst[0], space)
+                  else _curvature_payload(inst[0])),
+            Check("lemma7.ricci-section", "ricci(sigma_tilde(s)) = s for symmetric s",
+                  lambda inst, space: None if lemma7_section_instance(inst[1], space)
+                  else {"l": inst[1].l, "sigma": ricci_to_json(inst[1])}),
+        ),
+        sample=lambda l, degree, stream: (random_curvature(l, _seed(stream)),
+                                          RicciTensor.random(l, stream)),
+        decode=_lemma7_decode,
+        run=lambda l, degree, trials, seed: lemma7_suite(l, trials, seed),
+    ),
+    Suite(
+        "theorem9",
+        (Check("theorem9", "p22 of the Ricci-type spinor action vanishes",
+               lambda inst, space: _theorem(verify_theorem9(*inst, space))),),
+        sample=lambda l, degree, stream: (RicciTensor.random(l, stream),
+                                          random_spinor(l, degree, degree + 6, stream)),
+        decode=lambda ce: _theorem_decode(ce, "sigma", ricci_from_json),
+        run=lambda l, degree, trials, seed: [theorem9_suite(l, degree, trials, seed)],
+        min_l=2,
+        min_pad=6,
+        displays=tuple(
+            Display(f"eq{9 + j}", f"printed p2{j} of the Ricci-type action vs projector oracle",
+                    (False, True))
+            for j in range(2)
+        ),
+    ),
+    Suite(
+        "theorem10",
+        (Check("theorem10", "p20 and Y^2 of the trace-free spinor action vanish",
+               lambda inst, space: _theorem(verify_theorem10(*inst, space))),),
+        sample=lambda l, degree, stream: (random_weyl(l, _seed(stream)),
+                                          random_spinor(l, degree, degree + 6, stream)),
+        decode=lambda ce: _theorem_decode(ce, "weyl", curvature_from_json),
+        run=lambda l, degree, trials, seed: [theorem10_suite(l, degree, trials, seed)],
+        min_l=2,
+        min_pad=6,
+        displays=(
+            Display("eq11", "printed p21 of the trace-free action vs projector oracle",
+                    (False, True)),
+            Display("eq12", "printed p22 of the trace-free action (bound variant) vs oracle",
+                    (None, True)),
+        ),
+    ),
+    Suite(
+        "corollary11",
+        (Check("corollary11",
+               "p2j(action R) = p2j(action sigma_tilde) + p2j(action W), j = 0,1,2",
+               lambda inst, space: _theorem(verify_corollary11(*inst, space))),),
+        sample=lambda l, degree, stream: (random_curvature(l, _seed(stream)),
+                                          random_spinor(l, degree, degree + 6, stream)),
+        decode=lambda ce: _theorem_decode(ce, "curvature", curvature_from_json),
+        run=lambda l, degree, trials, seed: [corollary11_suite(l, degree, trials, seed)],
+        min_l=2,
+        min_pad=6,
+        displays=tuple(
+            Display(f"p2{j}-display", f"printed p2{j} of the full action vs projector oracle",
+                    (False, True))
+            for j in range(3)
+        ),
+    ),
+    Suite(
+        "symbol-complex",
+        (
+            Check("symbol-complex", "p22(xi ^ p10(eta)) = 0 for random covectors and 1-forms",
+                  lambda inst, space: None if symbol_complex_instance(*inst, space)
+                  else _symbol_payload(inst)),
+            Check("symbol-complex.negative-control",
+                  "p22(xi ^ p11(eta)) != 0 for a recorded witness",
+                  lambda inst, space: _symbol_payload(inst)
+                  if symbol_negative_control(*inst, space) else None,
+                  witness=True),
+        ),
+        sample=lambda l, degree, stream: ([stream.next_fraction(5) for _ in range(2 * l)],
+                                          random_form(l, 1, degree, degree + 6, stream)),
+        decode=lambda ce: (ce["l"], ([Fraction(x) for x in ce["xi"]],
+                                     spinor_form_from_json(ce["eta"]))),
+        run=lambda l, degree, trials, seed: symbol_complex_suite(l, degree, trials, seed),
+        min_l=2,
+        min_pad=6,
+    ),
+    Suite(
+        "fedosov",
+        (
+            Check("fedosov.axioms", "nabla omega = 0 and zero torsion as polynomial identities",
+                  lambda trial, space: None if check_connection_axioms(trial.conn).ok()
+                  else {"connection": connection_to_json(trial.conn)}),
+            Check("fedosov.curvature-symmetries",
+                  "evaluated curvatures satisfy all four symmetries",
+                  lambda trial, space: trial.failure(lambda R: check_symmetries(R).all_hold())),
+            Check("fedosov.decomposition",
+                  "R = sigma_tilde(ricci R) + W with W trace-free, pointwise",
+                  lambda trial, space: trial.failure(
+                      lambda R: _decomposition_instance(R, space))),
+        ),
+        sample=_fedosov_sample,
+        decode=_fedosov_decode,
+        # --trials only switches the suite on or off
+        run=lambda l, degree, trials, seed: fedosov_suite(
+            l, seed, n_connections=FEDOSOV_CONNECTIONS if trials else 0),
+        per_trial=FEDOSOV_POINTS,
+    ),
+    Suite(
+        "equivariance",
+        (Check("equivariance", "[sp_action(A), X] = 0 and [sp_action(A), Y] = 0",
+               lambda inst, space: None if equivariance_instance(*inst, space)
+               else _equivariance_payload(inst)),),
+        sample=lambda l, degree, stream: (SpLieElement.random(l, stream),
+                                          random_form(l, 1, degree, degree + 4, stream)),
+        decode=lambda ce: (ce["l"], (
+            SpLieElement(ce["l"], [[Fraction(x) for x in row] for row in ce["matrix"]]),
+            spinor_form_from_json(ce["form"]),
+        )),
+        run=lambda l, degree, trials, seed: [equivariance_suite(l, degree, trials, seed)],
+        min_l=2,
+        cli=False,   # adding it to "all" would change the default report
+    ),
+)}
+
+
+# ---------------------------------------------------------------------------
+# The trial loop and the suite entry points
+# ---------------------------------------------------------------------------
+
+
+def _evaluate(suite: Suite, check: Check, instance, space):
+    """(failure payload or None, display comparisons) of one check on one instance."""
+    verdict = check.holds(instance, space)
+    return verdict if suite.displays else (verdict, [])
+
+
+def _run_checks(suite: Suite, l: int, degree: int, trials: int, seed: int) -> list[ActionReport]:
+    """Sample `trials` instances from one stream and decide every check on each.
+
+    A check is no longer evaluated once it has failed (a witness check: once
+    it has its witness), except in a theorem suite, whose displays are
+    compared on every trial.  Each report keeps the first failure.
+    """
     if trials == 0:
-        return _skipped("equivariance")
+        return [ActionReport(c.name, 0, "skipped") for c in suite.checks]
     space = standard_symplectic_form(l)
     stream = RandomStream(seed)
+    found: dict[str, dict] = {}
+    shown: list[list[DisplayComparison]] = []
     for _ in range(trials):
-        A = SpLieElement.random(l, stream)
-        phi = random_form(l, 1, degree, degree + 4, stream)
-        if not equivariance_instance(A, phi, space):
-            ce = {
-                "check": "equivariance",
-                "l": l,
-                "matrix": [[str(x) for x in row] for row in A.matrix],
-                "form": spinor_form_to_json(phi),
-            }
-            return ActionReport("equivariance", trials, "fail", ce)
-    return ActionReport("equivariance", trials, "pass")
+        pending = [c for c in suite.checks if suite.displays or c.name not in found]
+        if not pending:
+            break
+        instance = suite.sample(l, degree, stream)
+        for check in pending:
+            payload, displays = _evaluate(suite, check, instance, space)
+            if displays:
+                shown.append(displays)
+            if payload is not None:
+                found.setdefault(check.name, payload)
+    n = trials * suite.per_trial
+    reports = []
+    for check in suite.checks:
+        payload = found.get(check.name)
+        if check.witness:
+            ce = None if payload else {"check": check.name, "l": l,
+                                       "note": "no nonzero witness found"}
+        else:
+            ce = payload and {"check": check.name, **payload}
+        reports.append(ActionReport(check.name, n, "fail" if ce else "pass", ce,
+                                    witness=payload if check.witness else None))
+    if shown:
+        agg = _aggregate_displays(shown)
+        literal = all(d.literal_match for d in agg if d.literal_match is not None)
+        reports[0].displays = agg
+        reports[0].literal_formula_match = "pass" if literal else "fail"
+    return reports
+
+
+def lemma1_suite(l: int, degree: int, trials: int, seed: int) -> ActionReport:
+    """Clifford commutator: e_a.e_b.s - e_b.e_a.s + i omega_ab s = 0."""
+    return _run_checks(SUITES["lemma1"], l, degree, trials, seed)[0]
+
+
+def lemma4_suite(l: int, degree: int, trials: int, seed: int) -> ActionReport:
+    """H = i (r - l) Id on degree-r forms, r = 0, 1, 2."""
+    return _run_checks(SUITES["lemma4"], l, degree, trials, seed)[0]
+
+
+def lemma5_suite(l: int, degree: int, trials: int, seed: int) -> list[ActionReport]:
+    return _run_checks(SUITES["lemma5"], l, degree, trials, seed)
+
+
+def lemma6_suite(l: int, trials: int, seed: int) -> ActionReport:
+    """Raised trace identity R^{ijkl} omega_kl = 2 sigma^{ij}, sigma symmetric."""
+    return _run_checks(SUITES["lemma6"], l, 0, trials, seed)[0]
+
+
+def lemma7_suite(l: int, trials: int, seed: int) -> list[ActionReport]:
+    return _run_checks(SUITES["lemma7"], l, 0, trials, seed)
+
+
+def theorem9_suite(l: int, degree: int, trials: int, seed: int) -> ActionReport:
+    return _run_checks(SUITES["theorem9"], l, degree, trials, seed)[0]
+
+
+def theorem10_suite(l: int, degree: int, trials: int, seed: int) -> ActionReport:
+    return _run_checks(SUITES["theorem10"], l, degree, trials, seed)[0]
+
+
+def corollary11_suite(l: int, degree: int, trials: int, seed: int) -> ActionReport:
+    return _run_checks(SUITES["corollary11"], l, degree, trials, seed)[0]
+
+
+def symbol_complex_suite(l: int, degree: int, trials: int, seed: int) -> list[ActionReport]:
+    return _run_checks(SUITES["symbol-complex"], l, degree, trials, seed)
+
+
+def fedosov_suite(l: int, seed: int, n_connections: int = FEDOSOV_CONNECTIONS,
+                  n_points: int = FEDOSOV_POINTS, degree: int = 2) -> list[ActionReport]:
+    suite = replace(SUITES["fedosov"], per_trial=n_points,
+                    sample=lambda l, degree, stream: _fedosov_sample(l, degree, stream, n_points))
+    return _run_checks(suite, l, degree, n_connections, seed)
+
+
+def equivariance_suite(l: int, degree: int, trials: int, seed: int) -> ActionReport:
+    return _run_checks(SUITES["equivariance"], l, degree, trials, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -889,121 +988,21 @@ def equivariance_suite(l: int, degree: int, trials: int, seed: int) -> ActionRep
 # ---------------------------------------------------------------------------
 
 
-def _replay_lemma1(ce):
-    space = standard_symplectic_form(ce["l"])
-    s = poly_spinor_from_json(ce["spinor"])
-    a, b = ce["a"] - 1, ce["b"] - 1
-    resid = (
-        clifford_basis(a, clifford_basis(b, s))
-        - clifford_basis(b, clifford_basis(a, s))
-        + s.scale(GR_I * space.omega_lower[a][b])
-    )
-    return resid.is_zero()
-
-
-def _replay_lemma4(ce):
-    space = standard_symplectic_form(ce["l"])
-    phi = spinor_form_from_json(ce["form"])
-    return op_H(phi, space) == phi.scale(GaussianRational(0, phi.r - phi.l))
-
-
-def _replay_lemma5(ce):
-    space = standard_symplectic_form(ce["l"])
-    one_form = spinor_form_from_json(ce["one_form"])
-    two_form = spinor_form_from_json(ce["two_form"])
-    check = ce["check"]
-    if check.endswith("idempotency"):
-        return lemma5_idempotency_instance(space, one_form, two_form) is None
-    if check.endswith("orthogonality"):
-        return lemma5_orthogonality_instance(space, one_form, two_form) is None
-    return lemma5_partition_instance(space, one_form, two_form) is None
-
-
-def _replay_lemma6(ce):
-    R = curvature_from_json(ce["curvature"])
-    return lemma6_instance(R, standard_symplectic_form(ce["l"]))
-
-
-def _replay_lemma7_weyl(ce):
-    R = curvature_from_json(ce["curvature"])
-    return lemma7_weyl_instance(R, standard_symplectic_form(ce["l"]))
-
-
-def _replay_lemma7_section(ce):
-    sigma = ricci_from_json(ce["sigma"])
-    return lemma7_section_instance(sigma, standard_symplectic_form(ce["l"]))
-
-
-def _replay_theorem9(ce):
-    sigma = ricci_from_json(ce["sigma"])
-    phi = poly_spinor_from_json(ce["phi"])
-    return verify_theorem9(sigma, phi).status == "pass"
-
-
-def _replay_theorem10(ce):
-    W = curvature_from_json(ce["weyl"])
-    phi = poly_spinor_from_json(ce["phi"])
-    return verify_theorem10(W, phi).status == "pass"
-
-
-def _replay_corollary11(ce):
-    R = curvature_from_json(ce["curvature"])
-    phi = poly_spinor_from_json(ce["phi"])
-    return verify_corollary11(R, phi).status == "pass"
-
-
-def _replay_symbol(ce):
-    space = standard_symplectic_form(ce["l"])
-    xi = [Fraction(x) for x in ce["xi"]]
-    eta = spinor_form_from_json(ce["eta"])
-    return symbol_complex_instance(xi, eta, space)
-
-
-def _replay_fedosov(ce):
-    conn = connection_from_json(ce["connection"])
-    if ce["check"].endswith("axioms"):
-        return check_connection_axioms(conn).ok()
-    space = standard_symplectic_form(conn.l)
-    field = curvature_field_of(conn)
-    point = [Fraction(x) for x in ce["point"]]
-    R = evaluate_curvature_at(field, point)
-    if ce["check"].endswith("curvature-symmetries"):
-        return check_symmetries(R).all_hold()
-    return _decomposition_instance(R, space)
-
-
-def _replay_equivariance(ce):
-    l = ce["l"]
-    A = SpLieElement(l, [[Fraction(x) for x in row] for row in ce["matrix"]])
-    phi = spinor_form_from_json(ce["form"])
-    return equivariance_instance(A, phi, standard_symplectic_form(l))
-
-
-_REPLAY_HANDLERS = {
-    "lemma1": _replay_lemma1,
-    "lemma4": _replay_lemma4,
-    "lemma5.idempotency": _replay_lemma5,
-    "lemma5.orthogonality": _replay_lemma5,
-    "lemma5.partition-of-identity": _replay_lemma5,
-    "lemma6": _replay_lemma6,
-    "lemma7.weyl-trace-free": _replay_lemma7_weyl,
-    "lemma7.ricci-section": _replay_lemma7_section,
-    "theorem9": _replay_theorem9,
-    "theorem10": _replay_theorem10,
-    "corollary11": _replay_corollary11,
-    "symbol-complex": _replay_symbol,
-    "fedosov.axioms": _replay_fedosov,
-    "fedosov.curvature-symmetries": _replay_fedosov,
-    "fedosov.decomposition": _replay_fedosov,
-    "equivariance": _replay_equivariance,
+_REPLAYABLE = {
+    check.name: (suite, check)
+    for suite in SUITES.values() for check in suite.checks if not check.witness
 }
 
 
 def replay_counterexample(ce: dict) -> dict:
-    """Re-evaluate a serialized counterexample; deterministic by construction."""
-    check = ce.get("check")
-    handler = _REPLAY_HANDLERS.get(check)
-    if handler is None:
-        raise ValueError(f"no replay handler for check {check!r}")
-    ok = handler(ce)
-    return {"check": check, "status": "pass" if ok else "fail", "reproduced": not ok}
+    """Decode a serialized counterexample and re-run its check; deterministic."""
+    name = ce.get("check")
+    if name not in _REPLAYABLE:
+        raise ValueError(f"check {name!r} has no instance to replay")
+    suite, check = _REPLAYABLE[name]
+    l, instance = suite.decode(ce)
+    if not 1 <= l <= MAX_L:
+        raise ValueError(f"counterexample has l = {l}; replay accepts 1 <= l <= {MAX_L}")
+    payload, _ = _evaluate(suite, check, instance, standard_symplectic_form(l))
+    ok = payload is None
+    return {"check": name, "status": "pass" if ok else "fail", "reproduced": not ok}

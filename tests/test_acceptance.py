@@ -5,6 +5,8 @@ the stated runtime budgets.  Each test prints one pass line; run with
 `pytest -v tests/test_acceptance.py` to see the per-criterion outcomes.
 """
 
+import hashlib
+import json
 import time
 from fractions import Fraction
 
@@ -199,12 +201,23 @@ def test_criterion_11_equivariance():
     _announce(11, "equivariance", time.time() - t0)
 
 
+# sha256 of the default JSON report with every elapsed_ms zeroed, dumped with
+# indent=2 and sorted keys: the behaviour contract a refactor must keep.
+DEFAULT_REPORT_SHA256 = "9768a4dd266916aba721d092f0311932eec1781ed871b6b2a476aa842106da84"
+
+
 def test_criterion_12_full_cli_run():
-    """Default CLI configuration finishes within budget and exits clean."""
+    """Default CLI configuration finishes within budget, exits clean and
+    reproduces the recorded default report."""
     t0 = time.time()
-    report = run_suite(RunConfig())
+    report = run_suite(RunConfig(format="json"))   # format only affects emission
     elapsed = time.time() - t0
     assert report.overall == "pass"
     assert len(report.checks) >= 9
     assert elapsed < 300
+    obj = report.to_json()
+    for check in obj["checks"]:
+        check["elapsed_ms"] = 0
+    digest = hashlib.sha256(json.dumps(obj, indent=2, sort_keys=True).encode()).hexdigest()
+    assert digest == DEFAULT_REPORT_SHA256
     _announce(12, "cli-default", elapsed)

@@ -7,6 +7,8 @@ import pytest
 
 from sympspin.cli import (
     EXPECTED_DISPLAYS,
+    MAX_DEGREE,
+    MAX_L,
     RunConfig,
     SUITE_ORDER,
     emit_report,
@@ -46,6 +48,19 @@ def test_insufficient_pad_rejected():
         validate_config(RunConfig(pad=2, suites=("theorem9",)))
     # pad only gates the theorem suites
     assert validate_config(RunConfig(pad=2, suites=("lemma1",))) == ["lemma1"]
+
+
+def test_sizes_above_the_ceiling_rejected():
+    assert validate_config(RunConfig(l=3, suites=("lemma6",))) == ["lemma6"]
+    with pytest.raises(ValueError):
+        validate_config(RunConfig(l=MAX_L + 1, suites=("lemma6",)))
+    with pytest.raises(ValueError):
+        validate_config(RunConfig(max_degree=MAX_DEGREE + 1, suites=("lemma1",)))
+
+
+def test_main_huge_l_exits_two_before_computing(capsys):
+    assert main(["--l", "1000", "--suite", "lemma6", "--trials", "1"]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_all_expands_in_canonical_order():
@@ -255,3 +270,37 @@ def test_replay_accepts_full_report(tmp_path, capsys):
     path = tmp_path / "report.json"
     path.write_text(json.dumps(report))
     assert main(["--replay", str(path)]) == 0   # healthy instance: not reproduced
+
+
+_LEMMA1_CE = {
+    "check": "lemma1",
+    "l": 2,
+    "a": 1,
+    "b": 2,
+    "spinor": {"l": 2, "cap": 6, "terms": [{"alpha": [0, 1], "re": "1", "im": "0"}]},
+}
+
+HOSTILE_REPLAYS = {
+    "not-json": "{this is not json",
+    "missing-key": json.dumps({k: v for k, v in _LEMMA1_CE.items() if k != "l"}),
+    "wrong-type": json.dumps({**_LEMMA1_CE, "a": "one"}),
+    "unknown-check": json.dumps({**_LEMMA1_CE, "check": "lemma99"}),
+    "no-instance": json.dumps({"check": "symbol-complex.negative-control", "l": 2,
+                               "note": "no nonzero witness found"}),
+    "huge-l": json.dumps({**_LEMMA1_CE, "l": 1000}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_REPLAYS))
+def test_hostile_replay_exits_two_with_one_line(name, tmp_path, capsys):
+    path = tmp_path / "ce.json"
+    path.write_text(HOSTILE_REPLAYS[name])
+    assert main(["--replay", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+
+
+def test_replay_of_missing_file_exits_two_with_one_line(tmp_path, capsys):
+    assert main(["--replay", str(tmp_path / "absent.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1

@@ -24,16 +24,16 @@ from sympspin.exact import GaussianRational, RandomStream
 from sympspin.forms import SpinorForm, op_Y, project, spinor_form_to_json
 from sympspin.spinors import DegreeCapError, PolySpinor, clifford_basis, random_spinor
 from sympspin.symplectic import raise_lower_index, standard_symplectic_form
+from sympspin.cli import RunConfig, run_suite
 from sympspin.verify import (
+    SUITES,
     equivariance_suite,
     fedosov_suite,
-    lemma_suites,
     replay_counterexample,
     spinor_curvature_action,
     symbol_complex_suite,
     theorem9_suite,
     verify_corollary11,
-    verify_symbol_complex,
     verify_theorem9,
     verify_theorem10,
 )
@@ -240,7 +240,7 @@ def test_symbol_complex_and_negative_control():
 
 
 def test_verify_symbol_complex_wrapper():
-    rep = verify_symbol_complex(2, 5, 77)
+    rep = symbol_complex_suite(2, 4, 5, 77)[0]
     assert rep.theorem_id == "symbol-complex"
     assert rep.status == "pass"
 
@@ -250,9 +250,12 @@ def test_verify_symbol_complex_wrapper():
 # ---------------------------------------------------------------------------
 
 
+LEMMA_SUITES = ("lemma1", "lemma4", "lemma5", "lemma6", "lemma7")
+
+
 def test_lemma_suites_all_pass():
-    reports = lemma_suites(2, 4, 3, 1)
-    names = [r.theorem_id for r in reports]
+    report = run_suite(RunConfig(l=2, max_degree=4, trials=3, seed=1, suites=LEMMA_SUITES))
+    names = [c.name for c in report.checks]
     assert names == [
         "lemma1",
         "lemma4",
@@ -263,18 +266,18 @@ def test_lemma_suites_all_pass():
         "lemma7.weyl-trace-free",
         "lemma7.ricci-section",
     ]
-    assert all(r.status == "pass" for r in reports)
+    assert report.overall == "pass"
 
 
 def test_zero_trials_reports_skipped_not_passed():
-    reports = lemma_suites(2, 4, 0, 1)
-    assert all(r.status == "skipped" for r in reports)
+    report = run_suite(RunConfig(l=2, max_degree=4, trials=0, seed=1, suites=LEMMA_SUITES))
+    assert [c.status for c in report.checks] == ["skipped"] * 8
     assert theorem9_suite(2, 4, 0, 1).status == "skipped"
 
 
 def test_suite_reports_deterministic():
-    a = [r.to_json() for r in lemma_suites(2, 4, 2, 5)]
-    b = [r.to_json() for r in lemma_suites(2, 4, 2, 5)]
+    a = [r.to_json() for name in LEMMA_SUITES for r in SUITES[name].run(2, 4, 2, 5)]
+    b = [r.to_json() for name in LEMMA_SUITES for r in SUITES[name].run(2, 4, 2, 5)]
     assert json.dumps(a) == json.dumps(b)
 
 
