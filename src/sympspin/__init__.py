@@ -5,18 +5,9 @@ identity check is an exact zero test.  See the README for the module map and
 the CLI (`sympspin --help`) for the verification suites.
 """
 
-from .exact import (
-    ExactMatrix,
-    GaussianRational,
-    RandomStream,
-    nullspace_basis,
-    rref,
-    sample_rational_vector,
-    solve_linear,
-)
+from .exact import GaussianRational, RandomStream, nullspace_basis
 from .symplectic import (
     SymplecticSpace,
-    omega_inverse,
     omega_pairing,
     raise_lower_index,
     standard_symplectic_form,

@@ -302,9 +302,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # What an unreadable or malformed replay file raises: a missing file, bad JSON
-# or an unknown check (ValueError), missing keys, wrongly typed fields, a zero
-# denominator.
-_BAD_REPLAY = (OSError, ValueError, LookupError, TypeError, AttributeError, ArithmeticError)
+# or an unknown check (ValueError), JSON nested past the parser's depth limit
+# (RecursionError), missing keys, wrongly typed fields, a zero denominator.
+_BAD_REPLAY = (OSError, ValueError, RecursionError, LookupError, TypeError, AttributeError,
+               ArithmeticError)
 
 
 def _counterexamples(obj) -> list[dict]:
@@ -340,7 +341,11 @@ def main(argv=None) -> int:
     seed = args.seed
     env_seed = os.environ.get("SYMPSPIN_SEED")
     if env_seed is not None:
-        seed = int(env_seed)
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            print(f"invalid config: SYMPSPIN_SEED={env_seed!r} is not an integer", file=sys.stderr)
+            return 2
     config = RunConfig(
         l=args.l,
         max_degree=args.max_degree,

@@ -28,8 +28,8 @@ Random tensors are drawn as exact rational combinations of a nullspace basis
 of the linear constraints, materialized once per l and cached; membership in
 the constraint space is therefore exact by construction.  The constraint
 systems are assembled over the (A)+(C)-reduced coordinates (i <= j, k < l)
-with sparse rows; a dense RREF over the full (2l)^4 coordinates would be
-needlessly slow at l = 3.
+as sparse rows for `exact.nullspace_basis`; elimination over the full
+(2l)^4 coordinates would be needlessly slow at l = 3.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .exact import RandomStream
+from .exact import RandomStream, nullspace_basis, random_symmetric_matrix, symmetric_matrix
 from .symplectic import SymplecticSpace, raise_lower_index, standard_symplectic_form
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
 ]
 
 F0 = Fraction(0)
-F1 = Fraction(1)
 
 
 def _zero_entries(n: int):
@@ -138,16 +137,8 @@ class RicciTensor:
     __slots__ = ("l", "entries")
 
     def __init__(self, l: int, entries):
-        n = 2 * l
-        rows = [[Fraction(x) for x in row] for row in entries]
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ValueError("entries must be 2l x 2l")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"not symmetric at ({i}, {j})")
         object.__setattr__(self, "l", l)
-        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "entries", symmetric_matrix(2 * l, entries))
 
     def __setattr__(self, name, value):
         raise AttributeError("RicciTensor is immutable")
@@ -159,14 +150,7 @@ class RicciTensor:
 
     @classmethod
     def random(cls, l: int, stream: RandomStream, bound: int = 5) -> "RicciTensor":
-        n = 2 * l
-        m = [[F0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                x = stream.next_fraction(bound)
-                m[i][j] = x
-                m[j][i] = x
-        return cls(l, m)
+        return cls(l, random_symmetric_matrix(2 * l, stream, bound))
 
     def is_zero(self) -> bool:
         return all(not x for row in self.entries for x in row)
@@ -443,59 +427,6 @@ def _trace_rows(n: int, index, space: SymplecticSpace) -> list[dict[int, Fractio
     return rows
 
 
-def _sparse_nullspace(rows: list[dict[int, Fraction]], ncols: int):
-    """Nullspace basis of a sparse rational system; deterministic order."""
-    pivot_rows: dict[int, dict[int, Fraction]] = {}
-    for row in rows:
-        row = dict(row)
-        while row:
-            c = min(row)
-            if c in pivot_rows:
-                f = row.pop(c)
-                for cc, vv in pivot_rows[c].items():
-                    if cc == c:
-                        continue
-                    nv = row.get(cc, F0) - f * vv
-                    if nv:
-                        row[cc] = nv
-                    else:
-                        row.pop(cc, None)
-            else:
-                inv = 1 / row[c]
-                pivot_rows[c] = {cc: vv * inv for cc, vv in row.items()}
-                break
-    # full reduction: eliminate pivot columns from earlier pivot rows
-    for c in sorted(pivot_rows, reverse=True):
-        prow = pivot_rows[c]
-        for c2 in sorted(pivot_rows):
-            if c2 >= c:
-                break
-            row2 = pivot_rows[c2]
-            f = row2.get(c)
-            if f:
-                row2.pop(c)
-                for cc, vv in prow.items():
-                    if cc == c:
-                        continue
-                    nv = row2.get(cc, F0) - f * vv
-                    if nv:
-                        row2[cc] = nv
-                    else:
-                        row2.pop(cc, None)
-    pivots = set(pivot_rows)
-    basis = []
-    for fcol in range(ncols):
-        if fcol in pivots:
-            continue
-        vec = {fcol: F1}
-        for p, prow in pivot_rows.items():
-            coeff = prow.get(fcol)
-            if coeff:
-                vec[p] = -coeff
-        basis.append(vec)
-    return basis
-
-
 _curvature_basis_cache: dict[int, list] = {}
 _weyl_basis_cache: dict[int, list] = {}
 
@@ -506,7 +437,7 @@ def curvature_space_basis(l: int):
         n = 2 * l
         variables, index = _canonical_vars(n)
         rows = _bianchi_rows(n, index)
-        basis = _sparse_nullspace(rows, len(variables))
+        basis = nullspace_basis(rows, len(variables))
         _curvature_basis_cache[l] = [(variables, vec) for vec in basis]
     return _curvature_basis_cache[l]
 
@@ -518,7 +449,7 @@ def weyl_space_basis(l: int):
         space = standard_symplectic_form(l)
         variables, index = _canonical_vars(n)
         rows = _bianchi_rows(n, index) + _trace_rows(n, index, space)
-        basis = _sparse_nullspace(rows, len(variables))
+        basis = nullspace_basis(rows, len(variables))
         _weyl_basis_cache[l] = [(variables, vec) for vec in basis]
     return _weyl_basis_cache[l]
 

@@ -1,27 +1,32 @@
-"""Exact scalars and dense linear algebra over the Gaussian rationals.
+"""Exact scalars, deterministic sampling and sparse elimination over Q(i).
 
 Every identity verified by this package is an exact-zero test, so the scalar
 field is Q(i): complex numbers whose real and imaginary parts are
 arbitrary-precision rationals.  Nothing in this module rounds, ever.
+
+`nullspace_basis` is the package's one elimination routine.  It works on
+sparse rows, which is what the curvature constraint systems and the graded
+projector images are; nothing here stores a dense matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "GaussianRational",
     "GR_ZERO",
     "GR_ONE",
     "GR_I",
-    "ExactMatrix",
     "RandomStream",
-    "rref",
+    "symmetric_matrix",
+    "random_symmetric_matrix",
     "nullspace_basis",
-    "solve_linear",
-    "sample_rational_vector",
 ]
+
+_F0 = Fraction(0)
+_F1 = Fraction(1)
 
 
 def _as_fraction(x) -> Fraction:
@@ -199,142 +204,91 @@ class RandomStream:
         return child
 
 
-def sample_rational_vector(dim: int, seed: int, bound: int) -> list[Fraction]:
-    """Deterministic rational vector; entries have |num|, den <= bound."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    stream = RandomStream(seed)
-    return [stream.next_fraction(bound) for _ in range(dim)]
-
-
 # ---------------------------------------------------------------------------
-# Dense exact matrices
+# Symmetric rational matrices
 # ---------------------------------------------------------------------------
 
 
-class ExactMatrix:
-    """Dense matrix over Q(i).  Treated as immutable after construction."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Iterable[Iterable]):
-        grid = [[_coerce_gr(x) for x in row] for row in entries]
-        if grid:
-            width = len(grid[0])
-            for row in grid:
-                if len(row) != width:
-                    raise ValueError("ragged rows")
-        else:
-            width = 0
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "entries", grid)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactMatrix is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[GR_ZERO] * cols for _ in range(rows)])
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __repr__(self):
-        return f"ExactMatrix({self.rows}x{self.cols})"
-
-    def row(self, i: int) -> list[GaussianRational]:
-        return list(self.entries[i])
-
-    def mul_vector(self, v: Sequence) -> list[GaussianRational]:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        vv = [_coerce_gr(x) for x in v]
-        out = []
-        for row in self.entries:
-            acc = GR_ZERO
-            for a, b in zip(row, vv):
-                if a and b:
-                    acc = acc + a * b
-            out.append(acc)
-        return out
-
-    def rank(self) -> int:
-        _, pivots = rref(self)
-        return len(pivots)
+def symmetric_matrix(n: int, entries) -> list[list[Fraction]]:
+    """`entries` as an n x n matrix of Fractions; raises unless it is symmetric."""
+    rows = [[Fraction(x) for x in row] for row in entries]
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise ValueError(f"matrix must be {n} x {n}")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                raise ValueError(f"matrix not symmetric at ({i}, {j})")
+    return rows
 
 
-def _coerce_gr(x) -> GaussianRational:
-    g = GaussianRational._coerce(x)
-    if g is None:
-        raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
-    return g
+def random_symmetric_matrix(n: int, stream: RandomStream, bound: int) -> list[list[Fraction]]:
+    """Symmetric matrix drawing `next_fraction(bound)` for each i <= j, row by row."""
+    m = [[_F0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = stream.next_fraction(bound)
+    return m
 
 
-def rref(m: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
-    """Reduced row echelon form via Gauss-Jordan; returns (R, pivot columns)."""
-    grid = [list(row) for row in m.entries]
-    nrows, ncols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = None
-        for i in range(r, nrows):
-            if grid[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
-        inv = grid[r][c].inverse()
-        grid[r] = [x * inv for x in grid[r]]
-        for i in range(nrows):
-            if i != r and grid[i][c]:
-                f = grid[i][c]
-                grid[i] = [a - f * b for a, b in zip(grid[i], grid[r])]
-        pivots.append(c)
-        r += 1
-    return ExactMatrix(grid), pivots
+# ---------------------------------------------------------------------------
+# Sparse exact elimination
+# ---------------------------------------------------------------------------
 
 
-def nullspace_basis(m: ExactMatrix) -> list[list[GaussianRational]]:
-    """Basis of {v : m v = 0}; one vector per free column of the RREF."""
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [GR_ZERO] * m.cols
-        v[f] = GR_ONE
-        for row_idx, p in enumerate(pivots):
-            coeff = red.entries[row_idx][f]
-            if coeff:
-                v[p] = -coeff
-        basis.append(v)
-    return basis
+def nullspace_basis(rows: Iterable[dict], ncols: int) -> list[dict]:
+    """Basis of {v : row . v = 0 for every row} over Q or Q(i).
 
-
-def solve_linear(m: ExactMatrix, b: Sequence) -> list[GaussianRational] | None:
-    """One exact solution of m x = b, or None if the system is inconsistent.
-
-    Free variables are set to zero.
+    Each row maps columns in range(ncols) to nonzero scalars; absent columns
+    are zero.  The rows are reduced in order, each pivoting on its lowest
+    surviving column, then fully back-substituted.  The basis holds one sparse
+    vector per free column, in increasing column order, with 1 at that column;
+    so its length is the nullity, and ncols minus it is the rank.
     """
-    if len(b) != m.rows:
-        raise ValueError("right-hand side has wrong length")
-    bb = [_coerce_gr(x) for x in b]
-    aug = ExactMatrix([list(row) + [bb[i]] for i, row in enumerate(m.entries)])
-    red, pivots = rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [GR_ZERO] * m.cols
-    for row_idx, p in enumerate(pivots):
-        x[p] = red.entries[row_idx][m.cols]
-    return x
+    pivot_rows: dict[int, dict] = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            c = min(row)
+            if c in pivot_rows:
+                f = row.pop(c)
+                for cc, vv in pivot_rows[c].items():
+                    if cc == c:
+                        continue
+                    nv = row.get(cc, _F0) - f * vv
+                    if nv:
+                        row[cc] = nv
+                    else:
+                        row.pop(cc, None)
+            else:
+                inv = 1 / row[c]
+                pivot_rows[c] = {cc: vv * inv for cc, vv in row.items()}
+                break
+    # full reduction: eliminate pivot columns from earlier pivot rows
+    for c in sorted(pivot_rows, reverse=True):
+        prow = pivot_rows[c]
+        for c2 in sorted(pivot_rows):
+            if c2 >= c:
+                break
+            row2 = pivot_rows[c2]
+            f = row2.get(c)
+            if f:
+                row2.pop(c)
+                for cc, vv in prow.items():
+                    if cc == c:
+                        continue
+                    nv = row2.get(cc, _F0) - f * vv
+                    if nv:
+                        row2[cc] = nv
+                    else:
+                        row2.pop(cc, None)
+    basis = []
+    for fcol in range(ncols):
+        if fcol in pivot_rows:
+            continue
+        vec = {fcol: _F1}
+        for p, prow in pivot_rows.items():
+            coeff = prow.get(fcol)
+            if coeff:
+                vec[p] = -coeff
+        basis.append(vec)
+    return basis

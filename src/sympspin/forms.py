@@ -26,9 +26,9 @@ are the unique ones making each operator idempotent with p20+p21+p22 = Id.
 A variant with i/(1-l) in the XY term squares to minus itself; the test
 suite pins the idempotent choice.
 
-Projectors never materialize matrices; they compose X and Y.  The one
-exception is `graded_projector_matrix`, which assembles the matrix of a
-projector on a finite graded piece so its rank can be recorded exactly.
+Projectors never materialize matrices; they compose X and Y.
+`graded_projector_rank` records the exact rank of a projector on a finite
+graded piece by eliminating its images as sparse rows.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import ExactMatrix, GR_ZERO, GaussianRational, RandomStream
+from .exact import GaussianRational, RandomStream, nullspace_basis
 from .spinors import (
     PolySpinor,
     SpLieElement,
@@ -61,7 +61,7 @@ __all__ = [
     "decompose_two_form",
     "sp_action_form",
     "random_form",
-    "graded_projector_matrix",
+    "graded_projector_rank",
     "spinor_form_to_json",
     "spinor_form_from_json",
 ]
@@ -408,7 +408,7 @@ def random_form(
 
 
 # ---------------------------------------------------------------------------
-# Graded matrices for rank bookkeeping
+# Graded ranks
 # ---------------------------------------------------------------------------
 
 
@@ -430,35 +430,24 @@ def _graded_basis(l: int, r: int, degree: int, cap: int) -> list[SpinorForm]:
     return basis
 
 
-def graded_projector_matrix(which: str, l: int, degree: int) -> ExactMatrix:
-    """Matrix of a projector restricted to the exact-degree graded piece.
+def graded_projector_rank(which: str, l: int, degree: int) -> int:
+    """Exact rank of a projector restricted to the exact-degree graded piece.
 
-    Columns are indexed by the graded basis of the source; rows span every
-    (tuple, monomial) pair occurring in the images.  Used only to record
-    exact ranks; the projectors themselves never take this path.
+    Each image of a graded basis element becomes one sparse row, keyed by the
+    (tuple, monomial) pairs it occupies; the rank of that row system is the
+    projector's rank.  Used only to record exact ranks.
     """
     cap = degree + 8
     space = standard_symplectic_form(l)
     r = 1 if which in ("p10", "p11") else 2
-    basis = _graded_basis(l, r, degree, cap)
-    images = [project(which, b, space) for b in basis]
-    row_keys = sorted(
-        {
-            (tup, alpha)
-            for img in images
-            for tup, s in img.components.items()
-            for alpha in s.coeffs
-        }
-    )
-    key_index = {k: i for i, k in enumerate(row_keys)}
-    entries = [[GR_ZERO] * len(basis) for _ in range(len(row_keys))]
-    for col, img in enumerate(images):
-        for tup, s in img.components.items():
-            for alpha, c in s.coeffs.items():
-                entries[key_index[(tup, alpha)]][col] = c
-    if not row_keys:
-        entries = [[GR_ZERO] * len(basis)]
-    return ExactMatrix(entries)
+    images = [project(which, b, space) for b in _graded_basis(l, r, degree, cap)]
+    columns: dict[tuple, int] = {}
+    rows = [
+        {columns.setdefault((tup, alpha), len(columns)): c
+         for tup, s in img.components.items() for alpha, c in s.coeffs.items()}
+        for img in images
+    ]
+    return len(columns) - len(nullspace_basis(rows, len(columns)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import GR_I, GR_ONE, GR_ZERO, GaussianRational, RandomStream
+from .exact import (
+    GR_I,
+    GR_ONE,
+    GR_ZERO,
+    GaussianRational,
+    RandomStream,
+    random_symmetric_matrix,
+    symmetric_matrix,
+)
 from .symplectic import SymplecticSpace
 
 __all__ = [
@@ -232,16 +240,9 @@ class SpLieElement:
     __slots__ = ("l", "matrix")
 
     def __init__(self, l: int, matrix):
-        n = 2 * l
-        rows = [tuple(Fraction(x) for x in row) for row in matrix]
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ValueError("matrix must be 2l x 2l")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("matrix must be symmetric")
+        rows = symmetric_matrix(2 * l, matrix)
         object.__setattr__(self, "l", l)
-        object.__setattr__(self, "matrix", tuple(rows))
+        object.__setattr__(self, "matrix", tuple(map(tuple, rows)))
 
     def __setattr__(self, name, value):
         raise AttributeError("SpLieElement is immutable")
@@ -266,14 +267,7 @@ class SpLieElement:
 
     @classmethod
     def random(cls, l: int, stream: RandomStream, bound: int = 5) -> "SpLieElement":
-        n = 2 * l
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                x = stream.next_fraction(bound)
-                m[i][j] = x
-                m[j][i] = x
-        return cls(l, m)
+        return cls(l, random_symmetric_matrix(2 * l, stream, bound))
 
     def is_zero(self) -> bool:
         return all(not x for row in self.matrix for x in row)

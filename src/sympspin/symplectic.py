@@ -23,12 +23,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .exact import ExactMatrix, GaussianRational, rref
-
 __all__ = [
     "SymplecticSpace",
     "standard_symplectic_form",
-    "omega_inverse",
     "raise_lower_index",
     "omega_pairing",
 ]
@@ -81,38 +78,9 @@ def standard_symplectic_form(l: int) -> SymplecticSpace:
     for i in range(l):
         lower[i][i + l] = F1
         lower[i + l][i] = -F1
-    upper = omega_inverse(lower)
+    # In the Darboux basis omega_upper equals omega_lower; _check_space verifies it.
+    upper = [row[:] for row in lower]
     return SymplecticSpace(l, lower, upper)
-
-
-def omega_inverse(omega_lower: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Solve sum_k omega_lower[i][k] * omega_upper[j][k] = delta(i,j).
-
-    Equivalent to the transposed matrix inverse.  Raises on singular or
-    non-antisymmetric input.
-    """
-    n = len(omega_lower)
-    for i in range(n):
-        if len(omega_lower[i]) != n:
-            raise ValueError("omega must be square")
-        for j in range(n):
-            if omega_lower[i][j] != -omega_lower[j][i]:
-                raise ValueError("omega must be antisymmetric")
-    aug = ExactMatrix(
-        [[GaussianRational(omega_lower[i][j]) for j in range(n)]
-         + [GaussianRational(1 if i == j else 0) for j in range(n)]
-         for i in range(n)]
-    )
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("omega is singular")
-    inv = [[red.entries[i][n + j] for j in range(n)] for i in range(n)]
-    for row in inv:
-        for x in row:
-            if x.im != 0:
-                raise AssertionError("rational input produced complex inverse")
-    # omega_lower . X^T = Id  =>  omega_upper = (omega_lower^{-1})^T
-    return [[inv[j][i].re for j in range(n)] for i in range(n)]
 
 
 def _tensor_shape(tensor) -> list[int]:

@@ -556,8 +556,8 @@ def _aggregate_displays(per_trial: list[list[DisplayComparison]]) -> list[Displa
 
 # Size ceiling for a run and for a replayed counterexample.  At l = 4 a
 # theorem trial takes seconds and the fedosov suite far longer; much beyond,
-# the set-up (dense elimination, constraint-space bases) alone does not end
-# in useful time.  Raise these when the kernels make larger sizes practical.
+# the set-up (constraint-space bases) alone does not end in useful time.
+# Raise these when the kernels make larger sizes practical.
 MAX_L = 4
 MAX_DEGREE = 16
 
@@ -994,15 +994,31 @@ _REPLAYABLE = {
 }
 
 
+def _check_replay_sizes(ce: dict) -> None:
+    """Reject a counterexample unless every "l" in it, at any depth, is one
+    integer in 1..MAX_L.  Runs before decoding: the decoders allocate by l,
+    and a curvature tensor alone holds (2l)^4 entries."""
+    stack = [ce]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            l = node.get("l")
+            if "l" in node and (type(l) is not int or not 1 <= l <= MAX_L or l != ce.get("l", l)):
+                raise ValueError(f"counterexample has l = {l!r} under l = {ce.get('l')!r}; "
+                                 f"replay accepts one integer l with 1 <= l <= {MAX_L}")
+            stack.extend(node.values())
+        elif isinstance(node, list):
+            stack.extend(node)
+
+
 def replay_counterexample(ce: dict) -> dict:
     """Decode a serialized counterexample and re-run its check; deterministic."""
     name = ce.get("check")
     if name not in _REPLAYABLE:
         raise ValueError(f"check {name!r} has no instance to replay")
     suite, check = _REPLAYABLE[name]
+    _check_replay_sizes(ce)
     l, instance = suite.decode(ce)
-    if not 1 <= l <= MAX_L:
-        raise ValueError(f"counterexample has l = {l}; replay accepts 1 <= l <= {MAX_L}")
     payload, _ = _evaluate(suite, check, instance, standard_symplectic_form(l))
     ok = payload is None
     return {"check": name, "status": "pass" if ok else "fail", "reproduced": not ok}

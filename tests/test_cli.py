@@ -211,6 +211,13 @@ def test_env_seed_override(monkeypatch, capsys):
     assert parsed["config"]["seed"] == 123
 
 
+def test_non_integer_env_seed_exits_two_with_one_line(monkeypatch, capsys):
+    monkeypatch.setenv("SYMPSPIN_SEED", "abc")
+    assert main(_fast_argv("--format", "json")) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and "SYMPSPIN_SEED" in err
+
+
 def test_replay_of_failing_counterexample(tmp_path, capsys):
     # craft a genuinely failing counterexample: asymmetric Christoffel data
     from sympspin.connections import Poly, PolynomialConnection, connection_to_json
@@ -282,6 +289,7 @@ _LEMMA1_CE = {
 
 HOSTILE_REPLAYS = {
     "not-json": "{this is not json",
+    "too-deep": "[" * 100000 + "]" * 100000,
     "missing-key": json.dumps({k: v for k, v in _LEMMA1_CE.items() if k != "l"}),
     "wrong-type": json.dumps({**_LEMMA1_CE, "a": "one"}),
     "unknown-check": json.dumps({**_LEMMA1_CE, "check": "lemma99"}),
@@ -298,6 +306,42 @@ def test_hostile_replay_exits_two_with_one_line(name, tmp_path, capsys):
     assert main(["--replay", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
+
+
+_EMPTY_CURVATURE = {"check": "lemma6", "l": 2, "curvature": {"l": 2, "entries": []}}
+
+NESTED_SIZE_REPLAYS = {
+    "nested-above-ceiling": {**_EMPTY_CURVATURE, "curvature": {"l": 12, "entries": []}},
+    "nested-differs": {**_EMPTY_CURVATURE, "curvature": {"l": 3, "entries": []}},
+    "both-above-ceiling": {**_EMPTY_CURVATURE, "l": 100, "curvature": {"l": 100, "entries": []}},
+    "nested-not-integer": {**_EMPTY_CURVATURE, "curvature": {"l": 2.0, "entries": []}},
+    "no-top-level-l": {"check": "fedosov.axioms",
+                       "connection": {"l": 1000, "cap": 2, "gamma": []}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NESTED_SIZE_REPLAYS))
+def test_replay_checks_every_nested_l_before_decoding(name, tmp_path, capsys, monkeypatch):
+    import sympspin.verify as verify
+
+    def must_not_decode(*args, **kwargs):
+        raise AssertionError("decoded a counterexample whose sizes are out of bounds")
+
+    for decoder in ("curvature_from_json", "ricci_from_json", "connection_from_json",
+                    "poly_spinor_from_json", "spinor_form_from_json"):
+        monkeypatch.setattr(verify, decoder, must_not_decode)
+    path = tmp_path / "ce.json"
+    path.write_text(json.dumps(NESTED_SIZE_REPLAYS[name]))
+    assert main(["--replay", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+
+
+def test_replay_accepts_matching_nested_l(tmp_path, capsys):
+    path = tmp_path / "ce.json"
+    path.write_text(json.dumps(_EMPTY_CURVATURE))
+    assert main(["--replay", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
 
 
 def test_replay_of_missing_file_exits_two_with_one_line(tmp_path, capsys):

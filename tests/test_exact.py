@@ -1,61 +1,92 @@
-"""Exact scalar arithmetic and the dense linear-algebra substrate."""
+"""Exact scalar arithmetic, deterministic sampling and the sparse elimination."""
 
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from sympspin.exact import (
-    ExactMatrix,
     GaussianRational,
     RandomStream,
     nullspace_basis,
-    rref,
-    sample_rational_vector,
-    solve_linear,
+    random_symmetric_matrix,
+    symmetric_matrix,
 )
 
 GR = GaussianRational
 
 
-def mat(rows):
-    return ExactMatrix(rows)
+def sparse(dense_rows):
+    """Dense rows as the sparse {column: scalar} rows nullspace_basis takes."""
+    return [{c: x for c, x in enumerate(row) if x} for row in dense_rows]
+
+
+def annihilates(rows, vec) -> bool:
+    return all(sum((x * vec.get(c, 0) for c, x in row.items()), Fraction(0)) == 0
+               for row in rows)
+
+
+def det(m):
+    """Leibniz expansion; fine for the few small matrices drawn here."""
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        term = (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        for i, p in enumerate(perm):
+            term = term * m[i][p]
+        total = total + term
+    return total
+
+
+def minor_rank(rows, ncols) -> int:
+    """Size of the largest nonvanishing minor: a rank that uses no elimination."""
+    dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+    for k in range(min(len(dense), ncols), 0, -1):
+        for rs in combinations(range(len(dense)), k):
+            for cs in combinations(range(ncols), k):
+                if det([[dense[r][c] for c in cs] for r in rs]):
+                    return k
+    return 0
+
+
+def random_rows(nrows, ncols, draw):
+    return [{c: x for c in range(ncols) if (x := draw())} for _ in range(nrows)]
 
 
 # ---------------------------------------------------------------------------
-# RREF
+# Reduced echelon form, read off the basis: each basis vector carries the
+# negated entries of the fully reduced pivot rows in its free column
 # ---------------------------------------------------------------------------
 
 
 def test_rref_identity():
-    red, pivots = rref(ExactMatrix.identity(3))
-    assert red == ExactMatrix.identity(3)
-    assert pivots == [0, 1, 2]
+    # a scaled, shuffled identity pivots every column
+    rows = [{2: Fraction(3)}, {0: Fraction(-1)}, {1: Fraction(1, 2)}]
+    assert nullspace_basis(rows, 3) == []
 
 
 def test_rref_zero_matrix():
-    red, pivots = rref(mat([[0, 0], [0, 0]]))
-    assert red == mat([[0, 0], [0, 0]])
-    assert pivots == []
+    # all-zero rows leave every column free
+    assert nullspace_basis([{}, {}], 2) == [{0: 1}, {1: 1}]
 
 
 def test_rref_rank_one():
-    red, pivots = rref(mat([[1, 2], [2, 4]]))
-    assert red == mat([[1, 2], [0, 0]])
-    assert pivots == [0]
+    # [[1, 2], [2, 4]] reduces to [[1, 2], [0, 0]]
+    assert nullspace_basis(sparse([[1, 2], [2, 4]]), 2) == [{1: 1, 0: -2}]
 
 
 def test_rref_idempotent_on_random_matrices():
+    # the reduced form depends only on the row space: reordering or repeating
+    # the rows, or appending combinations of them, leaves the basis as it is
     stream = RandomStream(101)
     for _ in range(10):
-        rows = stream.next_int(1, 4)
-        cols = stream.next_int(1, 4)
-        m = mat([[stream.next_fraction(5) for _ in range(cols)] for _ in range(rows)])
-        red, pivots = rref(m)
-        again, pivots2 = rref(red)
-        assert again == red
-        assert pivots2 == pivots
-        assert pivots == sorted(pivots)
+        nrows, ncols = stream.next_int(1, 4), stream.next_int(1, 4)
+        rows = random_rows(nrows, ncols, lambda: stream.next_fraction(5))
+        basis = nullspace_basis(rows, ncols)
+        mixed = {c: x for c in range(ncols)
+                 if (x := rows[0].get(c, 0) - 2 * rows[-1].get(c, 0))}
+        assert nullspace_basis(rows[::-1] + rows + [mixed], ncols) == basis
 
 
 # ---------------------------------------------------------------------------
@@ -64,58 +95,47 @@ def test_rref_idempotent_on_random_matrices():
 
 
 def test_nullspace_trivial_kernel():
-    assert nullspace_basis(ExactMatrix.identity(2)) == []
+    assert nullspace_basis(sparse([[1, 0], [0, 1]]), 2) == []
 
 
 def test_nullspace_full_kernel():
-    basis = nullspace_basis(ExactMatrix.zero(2, 3))
+    basis = nullspace_basis([{}, {}], 3)
     assert len(basis) == 3
 
 
 def test_nullspace_line():
-    basis = nullspace_basis(mat([[1, 1]]))
+    basis = nullspace_basis([{0: 1, 1: 1}], 2)
     assert len(basis) == 1
     v = basis[0]
     # spans {(1, -1)}: second component is the negative of the first
-    assert v[1] == -v[0] and v[0] != GR(0)
+    assert v[1] == -v[0] and v[0] != 0
 
 
 def test_nullspace_vectors_annihilate_and_rank_nullity():
     stream = RandomStream(202)
     for _ in range(10):
-        rows = stream.next_int(1, 4)
-        cols = stream.next_int(1, 5)
-        m = mat([[stream.next_fraction(4) for _ in range(cols)] for _ in range(rows)])
-        basis = nullspace_basis(m)
-        for v in basis:
-            assert all(x == GR(0) for x in m.mul_vector(v))
-        assert m.rank() + len(basis) == cols
+        nrows, ncols = stream.next_int(1, 4), stream.next_int(1, 5)
+        rows = random_rows(nrows, ncols, lambda: stream.next_fraction(4))
+        basis = nullspace_basis(rows, ncols)
+        assert all(annihilates(rows, v) for v in basis)
+        assert minor_rank(rows, ncols) + len(basis) == ncols
 
 
-# ---------------------------------------------------------------------------
-# Linear solve
-# ---------------------------------------------------------------------------
-
-
-def test_solve_identity():
-    b = [GR(3), GR(Fraction(-1, 2))]
-    assert solve_linear(ExactMatrix.identity(2), b) == b
-
-
-def test_solve_underdetermined_residual_zero():
-    m = mat([[1, 1]])
-    x = solve_linear(m, [2])
-    assert x is not None
-    assert m.mul_vector(x) == [GR(2)]
-
-
-def test_solve_inconsistent():
-    assert solve_linear(mat([[0]]), [1]) is None
-
-
-def test_solve_dimension_mismatch():
-    with pytest.raises(ValueError):
-        solve_linear(mat([[1, 0]]), [1, 2])
+def test_nullspace_gaussian_rows_of_known_rank():
+    # rank-r systems over Q(i): r random Gaussian rows plus random Gaussian
+    # combinations of them
+    stream = RandomStream(303)
+    for rank, nrows, ncols in [(0, 2, 3), (1, 3, 3), (2, 4, 5), (3, 5, 6), (4, 4, 4)]:
+        base = random_rows(rank, ncols, lambda: stream.next_gaussian(4))
+        rows = list(base)
+        for _ in range(nrows - rank):
+            mix = [stream.next_gaussian(3) for _ in base]
+            row = {c: sum((m * b.get(c, 0) for m, b in zip(mix, base)), GR(0)) for c in range(ncols)}
+            rows.append({c: x for c, x in row.items() if x})
+        assert minor_rank(rows, ncols) == rank
+        basis = nullspace_basis(rows, ncols)
+        assert len(basis) == ncols - rank
+        assert all(annihilates(rows, v) for v in basis)
 
 
 # ---------------------------------------------------------------------------
@@ -124,22 +144,44 @@ def test_solve_dimension_mismatch():
 
 
 def test_sampler_deterministic():
-    assert sample_rational_vector(3, 7, 5) == sample_rational_vector(3, 7, 5)
+    a, b = RandomStream(7), RandomStream(7)
+    assert [a.next_fraction(5) for _ in range(3)] == [b.next_fraction(5) for _ in range(3)]
 
 
 def test_sampler_bound_one():
-    v = sample_rational_vector(50, 1, 1)
+    stream = RandomStream(1)
+    v = [stream.next_fraction(1) for _ in range(50)]
     assert all(x in (Fraction(-1), Fraction(0), Fraction(1)) for x in v)
 
 
 def test_sampler_golden_vector():
     golden = ["-1/3", "7/9", "3/2", "-4/3", "-1", "-6/7", "-9/2", "-6", "0", "-6"]
-    assert [str(x) for x in sample_rational_vector(10, 42, 9)] == golden
+    stream = RandomStream(42)
+    assert [str(stream.next_fraction(9)) for _ in range(10)] == golden
 
 
 def test_sampler_rejects_bad_bound():
     with pytest.raises(ValueError):
-        sample_rational_vector(3, 1, 0)
+        RandomStream(1).next_fraction(0)
+
+
+def test_random_symmetric_matrix_draw_order():
+    # one draw per entry i <= j, row by row, mirrored below the diagonal
+    m = random_symmetric_matrix(3, RandomStream(5), 4)
+    stream = RandomStream(5)
+    for i in range(3):
+        for j in range(i, 3):
+            x = stream.next_fraction(4)
+            assert m[i][j] == m[j][i] == x
+    assert symmetric_matrix(3, m) == m
+
+
+def test_symmetric_matrix_rejects_asymmetry_and_bad_shape():
+    assert symmetric_matrix(2, [[1, 2], [2, 3]]) == [[1, 2], [2, 3]]
+    with pytest.raises(ValueError):
+        symmetric_matrix(2, [[0, 1], [0, 0]])
+    with pytest.raises(ValueError):
+        symmetric_matrix(2, [[0, 1], [1, 0], [0, 0]])
 
 
 def test_stream_split_is_independent():

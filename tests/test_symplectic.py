@@ -6,7 +6,7 @@ import pytest
 
 from sympspin.exact import RandomStream
 from sympspin.symplectic import (
-    omega_inverse,
+    SymplecticSpace,
     omega_pairing,
     raise_lower_index,
     standard_symplectic_form,
@@ -47,13 +47,20 @@ def test_zero_l_rejected():
 
 
 def test_omega_inverse_rejects_singular():
-    with pytest.raises(ValueError):
-        omega_inverse([[F(0), F(0)], [F(0), F(0)]])
+    # no omega_upper inverts a singular omega_lower
+    zero = [[F(0), F(0)], [F(0), F(0)]]
+    with pytest.raises(ValueError, match="does not invert"):
+        SymplecticSpace(1, zero, [row[:] for row in zero])
+    # nor may an antisymmetric omega_upper that is not the inverse stand
+    lower = standard_symplectic_form(1).omega_lower
+    with pytest.raises(ValueError, match="does not invert"):
+        SymplecticSpace(1, lower, [[F(0), F(2)], [F(-2), F(0)]])
 
 
 def test_omega_inverse_rejects_nonantisymmetric():
-    with pytest.raises(ValueError):
-        omega_inverse([[F(1), F(0)], [F(0), F(1)]])
+    identity = [[F(1), F(0)], [F(0), F(1)]]
+    with pytest.raises(ValueError, match="antisymmetric"):
+        SymplecticSpace(1, identity, [row[:] for row in identity])
 
 
 # ---------------------------------------------------------------------------
