@@ -60,6 +60,17 @@ from .verify import (
     verify_theorem9,
     verify_theorem10,
 )
-from .cli import RunConfig, SuiteReport, emit_report, run_suite
+
+_CLI_NAMES = ("RunConfig", "SuiteReport", "emit_report", "run_suite")
+
+
+def __getattr__(name):
+    # Served on use: importing `.cli` here would make `python -m sympspin.cli`
+    # find the module already imported, and runpy warns on stderr.
+    if name in _CLI_NAMES:
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

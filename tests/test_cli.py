@@ -1,10 +1,15 @@
 """CLI harness: config validation, report schema, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import sympspin
 from sympspin.cli import (
     EXPECTED_DISPLAYS,
     MAX_DEGREE,
@@ -306,6 +311,19 @@ def test_hostile_replay_exits_two_with_one_line(name, tmp_path, capsys):
     assert main(["--replay", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
+
+
+def test_module_run_of_bad_replay_writes_one_stderr_line(tmp_path):
+    # `python -m sympspin.cli` must not find sympspin.cli imported by the package
+    path = tmp_path / "ce.json"
+    path.write_text(HOSTILE_REPLAYS["not-json"])
+    src = str(Path(sympspin.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-m", "sympspin.cli", "--replay", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1
 
 
 _EMPTY_CURVATURE = {"check": "lemma6", "l": 2, "curvature": {"l": 2, "entries": []}}

@@ -1,11 +1,12 @@
 """Polynomial connections on the flat model and their curvature fields."""
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
 from sympspin.connections import (
+    CurvatureField,
     Poly,
     PolynomialConnection,
     check_connection_axioms,
@@ -20,6 +21,7 @@ from sympspin.connections import (
 from sympspin.curvature import check_symmetries, ricci_of, sigma_tilde_of, weyl_of
 from sympspin.exact import RandomStream
 from sympspin.symplectic import standard_symplectic_form
+from sympspin.verify import fedosov_suite
 
 F = Fraction
 
@@ -66,9 +68,8 @@ def test_flat_connection():
     report = check_connection_axioms(conn)
     assert report.ok()
     field = curvature_field_of(conn)
-    assert field.is_zero()
-    R = evaluate_curvature_at(field, [F(1), F(2), F(-1), F(1, 3)])
-    assert R.is_zero()
+    for point in ([0, 0, 0, 0], [F(1), F(2), F(-1), F(1, 3)], [F(-5, 2), F(3), F(7), F(-1)]):
+        assert evaluate_curvature_at(field, point).is_zero()
 
 
 def test_axioms_hold_for_random_symmetric_data():
@@ -124,15 +125,14 @@ CONSTANT_GAMMA = {
 
 def test_constant_connection_curvature_is_constant_gamma_squared():
     """With constant data the derivative terms vanish identically, so the
-    curvature polynomials are constants; their value at 0 must agree with a
-    direct expansion of the Gamma.Gamma commutator done independently here."""
+    curvature is the same at every point; its value must agree with a direct
+    expansion of the Gamma.Gamma commutator done independently here."""
     conn = _constant_connection(CONSTANT_GAMMA)
     space = standard_symplectic_form(2)
     n = 4
     field = curvature_field_of(conn)
-    for i, j, k, m in product(range(n), repeat=4):
-        assert field.entries[i][j][k][m].degree() <= 0
     R = evaluate_curvature_at(field, [0, 0, 0, 0])
+    assert evaluate_curvature_at(field, [F(3), F(-1, 2), F(2), F(5, 7)]) == R
     assert check_symmetries(R).all_hold()
 
     def gamma_up(mm, j, k):
@@ -176,6 +176,91 @@ def test_evaluated_curvature_feeds_decomposition():
     sigma = ricci_of(R, space)
     W = weyl_of(R, space)
     assert sigma_tilde_of(sigma, space) + W == R
+
+
+def _partial(p: Poly, v: int) -> Poly:
+    """d/dx_v of p, written out here so that it does not share Poly.deriv."""
+    terms = {}
+    for alpha, c in p.terms.items():
+        if alpha[v]:
+            terms[alpha[:v] + (alpha[v] - 1,) + alpha[v + 1:]] = c * alpha[v]
+    return Poly(p.n, terms)
+
+
+def _symbolic_curvature(conn):
+    """R_ijkl as polynomials, built with Poly products: the symbolic curvature
+    field that the pointwise jets replaced, kept as a naive oracle."""
+    space = standard_symplectic_form(conn.l)
+    n = space.n
+    gu = {}
+    for m, j, k in product(range(n), repeat=3):
+        acc = Poly.zero(n)
+        for i in range(n):
+            acc = acc + conn.entry(i, j, k).scale(space.omega_upper[m][i])
+        gu[(m, j, k)] = acc
+    upper = {}
+    for m, j in product(range(n), repeat=2):
+        for k, mm in combinations(range(n), 2):
+            acc = _partial(gu[(m, mm, j)], k) - _partial(gu[(m, k, j)], mm)
+            for a in range(n):
+                acc = acc + gu[(m, k, a)] * gu[(a, mm, j)] - gu[(m, mm, a)] * gu[(a, k, j)]
+            upper[(m, j, k, mm)] = acc
+            upper[(m, j, mm, k)] = -acc
+    field = {}
+    for i, j, k, mm in product(range(n), repeat=4):
+        acc = Poly.zero(n)
+        for m in range(n):
+            if k != mm:
+                acc = acc + upper[(m, j, k, mm)].scale(space.omega_lower[m][i])
+        field[(i, j, k, mm)] = acc
+    return field
+
+
+def _oracle_mismatches(l: int, degree: int, seed: int, n_points: int = 3) -> list:
+    """(index, point) of every entry where the jets and the oracle differ."""
+    conn = random_connection(l, degree, seed)
+    oracle = _symbolic_curvature(conn)
+    field = curvature_field_of(conn)
+    stream = RandomStream(seed)
+    bad = []
+    for _ in range(n_points):
+        point = [stream.next_fraction(3) for _ in range(2 * l)]
+        R = evaluate_curvature_at(field, point)
+        bad += [(idx, point) for idx, p in oracle.items()
+                if R.entry(*idx) != p.eval_at(point)]
+    return bad
+
+
+@pytest.mark.parametrize("l,degree", [(l, d) for l in (1, 2) for d in (0, 1, 2)])
+def test_curvature_jets_match_symbolic_field(l, degree):
+    assert _oracle_mismatches(l, degree, seed=100 * l + degree) == []
+
+
+@pytest.mark.parametrize("defect", ["shifted-variable", "doubled"])
+def test_symbolic_oracle_catches_a_planted_deriv_defect(monkeypatch, defect):
+    # Either defect keeps every curvature symmetry (with Gamma totally
+    # symmetric, any d_f(k) in place of d_k does, and so does doubling the
+    # derivative terms), so all three fedosov checks still pass: the
+    # differential test above is the only guard of the derivative terms.
+    deriv = Poly.deriv
+    planted = {
+        "shifted-variable": lambda self, var: deriv(self, (var + 1) % self.n),
+        "doubled": lambda self, var: deriv(self, var).scale(2),
+    }
+    monkeypatch.setattr(Poly, "deriv", planted[defect])
+    reports = fedosov_suite(2, 31, n_connections=1, n_points=2)
+    assert [r.status for r in reports] == ["pass", "pass", "pass"]
+    assert _oracle_mismatches(2, 1, seed=201)
+
+
+def test_evaluation_returns_a_symmetry_breaking_tensor_unvalidated():
+    # jets that no connection has; deciding the symmetries is the caller's check
+    zero = Poly.zero(2)
+    gamma = {idx: zero for idx in product(range(2), repeat=3)}
+    dgamma = {idx: zero for idx in product(range(2), repeat=4)}
+    dgamma[(0, 0, 1, 0)] = Poly.const(2, 1)      # d_0 Gamma^0_10 = 1
+    R = evaluate_curvature_at(CurvatureField(1, gamma, dgamma), [0, 0])
+    assert not check_symmetries(R).curvature_type()
 
 
 def test_curvature_field_rejects_broken_connection():

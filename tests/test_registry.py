@@ -1,5 +1,6 @@
 """The check registry: sampled draws, counterexample replay, planted defects."""
 
+import copy
 import hashlib
 import json
 from fractions import Fraction
@@ -10,6 +11,7 @@ from sympspin import verify
 from sympspin.cli import main
 from sympspin.connections import connection_to_json, random_connection
 from sympspin.curvature import (
+    CurvatureTensor,
     RicciTensor,
     curvature_to_json,
     random_curvature,
@@ -200,5 +202,32 @@ def test_planted_defect_fails_and_its_counterexample_replays(tmp_path, monkeypat
     results = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [r["reproduced"] for r in results] == [True, True]
     # the same counterexamples pass once the defect is gone
+    monkeypatch.undo()
+    assert main(["--replay", str(path)]) == 0
+
+
+def test_planted_curvature_defect_fails_the_symmetry_check_and_replays(
+        tmp_path, monkeypatch, capsys):
+    # the planted defect: one evaluated curvature entry off by one
+    evaluate = verify.evaluate_curvature_at
+
+    def off_by_one(field, point):
+        entries = copy.deepcopy(evaluate(field, point).entries)
+        entries[0][1][0][1] += 1
+        return CurvatureTensor(field.l, entries, validate=False)
+
+    monkeypatch.setattr(verify, "evaluate_curvature_at", off_by_one)
+    path = tmp_path / "report.json"
+    argv = ["--l", "1", "--trials", "1", "--suite", "fedosov", "--format", "json"]
+    assert main([*argv, "--out", str(path)]) == 1
+    checks = {c["name"]: c for c in json.loads(path.read_text())["checks"]}
+    symmetries = checks["fedosov.curvature-symmetries"]
+    assert symmetries["status"] == "fail"
+    assert set(symmetries["counterexample"]) == {"check", "connection", "point"}
+    capsys.readouterr()
+    assert main(["--replay", str(path)]) == 1
+    results = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert {"check": "fedosov.curvature-symmetries", "status": "fail",
+            "reproduced": True} in results
     monkeypatch.undo()
     assert main(["--replay", str(path)]) == 0

@@ -292,6 +292,11 @@ def test_fedosov_suite():
     assert all(r.trials == 2 for r in reports)
 
 
+def test_fedosov_suite_at_l3():
+    reports = fedosov_suite(3, 20250810, n_connections=1, n_points=2)
+    assert [r.status for r in reports] == ["pass", "pass", "pass"]
+
+
 # ---------------------------------------------------------------------------
 # Counterexample replay
 # ---------------------------------------------------------------------------
