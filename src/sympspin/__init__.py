@@ -8,7 +8,7 @@ the CLI (`sympspin --help`) for the verification suites.
 from .exact import GaussianRational, RandomStream, nullspace_basis
 from .symplectic import (
     SymplecticSpace,
-    omega_pairing,
+    omega_partners,
     raise_lower_index,
     standard_symplectic_form,
 )
@@ -17,14 +17,11 @@ from .spinors import (
     PolySpinor,
     SpLieElement,
     clifford_basis,
-    clifford_vector,
-    parity_decompose,
     sp_action,
 )
 from .forms import (
     SpinorForm,
     contract,
-    decompose_two_form,
     op_H,
     op_X,
     op_Y,

@@ -3,7 +3,7 @@
 Suites, their checks, paper anchors, requirements and documented display
 verdicts all come from the registry `sympspin.verify.SUITES`; this module
 holds the run configuration and its validation (including the size ceiling
-MAX_L / MAX_DEGREE), the report records, emission and parsing, and the
+MAX_L / MAX_DEGREE), the report records and their emission, and the
 `sympspin` entry point.  `--replay` re-runs the counterexamples in a file and
 exits 2 with a one-line message on a file it cannot replay.
 
@@ -50,7 +50,6 @@ __all__ = [
     "SuiteReport",
     "run_suite",
     "emit_report",
-    "parse_report",
     "main",
 ]
 
@@ -219,7 +218,7 @@ def run_suite(config: RunConfig) -> SuiteReport:
 
 
 # ---------------------------------------------------------------------------
-# Emission and parsing
+# Emission
 # ---------------------------------------------------------------------------
 
 
@@ -243,33 +242,6 @@ def emit_report(report: SuiteReport, format: str = "json") -> bytes:
     lines.append("-" * 78)
     lines.append(f"overall: {report.overall.upper()}")
     return ("\n".join(lines) + "\n").encode()
-
-
-def parse_report(data: bytes | str) -> SuiteReport:
-    obj = json.loads(data)
-    cfg = obj["config"]
-    config = RunConfig(
-        l=cfg["l"],
-        max_degree=cfg["max_degree"],
-        pad=cfg["pad"],
-        trials=cfg["trials"],
-        seed=cfg["seed"],
-        suites=tuple(cfg["suites"]),
-        out=cfg["out"],
-        format=cfg["format"],
-    )
-    checks = tuple(
-        CheckRecord(
-            name=c["name"],
-            paper_anchor=c["paper_anchor"],
-            status=c["status"],
-            trials_run=c["trials_run"],
-            elapsed_ms=c["elapsed_ms"],
-            counterexample=c["counterexample"],
-        )
-        for c in obj["checks"]
-    )
-    return SuiteReport(config=config, checks=checks, overall=obj["overall"])
 
 
 # ---------------------------------------------------------------------------

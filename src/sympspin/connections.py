@@ -4,7 +4,7 @@ On the flat model with constant omega and coordinate frame (so all frame
 brackets vanish), a connection given by Christoffel symbols is symplectic and
 torsion-free exactly when the fully lowered symbols
 
-    Gamma_ijk  (with Gamma^m_jk = sum_i omega_upper[m][i] Gamma_ijk)
+    Gamma_ijk  (with Gamma^m_jk = sum_i omega^{mi} Gamma_ijk = s_m Gamma_{m* jk})
 
 are totally symmetric in (i, j, k).  `check_connection_axioms` does not
 assume this equivalence: it verifies nabla(omega) = 0 and T = 0 symbolically,
@@ -14,9 +14,10 @@ The curvature of such a connection,
 
     R^m_jkl = d_k Gamma^m_lj - d_l Gamma^m_kj
               + Gamma^m_ka Gamma^a_lj - Gamma^m_la Gamma^a_kj,
-    R_ijkl  = sum_m R^m_jkl omega_lower[m][i],
+    R_ijkl  = sum_m R^m_jkl omega_mi = -s_i R^{i*}_jkl,
 
-is a field of genuine curvature-type tensors.  It is never formed as a
+is a field of genuine curvature-type tensors.  Both contractions with omega
+are signed swaps through the partner map (i*, s_i) of `symplectic`.  It is never formed as a
 field of polynomials: `curvature_field_of` keeps the one-jet of the data,
 Gamma^m_jk and its partials d_v Gamma^m_jk (linear Poly operations only),
 and `evaluate_curvature_at` evaluates both exactly at a point and assembles
@@ -35,7 +36,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 
 from .curvature import CurvatureTensor
 from .exact import RandomStream
-from .symplectic import SymplecticSpace, standard_symplectic_form
+from .symplectic import omega_partners
 
 __all__ = [
     "Poly",
@@ -263,26 +264,22 @@ class ConnectionAxiomReport:
         return self.torsion_free and self.preserves_omega
 
 
-def _gamma_upper(conn: PolynomialConnection, space: SymplecticSpace):
-    """Gamma^m_jk = sum_i omega_upper[m][i] Gamma_ijk, tabulated."""
-    n = space.n
-    up = space.omega_upper
+def _gamma_upper(conn: PolynomialConnection):
+    """Gamma^m_jk = s_m Gamma_{m* jk}, tabulated."""
+    partners = omega_partners(conn.l)
     table = {}
-    for m, j, k in product(range(n), repeat=3):
-        acc = Poly.zero(n)
-        for i in range(n):
-            w = up[m][i]
-            if w:
-                acc = acc + conn.entry(i, j, k).scale(w)
-        table[(m, j, k)] = acc
+    for m, j, k in product(range(len(partners)), repeat=3):
+        i, w = partners[m]
+        p = conn.entry(i, j, k)
+        table[(m, j, k)] = p if w > 0 else -p
     return table
+
 
 def check_connection_axioms(conn: PolynomialConnection) -> ConnectionAxiomReport:
     """Verify nabla(omega) = 0 and zero torsion as polynomial identities."""
-    space = standard_symplectic_form(conn.l)
-    n = space.n
-    gu = _gamma_upper(conn, space)
-    lo = space.omega_lower
+    partners = omega_partners(conn.l)
+    n = len(partners)
+    gu = _gamma_upper(conn)
     torsion_ok, omega_ok = True, True
     violation, poly = None, None
     for m, j, k in product(range(n), repeat=3):
@@ -294,13 +291,11 @@ def check_connection_axioms(conn: PolynomialConnection) -> ConnectionAxiomReport
                     violation = ("torsion", m, j, k)
                     poly = poly_to_json(diff)
     for k, i, j in product(range(n), repeat=3):
-        # constant omega: nabla_k omega_ij = -(Gamma^m_ki omega_mj + Gamma^m_kj omega_im)
-        acc = Poly.zero(n)
-        for m in range(n):
-            if lo[m][j]:
-                acc = acc + gu[(m, k, i)].scale(lo[m][j])
-            if lo[i][m]:
-                acc = acc + gu[(m, k, j)].scale(lo[i][m])
+        # constant omega: nabla_k omega_ij = -(Gamma^m_ki omega_mj + Gamma^m_kj omega_im),
+        # and the sum is s_i Gamma^{i*}_kj - s_j Gamma^{j*}_ki
+        (ip, si), (jp, sj) = partners[i], partners[j]
+        a, b = gu[(ip, k, j)], gu[(jp, k, i)]
+        acc = (a if si > 0 else -a) - (b if sj > 0 else -b)
         if not acc.is_zero():
             omega_ok = False
             if violation is None:
@@ -334,9 +329,8 @@ def curvature_field_of(conn: PolynomialConnection) -> CurvatureField:
     report = check_connection_axioms(conn)
     if not report.ok():
         raise ValueError(f"connection violates axioms: {report.first_violation}")
-    space = standard_symplectic_form(conn.l)
-    gamma = _gamma_upper(conn, space)
-    dgamma = {(v, *idx): p.deriv(v) for idx, p in gamma.items() for v in range(space.n)}
+    gamma = _gamma_upper(conn)
+    dgamma = {(v, *idx): p.deriv(v) for idx, p in gamma.items() for v in range(2 * conn.l)}
     return CurvatureField(conn.l, gamma, dgamma)
 
 
@@ -360,18 +354,14 @@ def evaluate_curvature_at(field: CurvatureField, point) -> CurvatureTensor:
                 acc += g[(m, k, a)] * g[(a, mm, j)] - g[(m, mm, a)] * g[(a, k, j)]
             upper[(m, j, k, mm)] = acc
             upper[(m, j, mm, k)] = -acc
-    lo = standard_symplectic_form(field.l).omega_lower
-    lowering = [[(m, lo[m][i]) for m in range(n) if lo[m][i]] for i in range(n)]
+    # R_ijkl = -s_i R^{i*}_jkl
     entries = [
         [
-            [
-                [sum((w * upper[(m, j, k, mm)] for m, w in lowering[i]), F0) if k != mm else F0
-                 for mm in range(n)]
-                for k in range(n)
-            ]
+            [[-w * upper[(m, j, k, mm)] if k != mm else F0 for mm in range(n)]
+             for k in range(n)]
             for j in range(n)
         ]
-        for i in range(n)
+        for m, w in omega_partners(field.l)
     ]
     return CurvatureTensor(field.l, entries, validate=False)
 

@@ -10,7 +10,11 @@ and, as a consequence of (A)-(C), the four-term cyclic identity
 
     (D)  R_{ijkl} + R_{jkli} + R_{klij} + R_{lijk} = 0.
 
-The Ricci part is the trace  sigma_ij = sum_{m,a} omega_upper[m][a] R_{ajmi},
+Every contraction with omega is a signed swap through the partner map
+(i*, s_i) of `symplectic`.  The Ricci part is the trace
+
+    sigma_ij = sum_{m,a} omega^{ma} R_{ajmi} = sum_m s_m R_{m* j m i},
+
 which is symmetric and satisfies  R^{ijkl} omega_kl = 2 sigma^{ij}.  The
 coordinate expression is derived from the trace definition and then pinned by
 that raised-index identity in the test suite; if the identity suite fails,
@@ -39,7 +43,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .exact import RandomStream, nullspace_basis, random_symmetric_matrix, symmetric_matrix
-from .symplectic import SymplecticSpace, raise_lower_index, standard_symplectic_form
+from .symplectic import omega_partners, raise_lower_index
 
 __all__ = [
     "CurvatureTensor",
@@ -53,8 +57,6 @@ __all__ = [
     "weyl_of",
     "random_curvature",
     "random_weyl",
-    "curvature_space_dim",
-    "weyl_space_dim",
     "curvature_space_basis",
     "weyl_space_basis",
     "omega_traces",
@@ -244,85 +246,81 @@ def check_symmetries(R) -> SymmetryReport:
 # ---------------------------------------------------------------------------
 
 
-def _ricci_entries(R: CurvatureTensor, space: SymplecticSpace):
-    n = space.n
+def _ricci_entries(R: CurvatureTensor):
     e = R.entries
-    up = space.omega_upper
+    partners = omega_partners(R.l)
+    n = len(partners)
     out = [[F0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             acc = F0
-            for m in range(n):
-                row = up[m]
-                for a in range(n):
-                    w = row[a]
-                    if w:
-                        acc += w * e[a][j][m][i]
+            for m, (a, w) in enumerate(partners):
+                acc += w * e[a][j][m][i]
             out[i][j] = acc
     return out
 
 
-def ricci_of(R: CurvatureTensor, space: SymplecticSpace | None = None) -> RicciTensor:
-    """Ricci trace sigma_ij = sum omega_upper[m][a] R[a][j][m][i]."""
-    space = space or standard_symplectic_form(R.l)
+def ricci_of(R: CurvatureTensor) -> RicciTensor:
+    """Ricci trace sigma_ij = sum_m s_m R[m*][j][m][i]."""
     report = check_symmetries(R)
     if not report.curvature_type():
         raise ValueError("input violates the curvature symmetries")
-    return RicciTensor(R.l, _ricci_entries(R, space))
+    return RicciTensor(R.l, _ricci_entries(R))
 
 
-def sigma_tilde_of(sigma: RicciTensor, space: SymplecticSpace | None = None) -> CurvatureTensor:
+def sigma_tilde_of(sigma: RicciTensor) -> CurvatureTensor:
     """Curvature-type tensor built from a symmetric matrix.
 
     This is the unique (up to the fixed normalization 1/(2(l+1))) Ricci-type
-    section: ricci_of(sigma_tilde_of(s)) = s exactly.
+    section: ricci_of(sigma_tilde_of(s)) = s exactly.  Each of the five terms
+    of the display is nonzero only where its omega pairs a slot with its
+    partner, so the sum runs over the partner map.
     """
-    space = space or standard_symplectic_form(sigma.l)
-    n = space.n
-    lo = space.omega_lower
     s = sigma.entries
-    denom = Fraction(1, 2 * (sigma.l + 1))
+    partners = omega_partners(sigma.l)
+    n = len(partners)
     out = _zero_entries(n)
-    for i, j, k, m in product(range(n), repeat=4):
-        val = (
-            lo[i][m] * s[j][k]
-            - lo[i][k] * s[j][m]
-            + lo[j][m] * s[i][k]
-            - lo[j][k] * s[i][m]
-            + 2 * s[i][j] * lo[k][m]
-        )
-        if val:
-            out[i][j][k][m] = val * denom
+    for x, (y, w) in enumerate(partners):     # omega_xy = w
+        for a in range(n):
+            for b in range(n):
+                c = s[a][b] if w > 0 else -s[a][b]
+                if not c:
+                    continue
+                out[x][a][b][y] += c            # omega_im s_jk
+                out[x][a][y][b] -= c            # omega_ik s_jm
+                out[a][x][b][y] += c            # omega_jm s_ik
+                out[a][x][y][b] -= c            # omega_jk s_im
+                out[a][b][x][y] += 2 * c        # 2 s_ij omega_km
+    denom = Fraction(1, 2 * (sigma.l + 1))
+    for block in out:
+        for plane in block:
+            for row in plane:
+                row[:] = [v * denom if v else F0 for v in row]
     return CurvatureTensor(sigma.l, out, validate=False)
 
 
-def weyl_of(R: CurvatureTensor, space: SymplecticSpace | None = None) -> WeylTensor:
+def weyl_of(R: CurvatureTensor) -> WeylTensor:
     """Trace-free part W = R - sigma_tilde(ricci(R)); validated on the way out."""
-    space = space or standard_symplectic_form(R.l)
-    sigma = ricci_of(R, space)
-    st = sigma_tilde_of(sigma, space)
-    diff = R - st
+    diff = R - sigma_tilde_of(ricci_of(R))
     return WeylTensor(R.l, diff.entries, validate=True)
 
 
-def raise_all(R: CurvatureTensor, space: SymplecticSpace | None = None):
+def raise_all(R: CurvatureTensor):
     """All four indices raised: R^{ijkl}."""
-    space = space or standard_symplectic_form(R.l)
     t = R.entries
     for slot in range(4):
-        t = raise_lower_index(t, slot, "raise", space)
+        t = raise_lower_index(t, slot, "raise")
     return t
 
 
-def omega_traces(R: CurvatureTensor, space: SymplecticSpace | None = None) -> dict:
+def omega_traces(R: CurvatureTensor) -> dict:
     """The six contractions R^{ijkl} omega_(pair), keyed by slot pair.
 
     Each value is a 2l x 2l matrix over the two free slots, in slot order.
     """
-    space = space or standard_symplectic_form(R.l)
-    n = space.n
-    raised = raise_all(R, space)
-    lo = space.omega_lower
+    raised = raise_all(R)
+    partners = omega_partners(R.l)
+    n = len(partners)
     out = {}
     for s, t in combinations(range(4), 2):
         free = [p for p in range(4) if p not in (s, t)]
@@ -330,15 +328,11 @@ def omega_traces(R: CurvatureTensor, space: SymplecticSpace | None = None) -> di
         for u in range(n):
             for v in range(n):
                 acc = F0
-                for a in range(n):
-                    for b in range(n):
-                        w = lo[a][b]
-                        if not w:
-                            continue
-                        idx = [0, 0, 0, 0]
-                        idx[s], idx[t] = a, b
-                        idx[free[0]], idx[free[1]] = u, v
-                        acc += w * raised[idx[0]][idx[1]][idx[2]][idx[3]]
+                for a, (b, w) in enumerate(partners):
+                    idx = [0, 0, 0, 0]
+                    idx[s], idx[t] = a, b
+                    idx[free[0]], idx[free[1]] = u, v
+                    acc += w * raised[idx[0]][idx[1]][idx[2]][idx[3]]
                 mat[u][v] = acc
         out[(s, t)] = mat
     return out
@@ -392,36 +386,32 @@ def _bianchi_rows(n: int, index) -> list[dict[int, Fraction]]:
     return rows
 
 
-def _trace_rows(n: int, index, space: SymplecticSpace) -> list[dict[int, Fraction]]:
+def _trace_rows(n: int, index) -> list[dict[int, Fraction]]:
     """Vanishing of the six omega-traces, expressed on lowered coordinates.
 
     A raised-pair trace W^{ijkl} omega_(slots s,t) = 0 is equivalent to the
-    omega_upper contraction of the lowered tensor on the same slots.
+    omega^{ab} contraction of the lowered tensor on the same slots.
     """
-    up = space.omega_upper
+    partners = omega_partners(n // 2)
     rows = []
     for s, t in combinations(range(4), 2):
         free = [p for p in range(4) if p not in (s, t)]
         for u in range(n):
             for v in range(n):
                 row: dict[int, Fraction] = {}
-                for a in range(n):
-                    for b in range(n):
-                        w = up[a][b]
-                        if not w:
-                            continue
-                        idx = [0, 0, 0, 0]
-                        idx[s], idx[t] = a, b
-                        idx[free[0]], idx[free[1]] = u, v
-                        r = _resolve(index, *idx)
-                        if r is None:
-                            continue
-                        var, sign = r
-                        val = row.get(var, F0) + w * sign
-                        if val:
-                            row[var] = val
-                        else:
-                            row.pop(var, None)
+                for a, (b, w) in enumerate(partners):
+                    idx = [0, 0, 0, 0]
+                    idx[s], idx[t] = a, b
+                    idx[free[0]], idx[free[1]] = u, v
+                    r = _resolve(index, *idx)
+                    if r is None:
+                        continue
+                    var, sign = r
+                    val = row.get(var, F0) + w * sign
+                    if val:
+                        row[var] = val
+                    else:
+                        row.pop(var, None)
                 if row:
                     rows.append(row)
     return rows
@@ -446,20 +436,11 @@ def weyl_space_basis(l: int):
     """Cached nullspace basis of (A)+(B)+(C) plus all six trace conditions."""
     if l not in _weyl_basis_cache:
         n = 2 * l
-        space = standard_symplectic_form(l)
         variables, index = _canonical_vars(n)
-        rows = _bianchi_rows(n, index) + _trace_rows(n, index, space)
+        rows = _bianchi_rows(n, index) + _trace_rows(n, index)
         basis = nullspace_basis(rows, len(variables))
         _weyl_basis_cache[l] = [(variables, vec) for vec in basis]
     return _weyl_basis_cache[l]
-
-
-def curvature_space_dim(l: int) -> int:
-    return len(curvature_space_basis(l))
-
-
-def weyl_space_dim(l: int) -> int:
-    return len(weyl_space_basis(l))
 
 
 def _expand_var_vector(l: int, variables, vec: dict[int, Fraction]):
@@ -509,15 +490,6 @@ def random_weyl(l: int, seed: int, bound: int = 9) -> WeylTensor:
     basis = weyl_space_basis(l)
     entries = _random_combination(l, basis, RandomStream(seed), bound)
     return WeylTensor(l, entries, validate=False)
-
-
-def basis_tensors(l: int, which: str = "curvature"):
-    """Expanded basis of the requested constraint space, as tensors."""
-    basis = curvature_space_basis(l) if which == "curvature" else weyl_space_basis(l)
-    out = []
-    for variables, vec in basis:
-        out.append(CurvatureTensor(l, _expand_var_vector(l, variables, vec), validate=False))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ basis indices; absent tuples are zero.  On these the three equivariant
 operators act as
 
     X(a ⊗ s) = - sum_i  e^i ∧ a ⊗ e_i.s          (degree r+1)
-    Y(a ⊗ s) =   sum_ij omega_upper[i][j] iota_{e_i} a ⊗ e_j.s   (degree r-1)
+    Y(a ⊗ s) =   sum_i  s_i iota_{e_i} a ⊗ e_{i*}.s     (degree r-1)
     H = XY + YX = i (r - l) Id on degree-r forms
 
 and the isotypic projectors are built from X and Y alone:
@@ -23,6 +23,8 @@ definitions gives, on 2-forms, the relations
 
 so XY acts as i, i(1-l), 0 on the three summands, and the coefficients above
 are the unique ones making each operator idempotent with p20+p21+p22 = Id.
+Y contracts with omega through the partner map (i*, s_i) of `symplectic`,
+the only nonzero entry omega^{i i*} = s_i of row i.
 A variant with i/(1-l) in the XY term squares to minus itself; the test
 suite pins the idempotent choice.
 
@@ -40,14 +42,13 @@ from .exact import GaussianRational, RandomStream, nullspace_basis
 from .spinors import (
     PolySpinor,
     SpLieElement,
-    _a_omega,
     clifford_basis,
     poly_spinor_from_json,
     poly_spinor_to_json,
     random_spinor,
     sp_action,
 )
-from .symplectic import SymplecticSpace, standard_symplectic_form
+from .symplectic import omega_partners
 
 __all__ = [
     "SpinorForm",
@@ -58,7 +59,6 @@ __all__ = [
     "op_Y",
     "op_H",
     "project",
-    "decompose_two_form",
     "sp_action_form",
     "random_form",
     "graded_projector_rank",
@@ -282,39 +282,35 @@ def op_X(phi: SpinorForm) -> SpinorForm:
     return SpinorForm(l, phi.r + 1, phi.cap, out)
 
 
-def op_Y(phi: SpinorForm, space: SymplecticSpace | None = None) -> SpinorForm:
-    """Y = sum_ij omega_upper[i][j] (iota_{e_i} .) ⊗ e_j. ; zero on 0-forms."""
+def op_Y(phi: SpinorForm) -> SpinorForm:
+    """Y = sum_i s_i (iota_{e_i} .) ⊗ e_{i*}. ; zero on 0-forms."""
     l = phi.l
     if phi.r == 0:
         return SpinorForm.zero(l, 0, phi.cap)
-    space = space or standard_symplectic_form(l)
-    upper = space.omega_upper
+    partners = omega_partners(l)
     out: dict[tuple[int, ...], PolySpinor] = {}
     for tup, s in phi.components.items():
         for pos, i in enumerate(tup):
             reduced = tup[:pos] + tup[pos + 1:]
-            contraction_sign = 1 if pos % 2 == 0 else -1
-            for j in range(2 * l):
-                w = upper[i][j]
-                if not w:
-                    continue
-                term = clifford_basis(j, s).scale(w * contraction_sign)
-                if not term.is_zero():
-                    _accumulate(out, reduced, term)
+            j, sign = partners[i]
+            if pos % 2:
+                sign = -sign
+            term = clifford_basis(j, s)
+            if not term.is_zero():
+                _accumulate(out, reduced, term if sign > 0 else -term)
     return SpinorForm(l, phi.r - 1, phi.cap, out)
 
 
-def op_H(phi: SpinorForm, space: SymplecticSpace | None = None) -> SpinorForm:
+def op_H(phi: SpinorForm) -> SpinorForm:
     """Anticommutator H = XY + YX; acts as i (r - l) Id on degree-r forms."""
-    space = space or standard_symplectic_form(phi.l)
-    return op_X(op_Y(phi, space)) + op_Y(op_X(phi), space)
+    return op_X(op_Y(phi)) + op_Y(op_X(phi))
 
 
-def _x2y2(phi: SpinorForm, space: SymplecticSpace) -> SpinorForm:
-    return op_X(op_X(op_Y(op_Y(phi, space), space)))
+def _x2y2(phi: SpinorForm) -> SpinorForm:
+    return op_X(op_X(op_Y(op_Y(phi))))
 
 
-def project(which: str, phi: SpinorForm, space: SymplecticSpace | None = None) -> SpinorForm:
+def project(which: str, phi: SpinorForm) -> SpinorForm:
     """Isotypic projector onto one irreducible summand.
 
     p10/p11 expect 1-forms, p20/p21/p22 expect 2-forms; l must be at least 2
@@ -326,18 +322,17 @@ def project(which: str, phi: SpinorForm, space: SymplecticSpace | None = None) -
     l = phi.l
     if l < 2:
         raise ValueError("projectors require l >= 2")
-    space = space or standard_symplectic_form(l)
     if which in ("p10", "p11"):
         if phi.r != 1:
             raise ValueError(f"{which} acts on 1-forms, got degree {phi.r}")
-        p10 = op_X(op_Y(phi, space)).scale(GaussianRational(0, Fraction(1, l)))
+        p10 = op_X(op_Y(phi)).scale(GaussianRational(0, Fraction(1, l)))
         return p10 if which == "p10" else phi - p10
     if phi.r != 2:
         raise ValueError(f"{which} acts on 2-forms, got degree {phi.r}")
     if which == "p20":
-        return _x2y2(phi, space).scale(Fraction(1, l))
-    xy = op_X(op_Y(phi, space))
-    x2y2 = _x2y2(phi, space)
+        return _x2y2(phi).scale(Fraction(1, l))
+    xy = op_X(op_Y(phi))
+    x2y2 = _x2y2(phi)
     p21 = (xy - x2y2.scale(GaussianRational(0, Fraction(1, l)))).scale(
         GaussianRational(0, Fraction(1, l - 1))
     )
@@ -346,35 +341,24 @@ def project(which: str, phi: SpinorForm, space: SymplecticSpace | None = None) -
     return phi - x2y2.scale(Fraction(1, l)) - p21
 
 
-def decompose_two_form(
-    phi: SpinorForm, space: SymplecticSpace | None = None
-) -> tuple[SpinorForm, SpinorForm, SpinorForm]:
-    """The three isotypic components of a 2-form; they sum back to phi."""
-    space = space or standard_symplectic_form(phi.l)
-    e20 = project("p20", phi, space)
-    e21 = project("p21", phi, space)
-    e22 = phi - e20 - e21
-    return e20, e21, e22
-
-
-def sp_action_form(A: SpLieElement, phi: SpinorForm, space: SymplecticSpace | None = None) -> SpinorForm:
+def sp_action_form(A: SpLieElement, phi: SpinorForm) -> SpinorForm:
     """Infinitesimal sp(2l)-action on a spinor-valued form.
 
     Acts on the form part through the dual action (A* eta)(v) = -eta(A v),
     extended as a derivation over the wedge, and on the spinor part through
     sp_action.
     """
-    space = space or standard_symplectic_form(phi.l)
     if A.l != phi.l:
         raise ValueError("mismatched l")
-    ao = _a_omega(A, space)   # (A v)^m = ao[m][q] v^q ; A* e^t = -sum_q ao[t][q] e^q
+    partners = omega_partners(phi.l)
     out: dict[tuple[int, ...], PolySpinor] = {}
     for tup, s in phi.components.items():
         _accumulate(out, tup, sp_action(A, s))
         for pos, t in enumerate(tup):
             rest = tup[:pos] + tup[pos + 1:]
-            for q in range(space.n):
-                c = ao[t][q]
+            for q, (qp, sq) in enumerate(partners):
+                # (A v)^t = sum_q c v^q, so A* e^t = -sum_q c e^q
+                c = -sq * A.matrix[t][qp]
                 if not c:
                     continue
                 ins = _insert_index(q, rest)
@@ -438,9 +422,8 @@ def graded_projector_rank(which: str, l: int, degree: int) -> int:
     projector's rank.  Used only to record exact ranks.
     """
     cap = degree + 8
-    space = standard_symplectic_form(l)
     r = 1 if which in ("p10", "p11") else 2
-    images = [project(which, b, space) for b in _graded_basis(l, r, degree, cap)]
+    images = [project(which, b) for b in _graded_basis(l, r, degree, cap)]
     columns: dict[tuple, int] = {}
     rows = [
         {columns.setdefault((tup, alpha), len(columns)): c

@@ -33,19 +33,13 @@ from .exact import (
     random_symmetric_matrix,
     symmetric_matrix,
 )
-from .symplectic import SymplecticSpace
 
 __all__ = [
     "DegreeCapError",
     "PolySpinor",
     "SpLieElement",
     "clifford_basis",
-    "clifford_vector",
-    "parity_decompose",
     "sp_action",
-    "sp_vector_image",
-    "sp_covector_image",
-    "sp_bracket",
     "random_spinor",
     "poly_spinor_to_json",
     "poly_spinor_from_json",
@@ -210,31 +204,12 @@ def clifford_basis(i: int, s: PolySpinor) -> PolySpinor:
     return s.diff_x(i - l)
 
 
-def clifford_vector(v, s: PolySpinor) -> PolySpinor:
-    """Clifford action of an arbitrary vector, extended linearly."""
-    l = s.l
-    if len(v) != 2 * l:
-        raise ValueError("vector must have length 2l")
-    acc = PolySpinor.zero(l, s.cap)
-    for i, c in enumerate(v):
-        if not c:
-            continue
-        acc = acc + clifford_basis(i, s).scale(c)
-    return acc
-
-
-def parity_decompose(s: PolySpinor) -> tuple[PolySpinor, PolySpinor]:
-    """Split into (even, odd) total-degree parts; the parts sum to s."""
-    even = {a: c for a, c in s.coeffs.items() if sum(a) % 2 == 0}
-    odd = {a: c for a, c in s.coeffs.items() if sum(a) % 2 == 1}
-    return PolySpinor(s.l, s.cap, even), PolySpinor(s.l, s.cap, odd)
-
-
 class SpLieElement:
     """Element of sp(2l) presented as a symmetric 2l x 2l rational matrix.
 
     The symmetric matrix A corresponds to the endomorphism
-    v |-> A . (omega_lower . v); symmetry of A is exactly membership in sp.
+    (A v)^m = sum_pq A[m][p] omega_pq v^q = -sum_q s_q A[m][q*] v^q, with
+    (q*, s_q) the partner of q; symmetry of A is exactly membership in sp.
     """
 
     __slots__ = ("l", "matrix")
@@ -292,61 +267,6 @@ def sp_action(A: SpLieElement, s: PolySpinor) -> PolySpinor:
                 continue
             acc = acc + clifford_basis(a, clifford_basis(b, s)).scale(coeff)
     return acc.scale(_HALF_I)
-
-
-def sp_vector_image(A: SpLieElement, v, space: SymplecticSpace):
-    """(A v)^m = sum_pq A[m][p] omega_lower[p][q] v[q]."""
-    n = space.n
-    out = []
-    for m in range(n):
-        acc = Fraction(0)
-        for p in range(n):
-            amp = A.matrix[m][p]
-            if not amp:
-                continue
-            for q in range(n):
-                w = space.omega_lower[p][q]
-                if w and v[q]:
-                    acc += amp * w * v[q]
-        out.append(acc)
-    return out
-
-
-def sp_covector_image(A: SpLieElement, eta, space: SymplecticSpace):
-    """Dual action on a covector: (A* eta)(v) = -eta(A v)."""
-    n = space.n
-    ao = _a_omega(A, space)
-    return [
-        -sum(eta[t] * ao[t][q] for t in range(n) if eta[t])
-        for q in range(n)
-    ]
-
-
-def _a_omega(A: SpLieElement, space: SymplecticSpace):
-    """Matrix product A . omega_lower (the endomorphism of V)."""
-    n = space.n
-    return [
-        [
-            sum(A.matrix[m][p] * space.omega_lower[p][q] for p in range(n))
-            for q in range(n)
-        ]
-        for m in range(n)
-    ]
-
-
-def sp_bracket(A: SpLieElement, B: SpLieElement, space: SymplecticSpace) -> SpLieElement:
-    """Lie bracket in the symmetric-matrix presentation: A Ω B - B Ω A."""
-    n = space.n
-    lo = space.omega_lower
-
-    def mul3(X, Y):
-        # X . omega_lower . Y for symmetric matrices X, Y
-        xo = [[sum(X[i][p] * lo[p][q] for p in range(n)) for q in range(n)] for i in range(n)]
-        return [[sum(xo[i][q] * Y[q][j] for q in range(n)) for j in range(n)] for i in range(n)]
-
-    ab = mul3(A.matrix, B.matrix)
-    ba = mul3(B.matrix, A.matrix)
-    return SpLieElement(space.l, [[ab[i][j] - ba[i][j] for j in range(n)] for i in range(n)])
 
 
 def random_spinor(

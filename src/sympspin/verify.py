@@ -52,7 +52,6 @@ from .curvature import (
     _ricci_entries,
 )
 from .connections import (
-    check_connection_axioms,
     connection_from_json,
     connection_to_json,
     curvature_field_of,
@@ -82,7 +81,7 @@ from .spinors import (
     poly_spinor_to_json,
     random_spinor,
 )
-from .symplectic import SymplecticSpace, raise_lower_index, standard_symplectic_form
+from .symplectic import omega_partners, raise_lower_index
 
 __all__ = [
     "ActionReport",
@@ -155,21 +154,18 @@ class ActionReport:
 # ---------------------------------------------------------------------------
 
 
-def _raise_first_two(entries, space: SymplecticSpace):
-    return raise_lower_index(raise_lower_index(entries, 0, "raise", space), 1, "raise", space)
+def _raise_first_two(entries):
+    return raise_lower_index(raise_lower_index(entries, 0, "raise"), 1, "raise")
 
 
-def spinor_curvature_action(
-    T: CurvatureTensor, phi: PolySpinor, space: SymplecticSpace | None = None
-) -> SpinorForm:
+def spinor_curvature_action(T: CurvatureTensor, phi: PolySpinor) -> SpinorForm:
     """(i/2) T^{ij}_{kl} e^k ∧ e^l ⊗ e_i.e_j.phi as a spinor-valued 2-form."""
-    space = space or standard_symplectic_form(T.l)
     if not check_symmetries(T).curvature_type():
         raise ValueError("tensor violates the curvature symmetries")
     if phi.headroom() < 2:
         raise DegreeCapError("action needs spinor headroom >= 2")
-    n = space.n
-    raised = _raise_first_two(T.entries, space)
+    n = 2 * T.l
+    raised = _raise_first_two(T.entries)
     half_i = GaussianRational(0, Fraction(1, 2))
     out: dict[tuple[int, int], PolySpinor] = {}
     for i in range(n):
@@ -195,41 +191,33 @@ def spinor_curvature_action(
 # ---------------------------------------------------------------------------
 
 
-def _omega_two_form(space: SymplecticSpace, s: PolySpinor) -> SpinorForm:
-    """omega_kl e^k ∧ e^l ⊗ s, canonicalized (each k < l slot carries 2 omega_kl)."""
-    n = space.n
-    lo = space.omega_lower
-    comps = {}
-    for k in range(n):
-        for m in range(k + 1, n):
-            w = lo[k][m] - lo[m][k]
-            if w:
-                term = s.scale(w)
-                if not term.is_zero():
-                    comps[(k, m)] = term
-    return SpinorForm(space.l, 2, s.cap, comps)
+def _omega_two_form(s: PolySpinor) -> SpinorForm:
+    """omega_kl e^k ∧ e^l ⊗ s, canonicalized: the slot (k, k*) with k < k*
+    carries omega_kk* - omega_k*k = 2 s_k, and no other slot is nonzero."""
+    comps = {(k, kp): s.scale(2 * w) for k, (kp, w) in enumerate(omega_partners(s.l)) if k < kp}
+    return SpinorForm(s.l, 2, s.cap, comps)
 
 
-def literal_p20_ricci(sigma: RicciTensor, phi: PolySpinor, space: SymplecticSpace) -> SpinorForm:
+def literal_p20_ricci(sigma: RicciTensor, phi: PolySpinor) -> SpinorForm:
     """As displayed: i sigma^{ij} omega_kl e^k ∧ e^l ⊗ (1 + 1/l) e_i.e_j.phi."""
-    n = space.n
-    sig_up = _raise_first_two(sigma.entries, space)
+    n = 2 * sigma.l
+    sig_up = _raise_first_two(sigma.entries)
     spin = PolySpinor.zero(phi.l, phi.cap)
     for i in range(n):
         for j in range(n):
             c = sig_up[i][j]
             if c:
                 spin = spin + clifford_basis(i, clifford_basis(j, phi)).scale(c)
-    coeff = GaussianRational(0, Fraction(space.l + 1, space.l))   # i (1 + 1/l)
-    return _omega_two_form(space, spin).scale(coeff)
+    coeff = GaussianRational(0, Fraction(sigma.l + 1, sigma.l))   # i (1 + 1/l)
+    return _omega_two_form(spin).scale(coeff)
 
 
-def literal_p21_ricci(sigma: RicciTensor, phi: PolySpinor, space: SymplecticSpace) -> SpinorForm:
+def literal_p21_ricci(sigma: RicciTensor, phi: PolySpinor) -> SpinorForm:
     """As displayed: i sigma^{ij} e^k ∧ e^l (2 omega_il ⊗ e_k.e_j. - (1/l) omega_kl ⊗ e_i.e_j.) phi."""
-    n = space.n
-    l = space.l
-    lo = space.omega_lower
-    sig_up = _raise_first_two(sigma.entries, space)
+    l = sigma.l
+    partners = omega_partners(l)
+    n = len(partners)
+    sig_up = _raise_first_two(sigma.entries)
     cl_cache: dict[tuple[int, int], PolySpinor] = {}
 
     def cl2(a: int, b: int) -> PolySpinor:
@@ -246,26 +234,23 @@ def literal_p21_ricci(sigma: RicciTensor, phi: PolySpinor, space: SymplecticSpac
             if not c:
                 continue
             trace_spin = trace_spin + cl2(i, j).scale(c)
-            for m in range(n):
-                w = lo[i][m]
-                if not w:
+            m, w = partners[i]      # omega_im = w
+            for k in range(n):
+                if k == m:
                     continue
-                for k in range(n):
-                    if k == m:
-                        continue
-                    key, sign = ((k, m), 1) if k < m else ((m, k), -1)
-                    _accumulate(comps, key, cl2(k, j).scale(2 * c * w * sign))
+                key, sign = ((k, m), 1) if k < m else ((m, k), -1)
+                _accumulate(comps, key, cl2(k, j).scale(2 * c * w * sign))
     acc = SpinorForm(l, 2, phi.cap, comps)
-    acc = acc - _omega_two_form(space, trace_spin).scale(Fraction(1, l))
+    acc = acc - _omega_two_form(trace_spin).scale(Fraction(1, l))
     return acc.scale(GR_I)
 
 
-def literal_p21_weyl(W: CurvatureTensor, phi: PolySpinor, space: SymplecticSpace) -> SpinorForm:
+def literal_p21_weyl(W: CurvatureTensor, phi: PolySpinor) -> SpinorForm:
     """As displayed: (2i/(1-l)) W^{ijk}_l e^m ∧ e^l ⊗ e_m.e_k.e_i.e_j.phi."""
-    n = space.n
+    n = 2 * W.l
     t = W.entries
     for slot in range(3):
-        t = raise_lower_index(t, slot, "raise", space)
+        t = raise_lower_index(t, slot, "raise")
     comps: dict[tuple[int, int], PolySpinor] = {}
     for i in range(n):
         for j in range(n):
@@ -285,8 +270,8 @@ def literal_p21_weyl(W: CurvatureTensor, phi: PolySpinor, space: SymplecticSpace
                             continue
                         key, sign = ((m, mm), 1) if m < mm else ((mm, m), -1)
                         _accumulate(comps, key, s4.scale(c * sign))
-    coeff = GaussianRational(0, Fraction(2, 1 - space.l))
-    return SpinorForm(space.l, 2, phi.cap, comps).scale(coeff)
+    coeff = GaussianRational(0, Fraction(2, 1 - W.l))
+    return SpinorForm(W.l, 2, phi.cap, comps).scale(coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -294,22 +279,19 @@ def literal_p21_weyl(W: CurvatureTensor, phi: PolySpinor, space: SymplecticSpace
 # ---------------------------------------------------------------------------
 
 
-def verify_theorem9(
-    sigma: RicciTensor, phi: PolySpinor, space: SymplecticSpace | None = None
-) -> ActionReport:
+def verify_theorem9(sigma: RicciTensor, phi: PolySpinor) -> ActionReport:
     """Ricci-type action lands in the first two summands: p22 of it vanishes."""
-    space = space or standard_symplectic_form(sigma.l)
     if phi.headroom() < 6:
         raise DegreeCapError("theorem check needs spinor headroom >= 6")
-    st = sigma_tilde_of(sigma, space)
-    act = spinor_curvature_action(st, phi, space)
-    p22 = project("p22", act, space)
+    st = sigma_tilde_of(sigma)
+    act = spinor_curvature_action(st, phi)
+    p22 = project("p22", act)
     ok = p22.is_zero()
-    p20 = project("p20", act, space)
-    p21 = project("p21", act, space)
+    p20 = project("p20", act)
+    p21 = project("p21", act)
     prefactor = Fraction(1, 2 * (sigma.l + 1))
-    lit9 = literal_p20_ricci(sigma, phi, space)
-    lit10 = literal_p21_ricci(sigma, phi, space)
+    lit9 = literal_p20_ricci(sigma, phi)
+    lit10 = literal_p21_ricci(sigma, phi)
     displays = [
         DisplayComparison(
             "eq9", p20 == lit9, p20 == lit9.scale(prefactor),
@@ -332,20 +314,17 @@ def verify_theorem9(
     return ActionReport("theorem9", 1, "pass" if ok else "fail", ce, literal, displays)
 
 
-def verify_theorem10(
-    W: CurvatureTensor, phi: PolySpinor, space: SymplecticSpace | None = None
-) -> ActionReport:
+def verify_theorem10(W: CurvatureTensor, phi: PolySpinor) -> ActionReport:
     """Trace-free action avoids the first summand, and Y^2 kills it outright."""
-    space = space or standard_symplectic_form(W.l)
     if phi.headroom() < 6:
         raise DegreeCapError("theorem check needs spinor headroom >= 6")
-    act = spinor_curvature_action(W, phi, space)
-    p20 = project("p20", act, space)
-    yy = op_Y(op_Y(act, space), space)
+    act = spinor_curvature_action(W, phi)
+    p20 = project("p20", act)
+    yy = op_Y(op_Y(act))
     ok = p20.is_zero() and yy.is_zero()
-    p21 = project("p21", act, space)
-    p22 = project("p22", act, space)
-    lit11 = literal_p21_weyl(W, phi, space)
+    p21 = project("p21", act)
+    p22 = project("p22", act)
+    lit11 = literal_p21_weyl(W, phi)
     lit11_corr = lit11.scale(_EQ11_CORRECTION)
     displays = [
         DisplayComparison(
@@ -374,32 +353,29 @@ def verify_theorem10(
     )
 
 
-def verify_corollary11(
-    R: CurvatureTensor, phi: PolySpinor, space: SymplecticSpace | None = None
-) -> ActionReport:
+def verify_corollary11(R: CurvatureTensor, phi: PolySpinor) -> ActionReport:
     """Projections of the full action split into Ricci and trace-free parts."""
-    space = space or standard_symplectic_form(R.l)
     if phi.headroom() < 6:
         raise DegreeCapError("theorem check needs spinor headroom >= 6")
-    sigma = ricci_of(R, space)
-    st = sigma_tilde_of(sigma, space)
+    sigma = ricci_of(R)
+    st = sigma_tilde_of(sigma)
     W = R - st
-    act_r = spinor_curvature_action(R, phi, space)
-    act_s = spinor_curvature_action(st, phi, space)
-    act_w = spinor_curvature_action(W, phi, space)
+    act_r = spinor_curvature_action(R, phi)
+    act_s = spinor_curvature_action(st, phi)
+    act_w = spinor_curvature_action(W, phi)
     ok = True
     proj_r = {}
     for which in ("p20", "p21", "p22"):
-        pr = project(which, act_r, space)
-        ps = project(which, act_s, space)
-        pw = project(which, act_w, space)
+        pr = project(which, act_r)
+        ps = project(which, act_s)
+        pw = project(which, act_w)
         proj_r[which] = pr
         if pr != ps + pw:
             ok = False
     prefactor = Fraction(1, 2 * (R.l + 1))
-    lit9 = literal_p20_ricci(sigma, phi, space)
-    lit10 = literal_p21_ricci(sigma, phi, space)
-    lit11 = literal_p21_weyl(W, phi, space)
+    lit9 = literal_p20_ricci(sigma, phi)
+    lit10 = literal_p21_ricci(sigma, phi)
+    lit11 = literal_p21_weyl(W, phi)
     lit11_corr = lit11.scale(_EQ11_CORRECTION)
     displays = [
         DisplayComparison(
@@ -431,110 +407,98 @@ def verify_corollary11(
     return ActionReport("corollary11", 1, "pass" if ok else "fail", ce, literal, displays)
 
 
-def symbol_complex_instance(xi, eta: SpinorForm, space: SymplecticSpace) -> bool:
+def symbol_complex_instance(xi, eta: SpinorForm) -> bool:
     """p22(xi ∧ p10(eta)) = 0: the degree-one composability at symbol level."""
-    lowered = project("p10", eta, space)
-    return project("p22", wedge_covector(xi, lowered), space).is_zero()
+    lowered = project("p10", eta)
+    return project("p22", wedge_covector(xi, lowered)).is_zero()
 
 
-def symbol_negative_control(xi, eta: SpinorForm, space: SymplecticSpace) -> bool:
+def symbol_negative_control(xi, eta: SpinorForm) -> bool:
     """True when p22(xi ∧ p11(eta)) is nonzero, exhibiting non-vanishing."""
-    rest = project("p11", eta, space)
-    return not project("p22", wedge_covector(xi, rest), space).is_zero()
+    rest = project("p11", eta)
+    return not project("p22", wedge_covector(xi, rest)).is_zero()
 
 
-def lemma5_idempotency_instance(space, one_form, two_form) -> str | None:
+def lemma5_idempotency_instance(one_form, two_form) -> str | None:
     for which, phi in (("p10", one_form), ("p11", one_form),
                        ("p20", two_form), ("p21", two_form), ("p22", two_form)):
-        once = project(which, phi, space)
-        if project(which, once, space) != once:
+        once = project(which, phi)
+        if project(which, once) != once:
             return which
     return None
 
 
-def lemma5_orthogonality_instance(space, one_form, two_form) -> tuple | None:
+def lemma5_orthogonality_instance(one_form, two_form) -> tuple | None:
     pairs = [("p10", "p11"), ("p11", "p10")]
     pairs += [(a, b) for a in ("p20", "p21", "p22") for b in ("p20", "p21", "p22") if a != b]
     for a, b in pairs:
         phi = one_form if a in ("p10", "p11") else two_form
-        if not project(a, project(b, phi, space), space).is_zero():
+        if not project(a, project(b, phi)).is_zero():
             return (a, b)
     return None
 
 
-def lemma5_partition_instance(space, one_form, two_form) -> str | None:
-    if project("p10", one_form, space) + project("p11", one_form, space) != one_form:
+def lemma5_partition_instance(one_form, two_form) -> str | None:
+    if project("p10", one_form) + project("p11", one_form) != one_form:
         return "one-forms"
     total = (
-        project("p20", two_form, space)
-        + project("p21", two_form, space)
-        + project("p22", two_form, space)
+        project("p20", two_form)
+        + project("p21", two_form)
+        + project("p22", two_form)
     )
     if total != two_form:
         return "two-forms"
     return None
 
 
-def lemma6_instance(R: CurvatureTensor, space: SymplecticSpace) -> bool:
-    n = space.n
-    sig = _ricci_entries(R, space)
+def lemma6_instance(R: CurvatureTensor) -> bool:
+    partners = omega_partners(R.l)
+    n = len(partners)
+    sig = _ricci_entries(R)
     for i in range(n):
         for j in range(i + 1, n):
             if sig[i][j] != sig[j][i]:
                 return False
-    raised = raise_all(R, space)
-    lo = space.omega_lower
-    sig_up = _raise_first_two(sig, space)
+    raised = raise_all(R)
+    sig_up = _raise_first_two(sig)
     for i in range(n):
         for j in range(n):
             acc = Fraction(0)
-            for k in range(n):
-                for m in range(n):
-                    w = lo[k][m]
-                    if w:
-                        acc += raised[i][j][k][m] * w
+            for k, (m, w) in enumerate(partners):      # omega_km = w
+                acc += raised[i][j][k][m] * w
             if acc != 2 * sig_up[i][j]:
                 return False
     return True
 
 
-def lemma7_weyl_instance(R: CurvatureTensor, space: SymplecticSpace) -> bool:
-    sigma = RicciTensor(R.l, _ricci_entries(R, space))
-    W = R - sigma_tilde_of(sigma, space)
+def lemma7_weyl_instance(R: CurvatureTensor) -> bool:
+    sigma = RicciTensor(R.l, _ricci_entries(R))
+    W = R - sigma_tilde_of(sigma)
     if not check_symmetries(W).all_hold():
         return False
-    for mat in omega_traces(W, space).values():
+    for mat in omega_traces(W).values():
         for row in mat:
             for x in row:
                 if x:
                     return False
-    return all(not x for row in _ricci_entries(W, space) for x in row)
+    return all(not x for row in _ricci_entries(W) for x in row)
 
 
-def lemma7_section_instance(sigma: RicciTensor, space: SymplecticSpace) -> bool:
-    st = sigma_tilde_of(sigma, space)
+def lemma7_section_instance(sigma: RicciTensor) -> bool:
+    st = sigma_tilde_of(sigma)
     if not check_symmetries(st).curvature_type():
         return False
-    return RicciTensor(sigma.l, _ricci_entries(st, space)) == sigma
+    return RicciTensor(sigma.l, _ricci_entries(st)) == sigma
 
 
-def _decomposition_instance(R: CurvatureTensor, space: SymplecticSpace) -> bool:
-    sigma = RicciTensor(R.l, _ricci_entries(R, space))
-    st = sigma_tilde_of(sigma, space)
-    W = R - st
-    if not lemma7_weyl_instance(R, space):
-        return False
-    return st + W == R
-
-
-def equivariance_instance(A: SpLieElement, phi: SpinorForm, space: SymplecticSpace) -> bool:
+def equivariance_instance(A: SpLieElement, phi: SpinorForm) -> bool:
     """[action(A), X] = 0 and [action(A), Y] = 0 on a form."""
-    lhs_x = sp_action_form(A, op_X(phi), space)
-    rhs_x = op_X(sp_action_form(A, phi, space))
+    lhs_x = sp_action_form(A, op_X(phi))
+    rhs_x = op_X(sp_action_form(A, phi))
     if lhs_x != rhs_x:
         return False
-    lhs_y = sp_action_form(A, op_Y(phi, space), space)
-    rhs_y = op_Y(sp_action_form(A, phi, space), space)
+    lhs_y = sp_action_form(A, op_Y(phi))
+    rhs_y = op_Y(sp_action_form(A, phi))
     return lhs_y == rhs_y
 
 
@@ -568,7 +532,7 @@ FEDOSOV_POINTS = 5          # curvature evaluation points per connection
 
 @dataclass(frozen=True)
 class Check:
-    """One identity.  `holds(instance, space)` is None when the instance
+    """One identity.  `holds(instance)` is None when the instance
     satisfies it, else the failure payload (the counterexample minus "check").
     A witness check is existential: holds returns a witness when the instance
     exhibits one, and the check passes once any trial has.  Holds reaches the
@@ -622,22 +586,24 @@ def _curvature_payload(R: CurvatureTensor) -> dict:
     return {"l": R.l, "curvature": curvature_to_json(R)}
 
 
-def _lemma1_holds(instance, space):
+def _lemma1_holds(instance):
     s, pairs = instance
+    partners = omega_partners(s.l)
     for a, b in pairs:
+        partner, sign = partners[a]     # omega(e_a, e_b) = sign at b = partner, else 0
         resid = (
             clifford_basis(a, clifford_basis(b, s))
             - clifford_basis(b, clifford_basis(a, s))
-            + s.scale(GR_I * space.omega_lower[a][b])
+            + s.scale(GR_I * (sign if b == partner else 0))
         )
         if not resid.is_zero():
             return {"l": s.l, "a": a + 1, "b": b + 1, "spinor": poly_spinor_to_json(s)}
     return None
 
 
-def _lemma4_holds(forms, space):
+def _lemma4_holds(forms):
     for phi in forms:
-        if op_H(phi, space) != phi.scale(GaussianRational(0, phi.r - phi.l)):
+        if op_H(phi) != phi.scale(GaussianRational(0, phi.r - phi.l)):
             return {"l": phi.l, "form": spinor_form_to_json(phi)}
     return None
 
@@ -671,15 +637,28 @@ def _symbol_payload(instance) -> dict:
 
 
 class _FedosovTrial:
-    """A connection and points; its curvature there is computed on first use."""
+    """A connection and points; its curvature there is computed on first use.
+
+    `curvature_field_of` runs the axiom check once and refuses a connection
+    that fails it; that one verdict decides `fedosov.axioms`, and a refused
+    connection has no curvatures to check."""
 
     def __init__(self, conn, points):
         self.conn, self.points = conn, points
 
     @cached_property
+    def field(self):
+        """The curvature jets, or None when the connection fails the axioms."""
+        try:
+            return curvature_field_of(self.conn)
+        except ValueError:
+            return None
+
+    @cached_property
     def curvatures(self):
-        curvature = curvature_field_of(self.conn)
-        return [evaluate_curvature_at(curvature, p) for p in self.points]
+        if self.field is None:
+            return []
+        return [evaluate_curvature_at(self.field, p) for p in self.points]
 
     def failure(self, ok) -> dict | None:
         """Payload naming the first point whose curvature fails `ok`."""
@@ -731,14 +710,14 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
         "lemma5",
         (
             Check("lemma5.idempotency", "p.p = p for each of the five projectors",
-                  lambda forms, space: _lemma5_payload(
-                      "projector", lemma5_idempotency_instance(space, *forms), forms)),
+                  lambda forms: _lemma5_payload(
+                      "projector", lemma5_idempotency_instance(*forms), forms)),
             Check("lemma5.orthogonality", "p_a.p_b = 0 for distinct projectors of one form degree",
-                  lambda forms, space: _lemma5_payload(
-                      "pair", lemma5_orthogonality_instance(space, *forms), forms)),
+                  lambda forms: _lemma5_payload(
+                      "pair", lemma5_orthogonality_instance(*forms), forms)),
             Check("lemma5.partition-of-identity", "p10 + p11 = Id and p20 + p21 + p22 = Id",
-                  lambda forms, space: _lemma5_payload(
-                      "degree", lemma5_partition_instance(space, *forms), forms)),
+                  lambda forms: _lemma5_payload(
+                      "degree", lemma5_partition_instance(*forms), forms)),
         ),
         sample=lambda l, degree, stream: (random_form(l, 1, degree, degree + 8, stream),
                                           random_form(l, 2, degree, degree + 8, stream)),
@@ -750,7 +729,7 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
     Suite(
         "lemma6",
         (Check("lemma6", "R^{ijkl} omega_kl = 2 sigma^{ij} and sigma symmetric",
-               lambda R, space: None if lemma6_instance(R, space) else _curvature_payload(R)),),
+               lambda R: None if lemma6_instance(R) else _curvature_payload(R)),),
         sample=lambda l, degree, stream: random_curvature(l, _seed(stream)),
         decode=lambda ce: (ce["l"], curvature_from_json(ce["curvature"])),
         run=lambda l, degree, trials, seed: [lemma6_suite(l, trials, seed)],
@@ -760,10 +739,10 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
         (
             Check("lemma7.weyl-trace-free",
                   "all six omega-traces of W vanish; 4-term cyclic identity",
-                  lambda inst, space: None if lemma7_weyl_instance(inst[0], space)
+                  lambda inst: None if lemma7_weyl_instance(inst[0])
                   else _curvature_payload(inst[0])),
             Check("lemma7.ricci-section", "ricci(sigma_tilde(s)) = s for symmetric s",
-                  lambda inst, space: None if lemma7_section_instance(inst[1], space)
+                  lambda inst: None if lemma7_section_instance(inst[1])
                   else {"l": inst[1].l, "sigma": ricci_to_json(inst[1])}),
         ),
         sample=lambda l, degree, stream: (random_curvature(l, _seed(stream)),
@@ -774,7 +753,7 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
     Suite(
         "theorem9",
         (Check("theorem9", "p22 of the Ricci-type spinor action vanishes",
-               lambda inst, space: _theorem(verify_theorem9(*inst, space))),),
+               lambda inst: _theorem(verify_theorem9(*inst))),),
         sample=lambda l, degree, stream: (RicciTensor.random(l, stream),
                                           random_spinor(l, degree, degree + 6, stream)),
         decode=lambda ce: _theorem_decode(ce, "sigma", ricci_from_json),
@@ -790,7 +769,7 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
     Suite(
         "theorem10",
         (Check("theorem10", "p20 and Y^2 of the trace-free spinor action vanish",
-               lambda inst, space: _theorem(verify_theorem10(*inst, space))),),
+               lambda inst: _theorem(verify_theorem10(*inst))),),
         sample=lambda l, degree, stream: (random_weyl(l, _seed(stream)),
                                           random_spinor(l, degree, degree + 6, stream)),
         decode=lambda ce: _theorem_decode(ce, "weyl", curvature_from_json),
@@ -808,7 +787,7 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
         "corollary11",
         (Check("corollary11",
                "p2j(action R) = p2j(action sigma_tilde) + p2j(action W), j = 0,1,2",
-               lambda inst, space: _theorem(verify_corollary11(*inst, space))),),
+               lambda inst: _theorem(verify_corollary11(*inst))),),
         sample=lambda l, degree, stream: (random_curvature(l, _seed(stream)),
                                           random_spinor(l, degree, degree + 6, stream)),
         decode=lambda ce: _theorem_decode(ce, "curvature", curvature_from_json),
@@ -825,12 +804,12 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
         "symbol-complex",
         (
             Check("symbol-complex", "p22(xi ^ p10(eta)) = 0 for random covectors and 1-forms",
-                  lambda inst, space: None if symbol_complex_instance(*inst, space)
+                  lambda inst: None if symbol_complex_instance(*inst)
                   else _symbol_payload(inst)),
             Check("symbol-complex.negative-control",
                   "p22(xi ^ p11(eta)) != 0 for a recorded witness",
-                  lambda inst, space: _symbol_payload(inst)
-                  if symbol_negative_control(*inst, space) else None,
+                  lambda inst: _symbol_payload(inst)
+                  if symbol_negative_control(*inst) else None,
                   witness=True),
         ),
         sample=lambda l, degree, stream: ([stream.next_fraction(5) for _ in range(2 * l)],
@@ -845,15 +824,14 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
         "fedosov",
         (
             Check("fedosov.axioms", "nabla omega = 0 and zero torsion as polynomial identities",
-                  lambda trial, space: None if check_connection_axioms(trial.conn).ok()
+                  lambda trial: None if trial.field is not None
                   else {"connection": connection_to_json(trial.conn)}),
             Check("fedosov.curvature-symmetries",
                   "evaluated curvatures satisfy all four symmetries",
-                  lambda trial, space: trial.failure(lambda R: check_symmetries(R).all_hold())),
+                  lambda trial: trial.failure(lambda R: check_symmetries(R).all_hold())),
             Check("fedosov.decomposition",
                   "R = sigma_tilde(ricci R) + W with W trace-free, pointwise",
-                  lambda trial, space: trial.failure(
-                      lambda R: _decomposition_instance(R, space))),
+                  lambda trial: trial.failure(lemma7_weyl_instance)),
         ),
         sample=_fedosov_sample,
         decode=_fedosov_decode,
@@ -865,7 +843,7 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
     Suite(
         "equivariance",
         (Check("equivariance", "[sp_action(A), X] = 0 and [sp_action(A), Y] = 0",
-               lambda inst, space: None if equivariance_instance(*inst, space)
+               lambda inst: None if equivariance_instance(*inst)
                else _equivariance_payload(inst)),),
         sample=lambda l, degree, stream: (SpLieElement.random(l, stream),
                                           random_form(l, 1, degree, degree + 4, stream)),
@@ -885,9 +863,9 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
 # ---------------------------------------------------------------------------
 
 
-def _evaluate(suite: Suite, check: Check, instance, space):
+def _evaluate(suite: Suite, check: Check, instance):
     """(failure payload or None, display comparisons) of one check on one instance."""
-    verdict = check.holds(instance, space)
+    verdict = check.holds(instance)
     return verdict if suite.displays else (verdict, [])
 
 
@@ -900,7 +878,6 @@ def _run_checks(suite: Suite, l: int, degree: int, trials: int, seed: int) -> li
     """
     if trials == 0:
         return [ActionReport(c.name, 0, "skipped") for c in suite.checks]
-    space = standard_symplectic_form(l)
     stream = RandomStream(seed)
     found: dict[str, dict] = {}
     shown: list[list[DisplayComparison]] = []
@@ -910,7 +887,7 @@ def _run_checks(suite: Suite, l: int, degree: int, trials: int, seed: int) -> li
             break
         instance = suite.sample(l, degree, stream)
         for check in pending:
-            payload, displays = _evaluate(suite, check, instance, space)
+            payload, displays = _evaluate(suite, check, instance)
             if displays:
                 shown.append(displays)
             if payload is not None:
@@ -1019,7 +996,7 @@ def replay_counterexample(ce: dict) -> dict:
         raise ValueError(f"check {name!r} has no instance to replay")
     suite, check = _REPLAYABLE[name]
     _check_replay_sizes(ce)
-    l, instance = suite.decode(ce)
-    payload, _ = _evaluate(suite, check, instance, standard_symplectic_form(l))
+    _, instance = suite.decode(ce)
+    payload, _ = _evaluate(suite, check, instance)
     ok = payload is None
     return {"check": name, "status": "pass" if ok else "fail", "reproduced": not ok}

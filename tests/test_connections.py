@@ -169,13 +169,12 @@ def test_degree_one_connection_evaluations_pass_symmetries():
 
 
 def test_evaluated_curvature_feeds_decomposition():
-    space = standard_symplectic_form(2)
     conn = random_connection(2, 2, 55)
     field = curvature_field_of(conn)
     R = evaluate_curvature_at(field, [F(1, 2), F(0), F(-1), F(2)])
-    sigma = ricci_of(R, space)
-    W = weyl_of(R, space)
-    assert sigma_tilde_of(sigma, space) + W == R
+    sigma = ricci_of(R)
+    W = weyl_of(R)
+    assert sigma_tilde_of(sigma) + W == R
 
 
 def _partial(p: Poly, v: int) -> Poly:

@@ -3,13 +3,19 @@
 import copy
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from sympspin import verify
+from sympspin import connections, forms, symplectic, verify
 from sympspin.cli import main
-from sympspin.connections import connection_to_json, random_connection
+from sympspin.connections import (
+    Poly,
+    PolynomialConnection,
+    connection_to_json,
+    random_connection,
+)
 from sympspin.curvature import (
     CurvatureTensor,
     RicciTensor,
@@ -229,5 +235,110 @@ def test_planted_curvature_defect_fails_the_symmetry_check_and_replays(
     results = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert {"check": "fedosov.curvature-symmetries", "status": "fail",
             "reproduced": True} in results
+    monkeypatch.undo()
+    assert main(["--replay", str(path)]) == 0
+
+
+def test_planted_defect_fails_the_fedosov_decomposition_and_replays(
+        tmp_path, monkeypatch, capsys):
+    # twice sigma_tilde leaves a trace in W = R - 2 sigma_tilde(ricci R), so
+    # the decomposition check, decided by lemma7_weyl_instance, must fail
+    sigma_tilde_of = verify.sigma_tilde_of
+
+    def doubled(sigma):
+        st = sigma_tilde_of(sigma)
+        return st + st
+
+    monkeypatch.setattr(verify, "sigma_tilde_of", doubled)
+    path = tmp_path / "report.json"
+    argv = ["--l", "1", "--trials", "1", "--suite", "fedosov", "--format", "json"]
+    assert main([*argv, "--out", str(path)]) == 1
+    checks = {c["name"]: c for c in json.loads(path.read_text())["checks"]}
+    assert {name: c["status"] for name, c in checks.items()} == {
+        "fedosov.axioms": "pass",
+        "fedosov.curvature-symmetries": "pass",
+        "fedosov.decomposition": "fail",
+    }
+    assert set(checks["fedosov.decomposition"]["counterexample"]) == {
+        "check", "connection", "point"}
+    capsys.readouterr()
+    assert main(["--replay", str(path)]) == 1
+    results = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert results == [{"check": "fedosov.decomposition", "status": "fail", "reproduced": True}]
+    monkeypatch.undo()
+    assert main(["--replay", str(path)]) == 0
+
+
+def test_the_fedosov_suite_checks_each_connection_once(monkeypatch):
+    calls = []
+    check = connections.check_connection_axioms
+
+    def counted(conn):
+        calls.append(conn)
+        return check(conn)
+
+    monkeypatch.setattr(connections, "check_connection_axioms", counted)
+    reports = verify.fedosov_suite(1, SEED, n_connections=3, n_points=2)
+    assert [r.status for r in reports] == ["pass"] * 3
+    assert len(calls) == 3 and len({id(c) for c in calls}) == 3
+
+
+def test_a_connection_failing_the_axioms_fails_only_the_axiom_check(tmp_path, monkeypatch,
+                                                                     capsys):
+    # Gamma_000 alone breaks total symmetry at l = 1 once Gamma_001 != Gamma_010
+    def broken(l, degree, seed, bound=3):
+        conn = random_connection(l, degree, seed, bound)
+        gamma = dict(conn.gamma)
+        gamma[(0, 0, 1)] = gamma[(0, 0, 1)] + Poly.const(2 * l, 1)
+        return PolynomialConnection(l, degree, gamma)
+
+    monkeypatch.setattr(verify, "random_connection", broken)
+    reports = verify.fedosov_suite(1, SEED, n_connections=2, n_points=2)
+    assert [r.status for r in reports] == ["fail", "pass", "pass"]
+    path = tmp_path / "ce.json"
+    path.write_text(json.dumps(reports[0].counterexample))
+    monkeypatch.undo()
+    assert main(["--replay", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["reproduced"] is True
+
+
+def _flip_the_first_pair(monkeypatch):
+    """Plant a sign flip of omega on the single pair (0, l) of the partner map,
+    in every sympspin module that holds the map."""
+    partners = symplectic.omega_partners
+
+    def flipped(l):
+        table = list(partners(l))
+        table[0], table[l] = (l, -1), (0, 1)
+        return tuple(table)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sympspin") and getattr(module, "omega_partners", None) is partners:
+            monkeypatch.setattr(module, "omega_partners", flipped)
+    assert forms.omega_partners is flipped
+
+
+def test_planted_sign_flip_of_omega_fails_the_clifford_side_and_replays(
+        tmp_path, monkeypatch, capsys):
+    # The flipped form is still a symplectic form, and the curvature-side
+    # checks only use omega consistently, so lemma6, lemma7 and fedosov pass
+    # under it.  Only checks that meet the fixed Clifford action e_i, which
+    # realizes the unflipped omega, notice.  Flipping the same two entries of
+    # the omega matrices failed 14 records of the default run at l = 2 and two
+    # trials: lemma1, lemma4, lemma5 idempotency and orthogonality, theorem9,
+    # theorem10, symbol-complex and every display record.
+    _flip_the_first_pair(monkeypatch)
+    path = tmp_path / "report.json"
+    argv = ["--l", "2", "--trials", "2", "--format", "json"]
+    for suite in ("lemma1", "lemma4", "lemma6", "lemma7", "fedosov"):
+        argv += ["--suite", suite]
+    assert main([*argv, "--out", str(path)]) == 1
+    report = json.loads(path.read_text())
+    failed = sorted(c["name"] for c in report["checks"] if c["status"] == "fail")
+    assert failed == ["lemma1", "lemma4"]
+    capsys.readouterr()
+    assert main(["--replay", str(path)]) == 1
+    results = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert results == [{"check": name, "status": "fail", "reproduced": True} for name in failed]
     monkeypatch.undo()
     assert main(["--replay", str(path)]) == 0

@@ -10,17 +10,22 @@ from sympspin.spinors import (
     PolySpinor,
     SpLieElement,
     clifford_basis,
-    clifford_vector,
-    parity_decompose,
     poly_spinor_from_json,
     poly_spinor_to_json,
     random_spinor,
     sp_action,
+)
+from sympspin.forms import SpinorForm, sp_action_form
+from sympspin.symplectic import standard_symplectic_form
+
+from oracles import (
+    clifford_vector,
+    omega_pairing,
+    parity_decompose,
     sp_bracket,
     sp_covector_image,
     sp_vector_image,
 )
-from sympspin.symplectic import omega_pairing, standard_symplectic_form
 
 F = Fraction
 GR = GaussianRational
@@ -81,14 +86,13 @@ def test_clifford_vector_zero_and_basis_case():
 
 
 def test_clifford_vector_commutator_random_vectors():
-    space = standard_symplectic_form(2)
     stream = RandomStream(23)
     for _ in range(5):
         v = [stream.next_fraction(4) for _ in range(4)]
         w = [stream.next_fraction(4) for _ in range(4)]
         s = random_spinor(2, 3, 6, stream)
         lhs = clifford_vector(v, clifford_vector(w, s)) - clifford_vector(w, clifford_vector(v, s))
-        assert lhs == s.scale(GR_I * (-omega_pairing(space, v, w)))
+        assert lhs == s.scale(GR_I * (-omega_pairing(2, v, w)))
 
 
 def test_degree_cap_overflow_is_hard_error():
@@ -152,7 +156,6 @@ def test_calibration_constant_is_half_i():
     Every basis pair and basis vector must give the same constant i/2.
     """
     l = 2
-    space = standard_symplectic_form(l)
     stream = RandomStream(3)
     s = random_spinor(l, 3, 8, stream)
     constants = set()
@@ -172,7 +175,7 @@ def test_calibration_constant_is_half_i():
                 v = [F(0)] * (2 * l)
                 v[p] = F(1)
                 commut = raw(clifford_vector(v, s)) - clifford_vector(v, raw(s))
-                target = clifford_vector(sp_vector_image(A, v, space), s)
+                target = clifford_vector(sp_vector_image(A, v), s)
                 if commut.is_zero() and target.is_zero():
                     continue
                 assert not commut.is_zero()
@@ -186,7 +189,6 @@ def test_calibration_constant_is_half_i():
 def test_sp_action_commutation_identity():
     # [sp_action(A), v.] = (A v). for the calibrated action
     l = 2
-    space = standard_symplectic_form(l)
     stream = RandomStream(11)
     s = random_spinor(l, 3, 8, stream)
     for a in range(2 * l):
@@ -196,20 +198,19 @@ def test_sp_action_commutation_identity():
                 v = [F(0)] * (2 * l)
                 v[p] = F(1)
                 lhs = sp_action(A, clifford_vector(v, s)) - clifford_vector(v, sp_action(A, s))
-                rhs = clifford_vector(sp_vector_image(A, v, space), s)
+                rhs = clifford_vector(sp_vector_image(A, v), s)
                 assert lhs == rhs
 
 
 def test_sp_action_is_lie_homomorphism():
     l = 2
-    space = standard_symplectic_form(l)
     stream = RandomStream(13)
     for _ in range(5):
         A = SpLieElement.random(l, stream)
         B = SpLieElement.random(l, stream)
         s = random_spinor(l, 2, 8, stream)
         lhs = sp_action(A, sp_action(B, s)) - sp_action(B, sp_action(A, s))
-        assert lhs == sp_action(sp_bracket(A, B, space), s)
+        assert lhs == sp_action(sp_bracket(A, B), s)
 
 
 def test_sp_action_preserves_parity():
@@ -224,16 +225,23 @@ def test_sp_action_preserves_parity():
 
 
 def test_dual_action_pairing_invariance():
-    # (A* eta)(v) + eta(A v) = 0
+    # (A* eta)(v) + eta(A v) = 0, with A* eta read off the form part of
+    # sp_action_form on eta ⊗ 1 and A v from the explicit omega matrix
     l = 2
-    space = standard_symplectic_form(l)
+    one = PolySpinor.one(l, 4)
     stream = RandomStream(29)
     for _ in range(5):
         A = SpLieElement.random(l, stream)
         eta = [stream.next_fraction(5) for _ in range(2 * l)]
         v = [stream.next_fraction(5) for _ in range(2 * l)]
-        eta_star = sp_covector_image(A, eta, space)
-        av = sp_vector_image(A, v, space)
+        phi = SpinorForm(l, 1, 4, {(t,): one.scale(c) for t, c in enumerate(eta)})
+        spinor_part = SpinorForm(l, 1, 4, {(t,): sp_action(A, one.scale(c))
+                                           for t, c in enumerate(eta)})
+        form_part = sp_action_form(A, phi) - spinor_part
+        eta_star = sp_covector_image(A, eta)
+        assert form_part == SpinorForm(l, 1, 4, {(q,): one.scale(c)
+                                                 for q, c in enumerate(eta_star)})
+        av = sp_vector_image(A, v)
         paired = sum(e * x for e, x in zip(eta_star, v)) + sum(e * x for e, x in zip(eta, av))
         assert paired == 0
 

@@ -6,6 +6,8 @@ from itertools import permutations, product
 
 import pytest
 
+import oracles
+
 from sympspin.connections import (
     Poly,
     PolynomialConnection,
@@ -23,7 +25,6 @@ from sympspin.curvature import (
 from sympspin.exact import GaussianRational, RandomStream
 from sympspin.forms import SpinorForm, op_Y, project, spinor_form_to_json
 from sympspin.spinors import DegreeCapError, PolySpinor, clifford_basis, random_spinor
-from sympspin.symplectic import raise_lower_index, standard_symplectic_form
 from sympspin.cli import RunConfig, run_suite
 from sympspin.verify import (
     SUITES,
@@ -52,14 +53,13 @@ def test_action_of_zero_tensor():
 
 
 def test_action_additive_in_tensor_slot():
-    space = standard_symplectic_form(2)
     phi = random_spinor(2, 3, 9, RandomStream(2))
     R = random_curvature(2, 71)
-    sigma = ricci_of(R, space)
-    st = sigma_tilde_of(sigma, space)
+    sigma = ricci_of(R)
+    st = sigma_tilde_of(sigma)
     W = R - st
-    lhs = spinor_curvature_action(R, phi, space)
-    assert lhs == spinor_curvature_action(st, phi, space) + spinor_curvature_action(W, phi, space)
+    lhs = spinor_curvature_action(R, phi)
+    assert lhs == spinor_curvature_action(st, phi) + spinor_curvature_action(W, phi)
 
 
 def test_action_requires_headroom():
@@ -68,13 +68,14 @@ def test_action_requires_headroom():
         spinor_curvature_action(random_curvature(2, 3), phi)
 
 
-def _naive_action(R, phi, space):
+def _naive_action(R, phi):
     """Quadruple-loop oracle with its own sign bookkeeping: accumulate over
-    ordered (k, m) pairs first, canonicalize to increasing tuples at the end."""
-    n = space.n
+    ordered (k, m) pairs first, canonicalize to increasing tuples at the end;
+    indices are raised by the matrix-sum oracle."""
+    n = 2 * R.l
     raised = R.entries
     for slot in (0, 1):
-        raised = raise_lower_index(raised, slot, "raise", space)
+        raised = oracles.raise_lower_index(raised, slot, "raise")
     half_i = GaussianRational(0, F(1, 2))
     raw = {}
     for i, j, k, m in product(range(n), repeat=4):
@@ -96,10 +97,9 @@ def _naive_action(R, phi, space):
 
 
 def test_action_matches_naive_loop_oracle():
-    space = standard_symplectic_form(2)
     R = random_curvature(2, 13579)
     phi = random_spinor(2, 3, 9, RandomStream(2468))
-    assert spinor_curvature_action(R, phi, space) == _naive_action(R, phi, space)
+    assert spinor_curvature_action(R, phi) == _naive_action(R, phi)
 
 
 # Golden: the action of the constant-coefficient flat-model curvature on the
@@ -118,7 +118,6 @@ GOLDEN_ACTION = {
 
 
 def test_action_golden_constant_connection():
-    space = standard_symplectic_form(2)
     base = {
         (0, 0, 0): F(1),
         (0, 0, 1): F(1, 2),
@@ -133,8 +132,8 @@ def test_action_golden_constant_connection():
     conn = PolynomialConnection(2, 0, gamma)
     R = evaluate_curvature_at(curvature_field_of(conn), [0, 0, 0, 0])
     phi = PolySpinor.one(2, 8)
-    act = spinor_curvature_action(R, phi, space)
-    assert act == _naive_action(R, phi, space)
+    act = spinor_curvature_action(R, phi)
+    assert act == _naive_action(R, phi)
     assert spinor_form_to_json(act) == GOLDEN_ACTION
 
 
@@ -144,12 +143,11 @@ def test_action_golden_constant_connection():
 
 
 def test_theorem9_instances():
-    space = standard_symplectic_form(2)
     stream = RandomStream(42)
     for _ in range(3):
         sigma = RicciTensor.random(2, stream)
         phi = random_spinor(2, 4, 10, stream)
-        rep = verify_theorem9(sigma, phi, space)
+        rep = verify_theorem9(sigma, phi)
         assert rep.status == "pass"
         verdicts = {(d.display): (d.literal_match, d.corrected_match) for d in rep.displays}
         # the printed displays omit the sigma_tilde normalization 1/(2(l+1))
@@ -158,19 +156,17 @@ def test_theorem9_instances():
 
 
 def test_theorem9_zero_ricci_everything_vanishes():
-    space = standard_symplectic_form(2)
     phi = random_spinor(2, 4, 10, RandomStream(7))
-    rep = verify_theorem9(RicciTensor.zero(2), phi, space)
+    rep = verify_theorem9(RicciTensor.zero(2), phi)
     assert rep.status == "pass"
 
 
 def test_theorem10_instances():
-    space = standard_symplectic_form(2)
     stream = RandomStream(43)
     for seed in (601, 602):
         W = random_weyl(2, seed)
         phi = random_spinor(2, 4, 10, stream)
-        rep = verify_theorem10(W, phi, space)
+        rep = verify_theorem10(W, phi)
         assert rep.status == "pass"
         verdicts = {d.display: (d.literal_match, d.corrected_match) for d in rep.displays}
         # printed p21 display carries a spurious 2i; the p22 display's index
@@ -179,20 +175,18 @@ def test_theorem10_instances():
 
 
 def test_theorem10_y_squared_annihilates_action():
-    space = standard_symplectic_form(2)
     W = random_weyl(2, 777)
     phi = random_spinor(2, 4, 10, RandomStream(8))
-    act = spinor_curvature_action(W, phi, space)
-    assert op_Y(op_Y(act, space), space).is_zero()
-    assert project("p20", act, space).is_zero()
+    act = spinor_curvature_action(W, phi)
+    assert op_Y(op_Y(act)).is_zero()
+    assert project("p20", act).is_zero()
 
 
 def test_corollary11_additivity_and_displays():
-    space = standard_symplectic_form(2)
     stream = RandomStream(44)
     R = random_curvature(2, 999)
     phi = random_spinor(2, 4, 10, stream)
-    rep = verify_corollary11(R, phi, space)
+    rep = verify_corollary11(R, phi)
     assert rep.status == "pass"
     verdicts = {d.display: (d.literal_match, d.corrected_match) for d in rep.displays}
     assert verdicts == {
@@ -203,20 +197,18 @@ def test_corollary11_additivity_and_displays():
 
 
 def test_corollary11_pure_ricci_kills_p22():
-    space = standard_symplectic_form(2)
     sigma = RicciTensor.random(2, RandomStream(9))
-    st = sigma_tilde_of(sigma, space)
+    st = sigma_tilde_of(sigma)
     phi = random_spinor(2, 4, 10, RandomStream(10))
-    act = spinor_curvature_action(st, phi, space)
-    assert project("p22", act, space).is_zero()
+    act = spinor_curvature_action(st, phi)
+    assert project("p22", act).is_zero()
 
 
 def test_corollary11_pure_weyl_kills_p20():
-    space = standard_symplectic_form(2)
     W = random_weyl(2, 31337)
     phi = random_spinor(2, 4, 10, RandomStream(11))
-    act = spinor_curvature_action(W, phi, space)
-    assert project("p20", act, space).is_zero()
+    act = spinor_curvature_action(W, phi)
+    assert project("p20", act).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +225,9 @@ def test_symbol_complex_and_negative_control():
     # the recorded witness genuinely exhibits a nonzero p22(xi ^ p11(eta))
     from sympspin.forms import spinor_form_from_json, wedge_covector
 
-    space = standard_symplectic_form(2)
     xi = [F(x) for x in negative.witness["xi"]]
     eta = spinor_form_from_json(negative.witness["eta"])
-    assert not project("p22", wedge_covector(xi, project("p11", eta, space)), space).is_zero()
+    assert not project("p22", wedge_covector(xi, project("p11", eta))).is_zero()
 
 
 def test_verify_symbol_complex_wrapper():
