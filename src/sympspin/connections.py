@@ -57,7 +57,12 @@ F0 = Fraction(0)
 
 
 class Poly:
-    """Sparse polynomial in n variables over the rationals."""
+    """Sparse polynomial in n variables over the rationals.
+
+    The public constructor checks every exponent tuple and coerces every
+    coefficient; the results of arithmetic on valid polynomials are built
+    through the unchecked `_poly`.
+    """
 
     __slots__ = ("n", "terms")
 
@@ -110,7 +115,7 @@ class Poly:
                 out[a] = s
             else:
                 out.pop(a, None)
-        return Poly(self.n, out)
+        return _poly(self.n, out)
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -118,7 +123,7 @@ class Poly:
         return self + (-other)
 
     def __neg__(self):
-        return Poly(self.n, {a: -c for a, c in self.terms.items()})
+        return _poly(self.n, {a: -c for a, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -134,15 +139,13 @@ class Poly:
                     out[key] = s
                 else:
                     out.pop(key, None)
-        return Poly(self.n, out)
+        return _poly(self.n, out)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
         c = Fraction(c)
-        if not c:
-            return Poly(self.n)
-        return Poly(self.n, {a: x * c for a, x in self.terms.items()})
+        return _poly(self.n, {a: x * c for a, x in self.terms.items()} if c else {})
 
     def deriv(self, var: int) -> "Poly":
         out = {}
@@ -150,10 +153,8 @@ class Poly:
             k = a[var]
             if k == 0:
                 continue
-            b = list(a)
-            b[var] -= 1
-            out[tuple(b)] = c * k
-        return Poly(self.n, out)
+            out[a[:var] + (k - 1,) + a[var + 1:]] = c * k
+        return _poly(self.n, out)
 
     def eval_at(self, point) -> Fraction:
         if len(point) != self.n:
@@ -171,6 +172,15 @@ class Poly:
         if not self.terms:
             return "Poly(0)"
         return "Poly(" + " + ".join(f"{c}*x^{a}" for a, c in sorted(self.terms.items())) + ")"
+
+
+def _poly(n: int, terms: dict) -> Poly:
+    """The unchecked constructor: `terms` must already be valid for n and hold
+    no zero, as every result of arithmetic on valid polynomials does."""
+    p = object.__new__(Poly)
+    object.__setattr__(p, "n", n)
+    object.__setattr__(p, "terms", terms)
+    return p
 
 
 def random_poly(n: int, degree: int, stream: RandomStream, bound: int = 3) -> Poly:
@@ -197,15 +207,17 @@ class PolynomialConnection:
 
     Stores one polynomial per ordered triple so that deliberately broken
     (asymmetric) data can be represented and caught by the axiom check.
+    The raised table of `_gamma_upper` is built on first use and kept.
     """
 
-    __slots__ = ("l", "cap", "gamma")
+    __slots__ = ("l", "cap", "gamma", "_upper")
 
     def __init__(self, l: int, cap: int, gamma: dict):
         n = 2 * l
         table: dict[tuple[int, int, int], Poly] = {}
+        zero = Poly.zero(n)
         for idx in product(range(n), repeat=3):
-            p = gamma.get(idx, Poly.zero(n))
+            p = gamma.get(idx, zero)
             if p.n != n:
                 raise ValueError("polynomial has wrong number of variables")
             if p.degree() > cap:
@@ -265,13 +277,19 @@ class ConnectionAxiomReport:
 
 
 def _gamma_upper(conn: PolynomialConnection):
-    """Gamma^m_jk = s_m Gamma_{m* jk}, tabulated."""
+    """Gamma^m_jk = s_m Gamma_{m* jk}, tabulated once per connection: the
+    axiom check and the curvature jets share the table."""
+    try:
+        return conn._upper
+    except AttributeError:
+        pass
     partners = omega_partners(conn.l)
     table = {}
     for m, j, k in product(range(len(partners)), repeat=3):
         i, w = partners[m]
         p = conn.entry(i, j, k)
         table[(m, j, k)] = p if w > 0 else -p
+    object.__setattr__(conn, "_upper", table)
     return table
 
 

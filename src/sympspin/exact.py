@@ -42,14 +42,16 @@ class GaussianRational:
 
     Both components are `fractions.Fraction`, which guarantees reduced
     numerator/denominator with positive denominator.  Instances are immutable;
-    all arithmetic returns new values.
+    all arithmetic returns new values.  The public constructor coerces and
+    checks its arguments; arithmetic builds its results, whose parts are
+    already Fractions, through the unchecked `_gr`.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        _set(self, "re", _as_fraction(re))
+        _set(self, "im", _as_fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -66,7 +68,7 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return _gr(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
@@ -74,19 +76,23 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return _gr(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        return _gr(o.re - self.re, o.im - self.im)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
+        if not o.im:
+            return _gr(self.re * o.re, self.im * o.re)
+        if not o.re:
+            return _gr(-self.im * o.im, self.re * o.im)
+        return _gr(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
         )
@@ -106,7 +112,7 @@ class GaussianRational:
         return o * self.inverse()
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self.re, -self.im)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -124,7 +130,7 @@ class GaussianRational:
         return not self
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gr(self.re, -self.im)
 
     def norm_sq(self) -> Fraction:
         return self.re * self.re + self.im * self.im
@@ -133,12 +139,24 @@ class GaussianRational:
         n = self.norm_sq()
         if n == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _gr(self.re / n, -self.im / n)
 
     def __repr__(self):
         if not self.im:
             return f"GR({self.re})"
         return f"GR({self.re}, {self.im}i)"
+
+
+_set = object.__setattr__
+_new = object.__new__
+
+
+def _gr(re: Fraction, im: Fraction) -> GaussianRational:
+    """re + i im from two Fractions, unchecked: for results of exact arithmetic."""
+    g = _new(GaussianRational)
+    _set(g, "re", re)
+    _set(g, "im", im)
+    return g
 
 
 GR_ZERO = GaussianRational(0)

@@ -28,7 +28,10 @@ the only nonzero entry omega^{i i*} = s_i of row i.
 A variant with i/(1-l) in the XY term squares to minus itself; the test
 suite pins the idempotent choice.
 
-Projectors never materialize matrices; they compose X and Y.
+Projectors never materialize matrices; they compose X and Y.  The three
+two-form projectors share their work: `_two_form_parts` returns p20, p21, p22
+(and Y^2) from one Y, one XY and one X^2Y^2, `project` reads p21 or p22 off
+it, and p20 alone needs no XY.
 `graded_projector_rank` records the exact rank of a projector on a finite
 graded piece by eliminating its images as sparse rows.
 """
@@ -38,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import GaussianRational, RandomStream, nullspace_basis
+from .exact import GR_I, GaussianRational, RandomStream, nullspace_basis
 from .spinors import (
     PolySpinor,
     SpLieElement,
@@ -306,10 +309,6 @@ def op_H(phi: SpinorForm) -> SpinorForm:
     return op_X(op_Y(phi)) + op_Y(op_X(phi))
 
 
-def _x2y2(phi: SpinorForm) -> SpinorForm:
-    return op_X(op_X(op_Y(op_Y(phi))))
-
-
 def project(which: str, phi: SpinorForm) -> SpinorForm:
     """Isotypic projector onto one irreducible summand.
 
@@ -319,26 +318,37 @@ def project(which: str, phi: SpinorForm) -> SpinorForm:
     """
     if which not in PROJECTORS:
         raise ValueError(f"unknown projector {which!r}")
-    l = phi.l
-    if l < 2:
+    if phi.l < 2:
         raise ValueError("projectors require l >= 2")
     if which in ("p10", "p11"):
         if phi.r != 1:
             raise ValueError(f"{which} acts on 1-forms, got degree {phi.r}")
-        p10 = op_X(op_Y(phi)).scale(GaussianRational(0, Fraction(1, l)))
+        p10 = op_X(op_Y(phi)).scale(GaussianRational(0, Fraction(1, phi.l)))
         return p10 if which == "p10" else phi - p10
     if phi.r != 2:
         raise ValueError(f"{which} acts on 2-forms, got degree {phi.r}")
     if which == "p20":
-        return _x2y2(phi).scale(Fraction(1, l))
-    xy = op_X(op_Y(phi))
-    x2y2 = _x2y2(phi)
-    p21 = (xy - x2y2.scale(GaussianRational(0, Fraction(1, l)))).scale(
-        GaussianRational(0, Fraction(1, l - 1))
-    )
-    if which == "p21":
-        return p21
-    return phi - x2y2.scale(Fraction(1, l)) - p21
+        return _p20(op_Y(op_Y(phi)))
+    return _two_form_parts(phi)[int(which[2])]     # p2j is part j
+
+
+def _p20(yy: SpinorForm) -> SpinorForm:
+    """p20 = (1/l) X^2Y^2, from Y^2 of the 2-form."""
+    return op_X(op_X(yy)).scale(Fraction(1, yy.l))
+
+
+def _two_form_parts(phi: SpinorForm) -> tuple[SpinorForm, SpinorForm, SpinorForm, SpinorForm]:
+    """(p20, p21, p22, Y^2) of a 2-form, from one Y, one XY and one X^2Y^2.
+
+    p21 = (i/(l-1)) (XY - i p20) and p22 = Id - p20 - p21; with `_p20` these
+    are the only places the two-form normalizations are written.  phi must be
+    a 2-form with l >= 2, as `project` checks.
+    """
+    y = op_Y(phi)
+    yy = op_Y(y)
+    p20 = _p20(yy)
+    p21 = (op_X(y) - p20.scale(GR_I)).scale(GaussianRational(0, Fraction(1, phi.l - 1)))
+    return p20, p21, phi - p20 - p21, yy
 
 
 def sp_action_form(A: SpLieElement, phi: SpinorForm) -> SpinorForm:

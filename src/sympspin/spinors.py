@@ -18,6 +18,15 @@ conventional sign) making
     [sp_action(A), v.] = (A v).
 
 hold.  Tests re-derive the constant by brute force rather than trusting it.
+
+Almost every scalar on the operator paths is a unit or a small integer, so
+arithmetic pays only for what it needs: `scale` negates or swaps the two
+parts of each coefficient for +-1 and +-i and takes two Fraction products for
+a real or an imaginary scalar, `diff_x` multiplies both parts by the integer
+exponent, and `_lincomb` sums rational multiples of spinors in place.  The
+public `PolySpinor(...)` validates its input; results derived from valid
+spinors are built through the one unchecked constructor `_spinor`.  The
+checked, four-multiply arithmetic lives on as the test oracle.
 """
 
 from __future__ import annotations
@@ -30,6 +39,8 @@ from .exact import (
     GR_ZERO,
     GaussianRational,
     RandomStream,
+    _as_fraction,
+    _gr,
     random_symmetric_matrix,
     symmetric_matrix,
 )
@@ -46,6 +57,7 @@ __all__ = [
 ]
 
 _HALF_I = GaussianRational(0, Fraction(1, 2))
+_F0 = Fraction(0)
 
 
 class DegreeCapError(ValueError):
@@ -59,6 +71,12 @@ class PolySpinor:
     coefficients; zero coefficients are never stored, so equality of the
     coefficient maps is equality of spinors.  The cap participates in
     arithmetic checks but not in equality.
+
+    The public constructor checks every exponent tuple against l and the cap
+    and coerces every coefficient.  Arithmetic on valid spinors builds its
+    results through the one unchecked constructor `_spinor`: a sum, a
+    negation, a nonzero multiple or a derivative of valid spinors is valid,
+    and `mult_x` checks the cap itself.
     """
 
     __slots__ = ("l", "cap", "coeffs")
@@ -80,9 +98,9 @@ class PolySpinor:
                 g = c if isinstance(c, GaussianRational) else GaussianRational(c)
                 if g:
                     clean[tuple(alpha)] = g
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "coeffs", clean)
+        _set(self, "l", l)
+        _set(self, "cap", cap)
+        _set(self, "coeffs", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolySpinor is immutable")
@@ -138,12 +156,16 @@ class PolySpinor:
             raise ValueError("mixed number of variables")
         out = dict(self.coeffs)
         for a, c in other.coeffs.items():
-            s = out.get(a, GR_ZERO) + c
+            cur = out.get(a)
+            if cur is None:
+                out[a] = c
+                continue
+            s = cur + c
             if s:
                 out[a] = s
             else:
-                out.pop(a, None)
-        return PolySpinor(self.l, max(self.cap, other.cap), out)
+                del out[a]
+        return _spinor(self.l, max(self.cap, other.cap), out)
 
     def __sub__(self, other):
         if not isinstance(other, PolySpinor):
@@ -151,13 +173,36 @@ class PolySpinor:
         return self + (-other)
 
     def __neg__(self):
-        return PolySpinor(self.l, self.cap, {a: -c for a, c in self.coeffs.items()})
+        return _spinor(self.l, self.cap, {a: -c for a, c in self.coeffs.items()})
 
     def scale(self, scalar) -> "PolySpinor":
-        g = scalar if isinstance(scalar, GaussianRational) else GaussianRational(scalar)
-        if not g:
-            return PolySpinor(self.l, self.cap)
-        return PolySpinor(self.l, self.cap, {a: c * g for a, c in self.coeffs.items()})
+        """scalar * self; a unit (+-1, +-i) negates or swaps the two parts of
+        each coefficient, a real or imaginary scalar costs two Fraction
+        products, and only a general one four."""
+        if isinstance(scalar, GaussianRational):
+            re, im = scalar.re, scalar.im
+        else:
+            re, im = _as_fraction(scalar), _F0
+        if not im:
+            if not re:
+                return _spinor(self.l, self.cap, {})
+            if re == 1:
+                return self
+            if re == -1:
+                return -self
+            return _spinor(self.l, self.cap,
+                           {a: _gr(c.re * re, c.im * re) for a, c in self.coeffs.items()})
+        if not re:
+            if im == 1:
+                return _spinor(self.l, self.cap,
+                               {a: _gr(-c.im, c.re) for a, c in self.coeffs.items()})
+            if im == -1:
+                return _spinor(self.l, self.cap,
+                               {a: _gr(c.im, -c.re) for a, c in self.coeffs.items()})
+            return _spinor(self.l, self.cap,
+                           {a: _gr(-c.im * im, c.re * im) for a, c in self.coeffs.items()})
+        g = _gr(re, im)
+        return _spinor(self.l, self.cap, {a: c * g for a, c in self.coeffs.items()})
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction, GaussianRational)):
@@ -171,15 +216,14 @@ class PolySpinor:
     def mult_x(self, var: int) -> "PolySpinor":
         """Multiply by the coordinate x^var (degree +1, cap-checked)."""
         out = {}
+        cap = self.cap
         for a, c in self.coeffs.items():
-            if sum(a) + 1 > self.cap:
+            if sum(a) >= cap:
                 raise DegreeCapError(
-                    f"x^{var} * monomial {a} would exceed cap {self.cap}"
+                    f"x^{var} * monomial {a} would exceed cap {cap}"
                 )
-            b = list(a)
-            b[var] += 1
-            out[tuple(b)] = c
-        return PolySpinor(self.l, self.cap, out)
+            out[a[:var] + (a[var] + 1,) + a[var + 1:]] = c
+        return _spinor(self.l, cap, out)
 
     def diff_x(self, var: int) -> "PolySpinor":
         """Partial derivative with respect to x^var (degree -1)."""
@@ -188,10 +232,38 @@ class PolySpinor:
             k = a[var]
             if k == 0:
                 continue
-            b = list(a)
-            b[var] -= 1
-            out[tuple(b)] = c * k
-        return PolySpinor(self.l, self.cap, out)
+            b = a[:var] + (k - 1,) + a[var + 1:]
+            out[b] = c if k == 1 else _gr(c.re * k, c.im * k)
+        return _spinor(self.l, self.cap, out)
+
+
+_set = object.__setattr__
+_new = object.__new__
+
+
+def _spinor(l: int, cap: int, coeffs: dict) -> PolySpinor:
+    """The unchecked constructor: `coeffs` must already be valid for (l, cap)
+    and hold no zero, as every result of arithmetic on valid spinors does."""
+    s = _new(PolySpinor)
+    _set(s, "l", l)
+    _set(s, "cap", cap)
+    _set(s, "coeffs", coeffs)
+    return s
+
+
+def _lincomb(l: int, cap: int, terms) -> PolySpinor:
+    """sum of c * s over the (rational c, spinor s) pairs of `terms`, summed in
+    place part by part: one Fraction product and one sum per part and term."""
+    acc: dict[tuple[int, ...], list] = {}
+    for c, s in terms:
+        for a, g in s.coeffs.items():
+            cur = acc.get(a)
+            if cur is None:
+                acc[a] = [g.re * c, g.im * c]
+            else:
+                cur[0] += g.re * c
+                cur[1] += g.im * c
+    return _spinor(l, cap, {a: _gr(re, im) for a, (re, im) in acc.items() if re or im})
 
 
 def clifford_basis(i: int, s: PolySpinor) -> PolySpinor:

@@ -21,6 +21,12 @@ statements.  Two systematic discrepancies are expected and documented:
 
 All checks are exact zero tests; there are no tolerances anywhere.
 
+Two evaluators are folded, exactly: the action sums c e_i.e_j.phi with the
+real c per slot k < l of the antisymmetric last pair and applies i once, and
+the eq. 11 display sums W^{ijk}_l e_k.e_i.e_j.phi per slot l before the one
+outer Clifford product.  The theorem checks take p20, p21 and p22 of an action
+from one XY and one X^2Y^2 (`forms._two_form_parts`).
+
 Every suite is one entry of the registry SUITES: its checks and paper anchors,
 its requirements, a sampler, one `holds` per check, a decoder from a
 counterexample back to an instance and, for theorem suites, the documented
@@ -34,6 +40,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations, product
 
 from .curvature import (
     CurvatureTensor,
@@ -62,6 +69,7 @@ from .exact import GR_I, GaussianRational, RandomStream
 from .forms import (
     SpinorForm,
     _accumulate,
+    _two_form_parts,
     op_X,
     op_Y,
     op_H,
@@ -76,6 +84,7 @@ from .spinors import (
     DegreeCapError,
     PolySpinor,
     SpLieElement,
+    _lincomb,
     clifford_basis,
     poly_spinor_from_json,
     poly_spinor_to_json,
@@ -159,31 +168,33 @@ def _raise_first_two(entries):
 
 
 def spinor_curvature_action(T: CurvatureTensor, phi: PolySpinor) -> SpinorForm:
-    """(i/2) T^{ij}_{kl} e^k ∧ e^l ⊗ e_i.e_j.phi as a spinor-valued 2-form."""
+    """(i/2) T^{ij}_{kl} e^k ∧ e^l ⊗ e_i.e_j.phi as a spinor-valued 2-form.
+
+    Folded: the last pair is antisymmetric (the entry check enforces it), so
+    (k, m) and (m, k) carry c and -c on e^k ∧ e^m.  Each slot k < m sums
+    c e_i.e_j.phi with the real c first and takes the factor (i/2) * 2 = i once.
+    """
     if not check_symmetries(T).curvature_type():
         raise ValueError("tensor violates the curvature symmetries")
     if phi.headroom() < 2:
         raise DegreeCapError("action needs spinor headroom >= 2")
     n = 2 * T.l
     raised = _raise_first_two(T.entries)
-    half_i = GaussianRational(0, Fraction(1, 2))
-    out: dict[tuple[int, int], PolySpinor] = {}
+    pairs = list(combinations(range(n), 2))
+    slots: dict[tuple[int, int], list] = {}
     for i in range(n):
         for j in range(n):
             plane = raised[i][j]
-            if all(not plane[k][m] for k in range(n) for m in range(n)):
+            coeffs = [((k, m), plane[k][m]) for k, m in pairs if plane[k][m]]
+            if not coeffs:
                 continue
             s_ij = clifford_basis(i, clifford_basis(j, phi))
             if s_ij.is_zero():
                 continue
-            for k in range(n):
-                for m in range(n):
-                    c = plane[k][m]
-                    if not c or k == m:
-                        continue
-                    key, sign = ((k, m), 1) if k < m else ((m, k), -1)
-                    _accumulate(out, key, s_ij.scale(half_i * (c * sign)))
-    return SpinorForm(T.l, 2, phi.cap, out)
+            for km, c in coeffs:
+                slots.setdefault(km, []).append((c, s_ij))
+    return SpinorForm(T.l, 2, phi.cap, {
+        km: _lincomb(phi.l, phi.cap, terms).scale(GR_I) for km, terms in slots.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -246,30 +257,33 @@ def literal_p21_ricci(sigma: RicciTensor, phi: PolySpinor) -> SpinorForm:
 
 
 def literal_p21_weyl(W: CurvatureTensor, phi: PolySpinor) -> SpinorForm:
-    """As displayed: (2i/(1-l)) W^{ijk}_l e^m ∧ e^l ⊗ e_m.e_k.e_i.e_j.phi."""
+    """As displayed: (2i/(1-l)) W^{ijk}_l e^m ∧ e^l ⊗ e_m.e_k.e_i.e_j.phi.
+
+    Folded: T_l = W^{ijk}_l e_k.e_i.e_j.phi is summed first for each slot l,
+    so the slot a < b of the form is e_a.T_b - e_b.T_a, one Clifford product
+    per (m, l) pair.
+    """
     n = 2 * W.l
     t = W.entries
     for slot in range(3):
         t = raise_lower_index(t, slot, "raise")
-    comps: dict[tuple[int, int], PolySpinor] = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if all(not t[i][j][k][mm] for mm in range(n)):
-                    continue
-                s3 = clifford_basis(k, clifford_basis(i, clifford_basis(j, phi)))
-                if s3.is_zero():
-                    continue
-                for m in range(n):
-                    s4 = clifford_basis(m, s3)
-                    if s4.is_zero():
-                        continue
-                    for mm in range(n):
-                        c = t[i][j][k][mm]
-                        if not c or m == mm:
-                            continue
-                        key, sign = ((m, mm), 1) if m < mm else ((mm, m), -1)
-                        _accumulate(comps, key, s4.scale(c * sign))
+    s2: dict[tuple[int, int], PolySpinor] = {}
+    slot_terms: list[list] = [[] for _ in range(n)]
+    for i, j, k in product(range(n), repeat=3):
+        row = t[i][j][k]
+        if all(not c for c in row):
+            continue
+        if (i, j) not in s2:
+            s2[(i, j)] = clifford_basis(i, clifford_basis(j, phi))
+        s3 = clifford_basis(k, s2[(i, j)])
+        if s3.is_zero():
+            continue
+        for mm, c in enumerate(row):
+            if c:
+                slot_terms[mm].append((c, s3))
+    slot_spin = [_lincomb(phi.l, phi.cap, terms) for terms in slot_terms]
+    comps = {(a, b): clifford_basis(a, slot_spin[b]) - clifford_basis(b, slot_spin[a])
+             for a, b in combinations(range(n), 2)}
     coeff = GaussianRational(0, Fraction(2, 1 - W.l))
     return SpinorForm(W.l, 2, phi.cap, comps).scale(coeff)
 
@@ -285,10 +299,8 @@ def verify_theorem9(sigma: RicciTensor, phi: PolySpinor) -> ActionReport:
         raise DegreeCapError("theorem check needs spinor headroom >= 6")
     st = sigma_tilde_of(sigma)
     act = spinor_curvature_action(st, phi)
-    p22 = project("p22", act)
+    p20, p21, p22, _ = _two_form_parts(act)
     ok = p22.is_zero()
-    p20 = project("p20", act)
-    p21 = project("p21", act)
     prefactor = Fraction(1, 2 * (sigma.l + 1))
     lit9 = literal_p20_ricci(sigma, phi)
     lit10 = literal_p21_ricci(sigma, phi)
@@ -319,11 +331,8 @@ def verify_theorem10(W: CurvatureTensor, phi: PolySpinor) -> ActionReport:
     if phi.headroom() < 6:
         raise DegreeCapError("theorem check needs spinor headroom >= 6")
     act = spinor_curvature_action(W, phi)
-    p20 = project("p20", act)
-    yy = op_Y(op_Y(act))
+    p20, p21, p22, yy = _two_form_parts(act)
     ok = p20.is_zero() and yy.is_zero()
-    p21 = project("p21", act)
-    p22 = project("p22", act)
     lit11 = literal_p21_weyl(W, phi)
     lit11_corr = lit11.scale(_EQ11_CORRECTION)
     displays = [
@@ -363,15 +372,11 @@ def verify_corollary11(R: CurvatureTensor, phi: PolySpinor) -> ActionReport:
     act_r = spinor_curvature_action(R, phi)
     act_s = spinor_curvature_action(st, phi)
     act_w = spinor_curvature_action(W, phi)
-    ok = True
-    proj_r = {}
-    for which in ("p20", "p21", "p22"):
-        pr = project(which, act_r)
-        ps = project(which, act_s)
-        pw = project(which, act_w)
-        proj_r[which] = pr
-        if pr != ps + pw:
-            ok = False
+    parts_r = _two_form_parts(act_r)[:3]
+    parts_s = _two_form_parts(act_s)[:3]
+    parts_w = _two_form_parts(act_w)[:3]
+    ok = all(pr == ps + pw for pr, ps, pw in zip(parts_r, parts_s, parts_w))
+    proj_r = dict(zip(("p20", "p21", "p22"), parts_r))
     prefactor = Fraction(1, 2 * (R.l + 1))
     lit9 = literal_p20_ricci(sigma, phi)
     lit10 = literal_p21_ricci(sigma, phi)
@@ -557,7 +562,7 @@ class Display:
 @dataclass(frozen=True)
 class Suite:
     """One suite.  `sample(l, degree, stream)` draws a trial's instance from the
-    suite's one stream; `decode(counterexample)` rebuilds `(l, instance)`.  In a
+    suite's one stream; `decode(counterexample)` rebuilds the instance.  In a
     theorem suite (one with displays) holds returns (payload, comparisons).
     `run(l, degree, trials, seed)` calls the suite's module-level entry point,
     by name, as a CLI run configures it, and returns its reports."""
@@ -619,8 +624,8 @@ def _lemma5_payload(key: str, bad, forms) -> dict | None:
 def _lemma7_decode(ce):
     """Each lemma7 counterexample carries only the part its check uses."""
     if ce["check"] == "lemma7.ricci-section":
-        return ce["l"], (None, ricci_from_json(ce["sigma"]))
-    return ce["l"], (curvature_from_json(ce["curvature"]), None)
+        return None, ricci_from_json(ce["sigma"])
+    return curvature_from_json(ce["curvature"]), None
 
 
 def _theorem(report: ActionReport):
@@ -628,7 +633,7 @@ def _theorem(report: ActionReport):
 
 
 def _theorem_decode(ce, key, from_json):
-    return ce["l"], (from_json(ce[key]), poly_spinor_from_json(ce["phi"]))
+    return from_json(ce[key]), poly_spinor_from_json(ce["phi"])
 
 
 def _symbol_payload(instance) -> dict:
@@ -677,7 +682,7 @@ def _fedosov_sample(l, degree, stream, n_points=FEDOSOV_POINTS):
 def _fedosov_decode(ce):
     conn = connection_from_json(ce["connection"])
     points = [] if ce["check"] == "fedosov.axioms" else [[Fraction(x) for x in ce["point"]]]
-    return conn.l, _FedosovTrial(conn, points)
+    return _FedosovTrial(conn, points)
 
 
 def _equivariance_payload(instance) -> dict:
@@ -692,8 +697,7 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
         # a spinor and every ordered pair of basis vectors
         sample=lambda l, degree, stream: (random_spinor(l, degree, degree + 2, stream),
                                           [(a, b) for a in range(2 * l) for b in range(2 * l)]),
-        decode=lambda ce: (ce["l"], (poly_spinor_from_json(ce["spinor"]),
-                                     [(ce["a"] - 1, ce["b"] - 1)])),
+        decode=lambda ce: (poly_spinor_from_json(ce["spinor"]), [(ce["a"] - 1, ce["b"] - 1)]),
         run=lambda l, degree, trials, seed: [lemma1_suite(l, degree, trials, seed)],
         min_l=2,
     ),
@@ -702,7 +706,7 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
         (Check("lemma4", "XY + YX = i (r - l) Id on degree-r forms", _lemma4_holds),),
         sample=lambda l, degree, stream: [random_form(l, r, degree, degree + 2, stream)
                                           for r in (0, 1, 2)],
-        decode=lambda ce: (ce["l"], [spinor_form_from_json(ce["form"])]),
+        decode=lambda ce: [spinor_form_from_json(ce["form"])],
         run=lambda l, degree, trials, seed: [lemma4_suite(l, degree, trials, seed)],
         min_l=2,
     ),
@@ -721,8 +725,8 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
         ),
         sample=lambda l, degree, stream: (random_form(l, 1, degree, degree + 8, stream),
                                           random_form(l, 2, degree, degree + 8, stream)),
-        decode=lambda ce: (ce["l"], (spinor_form_from_json(ce["one_form"]),
-                                     spinor_form_from_json(ce["two_form"]))),
+        decode=lambda ce: (spinor_form_from_json(ce["one_form"]),
+                           spinor_form_from_json(ce["two_form"])),
         run=lambda l, degree, trials, seed: lemma5_suite(l, degree, trials, seed),
         min_l=2,
     ),
@@ -731,7 +735,7 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
         (Check("lemma6", "R^{ijkl} omega_kl = 2 sigma^{ij} and sigma symmetric",
                lambda R: None if lemma6_instance(R) else _curvature_payload(R)),),
         sample=lambda l, degree, stream: random_curvature(l, _seed(stream)),
-        decode=lambda ce: (ce["l"], curvature_from_json(ce["curvature"])),
+        decode=lambda ce: curvature_from_json(ce["curvature"]),
         run=lambda l, degree, trials, seed: [lemma6_suite(l, trials, seed)],
     ),
     Suite(
@@ -814,8 +818,7 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
         ),
         sample=lambda l, degree, stream: ([stream.next_fraction(5) for _ in range(2 * l)],
                                           random_form(l, 1, degree, degree + 6, stream)),
-        decode=lambda ce: (ce["l"], ([Fraction(x) for x in ce["xi"]],
-                                     spinor_form_from_json(ce["eta"]))),
+        decode=lambda ce: ([Fraction(x) for x in ce["xi"]], spinor_form_from_json(ce["eta"])),
         run=lambda l, degree, trials, seed: symbol_complex_suite(l, degree, trials, seed),
         min_l=2,
         min_pad=6,
@@ -847,10 +850,10 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
                else _equivariance_payload(inst)),),
         sample=lambda l, degree, stream: (SpLieElement.random(l, stream),
                                           random_form(l, 1, degree, degree + 4, stream)),
-        decode=lambda ce: (ce["l"], (
+        decode=lambda ce: (
             SpLieElement(ce["l"], [[Fraction(x) for x in row] for row in ce["matrix"]]),
             spinor_form_from_json(ce["form"]),
-        )),
+        ),
         run=lambda l, degree, trials, seed: [equivariance_suite(l, degree, trials, seed)],
         min_l=2,
         cli=False,   # adding it to "all" would change the default report
@@ -973,9 +976,13 @@ _REPLAYABLE = {
 
 
 def _check_replay_sizes(ce: dict) -> None:
-    """Reject a counterexample unless every "l" in it, at any depth, is one
-    integer in 1..MAX_L.  Runs before decoding: the decoders allocate by l,
-    and a curvature tensor alone holds (2l)^4 entries."""
+    """Reject a counterexample unless it names its l at the top level and
+    every "l" in it, at any depth, is that one integer in 1..MAX_L.  A fedosov
+    counterexample carries only its connection, whose own l stands alone.
+    Runs before decoding: the decoders allocate by l, and a curvature tensor
+    alone holds (2l)^4 entries."""
+    if "l" not in ce and "connection" not in ce:
+        raise ValueError("counterexample has no top-level l")
     stack = [ce]
     while stack:
         node = stack.pop()
@@ -996,7 +1003,7 @@ def replay_counterexample(ce: dict) -> dict:
         raise ValueError(f"check {name!r} has no instance to replay")
     suite, check = _REPLAYABLE[name]
     _check_replay_sizes(ce)
-    _, instance = suite.decode(ce)
+    instance = suite.decode(ce)
     payload, _ = _evaluate(suite, check, instance)
     ok = payload is None
     return {"check": name, "status": "pass" if ok else "fail", "reproduced": not ok}

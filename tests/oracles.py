@@ -4,13 +4,21 @@ matrices of `standard_symplectic_form`.
 The package contracts with omega only through the partner map of
 `sympspin.symplectic`; these copies sum over the written-out matrices
 instead, so a test comparing the two catches a defect in either.
+
+The naive spinor kernels below are the other half: checked arithmetic, in
+which every result goes through the public `PolySpinor` and
+`GaussianRational` constructors and every product of Gaussian rationals takes
+four Fraction products, and the unfolded curvature action, eq. 11 display and
+two-form projectors.  The package's unit-scalar, unchecked and folded fast
+paths are tested against them.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from sympspin.forms import SpinorForm, _accumulate
-from sympspin.spinors import PolySpinor, SpLieElement, clifford_basis
+from sympspin.exact import GR_I, GaussianRational
+from sympspin.forms import PROJECTORS, SpinorForm, _accumulate, op_X
+from sympspin.spinors import DegreeCapError, PolySpinor, SpLieElement, clifford_basis
 from sympspin.symplectic import standard_symplectic_form
 
 
@@ -126,3 +134,123 @@ def op_Y(phi: SpinorForm) -> SpinorForm:
                     if not term.is_zero():
                         _accumulate(out, reduced, term)
     return SpinorForm(l, phi.r - 1, phi.cap, out)
+
+
+# ---------------------------------------------------------------------------
+# Checked spinor arithmetic and the unfolded kernels
+# ---------------------------------------------------------------------------
+
+
+def gr_mul(a, b) -> GaussianRational:
+    """(a.re + i a.im)(b.re + i b.im) with all four Fraction products."""
+    a, b = GaussianRational._coerce(a), GaussianRational._coerce(b)
+    return GaussianRational(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+
+
+def spinor_add(s: PolySpinor, t: PolySpinor) -> PolySpinor:
+    if s.l != t.l:
+        raise ValueError("mixed number of variables")
+    out = dict(s.coeffs)
+    for a, c in t.coeffs.items():
+        cur = out.get(a, GaussianRational(0))
+        out[a] = GaussianRational(cur.re + c.re, cur.im + c.im)
+    return PolySpinor(s.l, max(s.cap, t.cap), out)
+
+
+def spinor_neg(s: PolySpinor) -> PolySpinor:
+    return PolySpinor(s.l, s.cap, {a: GaussianRational(-c.re, -c.im) for a, c in s.coeffs.items()})
+
+
+def spinor_scale(s: PolySpinor, scalar) -> PolySpinor:
+    return PolySpinor(s.l, s.cap, {a: gr_mul(c, scalar) for a, c in s.coeffs.items()})
+
+
+def spinor_mult_x(s: PolySpinor, var: int) -> PolySpinor:
+    out = {}
+    for a, c in s.coeffs.items():
+        if sum(a) + 1 > s.cap:
+            raise DegreeCapError(f"x^{var} * monomial {a} would exceed cap {s.cap}")
+        b = list(a)
+        b[var] += 1
+        out[tuple(b)] = c
+    return PolySpinor(s.l, s.cap, out)
+
+
+def spinor_diff_x(s: PolySpinor, var: int) -> PolySpinor:
+    out = {}
+    for a, c in s.coeffs.items():
+        if a[var]:
+            b = list(a)
+            b[var] -= 1
+            out[tuple(b)] = gr_mul(c, a[var])
+    return PolySpinor(s.l, s.cap, out)
+
+
+def clifford(i: int, s: PolySpinor) -> PolySpinor:
+    """e_i . s: i x^i s for i < l, d s / dx^{i-l} otherwise."""
+    if i < s.l:
+        return spinor_scale(spinor_mult_x(s, i), GR_I)
+    return spinor_diff_x(s, i - s.l)
+
+
+def _add_into(comps: dict, key, s: PolySpinor) -> None:
+    comps[key] = spinor_add(comps[key], s) if key in comps else s
+
+
+def _slot(k: int, m: int) -> tuple[tuple[int, int], int]:
+    return ((k, m), 1) if k < m else ((m, k), -1)
+
+
+def spinor_curvature_action(T, phi: PolySpinor) -> SpinorForm:
+    """(i/2) T^{ij}_{kl} e^k ∧ e^l ⊗ e_i.e_j.phi, one term per (i, j, k, l)."""
+    n = 2 * T.l
+    raised = raise_lower_index(raise_lower_index(T.entries, 0, "raise"), 1, "raise")
+    half_i = GaussianRational(0, Fraction(1, 2))
+    comps: dict = {}
+    for i, j in product(range(n), repeat=2):
+        s_ij = clifford(i, clifford(j, phi))
+        for k, m in product(range(n), repeat=2):
+            c = raised[i][j][k][m]
+            if c and k != m:
+                key, sign = _slot(k, m)
+                _add_into(comps, key, spinor_scale(s_ij, gr_mul(half_i, c * sign)))
+    return SpinorForm(T.l, 2, phi.cap, comps)
+
+
+def literal_p21_weyl(W, phi: PolySpinor) -> SpinorForm:
+    """(2i/(1-l)) W^{ijk}_l e^m ∧ e^l ⊗ e_m.e_k.e_i.e_j.phi, one term per
+    (i, j, k, m, l)."""
+    n = 2 * W.l
+    t = W.entries
+    for slot in range(3):
+        t = raise_lower_index(t, slot, "raise")
+    coeff = GaussianRational(0, Fraction(2, 1 - W.l))
+    comps: dict = {}
+    for i, j, k in product(range(n), repeat=3):
+        s3 = clifford(k, clifford(i, clifford(j, phi)))
+        for m in range(n):
+            s4 = clifford(m, s3)
+            for mm in range(n):
+                c = t[i][j][k][mm]
+                if c and m != mm:
+                    key, sign = _slot(m, mm)
+                    _add_into(comps, key, spinor_scale(s4, gr_mul(coeff, c * sign)))
+    return SpinorForm(W.l, 2, phi.cap, comps)
+
+
+def project(which: str, phi: SpinorForm) -> SpinorForm:
+    """The isotypic projectors, each built from its own op_X / op_Y calls."""
+    if which not in PROJECTORS:
+        raise ValueError(f"unknown projector {which!r}")
+    l = phi.l
+    if which in ("p10", "p11"):
+        p10 = op_X(op_Y(phi)).scale(GaussianRational(0, Fraction(1, l)))
+        return p10 if which == "p10" else phi - p10
+    x2y2 = op_X(op_X(op_Y(op_Y(phi))))
+    if which == "p20":
+        return x2y2.scale(Fraction(1, l))
+    p21 = (op_X(op_Y(phi)) - x2y2.scale(GaussianRational(0, Fraction(1, l)))).scale(
+        GaussianRational(0, Fraction(1, l - 1)))
+    if which == "p21":
+        return p21
+    return phi - x2y2.scale(Fraction(1, l)) - p21

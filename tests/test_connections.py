@@ -51,6 +51,22 @@ def test_poly_deriv_product_rule():
         assert (p * q).deriv(v) == p.deriv(v) * q + p * q.deriv(v)
 
 
+def test_poly_results_equal_their_revalidated_copies():
+    # arithmetic builds its results unchecked; the public constructor must agree
+    from sympspin.connections import random_poly
+
+    stream = RandomStream(5)
+    p, q = random_poly(3, 2, stream), random_poly(3, 2, stream)
+    results = [p + q, p - q, p - p, -p, p * q, p.scale(F(-3, 4)), p.scale(0), q * 2]
+    results += [p.deriv(v) for v in range(3)]
+    for r in results:
+        assert r == Poly(r.n, r.terms)
+        assert all(type(c) is Fraction and c for c in r.terms.values())
+    assert (p - p).is_zero() and p.scale(0).is_zero()
+    with pytest.raises(ValueError):
+        Poly(3, {(1, 0): F(1)})
+
+
 # ---------------------------------------------------------------------------
 # Connections
 # ---------------------------------------------------------------------------
@@ -260,6 +276,17 @@ def test_evaluation_returns_a_symmetry_breaking_tensor_unvalidated():
     dgamma[(0, 0, 1, 0)] = Poly.const(2, 1)      # d_0 Gamma^0_10 = 1
     R = evaluate_curvature_at(CurvatureField(1, gamma, dgamma), [0, 0])
     assert not check_symmetries(R).curvature_type()
+
+
+def test_raised_christoffel_table_is_built_once_per_connection():
+    # the axiom check and the curvature jets share one table per connection
+    from sympspin.connections import _gamma_upper
+
+    conn = random_connection(1, 2, 4)
+    table = _gamma_upper(conn)
+    assert check_connection_axioms(conn).ok()
+    assert curvature_field_of(conn).gamma is table is _gamma_upper(conn)
+    assert _gamma_upper(random_connection(1, 2, 4)) is not table
 
 
 def test_curvature_field_rejects_broken_connection():
