@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 from .exact import RandomStream, nullspace_basis, random_symmetric_matrix, symmetric_matrix
 from .symplectic import omega_partners, raise_lower_index
@@ -215,9 +216,24 @@ def _entries_of(R):
     return R.entries if isinstance(R, CurvatureTensor) else R
 
 
+def _cleared(e):
+    """The rational rank-4 array e times the lcm of its denominators: the
+    same array of ints up to one positive factor, so it satisfies exactly
+    the same linear identities."""
+    den = lcm(*(x.denominator for block in e for plane in block for row in plane for x in row))
+    return [[[[x.numerator * (den // x.denominator) for x in row] for row in plane]
+             for plane in block] for block in e]
+
+
 def check_symmetries(R) -> SymmetryReport:
-    """Check identities (A)-(D) on a rank-4 array or CurvatureTensor."""
-    e = _entries_of(R)
+    """Check identities (A)-(D) on a rank-4 array or CurvatureTensor.
+
+    The entries (ints or Fractions) are cleared to integers once, and every
+    identity is then an exact integer comparison.  Quadruples are visited in
+    lexicographic order, so each `first_violation` is the first offending
+    (i, j, k, m) in that order.
+    """
+    e = _cleared(_entries_of(R))
     n = len(e)
     anti = bianchi = pair = ext = None
     for i, j, k, m in product(range(n), repeat=4):

@@ -45,6 +45,7 @@ from .exact import GR_I, GaussianRational, RandomStream, nullspace_basis
 from .spinors import (
     PolySpinor,
     SpLieElement,
+    _spinor,
     clifford_basis,
     poly_spinor_from_json,
     poly_spinor_to_json,
@@ -134,31 +135,38 @@ class SpinorForm:
     def __add__(self, other):
         if not isinstance(other, SpinorForm):
             return NotImplemented
+        return self._combine(other, subtract=False)
+
+    def __sub__(self, other):
+        if not isinstance(other, SpinorForm):
+            return NotImplemented
+        return self._combine(other, subtract=True)
+
+    def _combine(self, other: "SpinorForm", subtract: bool) -> "SpinorForm":
+        """self + other or self - other, component by component."""
         if self.l != other.l:
             raise ValueError("cannot add forms over different spaces")
+        cap = max(self.cap, other.cap)
         if self.r != other.r:
             # a zero form has no intrinsic degree; let it absorb into the other
             if self.is_zero():
-                return _recap_form(other, max(self.cap, other.cap))
+                return _recap_form(-other if subtract else other, cap)
             if other.is_zero():
-                return _recap_form(self, max(self.cap, other.cap))
+                return _recap_form(self, cap)
             raise ValueError("cannot add forms of different degree")
-        cap = max(self.cap, other.cap)
         out = {t: _recap(s, cap) for t, s in self.components.items()}
         for t, s in other.components.items():
             cur = out.get(t)
             s = _recap(s, cap)
-            tot = s if cur is None else cur + s
+            if cur is None:
+                tot = -s if subtract else s
+            else:
+                tot = cur - s if subtract else cur + s
             if tot.is_zero():
                 out.pop(t, None)
             else:
                 out[t] = tot
         return SpinorForm(self.l, self.r, cap, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, SpinorForm):
-            return NotImplemented
-        return self + other.scale(-1)
 
     def __neg__(self):
         return self.scale(-1)
@@ -189,9 +197,10 @@ class SpinorForm:
 
 
 def _recap(s: PolySpinor, cap: int) -> PolySpinor:
+    """s with the cap raised to `cap`; a valid spinor stays valid."""
     if s.cap == cap:
         return s
-    return PolySpinor(s.l, cap, s.coeffs)
+    return _spinor(s.l, cap, s.num, s.den)
 
 
 def _recap_form(phi: SpinorForm, cap: int) -> SpinorForm:

@@ -19,19 +19,23 @@ conventional sign) making
 
 hold.  Tests re-derive the constant by brute force rather than trusting it.
 
-Almost every scalar on the operator paths is a unit or a small integer, so
-arithmetic pays only for what it needs: `scale` negates or swaps the two
-parts of each coefficient for +-1 and +-i and takes two Fraction products for
-a real or an imaginary scalar, `diff_x` multiplies both parts by the integer
-exponent, and `_lincomb` sums rational multiples of spinors in place.  The
-public `PolySpinor(...)` validates its input; results derived from valid
-spinors are built through the one unchecked constructor `_spinor`.  The
-checked, four-multiply arithmetic lives on as the test oracle.
+Every operator on the identity paths has coefficients in {+-1, +-i, integer
+exponents}, so spinors are stored as Gaussian integers over one shared
+denominator (see `PolySpinor`) and the identities are decided in Z[i]:
+`scale` negates or swaps the two parts of each numerator for +-1 and +-i,
+`mult_x` moves them, `diff_x` multiplies them by the integer exponent, and
+sums and `_lincomb` add integers over the lcm of the denominators.  Each
+result is reduced once to lowest terms, so equality stays an exact zero
+test.  The public `PolySpinor(...)` validates its input; results derived
+from valid spinors are built through the unchecked constructors.  The
+checked Fraction arithmetic lives on as the test oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 
 from .exact import (
     GR_I,
@@ -67,19 +71,22 @@ class DegreeCapError(ValueError):
 class PolySpinor:
     """Sparse polynomial in l variables over Q(i), total degree <= cap.
 
-    coeffs maps exponent tuples (length l) to nonzero GaussianRational
-    coefficients; zero coefficients are never stored, so equality of the
-    coefficient maps is equality of spinors.  The cap participates in
-    arithmetic checks but not in equality.
+    The coefficient of x^alpha is (re + i im) / den, stored as the pair of
+    ints num[alpha] = (re, im) over one shared int `den`, in lowest terms:
+
+        den >= 1,   gcd(den, every part) == 1,   no (0, 0) is stored.
+
+    So equality of (num, den) is equality of spinors.  The cap participates
+    in arithmetic checks but not in equality.  `coeffs` is a read-only view
+    of the same coefficients as GaussianRational values, built on each read.
 
     The public constructor checks every exponent tuple against l and the cap
     and coerces every coefficient.  Arithmetic on valid spinors builds its
-    results through the one unchecked constructor `_spinor`: a sum, a
-    negation, a nonzero multiple or a derivative of valid spinors is valid,
-    and `mult_x` checks the cap itself.
+    results through the unchecked constructors `_spinor` (for results that
+    are in lowest terms by construction) and `_reduced` (for the others).
     """
 
-    __slots__ = ("l", "cap", "coeffs")
+    __slots__ = ("l", "cap", "num", "den")
 
     def __init__(self, l: int, cap: int, coeffs: dict | None = None):
         if l < 1:
@@ -98,12 +105,24 @@ class PolySpinor:
                 g = c if isinstance(c, GaussianRational) else GaussianRational(c)
                 if g:
                     clean[tuple(alpha)] = g
+        # over the lcm of the reduced denominators, (num, den) is in lowest terms
+        den = lcm(*(x.denominator for g in clean.values() for x in (g.re, g.im)))
         _set(self, "l", l)
         _set(self, "cap", cap)
-        _set(self, "coeffs", clean)
+        _set(self, "num", {
+            a: (g.re.numerator * (den // g.re.denominator),
+                g.im.numerator * (den // g.im.denominator))
+            for a, g in clean.items()})
+        _set(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolySpinor is immutable")
+
+    @property
+    def coeffs(self) -> dict[tuple[int, ...], GaussianRational]:
+        """The nonzero coefficients as GaussianRational values."""
+        den = self.den
+        return {a: _gr(Fraction(re, den), Fraction(im, den)) for a, (re, im) in self.num.items()}
 
     # -- constructors -------------------------------------------------------
 
@@ -122,13 +141,13 @@ class PolySpinor:
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def degree(self) -> int:
         """Total degree; -1 for the zero spinor."""
-        if not self.coeffs:
+        if not self.num:
             return -1
-        return max(sum(a) for a in self.coeffs)
+        return max(sum(a) for a in self.num)
 
     def headroom(self) -> int:
         return self.cap - max(0, self.degree())
@@ -136,13 +155,13 @@ class PolySpinor:
     def __eq__(self, other):
         if not isinstance(other, PolySpinor):
             return NotImplemented
-        return self.l == other.l and self.coeffs == other.coeffs
+        return self.l == other.l and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.l, frozenset(self.coeffs.items())))
+        return hash((self.l, self.den, frozenset(self.num.items())))
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.num:
             return f"PolySpinor(l={self.l}, 0)"
         terms = ", ".join(f"{a}:{c!r}" for a, c in sorted(self.coeffs.items()))
         return f"PolySpinor(l={self.l}, {terms})"
@@ -152,57 +171,48 @@ class PolySpinor:
     def __add__(self, other):
         if not isinstance(other, PolySpinor):
             return NotImplemented
-        if self.l != other.l:
-            raise ValueError("mixed number of variables")
-        out = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            cur = out.get(a)
-            if cur is None:
-                out[a] = c
-                continue
-            s = cur + c
-            if s:
-                out[a] = s
-            else:
-                del out[a]
-        return _spinor(self.l, max(self.cap, other.cap), out)
+        return _sum(self, other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, PolySpinor):
             return NotImplemented
-        return self + (-other)
+        return _sum(self, other, -1)
 
     def __neg__(self):
-        return _spinor(self.l, self.cap, {a: -c for a, c in self.coeffs.items()})
+        return _spinor(self.l, self.cap,
+                       {a: (-re, -im) for a, (re, im) in self.num.items()}, self.den)
 
     def scale(self, scalar) -> "PolySpinor":
         """scalar * self; a unit (+-1, +-i) negates or swaps the two parts of
-        each coefficient, a real or imaginary scalar costs two Fraction
-        products, and only a general one four."""
+        each numerator, and any other scalar p/q multiplies the numerators
+        by the Gaussian integer p and the denominator by q, then reduces."""
         if isinstance(scalar, GaussianRational):
             re, im = scalar.re, scalar.im
         else:
             re, im = _as_fraction(scalar), _F0
+        l, cap, num = self.l, self.cap, self.num
         if not im:
             if not re:
-                return _spinor(self.l, self.cap, {})
+                return _spinor(l, cap, {}, 1)
             if re == 1:
                 return self
             if re == -1:
                 return -self
-            return _spinor(self.l, self.cap,
-                           {a: _gr(c.re * re, c.im * re) for a, c in self.coeffs.items()})
-        if not re:
+        elif not re:
             if im == 1:
-                return _spinor(self.l, self.cap,
-                               {a: _gr(-c.im, c.re) for a, c in self.coeffs.items()})
+                return _spinor(l, cap, {a: (-y, x) for a, (x, y) in num.items()}, self.den)
             if im == -1:
-                return _spinor(self.l, self.cap,
-                               {a: _gr(c.im, -c.re) for a, c in self.coeffs.items()})
-            return _spinor(self.l, self.cap,
-                           {a: _gr(-c.im * im, c.re * im) for a, c in self.coeffs.items()})
-        g = _gr(re, im)
-        return _spinor(self.l, self.cap, {a: c * g for a, c in self.coeffs.items()})
+                return _spinor(l, cap, {a: (y, -x) for a, (x, y) in num.items()}, self.den)
+        q = lcm(re.denominator, im.denominator)
+        p = re.numerator * (q // re.denominator)
+        r = im.numerator * (q // im.denominator)
+        if not r:
+            out = {a: (x * p, y * p) for a, (x, y) in num.items()}
+        elif not p:
+            out = {a: (-y * r, x * r) for a, (x, y) in num.items()}
+        else:
+            out = {a: (x * p - y * r, x * r + y * p) for a, (x, y) in num.items()}
+        return _reduced(l, cap, out, self.den * q)
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction, GaussianRational)):
@@ -217,53 +227,97 @@ class PolySpinor:
         """Multiply by the coordinate x^var (degree +1, cap-checked)."""
         out = {}
         cap = self.cap
-        for a, c in self.coeffs.items():
+        for a, c in self.num.items():
             if sum(a) >= cap:
                 raise DegreeCapError(
                     f"x^{var} * monomial {a} would exceed cap {cap}"
                 )
             out[a[:var] + (a[var] + 1,) + a[var + 1:]] = c
-        return _spinor(self.l, cap, out)
+        return _spinor(self.l, cap, out, self.den)
 
     def diff_x(self, var: int) -> "PolySpinor":
         """Partial derivative with respect to x^var (degree -1)."""
         out = {}
-        for a, c in self.coeffs.items():
+        for a, c in self.num.items():
             k = a[var]
             if k == 0:
                 continue
             b = a[:var] + (k - 1,) + a[var + 1:]
-            out[b] = c if k == 1 else _gr(c.re * k, c.im * k)
-        return _spinor(self.l, self.cap, out)
+            out[b] = c if k == 1 else (c[0] * k, c[1] * k)
+        return _reduced(self.l, self.cap, out, self.den)
 
 
 _set = object.__setattr__
 _new = object.__new__
 
 
-def _spinor(l: int, cap: int, coeffs: dict) -> PolySpinor:
-    """The unchecked constructor: `coeffs` must already be valid for (l, cap)
-    and hold no zero, as every result of arithmetic on valid spinors does."""
+def _spinor(l: int, cap: int, num: dict, den: int) -> PolySpinor:
+    """The unchecked constructor: `num` must already be valid for (l, cap),
+    and (num, den) in lowest terms, as every unit multiple of a valid spinor
+    and every `mult_x` result is."""
     s = _new(PolySpinor)
     _set(s, "l", l)
     _set(s, "cap", cap)
-    _set(s, "coeffs", coeffs)
+    _set(s, "num", num)
+    _set(s, "den", den)
     return s
 
 
+def _reduced(l: int, cap: int, num: dict, den: int) -> PolySpinor:
+    """The unchecked constructor for a result that may share a factor with
+    its denominator (`num` valid and free of (0, 0)): one gcd divides it out,
+    and the zero spinor ends with den == 1."""
+    if den > 1:
+        g = gcd(den, *chain.from_iterable(num.values()))
+        if g > 1:
+            den //= g
+            num = {a: (re // g, im // g) for a, (re, im) in num.items()}
+    return _spinor(l, cap, num, den)
+
+
+def _sum(s: PolySpinor, t: PolySpinor, sign: int) -> PolySpinor:
+    """s + sign * t over the lcm of the two denominators, reduced once."""
+    if s.l != t.l:
+        raise ValueError("mixed number of variables")
+    den = s.den
+    if den == t.den:
+        out = dict(s.num)
+        f = sign
+    else:
+        den = lcm(den, t.den)
+        g = den // s.den
+        out = {a: (re * g, im * g) for a, (re, im) in s.num.items()}
+        f = sign * (den // t.den)
+    for a, (re, im) in t.num.items():
+        cur = out.get(a)
+        if cur is None:
+            out[a] = (re * f, im * f)
+            continue
+        re = cur[0] + re * f
+        im = cur[1] + im * f
+        if re or im:
+            out[a] = (re, im)
+        else:
+            del out[a]
+    return _reduced(s.l, max(s.cap, t.cap), out, den)
+
+
 def _lincomb(l: int, cap: int, terms) -> PolySpinor:
-    """sum of c * s over the (rational c, spinor s) pairs of `terms`, summed in
-    place part by part: one Fraction product and one sum per part and term."""
+    """sum of c * s over the (rational c, spinor s) pairs of `terms`, summed
+    in place over the lcm of every c.denominator * s.den and reduced once."""
+    terms = [(c.numerator, c.denominator * s.den, s.num) for c, s in terms]
+    den = lcm(*(d for _, d, _ in terms))
     acc: dict[tuple[int, ...], list] = {}
-    for c, s in terms:
-        for a, g in s.coeffs.items():
+    for p, d, num in terms:
+        f = p * (den // d)
+        for a, (re, im) in num.items():
             cur = acc.get(a)
             if cur is None:
-                acc[a] = [g.re * c, g.im * c]
+                acc[a] = [re * f, im * f]
             else:
-                cur[0] += g.re * c
-                cur[1] += g.im * c
-    return _spinor(l, cap, {a: _gr(re, im) for a, (re, im) in acc.items() if re or im})
+                cur[0] += re * f
+                cur[1] += im * f
+    return _reduced(l, cap, {a: (re, im) for a, (re, im) in acc.items() if re or im}, den)
 
 
 def clifford_basis(i: int, s: PolySpinor) -> PolySpinor:

@@ -9,13 +9,15 @@ The naive spinor kernels below are the other half: checked arithmetic, in
 which every result goes through the public `PolySpinor` and
 `GaussianRational` constructors and every product of Gaussian rationals takes
 four Fraction products, and the unfolded curvature action, eq. 11 display and
-two-form projectors.  The package's unit-scalar, unchecked and folded fast
-paths are tested against them.
+two-form projectors.  The package's Gaussian-integer, unchecked and folded
+fast paths are tested against them, and its integer `check_symmetries`
+against the Fraction one kept here.
 """
 
 from fractions import Fraction
 from itertools import product
 
+from sympspin.curvature import IdentityCheck, SymmetryReport
 from sympspin.exact import GR_I, GaussianRational
 from sympspin.forms import PROJECTORS, SpinorForm, _accumulate, op_X
 from sympspin.spinors import DegreeCapError, PolySpinor, SpLieElement, clifford_basis
@@ -254,3 +256,29 @@ def project(which: str, phi: SpinorForm) -> SpinorForm:
     if which == "p21":
         return p21
     return phi - x2y2.scale(Fraction(1, l)) - p21
+
+
+def check_symmetries(e) -> SymmetryReport:
+    """Identities (A)-(D) on a rank-4 array, compared entry by entry as
+    Fractions, first violations in lexicographic order."""
+    n = len(e)
+    anti = bianchi = pair = ext = None
+    for i, j, k, m in product(range(n), repeat=4):
+        if anti is None and e[i][j][k][m] != -e[i][j][m][k]:
+            anti = (i, j, k, m)
+        if pair is None and e[i][j][k][m] != e[j][i][k][m]:
+            pair = (i, j, k, m)
+        if bianchi is None and e[i][j][k][m] + e[i][k][m][j] + e[i][m][j][k] != 0:
+            bianchi = (i, j, k, m)
+        if ext is None and (
+            e[i][j][k][m] + e[j][k][m][i] + e[k][m][i][j] + e[m][i][j][k] != 0
+        ):
+            ext = (i, j, k, m)
+        if anti and bianchi and pair and ext:
+            break
+    return SymmetryReport(
+        antisym_last_pair=IdentityCheck(anti is None, anti),
+        first_bianchi=IdentityCheck(bianchi is None, bianchi),
+        pair_symmetry=IdentityCheck(pair is None, pair),
+        extended_bianchi=IdentityCheck(ext is None, ext),
+    )

@@ -1,37 +1,60 @@
-"""Differential tests of the spinor fast paths against the naive oracles.
+"""Differential tests of the exact fast paths against the naive oracles.
 
-The package multiplies by units by negating or swapping coefficient parts,
+The package stores spinors as Gaussian-integer numerators over one
+denominator, multiplies by units by negating or swapping numerator parts,
 builds arithmetic results without re-validating them, folds the curvature
-action and the eq. 11 display, and computes XY and X^2Y^2 once per 2-form.
-Each of these is compared here, at l = 2 and l = 3, with the checked and
-unfolded reference in `oracles`, and two planted defects show that the suites
-catch a broken fast path.
+action and the eq. 11 display, computes XY and X^2Y^2 once per 2-form, and
+checks the curvature symmetries on integer-cleared entries.  Each of these is
+compared here, at l = 2 and l = 3, with the checked Fraction and unfolded
+reference in `oracles`, and planted defects show that the suites catch a
+broken fast path.
 """
 
+import copy
 import json
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 import oracles
 import sympspin.verify as verify
 from sympspin.cli import main
-from sympspin.curvature import RicciTensor, random_curvature, random_weyl, sigma_tilde_of
+from sympspin.curvature import (
+    RicciTensor,
+    check_symmetries,
+    random_curvature,
+    random_weyl,
+    sigma_tilde_of,
+)
 from sympspin.exact import GR_I, GaussianRational, RandomStream
-from sympspin.forms import _two_form_parts, op_Y, project, random_form
-from sympspin.spinors import DegreeCapError, PolySpinor, clifford_basis, random_spinor
+from sympspin.forms import SpinorForm, _two_form_parts, op_Y, project, random_form
+from sympspin.spinors import (
+    DegreeCapError,
+    PolySpinor,
+    _lincomb,
+    _spinor,
+    clifford_basis,
+    random_spinor,
+)
 
 F = Fraction
 GR = GaussianRational
 
 SCALARS = [
     0, 1, -1, 3, F(-2, 7), GR(1), GR(-1), GR(0, 1), GR(0, -1), GR(F(5, 3)), GR(0, F(-3, 4)),
-    GR(F(1, 2), F(-2, 3)), GR(-4, 1),
+    GR(F(1, 2), F(-2, 3)), GR(-4, 1), GR(1, 1), GR(F(3, 2), F(-1, 6)),
 ]
 
 
 def assert_valid(s: PolySpinor) -> None:
-    """s equals its re-validated copy and stores no zero or uncoerced coefficient."""
+    """s is in lowest terms (int parts, den >= 1, gcd(den, every part) == 1,
+    no (0, 0) stored) and equals its re-validated copy."""
+    parts = [x for pair in s.num.values() for x in pair]
+    assert type(s.den) is int and s.den >= 1
+    assert all(type(x) is int for x in parts)
+    assert all(pair != (0, 0) for pair in s.num.values())
+    assert gcd(s.den, *parts) == 1
     assert s == PolySpinor(s.l, s.cap, s.coeffs)
     for c in s.coeffs.values():
         assert type(c) is GaussianRational and c
@@ -97,6 +120,45 @@ def test_clifford_raises_at_the_cap(l):
         assert_valid(clifford_basis(i + l, top))
 
 
+def test_mixed_denominators_reduce_to_lowest_terms():
+    s = PolySpinor(2, 5, {(1, 0): GR(F(1, 2), F(1, 3)), (0, 2): F(2, 7)})
+    t = PolySpinor(2, 5, {(1, 0): GR(F(-1, 6), 0), (0, 2): F(1, 14)})
+    cases = [
+        (s - s, PolySpinor.zero(2, 5)),
+        (s + (-s), PolySpinor.zero(2, 5)),
+        (s + s.scale(-1), PolySpinor.zero(2, 5)),
+        (_lincomb(2, 5, [(F(1, 3), s), (F(-2, 3), s), (F(1, 3), s)]), PolySpinor.zero(2, 5)),
+        (s + t, oracles.spinor_add(s, t)),
+        (s - t, oracles.spinor_add(s, oracles.spinor_neg(t))),
+        (_lincomb(2, 5, [(F(3, 2), s), (F(-5, 4), t)]),
+         oracles.spinor_add(oracles.spinor_scale(s, F(3, 2)), oracles.spinor_scale(t, F(-5, 4)))),
+        (s.scale(GR(1, 1)), oracles.spinor_scale(s, GR(1, 1))),
+    ]
+    for got, want in cases:
+        assert got == want
+        assert_valid(got)
+    assert (s - s).den == 1 and (s - s).is_zero()
+    # 1/6 + 1/3 = 1/2: the sum's lowest terms have a smaller denominator
+    half = PolySpinor(2, 5, {(0, 0): F(1, 6)}) + PolySpinor(2, 5, {(0, 0): F(1, 3)})
+    assert half.den == 2 and half.num == {(0, 0): (1, 0)}
+    # (1 + i)(1 - i) / 2 = 1: a non-unit Gaussian scalar must reduce too
+    one = PolySpinor(2, 5, {(0, 0): GR(F(1, 2), F(-1, 2))}).scale(GR(1, 1))
+    assert one.den == 1 and one.num == {(0, 0): (1, 0)}
+
+
+def test_form_difference_subtracts_component_by_component():
+    stream = RandomStream(5)
+    phi = random_form(2, 2, 2, 6, stream, terms_per_component=2)
+    psi = random_form(2, 2, 2, 8, stream, terms_per_component=2)
+    diff = phi - psi
+    assert diff == phi + psi.scale(-1) and diff.cap == 8
+    assert_valid_form(diff)
+    assert (phi - phi).is_zero()
+    zero = SpinorForm.zero(2, 0, 9)
+    assert phi - zero == phi + zero and (zero - phi) == -phi + zero
+    assert (zero - phi).cap == 9
+
+
 def test_sum_keeps_the_larger_cap():
     s = PolySpinor.monomial(2, 3, (3, 0))
     t = PolySpinor.monomial(2, 6, (0, 5), GR_I)
@@ -148,6 +210,53 @@ def test_two_form_parts_match_separate_projectors(l):
     one_form = random_form(l, 1, 2, 8, stream, terms_per_component=2)
     for which in ("p10", "p11"):
         assert project(which, one_form) == oracles.project(which, one_form)
+
+
+# ---------------------------------------------------------------------------
+# The integer symmetry check
+# ---------------------------------------------------------------------------
+
+
+def _zero4(n):
+    return [[[[F(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+
+
+def _symmetry_cases(l):
+    """Valid, trace-free, zero, single-entry and int arrays of side 2l."""
+    n = 2 * l
+    R = random_curvature(l, 80 + l)
+    W = random_weyl(l, 90 + l)
+    cases = [R.entries, W.entries, _zero4(n)]
+    for d in (2, 3, 7):
+        for i, j, k, m in ((0, 0, 0, 0), (0, 1, 2, 3), (n - 1, 0, n - 1, 1)):
+            lone = _zero4(n)
+            lone[i][j][k][m] = F(1, d)
+            bumped = copy.deepcopy(R.entries)
+            bumped[i][j][k][m] += F(1, d)
+            cases += [lone, bumped]
+    scale = lcm(*(x.denominator for b in R.entries for p in b for r in p for x in r))
+    as_ints = [[[[int(x * scale) for x in r] for r in p] for p in b] for b in R.entries]
+    bumped = copy.deepcopy(as_ints)
+    bumped[1][0][1][0] += 1
+    stream = RandomStream(100 + l)
+    noise = [[[[stream.next_int(-3, 3) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+             for _ in range(n)]
+    return cases + [as_ints, bumped, noise]
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_integer_symmetry_check_matches_fraction_oracle(l):
+    reports = []
+    for entries in _symmetry_cases(l):
+        report = check_symmetries(entries)
+        assert report == oracles.check_symmetries(entries)
+        reports.append(report)
+    # the cases cover passing and failing verdicts of every identity
+    for name in ("antisym_last_pair", "first_bianchi", "pair_symmetry", "extended_bianchi"):
+        verdicts = {getattr(r, name).holds for r in reports}
+        assert verdicts == {True, False}
+    R = random_curvature(l, 80 + l)
+    assert check_symmetries(R) == oracles.check_symmetries(R.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -207,3 +316,45 @@ def test_halved_action_fails_the_corrected_eq9_display(monkeypatch):
     assert broken.status == "pass"
     assert broken.displays[0].display == "eq9"
     assert broken.displays[0].corrected_match is False
+
+
+def test_unscaled_mixed_denominator_add_fails_and_replays(tmp_path, monkeypatch, capsys):
+    # The planted defect: when the two denominators differ, PolySpinor.__add__
+    # sums the numerators over the lcm without rescaling them to it.  At
+    # l = 2, trials = 2 (seed 42) exactly these fifteen records fail: lemma4,
+    # lemma5.idempotency, lemma5.orthogonality, lemma5.partition-of-identity,
+    # theorem9 and its eq9/eq10 displays, theorem10 and its eq11/eq12
+    # displays, corollary11 and its p20/p21/p22 displays, and symbol-complex.
+    # The other eight pass: lemma6, lemma7 and fedosov use no spinors, and
+    # lemma1 and the symbol-complex negative control miss it at these draws.
+    add = PolySpinor.__add__
+
+    def unscaled(self, other):
+        if not isinstance(other, PolySpinor) or self.den == other.den:
+            return add(self, other)
+        den = lcm(self.den, other.den)
+        return add(_spinor(self.l, self.cap, self.num, den),
+                   _spinor(other.l, other.cap, other.num, den))
+
+    monkeypatch.setattr(PolySpinor, "__add__", unscaled)
+    report_path = tmp_path / "report.json"
+    argv = ["--l", "2", "--trials", "2", "--format", "json", "--out", str(report_path)]
+    assert main(argv) == 1
+    checks = json.loads(report_path.read_text())["checks"]
+    assert {c["status"] for c in checks} == {"pass", "fail"}
+    failing = {c["name"] for c in checks if c["status"] == "fail"}
+    assert failing == {
+        "lemma4", "lemma5.idempotency", "lemma5.orthogonality", "lemma5.partition-of-identity",
+        "theorem9", "theorem9.eq9-display", "theorem9.eq10-display",
+        "theorem10", "theorem10.eq11-display", "theorem10.eq12-display",
+        "corollary11", "corollary11.p20-display", "corollary11.p21-display",
+        "corollary11.p22-display", "symbol-complex",
+    }
+    ce_path = tmp_path / "theorem9.json"
+    ce_path.write_text(json.dumps(next(c["counterexample"] for c in checks
+                                       if c["name"] == "theorem9")))
+    capsys.readouterr()
+    assert main(["--replay", str(ce_path)]) == 1
+    assert json.loads(capsys.readouterr().out)["reproduced"] is True
+    monkeypatch.undo()
+    assert main(["--replay", str(ce_path)]) == 0
