@@ -17,15 +17,20 @@ The curvature of such a connection,
     R_ijkl  = sum_m R^m_jkl omega_mi = -s_i R^{i*}_jkl,
 
 is a field of genuine curvature-type tensors.  Both contractions with omega
-are signed swaps through the partner map (i*, s_i) of `symplectic`.  It is never formed as a
-field of polynomials: `curvature_field_of` keeps the one-jet of the data,
-Gamma^m_jk and its partials d_v Gamma^m_jk (linear Poly operations only),
-and `evaluate_curvature_at` evaluates both exactly at a point and assembles
-R(p) from the display above, O(n^5) rational operations.  Every evaluation
-feeds the curvature module without synthetic constraint solving.  The
-lowering realizes R_ijkl = omega(R(e_k, e_l) e_j, e_i); the pair-symmetry
-identity (C) doubles as the sign oracle for this convention, so the test
-suite failing identity (C) would disprove the sign, not the tests.
+are signed swaps through the partner map (i*, s_i) of `symplectic`.  It is
+never formed as a field of polynomials: `curvature_field_of` keeps the one-jet
+of the data, Gamma^m_jk and its partials d_v Gamma^m_jk (linear Poly
+operations only), and the `CurvatureField` clears that jet once, to integer
+numerators over the lcm L of its coefficient denominators, with the degree
+bound D.  `evaluate_curvature_at` writes the point as p = X/d with integer X,
+evaluates every jet as an integer sum over one table of homogenised monomials
+X^alpha d^(D-|alpha|), so that Gamma(p) and d Gamma(p) are those integers over
+S = L d^D, and assembles S^2 R(p) from the display above: O(n^5) integer
+operations and one Fraction per nonzero entry.  Every evaluation feeds the
+curvature module without synthetic constraint solving.  The lowering realizes
+R_ijkl = omega(R(e_k, e_l) e_j, e_i); the pair-symmetry identity (C) doubles
+as the sign oracle for this convention, so the test suite failing identity
+(C) would disprove the sign, not the tests.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
+from math import lcm, prod
 
 from .curvature import CurvatureTensor
 from .exact import RandomStream
@@ -120,7 +126,14 @@ class Poly:
     def __sub__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
+        out = dict(self.terms)
+        for a, c in other.terms.items():
+            s = out.get(a, F0) - c
+            if s:
+                out[a] = s
+            else:
+                out.pop(a, None)
+        return _poly(self.n, out)
 
     def __neg__(self):
         return _poly(self.n, {a: -c for a, c in self.terms.items()})
@@ -155,18 +168,6 @@ class Poly:
                 continue
             out[a[:var] + (k - 1,) + a[var + 1:]] = c * k
         return _poly(self.n, out)
-
-    def eval_at(self, point) -> Fraction:
-        if len(point) != self.n:
-            raise ValueError("point has wrong dimension")
-        acc = F0
-        for a, c in self.terms.items():
-            term = c
-            for x, e in zip(point, a):
-                for _ in range(e):
-                    term *= x
-            acc += term
-        return acc
 
     def __repr__(self):
         if not self.terms:
@@ -326,14 +327,36 @@ def check_connection_axioms(conn: PolynomialConnection) -> ConnectionAxiomReport
 class CurvatureField:
     """One-jet of a verified connection: the raised Christoffel table
     gamma[(m, j, k)] = Gamma^m_jk and its first partials
-    dgamma[(v, m, j, k)] = d_v Gamma^m_jk, as polynomials."""
+    dgamma[(v, m, j, k)] = d_v Gamma^m_jk, as polynomials.
 
-    __slots__ = ("l", "gamma", "dgamma")
+    The jets are also cleared once, when the field is built: `den` is the lcm
+    L of every coefficient denominator and `degree` the bound D of every total
+    degree.  Each jet is kept as ((monomial index, L * coefficient), ...)
+    over the exponents of `_monomials`, nested as gamma[m][j][k] and
+    dgamma[v][m][j][k]."""
+
+    __slots__ = ("l", "gamma", "dgamma", "den", "degree", "_monomials", "_gamma_ints",
+                 "_dgamma_ints")
 
     def __init__(self, l: int, gamma: dict, dgamma: dict):
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "dgamma", dgamma)
+        n = 2 * l
+        polys = [*gamma.values(), *dgamma.values()]
+        den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+        degree = max([0] + [p.degree() for p in polys])
+        index: dict[tuple[int, ...], int] = {}
+
+        def cleared(p):
+            return tuple((index.setdefault(a, len(index)), c.numerator * (den // c.denominator))
+                         for a, c in p.terms.items())
+
+        g = [[[cleared(gamma[m, j, k]) for k in range(n)] for j in range(n)] for m in range(n)]
+        dg = [[[[cleared(dgamma[v, m, j, k]) for k in range(n)] for j in range(n)]
+               for m in range(n)] for v in range(n)]
+        for name, value in (("l", l), ("gamma", gamma), ("dgamma", dgamma), ("den", den),
+                            ("degree", degree),
+                            ("_monomials", [(degree - sum(a), a) for a in index]),
+                            ("_gamma_ints", g), ("_dgamma_ints", dg)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("CurvatureField is immutable")
@@ -352,35 +375,53 @@ def curvature_field_of(conn: PolynomialConnection) -> CurvatureField:
     return CurvatureField(conn.l, gamma, dgamma)
 
 
+def _jets_at(field: CurvatureField, point):
+    """(g, dg, S): g[m][j][k] = S Gamma^m_jk(p) and dg[v][m][j][k] =
+    S d_v Gamma^m_jk(p) as ints, with S = L d^D for p = X/d."""
+    pt = [Fraction(x) for x in point]
+    d = lcm(*(x.denominator for x in pt))
+    D = field.degree
+    X = [x.numerator * (d // x.denominator) for x in pt]
+    powers = [[x ** e for e in range(D + 1)] for x in X + [d]]
+    # table[i] = X^alpha d^(D - |alpha|) for the i-th exponent alpha
+    table = [prod(row[e] for row, e in zip(powers, (*a, r))) for r, a in field._monomials]
+
+    def value(jet):
+        return sum(c * table[i] for i, c in jet)
+
+    g = [[[value(jet) for jet in row] for row in plane] for plane in field._gamma_ints]
+    dg = [[[[value(jet) for jet in row] for row in plane] for plane in block]
+          for block in field._dgamma_ints]
+    return g, dg, field.den * d ** D
+
+
 def evaluate_curvature_at(field: CurvatureField, point) -> CurvatureTensor:
     """R_ijkl at `point`, exactly, from Gamma(p) and d Gamma(p).
 
-    The tensor is returned unvalidated: deciding its symmetries is the
-    caller's check (the fedosov suite runs `check_symmetries` at every point).
+    With Gamma(p) = g/S and d Gamma(p) = dg/S in ints, S^2 R^m_jkl is
+    S (dg - dg) + (g g - g g): the derivative terms carry one factor S, the
+    quadratic ones none.  The tensor is returned unvalidated: deciding its
+    symmetries is the caller's check (the fedosov suite runs
+    `check_symmetries` at every point).
     """
     n = 2 * field.l
     if len(point) != n:
         raise ValueError("point must have dimension 2l")
-    pt = [Fraction(x) for x in point]
-    g = {idx: p.eval_at(pt) for idx, p in field.gamma.items()}
-    dg = {idx: p.eval_at(pt) for idx, p in field.dgamma.items()}
-    upper = {}      # R^m_jkl for k != l
-    for m, j in product(range(n), repeat=2):
-        for k, mm in combinations(range(n), 2):
-            acc = dg[(k, m, mm, j)] - dg[(mm, m, k, j)]
-            for a in range(n):
-                acc += g[(m, k, a)] * g[(a, mm, j)] - g[(m, mm, a)] * g[(a, k, j)]
-            upper[(m, j, k, mm)] = acc
-            upper[(m, j, mm, k)] = -acc
-    # R_ijkl = -s_i R^{i*}_jkl
-    entries = [
-        [
-            [[-w * upper[(m, j, k, mm)] if k != mm else F0 for mm in range(n)]
-             for k in range(n)]
-            for j in range(n)
-        ]
-        for m, w in omega_partners(field.l)
-    ]
+    g, dg, scale = _jets_at(field, point)
+    s2 = scale * scale
+    entries = [[[[F0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for m, (i, w) in enumerate(omega_partners(field.l)):
+        gm, dgm = g[m], [block[m] for block in dg]
+        for j in range(n):
+            plane = entries[i][j]
+            for k, mm in combinations(range(n), 2):
+                # S^2 R^m_jkl; R_ijkl = -s_i R^{i*}_jkl = s_m R^m_jkl for i = m*
+                acc = (dgm[k][mm][j] - dgm[mm][k][j]) * scale
+                for a, (gk, gmm) in enumerate(zip(gm[k], gm[mm])):
+                    acc += gk * g[a][mm][j] - gmm * g[a][k][j]
+                if acc:
+                    x = Fraction(acc if w > 0 else -acc, s2)
+                    plane[k][mm], plane[mm][k] = x, -x
     return CurvatureTensor(field.l, entries, validate=False)
 
 

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
+from operator import add, sub
 
 from .exact import RandomStream, nullspace_basis, random_symmetric_matrix, symmetric_matrix
 from .symplectic import omega_partners, raise_lower_index
@@ -115,19 +116,18 @@ class CurvatureTensor:
     def __add__(self, other):
         if not isinstance(other, CurvatureTensor):
             return NotImplemented
-        n = 2 * self.l
-        out = _zero_entries(n)
-        for i, j, k, m in product(range(n), repeat=4):
-            out[i][j][k][m] = self.entries[i][j][k][m] + other.entries[i][j][k][m]
-        return CurvatureTensor(self.l, out, validate=False)
+        return self._combine(other, add)
 
     def __sub__(self, other):
         if not isinstance(other, CurvatureTensor):
             return NotImplemented
-        n = 2 * self.l
-        out = _zero_entries(n)
-        for i, j, k, m in product(range(n), repeat=4):
-            out[i][j][k][m] = self.entries[i][j][k][m] - other.entries[i][j][k][m]
+        return self._combine(other, sub)
+
+    def _combine(self, other: "CurvatureTensor", op) -> "CurvatureTensor":
+        """op(self, other) entry by entry, for op in (add, sub); a zero entry
+        of other leaves self's entry as it is."""
+        out = [[[[op(x, y) if y else x for x, y in zip(r, q)] for r, q in zip(p, o)]
+                for p, o in zip(b, c)] for b, c in zip(self.entries, other.entries)]
         return CurvatureTensor(self.l, out, validate=False)
 
     def __repr__(self):
@@ -290,29 +290,30 @@ def sigma_tilde_of(sigma: RicciTensor) -> CurvatureTensor:
     This is the unique (up to the fixed normalization 1/(2(l+1))) Ricci-type
     section: ricci_of(sigma_tilde_of(s)) = s exactly.  Each of the five terms
     of the display is nonzero only where its omega pairs a slot with its
-    partner, so the sum runs over the partner map.
+    partner, so the sum runs over the partner map.  The terms are summed over
+    ints, from the entries of s cleared to the lcm c of their denominators;
+    each entry is then one Fraction over c * 2(l+1).
     """
-    s = sigma.entries
     partners = omega_partners(sigma.l)
     n = len(partners)
-    out = _zero_entries(n)
+    c = lcm(*(x.denominator for row in sigma.entries for x in row))
+    s = [[x.numerator * (c // x.denominator) for x in row] for row in sigma.entries]
+    out = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for x, (y, w) in enumerate(partners):     # omega_xy = w
         for a in range(n):
             for b in range(n):
-                c = s[a][b] if w > 0 else -s[a][b]
-                if not c:
+                v = s[a][b] if w > 0 else -s[a][b]
+                if not v:
                     continue
-                out[x][a][b][y] += c            # omega_im s_jk
-                out[x][a][y][b] -= c            # omega_ik s_jm
-                out[a][x][b][y] += c            # omega_jm s_ik
-                out[a][x][y][b] -= c            # omega_jk s_im
-                out[a][b][x][y] += 2 * c        # 2 s_ij omega_km
-    denom = Fraction(1, 2 * (sigma.l + 1))
-    for block in out:
-        for plane in block:
-            for row in plane:
-                row[:] = [v * denom if v else F0 for v in row]
-    return CurvatureTensor(sigma.l, out, validate=False)
+                out[x][a][b][y] += v            # omega_im s_jk
+                out[x][a][y][b] -= v            # omega_ik s_jm
+                out[a][x][b][y] += v            # omega_jm s_ik
+                out[a][x][y][b] -= v            # omega_jk s_im
+                out[a][b][x][y] += 2 * v        # 2 s_ij omega_km
+    denom = c * 2 * (sigma.l + 1)
+    entries = [[[[Fraction(v, denom) if v else F0 for v in row] for row in plane]
+                for plane in block] for block in out]
+    return CurvatureTensor(sigma.l, entries, validate=False)
 
 
 def weyl_of(R: CurvatureTensor) -> WeylTensor:
@@ -329,29 +330,42 @@ def raise_all(R: CurvatureTensor):
     return t
 
 
-def omega_traces(R: CurvatureTensor) -> dict:
-    """The six contractions R^{ijkl} omega_(pair), keyed by slot pair.
-
-    Each value is a 2l x 2l matrix over the two free slots, in slot order.
-    """
-    raised = raise_all(R)
-    partners = omega_partners(R.l)
+def _lowered_traces(e, partners) -> dict:
+    """The six omega-contractions sum_a s_a e[..a..a*..] of a lowered rank-4
+    array (ints or Fractions), keyed by slot pair; each value is a 2l x 2l
+    matrix over the two free slots, in slot order."""
     n = len(partners)
     out = {}
     for s, t in combinations(range(4), 2):
         free = [p for p in range(4) if p not in (s, t)]
-        mat = [[F0] * n for _ in range(n)]
+        mat = [[0] * n for _ in range(n)]
         for u in range(n):
             for v in range(n):
-                acc = F0
+                acc = 0
                 for a, (b, w) in enumerate(partners):
                     idx = [0, 0, 0, 0]
                     idx[s], idx[t] = a, b
                     idx[free[0]], idx[free[1]] = u, v
-                    acc += w * raised[idx[0]][idx[1]][idx[2]][idx[3]]
+                    acc += w * e[idx[0]][idx[1]][idx[2]][idx[3]]
                 mat[u][v] = acc
         out[(s, t)] = mat
     return out
+
+
+def omega_traces(R: CurvatureTensor) -> dict:
+    """The six contractions R^{ijkl} omega_(pair), keyed by slot pair.
+
+    Each value is a 2l x 2l matrix over the two free slots, in slot order.
+    Raising is the signed swap T'[i] = s_i T[i*] in every slot, so the raised
+    trace at (u, v) is s_u s_v times the lowered trace at (u*, v*); it is read
+    off `_lowered_traces` without raising the tensor.
+    """
+    partners = omega_partners(R.l)
+    lowered = _lowered_traces(R.entries, partners)
+    return {
+        pair: [[su * sv * Fraction(mat[up][vp]) for vp, sv in partners] for up, su in partners]
+        for pair, mat in lowered.items()
+    }
 
 
 # ---------------------------------------------------------------------------

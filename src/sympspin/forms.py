@@ -74,7 +74,11 @@ PROJECTORS = ("p10", "p11", "p20", "p21", "p22")
 
 
 class SpinorForm:
-    """Element of Lambda^r V* tensor S, stored sparsely by increasing tuple."""
+    """Element of Lambda^r V* tensor S, stored sparsely by increasing tuple.
+
+    The public constructor checks every tuple and component; the results of
+    the operators on valid forms are built through the unchecked `_form`.
+    """
 
     __slots__ = ("l", "r", "cap", "components")
 
@@ -166,7 +170,7 @@ class SpinorForm:
                 out.pop(t, None)
             else:
                 out[t] = tot
-        return SpinorForm(self.l, self.r, cap, out)
+        return _form(self.l, self.r, cap, out)
 
     def __neg__(self):
         return self.scale(-1)
@@ -175,10 +179,8 @@ class SpinorForm:
         g = scalar if isinstance(scalar, GaussianRational) else GaussianRational(scalar)
         if not g:
             return SpinorForm(self.l, self.r, self.cap)
-        return SpinorForm(
-            self.l, self.r, self.cap,
-            {t: s.scale(g) for t, s in self.components.items()},
-        )
+        return _form(self.l, self.r, self.cap,
+                     {t: s.scale(g) for t, s in self.components.items()})
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction, GaussianRational)):
@@ -196,6 +198,19 @@ class SpinorForm:
         return self.cap - max(0, self.max_spinor_degree())
 
 
+def _form(l: int, r: int, cap: int, components: dict) -> SpinorForm:
+    """The unchecked constructor: every key must be a strictly increasing
+    r-tuple of indices below 2l and every value a valid spinor over l with
+    this cap, as every operator result on valid forms is.  Zero components
+    are dropped, as the public constructor drops them."""
+    phi = object.__new__(SpinorForm)
+    object.__setattr__(phi, "l", l)
+    object.__setattr__(phi, "r", r)
+    object.__setattr__(phi, "cap", cap)
+    object.__setattr__(phi, "components", {t: s for t, s in components.items() if s.num})
+    return phi
+
+
 def _recap(s: PolySpinor, cap: int) -> PolySpinor:
     """s with the cap raised to `cap`; a valid spinor stays valid."""
     if s.cap == cap:
@@ -206,7 +221,7 @@ def _recap(s: PolySpinor, cap: int) -> PolySpinor:
 def _recap_form(phi: SpinorForm, cap: int) -> SpinorForm:
     if phi.cap == cap:
         return phi
-    return SpinorForm(phi.l, phi.r, cap, {t: _recap(s, cap) for t, s in phi.components.items()})
+    return _form(phi.l, phi.r, cap, {t: _recap(s, cap) for t, s in phi.components.items()})
 
 
 def _insert_index(i: int, tup: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
@@ -234,7 +249,7 @@ def wedge(i: int, phi: SpinorForm) -> SpinorForm:
         sign, new = ins
         term = s if sign == 1 else -s
         _accumulate(out, new, term)
-    return SpinorForm(phi.l, phi.r + 1, phi.cap, out)
+    return _form(phi.l, phi.r + 1, phi.cap, out)
 
 
 def wedge_covector(xi, phi: SpinorForm) -> SpinorForm:
@@ -263,7 +278,7 @@ def contract(i: int, phi: SpinorForm) -> SpinorForm:
         reduced = tup[:pos] + tup[pos + 1:]
         term = s if pos % 2 == 0 else -s
         _accumulate(out, reduced, term)
-    return SpinorForm(phi.l, phi.r - 1, phi.cap, out)
+    return _form(phi.l, phi.r - 1, phi.cap, out)
 
 
 def _accumulate(out: dict, tup: tuple[int, ...], s: PolySpinor) -> None:
@@ -291,7 +306,7 @@ def op_X(phi: SpinorForm) -> SpinorForm:
             if term.is_zero():
                 continue
             _accumulate(out, new, -term if sign == 1 else term)
-    return SpinorForm(l, phi.r + 1, phi.cap, out)
+    return _form(l, phi.r + 1, phi.cap, out)
 
 
 def op_Y(phi: SpinorForm) -> SpinorForm:
@@ -310,7 +325,7 @@ def op_Y(phi: SpinorForm) -> SpinorForm:
             term = clifford_basis(j, s)
             if not term.is_zero():
                 _accumulate(out, reduced, term if sign > 0 else -term)
-    return SpinorForm(l, phi.r - 1, phi.cap, out)
+    return _form(l, phi.r - 1, phi.cap, out)
 
 
 def op_H(phi: SpinorForm) -> SpinorForm:
@@ -391,7 +406,7 @@ def sp_action_form(A: SpLieElement, phi: SpinorForm) -> SpinorForm:
                 term = s.scale(total)
                 if not term.is_zero():
                     _accumulate(out, new, term)
-    return SpinorForm(phi.l, phi.r, phi.cap, out)
+    return _form(phi.l, phi.r, phi.cap, out)
 
 
 def random_form(

@@ -10,14 +10,15 @@ which every result goes through the public `PolySpinor` and
 `GaussianRational` constructors and every product of Gaussian rationals takes
 four Fraction products, and the unfolded curvature action, eq. 11 display and
 two-form projectors.  The package's Gaussian-integer, unchecked and folded
-fast paths are tested against them, and its integer `check_symmetries`
-against the Fraction one kept here.
+fast paths are tested against them, and its integer `check_symmetries`,
+`sigma_tilde_of`, `omega_traces` and curvature evaluation against the
+Fraction ones kept here, which evaluate a `Poly` term by term.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
-from sympspin.curvature import IdentityCheck, SymmetryReport
+from sympspin.curvature import CurvatureTensor, IdentityCheck, SymmetryReport
 from sympspin.exact import GR_I, GaussianRational
 from sympspin.forms import PROJECTORS, SpinorForm, _accumulate, op_X
 from sympspin.spinors import DegreeCapError, PolySpinor, SpLieElement, clifford_basis
@@ -282,3 +283,80 @@ def check_symmetries(e) -> SymmetryReport:
         pair_symmetry=IdentityCheck(pair is None, pair),
         extended_bianchi=IdentityCheck(ext is None, ext),
     )
+
+
+# ---------------------------------------------------------------------------
+# Curvature tensors over Fractions
+# ---------------------------------------------------------------------------
+
+
+def _zero4(n):
+    return [[[[Fraction(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+
+
+def poly_eval(p, point) -> Fraction:
+    """The Poly p at `point`, term by term, each power a repeated product."""
+    if len(point) != p.n:
+        raise ValueError("point has wrong dimension")
+    acc = Fraction(0)
+    for alpha, c in p.terms.items():
+        term = c
+        for x, e in zip(point, alpha):
+            for _ in range(e):
+                term *= x
+        acc += term
+    return acc
+
+
+def evaluate_curvature_at(field, point) -> CurvatureTensor:
+    """R_ijkl at `point` from the Poly jets, every value a Fraction:
+    R^m_jkl = d_k Gamma^m_lj - d_l Gamma^m_kj + Gamma^m_ka Gamma^a_lj
+    - Gamma^m_la Gamma^a_kj, lowered with the omega matrix."""
+    lo = standard_symplectic_form(field.l).omega_lower
+    n = 2 * field.l
+    pt = [Fraction(x) for x in point]
+    g = {idx: poly_eval(p, pt) for idx, p in field.gamma.items()}
+    dg = {idx: poly_eval(p, pt) for idx, p in field.dgamma.items()}
+    out = _zero4(n)
+    for m, j, k, mm in product(range(n), repeat=4):
+        if k == mm:
+            continue
+        acc = dg[(k, m, mm, j)] - dg[(mm, m, k, j)]
+        for a in range(n):
+            acc += g[(m, k, a)] * g[(a, mm, j)] - g[(m, mm, a)] * g[(a, k, j)]
+        for i in range(n):
+            out[i][j][k][mm] += acc * lo[m][i]
+    return CurvatureTensor(field.l, out, validate=False)
+
+
+def sigma_tilde_of(sigma) -> CurvatureTensor:
+    """(omega_il s_jk - omega_ik s_jl + omega_jl s_ik - omega_jk s_il
+    + 2 s_ij omega_kl) / (2(l+1)), summed over every entry of omega."""
+    lo = standard_symplectic_form(sigma.l).omega_lower
+    s = sigma.entries
+    n = 2 * sigma.l
+    out = _zero4(n)
+    for i, j, k, m in product(range(n), repeat=4):
+        out[i][j][k][m] = (lo[i][m] * s[j][k] - lo[i][k] * s[j][m] + lo[j][m] * s[i][k]
+                           - lo[j][k] * s[i][m] + 2 * s[i][j] * lo[k][m]) / (2 * (sigma.l + 1))
+    return CurvatureTensor(sigma.l, out, validate=False)
+
+
+def omega_traces(R) -> dict:
+    """The six contractions R^{ijkl} omega_(pair) of the fully raised tensor,
+    each summed over every entry of omega_lower."""
+    lo = standard_symplectic_form(R.l).omega_lower
+    n = 2 * R.l
+    t = R.entries
+    for slot in range(4):
+        t = raise_lower_index(t, slot, "raise")
+    out = {}
+    for s, u in combinations(range(4), 2):
+        free = [p for p in range(4) if p not in (s, u)]
+        mat = [[Fraction(0)] * n for _ in range(n)]
+        for idx in product(range(n), repeat=4):
+            w = lo[idx[s]][idx[u]]
+            if w:
+                mat[idx[free[0]]][idx[free[1]]] += w * t[idx[0]][idx[1]][idx[2]][idx[3]]
+        out[(s, u)] = mat
+    return out

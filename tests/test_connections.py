@@ -2,9 +2,12 @@
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import lcm
 
 import pytest
 
+import oracles
+from sympspin import connections
 from sympspin.connections import (
     CurvatureField,
     Poly,
@@ -37,7 +40,7 @@ def test_poly_basics():
     assert (p + q) == Poly(2, {(0, 1): F(1)})
     assert (p * q) == Poly(2, {(2, 0): F(-4), (1, 1): F(-2)})
     assert p.deriv(0) == Poly.const(2, 2)
-    assert p.eval_at([F(3), F(1, 2)]) == F(13, 2)
+    assert oracles.poly_eval(p, [F(3), F(1, 2)]) == F(13, 2)
     assert Poly.zero(2).is_zero() and Poly.zero(2).degree() == -1
 
 
@@ -242,11 +245,11 @@ def _oracle_mismatches(l: int, degree: int, seed: int, n_points: int = 3) -> lis
         point = [stream.next_fraction(3) for _ in range(2 * l)]
         R = evaluate_curvature_at(field, point)
         bad += [(idx, point) for idx, p in oracle.items()
-                if R.entry(*idx) != p.eval_at(point)]
+                if R.entry(*idx) != oracles.poly_eval(p, point)]
     return bad
 
 
-@pytest.mark.parametrize("l,degree", [(l, d) for l in (1, 2) for d in (0, 1, 2)])
+@pytest.mark.parametrize("l,degree", [(l, d) for l in (1, 2) for d in (0, 1, 2)] + [(3, 1)])
 def test_curvature_jets_match_symbolic_field(l, degree):
     assert _oracle_mismatches(l, degree, seed=100 * l + degree) == []
 
@@ -265,6 +268,65 @@ def test_symbolic_oracle_catches_a_planted_deriv_defect(monkeypatch, defect):
     monkeypatch.setattr(Poly, "deriv", planted[defect])
     reports = fedosov_suite(2, 31, n_connections=1, n_points=2)
     assert [r.status for r in reports] == ["pass", "pass", "pass"]
+    assert _oracle_mismatches(2, 1, seed=201)
+
+
+def _points(l: int, seed: int) -> list:
+    """Two points with denominators up to 7 (the first coordinate of the
+    first is in lowest terms over 7), an integer point (d = 1) and the origin."""
+    stream = RandomStream(seed)
+    n = 2 * l
+    first = [F(stream.next_int(1, 6), 7 - i) for i in range(n)]
+    second = [F(stream.next_int(-9, 9), stream.next_int(1, 7)) for _ in range(n)]
+    return [first, second, [stream.next_int(-4, 4) for _ in range(n)], [0] * n]
+
+
+def _differential_mismatches(field, points) -> list:
+    """The points where the integer evaluation and the Fraction oracle differ."""
+    return [p for p in points
+            if evaluate_curvature_at(field, p) != oracles.evaluate_curvature_at(field, p)]
+
+
+@pytest.mark.parametrize("l,degree", [(l, d) for l in (1, 2, 3) for d in range(4)])
+def test_integer_evaluation_matches_fraction_oracle(l, degree):
+    field = curvature_field_of(random_connection(l, degree, 300 + 10 * l + degree))
+    assert field.degree == degree and field.den >= 1
+    points = _points(l, 400 + 10 * l + degree)
+    assert points[0][0].denominator == 7
+    assert _differential_mismatches(field, points) == []
+    R = evaluate_curvature_at(field, points[0])
+    assert all(type(x) is Fraction for b in R.entries for p in b for r in p for x in r)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_integer_evaluation_of_the_flat_connection(l):
+    field = curvature_field_of(PolynomialConnection(l, 0, {}))
+    assert (field.den, field.degree) == (1, 0)
+    points = _points(l, 500 + l)
+    assert _differential_mismatches(field, points) == []
+    assert all(evaluate_curvature_at(field, p).is_zero() for p in points)
+
+
+def test_planted_derivative_scale_defect_passes_the_suite(monkeypatch):
+    # The planted defect: the derivative terms scaled by d*S instead of S, so
+    # d Gamma(p) counts d times over.  The derivative part and the
+    # Gamma.Gamma part are each curvature-type, so every symmetry and the
+    # decomposition still hold and all three fedosov checks pass: the
+    # differential test and the symbolic-field oracle are the only guards.
+    jets = connections._jets_at
+
+    def scaled(field, point):
+        g, dg, scale = jets(field, point)
+        d = lcm(*(F(x).denominator for x in point))
+        return g, [[[[x * d for x in row] for row in plane] for plane in block]
+                   for block in dg], scale
+
+    monkeypatch.setattr(connections, "_jets_at", scaled)
+    reports = fedosov_suite(2, 31, n_connections=2, n_points=3)
+    assert [r.status for r in reports] == ["pass", "pass", "pass"]
+    field = curvature_field_of(random_connection(2, 2, 322))
+    points = _points(2, 422)
+    assert _differential_mismatches(field, points) == points[:2]
     assert _oracle_mismatches(2, 1, seed=201)
 
 

@@ -2,12 +2,13 @@
 
 The package stores spinors as Gaussian-integer numerators over one
 denominator, multiplies by units by negating or swapping numerator parts,
-builds arithmetic results without re-validating them, folds the curvature
-action and the eq. 11 display, computes XY and X^2Y^2 once per 2-form, and
-checks the curvature symmetries on integer-cleared entries.  Each of these is
-compared here, at l = 2 and l = 3, with the checked Fraction and unfolded
-reference in `oracles`, and planted defects show that the suites catch a
-broken fast path.
+builds spinor and form results without re-validating them, folds the
+curvature action and the eq. 11 display, computes XY and X^2Y^2 once per
+2-form, checks the curvature symmetries on integer-cleared entries, sums
+sigma_tilde over ints and reads the omega-traces off the lowered tensor.
+Each of these is compared here, at l = 2 and l = 3 (the curvature paths also
+at l = 1), with the checked Fraction and unfolded reference in `oracles`, and
+planted defects show that the suites catch a broken fast path.
 """
 
 import copy
@@ -21,17 +22,34 @@ import oracles
 import sympspin.verify as verify
 from sympspin.cli import main
 from sympspin.curvature import (
+    CurvatureTensor,
     RicciTensor,
+    _ricci_entries,
     check_symmetries,
+    omega_traces,
     random_curvature,
     random_weyl,
     sigma_tilde_of,
 )
 from sympspin.exact import GR_I, GaussianRational, RandomStream
-from sympspin.forms import SpinorForm, _two_form_parts, op_Y, project, random_form
+from sympspin.forms import (
+    SpinorForm,
+    _form,
+    _two_form_parts,
+    contract,
+    op_H,
+    op_X,
+    op_Y,
+    project,
+    random_form,
+    sp_action_form,
+    wedge,
+    wedge_covector,
+)
 from sympspin.spinors import (
     DegreeCapError,
     PolySpinor,
+    SpLieElement,
     _lincomb,
     _spinor,
     clifford_basis,
@@ -47,24 +65,28 @@ SCALARS = [
 ]
 
 
-def assert_valid(s: PolySpinor) -> None:
-    """s is in lowest terms (int parts, den >= 1, gcd(den, every part) == 1,
-    no (0, 0) stored) and equals its re-validated copy."""
-    parts = [x for pair in s.num.values() for x in pair]
-    assert type(s.den) is int and s.den >= 1
-    assert all(type(x) is int for x in parts)
-    assert all(pair != (0, 0) for pair in s.num.values())
-    assert gcd(s.den, *parts) == 1
-    assert s == PolySpinor(s.l, s.cap, s.coeffs)
-    for c in s.coeffs.values():
+def assert_valid(x) -> None:
+    """A spinor x is in lowest terms (int parts, den >= 1, gcd(den, every
+    part) == 1, no (0, 0) stored) and equals its re-validated copy; a form x
+    stores only valid nonzero components with its cap and equals its
+    re-validated copy."""
+    if isinstance(x, SpinorForm):
+        assert x == SpinorForm(x.l, x.r, x.cap, x.components)
+        for tup, s in x.components.items():
+            assert type(tup) is tuple and len(tup) == x.r
+            assert list(tup) == sorted(set(tup)) and all(0 <= t < 2 * x.l for t in tup)
+            assert s.l == x.l and s.cap == x.cap and not s.is_zero()
+            assert_valid(s)
+        return
+    parts = [v for pair in x.num.values() for v in pair]
+    assert type(x.den) is int and x.den >= 1
+    assert all(type(v) is int for v in parts)
+    assert all(pair != (0, 0) for pair in x.num.values())
+    assert gcd(x.den, *parts) == 1
+    assert x == PolySpinor(x.l, x.cap, x.coeffs)
+    for c in x.coeffs.values():
         assert type(c) is GaussianRational and c
         assert type(c.re) is Fraction and type(c.im) is Fraction
-
-
-def assert_valid_form(phi) -> None:
-    for s in phi.components.values():
-        assert s.cap == phi.cap and not s.is_zero()
-        assert_valid(s)
 
 
 def spinors(l, seed, count=3, degree=3, cap=7):
@@ -152,11 +174,35 @@ def test_form_difference_subtracts_component_by_component():
     psi = random_form(2, 2, 2, 8, stream, terms_per_component=2)
     diff = phi - psi
     assert diff == phi + psi.scale(-1) and diff.cap == 8
-    assert_valid_form(diff)
+    assert_valid(diff)
     assert (phi - phi).is_zero()
     zero = SpinorForm.zero(2, 0, 9)
     assert phi - zero == phi + zero and (zero - phi) == -phi + zero
     assert (zero - phi).cap == 9
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_form_operator_results_are_valid_forms(l):
+    # the operators build their results through the unchecked _form
+    stream = RandomStream(110 + l)
+    one = random_form(l, 1, 2, 7, stream, terms_per_component=2)
+    two = random_form(l, 2, 2, 9, stream, terms_per_component=2)
+    xi = [stream.next_fraction(3) for _ in range(2 * l)]
+    A = SpLieElement.random(l, stream)
+    results = [op_X(one), op_Y(one), op_X(two), op_Y(two), op_H(one), wedge(1, one),
+               wedge_covector(xi, one), contract(0, two), contract(2 * l - 1, one),
+               sp_action_form(A, one), one + one, one - one, two - one.scale(0),
+               one + SpinorForm.zero(l, 2, 12), one.scale(GR(F(1, 2), -3)), one.scale(0)]
+    results += [project(p, one) for p in ("p10", "p11")]
+    results += [project(p, two) for p in ("p20", "p21", "p22")]
+    for phi in results:
+        assert_valid(phi)
+    assert (one - one).components == {} and one.scale(0).components == {}
+    assert (one + SpinorForm.zero(l, 2, 12)).cap == 12
+    # the unchecked constructor still drops zero components
+    s = random_spinor(l, 1, 5, stream, terms=2)
+    kept = _form(l, 1, 5, {(0,): s, (1,): PolySpinor.zero(l, 5)})
+    assert kept.components == {(0,): s} and kept == SpinorForm(l, 1, 5, {(0,): s})
 
 
 def test_sum_keeps_the_larger_cap():
@@ -183,7 +229,7 @@ def test_folded_action_matches_unfolded_oracle(l):
     for T in _tensors(l, 40 + l):
         act = verify.spinor_curvature_action(T, phi)
         assert act == oracles.spinor_curvature_action(T, phi)
-        assert_valid_form(act)
+        assert_valid(act)
 
 
 @pytest.mark.parametrize("l", [2, 3])
@@ -192,7 +238,7 @@ def test_folded_eq11_display_matches_unfolded_oracle(l):
     W = random_weyl(l, 50 + l)
     lit = verify.literal_p21_weyl(W, phi)
     assert lit == oracles.literal_p21_weyl(W, phi)
-    assert_valid_form(lit)
+    assert_valid(lit)
 
 
 @pytest.mark.parametrize("l", [2, 3])
@@ -206,7 +252,7 @@ def test_two_form_parts_match_separate_projectors(l):
         assert yy == op_Y(op_Y(form))
         for which, part in (("p20", p20), ("p21", p21), ("p22", p22)):
             assert part == oracles.project(which, form) == project(which, form)
-            assert_valid_form(part)
+            assert_valid(part)
     one_form = random_form(l, 1, 2, 8, stream, terms_per_component=2)
     for which in ("p10", "p11"):
         assert project(which, one_form) == oracles.project(which, one_form)
@@ -257,6 +303,57 @@ def test_integer_symmetry_check_matches_fraction_oracle(l):
         assert verdicts == {True, False}
     R = random_curvature(l, 80 + l)
     assert check_symmetries(R) == oracles.check_symmetries(R.entries)
+
+
+# ---------------------------------------------------------------------------
+# sigma_tilde over ints and the omega-traces of the lowered tensor
+# ---------------------------------------------------------------------------
+
+
+def _sigmas(l):
+    """Random (denominators up to 5), integer and zero symmetric matrices."""
+    stream = RandomStream(120 + l)
+    n = 2 * l
+    ints = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            ints[i][j] = ints[j][i] = stream.next_int(-4, 4)
+    return [RicciTensor.random(l, stream), RicciTensor.random(l, stream, bound=7),
+            RicciTensor(l, ints), RicciTensor.zero(l)]
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_integer_sigma_tilde_matches_fraction_oracle(l):
+    for sigma in _sigmas(l):
+        st = sigma_tilde_of(sigma)
+        assert st == oracles.sigma_tilde_of(sigma)
+        assert all(type(x) is Fraction for b in st.entries for p in b for r in p for x in r)
+        assert RicciTensor(l, _ricci_entries(st)) == sigma
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_omega_traces_of_the_lowered_tensor_match_the_raised_oracle(l):
+    n = 2 * l
+    tensors = [random_curvature(l, 130 + l), random_weyl(l, 140 + l),
+               sigma_tilde_of(_sigmas(l)[0])]
+    for i, j, k, m in ((0, 0, 0, 0), (0, 1, n - 1, 0), (n - 1, 0, 1, n - 1)):
+        lone = _zero4(n)
+        lone[i][j][k][m] = F(2, 7)
+        tensors.append(CurvatureTensor(l, lone, validate=False))
+    for T in tensors:
+        assert omega_traces(T) == oracles.omega_traces(T)
+    assert not any(x for mat in omega_traces(tensors[1]).values() for row in mat for x in row)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_lemma7_weyl_instance_on_integer_cleared_tensors(l):
+    R = random_curvature(l, 150 + l)
+    assert verify.lemma7_weyl_instance(R)
+    assert verify.lemma7_weyl_instance(sigma_tilde_of(_sigmas(l)[0]))
+    assert verify.lemma7_weyl_instance(CurvatureTensor.zero(l))
+    bumped = copy.deepcopy(R.entries)
+    bumped[0][1][0][1] += F(1, 3)
+    assert not verify.lemma7_weyl_instance(CurvatureTensor(l, bumped, validate=False))
 
 
 # ---------------------------------------------------------------------------
@@ -358,3 +455,69 @@ def test_unscaled_mixed_denominator_add_fails_and_replays(tmp_path, monkeypatch,
     assert json.loads(capsys.readouterr().out)["reproduced"] is True
     monkeypatch.undo()
     assert main(["--replay", str(ce_path)]) == 0
+
+
+def _scaled(T: CurvatureTensor, k) -> CurvatureTensor:
+    return CurvatureTensor(T.l, [[[[x * k for x in row] for row in plane] for plane in block]
+                                 for block in T.entries], validate=False)
+
+
+def test_sigma_tilde_without_its_normalization_fails_and_replays(tmp_path, monkeypatch, capsys):
+    # The planted defect: sigma_tilde's one denominator lacks the 2(l+1).  At
+    # l = 2, trials = 2 (seed 42) exactly these seven records fail: both
+    # lemma7 checks, fedosov.decomposition, theorem9's eq9 and eq10 displays
+    # (the printed formulas, which omit the normalization, now match
+    # literally and no longer after the correction) and corollary11's p21
+    # and p22 displays.  theorem9 itself passes, since p22 of a multiple of
+    # the Ricci-type action still vanishes, and so does the corollary11
+    # verdict, which holds by construction.
+    sigma_tilde = verify.sigma_tilde_of
+    monkeypatch.setattr(verify, "sigma_tilde_of",
+                        lambda sigma: _scaled(sigma_tilde(sigma), 2 * (sigma.l + 1)))
+    report_path = tmp_path / "report.json"
+    argv = ["--l", "2", "--trials", "2", "--format", "json", "--out", str(report_path)]
+    assert main(argv) == 1
+    checks = json.loads(report_path.read_text())["checks"]
+    failing = {c["name"] for c in checks if c["status"] == "fail"}
+    assert failing == {
+        "lemma7.weyl-trace-free", "lemma7.ricci-section", "fedosov.decomposition",
+        "theorem9.eq9-display", "theorem9.eq10-display",
+        "corollary11.p21-display", "corollary11.p22-display",
+    }
+    ce_path = tmp_path / "decomposition.json"
+    ce_path.write_text(json.dumps(next(c["counterexample"] for c in checks
+                                       if c["name"] == "fedosov.decomposition")))
+    capsys.readouterr()
+    assert main(["--replay", str(ce_path)]) == 1
+    assert json.loads(capsys.readouterr().out)["reproduced"] is True
+    monkeypatch.undo()
+    assert main(["--replay", str(ce_path)]) == 0
+
+
+def test_unsigned_lowered_trace_fails_the_trace_free_checks(tmp_path, monkeypatch, capsys):
+    # The planted defect: the lowered omega-traces of lemma7_weyl_instance
+    # drop the sign s_a, i.e. sum e[..a..a*..] over a partner map whose signs
+    # are all +1.  The trace-free part of a curvature tensor has nonzero such
+    # sums, so exactly lemma7.weyl-trace-free and fedosov.decomposition fail
+    # at l = 2, trials = 2; the symmetry and section checks do not read it.
+    partners = verify.omega_partners
+    monkeypatch.setattr(verify, "omega_partners",
+                        lambda l: tuple((j, 1) for j, _ in partners(l)))
+    report_path = tmp_path / "report.json"
+    argv = ["--l", "2", "--trials", "2", "--format", "json", "--suite", "lemma7",
+            "--suite", "fedosov", "--out", str(report_path)]
+    assert main(argv) == 1
+    checks = json.loads(report_path.read_text())["checks"]
+    assert {c["name"]: c["status"] for c in checks} == {
+        "lemma7.weyl-trace-free": "fail",
+        "lemma7.ricci-section": "pass",
+        "fedosov.axioms": "pass",
+        "fedosov.curvature-symmetries": "pass",
+        "fedosov.decomposition": "fail",
+    }
+    capsys.readouterr()
+    assert main(["--replay", str(report_path)]) == 1
+    results = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["reproduced"] for r in results] == [True, True]
+    monkeypatch.undo()
+    assert main(["--replay", str(report_path)]) == 0
