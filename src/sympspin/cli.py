@@ -3,9 +3,9 @@
 Suites, their checks, paper anchors, requirements and documented display
 verdicts all come from the registry `sympspin.verify.SUITES`; this module
 holds the run configuration and its validation (including the size ceiling
-MAX_L / MAX_DEGREE), the report records and their emission, and the
-`sympspin` entry point.  `--replay` re-runs the counterexamples in a file and
-exits 2 with a one-line message on a file it cannot replay.
+MAX_L / MAX_DEGREE / MAX_TRIALS), the report records and their emission, and
+the `sympspin` entry point.  `--replay` re-runs the counterexamples in a file
+and exits 2 with a one-line message on a file it cannot replay.
 
 Report schema (JSON):
 
@@ -38,6 +38,7 @@ from .exact import RandomStream
 from .verify import (
     MAX_DEGREE,
     MAX_L,
+    MAX_TRIALS,
     SUITES,
     ActionReport,
     replay_counterexample,
@@ -156,8 +157,9 @@ def validate_config(config: RunConfig) -> list[str]:
     selected = expand_suites(config.suites)
     if config.l < 1 or config.max_degree < 0 or config.pad < 0 or config.trials < 0:
         raise ValueError("l, max_degree, pad, trials must be non-negative (l >= 1)")
-    if config.l > MAX_L or config.max_degree > MAX_DEGREE:
-        raise ValueError(f"size ceiling: l <= {MAX_L} and max_degree <= {MAX_DEGREE}")
+    if config.l > MAX_L or config.max_degree > MAX_DEGREE or config.trials > MAX_TRIALS:
+        raise ValueError(f"size ceiling: l <= {MAX_L}, max_degree <= {MAX_DEGREE} "
+                         f"and trials <= {MAX_TRIALS}")
     for name in selected:
         suite = SUITES[name]
         if config.l < suite.min_l:

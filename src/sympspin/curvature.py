@@ -217,12 +217,18 @@ def _entries_of(R):
 
 
 def _cleared(e):
-    """The rational rank-4 array e times the lcm of its denominators: the
-    same array of ints up to one positive factor, so it satisfies exactly
-    the same linear identities."""
+    """(ints, den): the rational rank-4 array e times den, the lcm of its
+    denominators.  The ints are the same array up to one positive factor, so
+    they satisfy exactly the same linear identities, and e = ints / den."""
     den = lcm(*(x.denominator for block in e for plane in block for row in plane for x in row))
     return [[[[x.numerator * (den // x.denominator) for x in row] for row in plane]
-             for plane in block] for block in e]
+             for plane in block] for block in e], den
+
+
+def _cleared_matrix(m):
+    """(ints, den) of a rational matrix, as `_cleared` does for rank 4."""
+    den = lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in m], den
 
 
 def check_symmetries(R) -> SymmetryReport:
@@ -233,7 +239,7 @@ def check_symmetries(R) -> SymmetryReport:
     lexicographic order, so each `first_violation` is the first offending
     (i, j, k, m) in that order.
     """
-    e = _cleared(_entries_of(R))
+    e, _ = _cleared(_entries_of(R))
     n = len(e)
     anti = bianchi = pair = ext = None
     for i, j, k, m in product(range(n), repeat=4):
@@ -296,8 +302,7 @@ def sigma_tilde_of(sigma: RicciTensor) -> CurvatureTensor:
     """
     partners = omega_partners(sigma.l)
     n = len(partners)
-    c = lcm(*(x.denominator for row in sigma.entries for x in row))
-    s = [[x.numerator * (c // x.denominator) for x in row] for row in sigma.entries]
+    s, c = _cleared_matrix(sigma.entries)
     out = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for x, (y, w) in enumerate(partners):     # omega_xy = w
         for a in range(n):
@@ -330,13 +335,14 @@ def raise_all(R: CurvatureTensor):
     return t
 
 
-def _lowered_traces(e, partners) -> dict:
-    """The six omega-contractions sum_a s_a e[..a..a*..] of a lowered rank-4
-    array (ints or Fractions), keyed by slot pair; each value is a 2l x 2l
-    matrix over the two free slots, in slot order."""
+def _lowered_traces(e, partners, pairs=tuple(combinations(range(4), 2))) -> dict:
+    """The omega-contractions sum_a s_a e[..a..a*..] of a lowered rank-4
+    array (ints or Fractions) over each slot pair of `pairs` (default: all
+    six), keyed by slot pair; each value is a 2l x 2l matrix over the two
+    free slots, in slot order."""
     n = len(partners)
     out = {}
-    for s, t in combinations(range(4), 2):
+    for s, t in pairs:
         free = [p for p in range(4) if p not in (s, t)]
         mat = [[0] * n for _ in range(n)]
         for u in range(n):

@@ -28,6 +28,14 @@ the only nonzero entry omega^{i i*} = s_i of row i.
 A variant with i/(1-l) in the XY term squares to minus itself; the test
 suite pins the idempotent choice.
 
+X and Y are the hot loops of every projector.  They put the components of
+a form over one denominator, the lcm of theirs, and add every signed e_i.s
+straight into one accumulator per output tuple through the Clifford kernel
+`spinors._clifford_into`, which works on packed monomial keys (one exponent
+field per variable, the total degree on top; see `spinors`).  Each output
+component is reduced to lowest terms once; no spinor is built per
+(component, index) pair.
+
 Projectors never materialize matrices; they compose X and Y.  The three
 two-form projectors share their work: `_two_form_parts` returns p20, p21, p22
 (and Y^2) from one Y, one XY and one X^2Y^2, `project` reads p21 or p22 off
@@ -45,8 +53,10 @@ from .exact import GR_I, GaussianRational, RandomStream, nullspace_basis
 from .spinors import (
     PolySpinor,
     SpLieElement,
+    _clifford_into,
+    _common_den,
+    _from_acc,
     _spinor,
-    clifford_basis,
     poly_spinor_from_json,
     poly_spinor_to_json,
     random_spinor,
@@ -290,42 +300,59 @@ def _accumulate(out: dict, tup: tuple[int, ...], s: PolySpinor) -> None:
         out[tup] = tot
 
 
+def _over_one_den(phi: SpinorForm) -> tuple[int, list]:
+    """(D, [(tup, num, f)]): every component's numerators with the factor f
+    that puts them over D, the lcm of the component denominators."""
+    comps = phi.components
+    den, factors = _common_den([s.den for s in comps.values()])
+    return den, [(tup, s.num, f) for (tup, s), f in zip(comps.items(), factors)]
+
+
+def _form_from_accs(l: int, r: int, cap: int, accs: dict, den: int) -> SpinorForm:
+    """The form whose component at each tuple is accs[tup] / den, reduced once
+    per component (`spinors._from_acc`)."""
+    return _form(l, r, cap, {tup: _from_acc(l, cap, acc, den) for tup, acc in accs.items()})
+
+
 def op_X(phi: SpinorForm) -> SpinorForm:
-    """X = - sum_i (e^i ∧ .) ⊗ e_i. ; raises form degree and spinor degree."""
-    l = phi.l
+    """X = - sum_i (e^i ∧ .) ⊗ e_i. ; raises form degree and spinor degree.
+
+    Summed in place: every -sign * e_i.s lands in its output tuple's
+    accumulator over one denominator, and each output component is reduced
+    once."""
+    l, cap = phi.l, phi.cap
     if phi.r == 2 * l:
-        return SpinorForm.zero(l, phi.r, phi.cap)
-    out: dict[tuple[int, ...], PolySpinor] = {}
-    for tup, s in phi.components.items():
+        return SpinorForm.zero(l, phi.r, cap)
+    den, comps = _over_one_den(phi)
+    accs: dict[tuple[int, ...], dict] = {}
+    for tup, num, f in comps:
         for i in range(2 * l):
             ins = _insert_index(i, tup)
             if ins is None:
                 continue
             sign, new = ins
-            term = clifford_basis(i, s)
-            if term.is_zero():
-                continue
-            _accumulate(out, new, -term if sign == 1 else term)
-    return _form(l, phi.r + 1, phi.cap, out)
+            _clifford_into(accs.setdefault(new, {}), num, i, l, cap, -f if sign == 1 else f)
+    return _form_from_accs(l, phi.r + 1, cap, accs, den)
 
 
 def op_Y(phi: SpinorForm) -> SpinorForm:
-    """Y = sum_i s_i (iota_{e_i} .) ⊗ e_{i*}. ; zero on 0-forms."""
-    l = phi.l
+    """Y = sum_i s_i (iota_{e_i} .) ⊗ e_{i*}. ; zero on 0-forms.
+
+    Summed in place over one denominator, as `op_X` is."""
+    l, cap = phi.l, phi.cap
     if phi.r == 0:
-        return SpinorForm.zero(l, 0, phi.cap)
+        return SpinorForm.zero(l, 0, cap)
     partners = omega_partners(l)
-    out: dict[tuple[int, ...], PolySpinor] = {}
-    for tup, s in phi.components.items():
+    den, comps = _over_one_den(phi)
+    accs: dict[tuple[int, ...], dict] = {}
+    for tup, num, f in comps:
         for pos, i in enumerate(tup):
-            reduced = tup[:pos] + tup[pos + 1:]
             j, sign = partners[i]
             if pos % 2:
                 sign = -sign
-            term = clifford_basis(j, s)
-            if not term.is_zero():
-                _accumulate(out, reduced, term if sign > 0 else -term)
-    return _form(l, phi.r - 1, phi.cap, out)
+            acc = accs.setdefault(tup[:pos] + tup[pos + 1:], {})
+            _clifford_into(acc, num, j, l, cap, f if sign > 0 else -f)
+    return _form_from_accs(l, phi.r - 1, cap, accs, den)
 
 
 def op_H(phi: SpinorForm) -> SpinorForm:

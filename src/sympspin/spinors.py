@@ -23,17 +23,28 @@ Every operator on the identity paths has coefficients in {+-1, +-i, integer
 exponents}, so spinors are stored as Gaussian integers over one shared
 denominator (see `PolySpinor`) and the identities are decided in Z[i]:
 `scale` negates or swaps the two parts of each numerator for +-1 and +-i,
-`mult_x` moves them, `diff_x` multiplies them by the integer exponent, and
-sums and `_lincomb` add integers over the lcm of the denominators.  Each
-result is reduced once to lowest terms, so equality stays an exact zero
-test.  The public `PolySpinor(...)` validates its input; results derived
-from valid spinors are built through the unchecked constructors.  The
-checked Fraction arithmetic lives on as the test oracle.
+and sums add integers over the lcm of the denominators.  Each result is
+reduced once to lowest terms, so equality stays an exact zero test.  The
+public `PolySpinor(...)` validates its input; results derived from valid
+spinors are built through the unchecked constructors.  The checked Fraction
+arithmetic lives on as the test oracle.
+
+A monomial x^alpha is keyed by one packed int: a `FIELD_BITS`-wide field per
+exponent, alpha_v at bit FIELD_BITS * v, and the total degree |alpha| in the
+top field at bit FIELD_BITS * l.  So x^v times a monomial adds a constant to
+its key, the cap test is one comparison with cap << FIELD_BITS * l, and d/dx^v
+reads one field with a shift and a mask.  `MAX_CAP` fills a field, so no
+exponent of a capped spinor carries into the next one.  Every Clifford
+product in the package goes through one kernel, `_clifford_into`, which adds
+f * e_i.s for an int f straight into a dict of [re, im] accumulators; X, Y,
+the curvature action and the displays sum whole forms through it over one
+denominator and reduce once per output component (`_from_acc`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 
@@ -51,6 +62,7 @@ from .exact import (
 
 __all__ = [
     "DegreeCapError",
+    "MAX_CAP",
     "PolySpinor",
     "SpLieElement",
     "clifford_basis",
@@ -60,8 +72,24 @@ __all__ = [
     "poly_spinor_from_json",
 ]
 
-_HALF_I = GaussianRational(0, Fraction(1, 2))
 _F0 = Fraction(0)
+
+FIELD_BITS = 8                      # width of one exponent field of a packed key
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+MAX_CAP = _FIELD_MASK               # the largest cap whose exponents fit a field
+
+
+def _pack(alpha) -> int:
+    """The key of x^alpha: alpha_v at bit FIELD_BITS * v, |alpha| on top."""
+    key = sum(alpha)
+    for a in reversed(alpha):
+        key = key << FIELD_BITS | a
+    return key
+
+
+def _unpack(key: int, l: int) -> tuple[int, ...]:
+    """The exponent tuple of a packed key over l variables."""
+    return tuple(key >> FIELD_BITS * v & _FIELD_MASK for v in range(l))
 
 
 class DegreeCapError(ValueError):
@@ -72,18 +100,21 @@ class PolySpinor:
     """Sparse polynomial in l variables over Q(i), total degree <= cap.
 
     The coefficient of x^alpha is (re + i im) / den, stored as the pair of
-    ints num[alpha] = (re, im) over one shared int `den`, in lowest terms:
+    ints num[key] = (re, im) under the packed key of alpha (`_pack`), over
+    one shared int `den`, in lowest terms:
 
         den >= 1,   gcd(den, every part) == 1,   no (0, 0) is stored.
 
     So equality of (num, den) is equality of spinors.  The cap participates
     in arithmetic checks but not in equality.  `coeffs` is a read-only view
-    of the same coefficients as GaussianRational values, built on each read.
+    of the same coefficients as GaussianRational values keyed by exponent
+    tuples, built on each read.
 
-    The public constructor checks every exponent tuple against l and the cap
-    and coerces every coefficient.  Arithmetic on valid spinors builds its
-    results through the unchecked constructors `_spinor` (for results that
-    are in lowest terms by construction) and `_reduced` (for the others).
+    The public constructor checks every exponent tuple against l and the cap,
+    the cap against `MAX_CAP`, and coerces every coefficient.  Arithmetic on
+    valid spinors builds its results through the unchecked constructors
+    `_spinor` (for results that are in lowest terms by construction) and
+    `_reduced` (for the others).
     """
 
     __slots__ = ("l", "cap", "num", "den")
@@ -91,12 +122,12 @@ class PolySpinor:
     def __init__(self, l: int, cap: int, coeffs: dict | None = None):
         if l < 1:
             raise ValueError("l must be >= 1")
-        if cap < 0:
-            raise ValueError("cap must be >= 0")
-        clean: dict[tuple[int, ...], GaussianRational] = {}
+        if not 0 <= cap <= MAX_CAP:
+            raise ValueError(f"cap must be in 0..{MAX_CAP}, got {cap}")
+        clean: dict[int, GaussianRational] = {}
         if coeffs:
             for alpha, c in coeffs.items():
-                if len(alpha) != l or any(a < 0 for a in alpha):
+                if len(alpha) != l or any(not isinstance(a, int) or a < 0 for a in alpha):
                     raise ValueError(f"bad exponent tuple {alpha}")
                 if sum(alpha) > cap:
                     raise DegreeCapError(
@@ -104,7 +135,7 @@ class PolySpinor:
                     )
                 g = c if isinstance(c, GaussianRational) else GaussianRational(c)
                 if g:
-                    clean[tuple(alpha)] = g
+                    clean[_pack(alpha)] = g
         # over the lcm of the reduced denominators, (num, den) is in lowest terms
         den = lcm(*(x.denominator for g in clean.values() for x in (g.re, g.im)))
         _set(self, "l", l)
@@ -121,8 +152,9 @@ class PolySpinor:
     @property
     def coeffs(self) -> dict[tuple[int, ...], GaussianRational]:
         """The nonzero coefficients as GaussianRational values."""
-        den = self.den
-        return {a: _gr(Fraction(re, den), Fraction(im, den)) for a, (re, im) in self.num.items()}
+        den, l = self.den, self.l
+        return {_unpack(a, l): _gr(Fraction(re, den), Fraction(im, den))
+                for a, (re, im) in self.num.items()}
 
     # -- constructors -------------------------------------------------------
 
@@ -144,10 +176,11 @@ class PolySpinor:
         return not self.num
 
     def degree(self) -> int:
-        """Total degree; -1 for the zero spinor."""
+        """Total degree; -1 for the zero spinor.  The degree is the top field,
+        so the largest key has it."""
         if not self.num:
             return -1
-        return max(sum(a) for a in self.num)
+        return max(self.num) >> FIELD_BITS * self.l
 
     def headroom(self) -> int:
         return self.cap - max(0, self.degree())
@@ -224,27 +257,17 @@ class PolySpinor:
     # -- basic calculus -----------------------------------------------------
 
     def mult_x(self, var: int) -> "PolySpinor":
-        """Multiply by the coordinate x^var (degree +1, cap-checked)."""
-        out = {}
-        cap = self.cap
-        for a, c in self.num.items():
-            if sum(a) >= cap:
-                raise DegreeCapError(
-                    f"x^{var} * monomial {a} would exceed cap {cap}"
-                )
-            out[a[:var] + (a[var] + 1,) + a[var + 1:]] = c
-        return _spinor(self.l, cap, out, self.den)
+        """Multiply by the coordinate x^var (degree +1, cap-checked): e_var
+        without its factor i."""
+        if not 0 <= var < self.l:
+            raise ValueError(f"variable {var} out of range for l={self.l}")
+        return clifford_basis(var, self).scale(-GR_I)
 
     def diff_x(self, var: int) -> "PolySpinor":
-        """Partial derivative with respect to x^var (degree -1)."""
-        out = {}
-        for a, c in self.num.items():
-            k = a[var]
-            if k == 0:
-                continue
-            b = a[:var] + (k - 1,) + a[var + 1:]
-            out[b] = c if k == 1 else (c[0] * k, c[1] * k)
-        return _reduced(self.l, self.cap, out, self.den)
+        """Partial derivative with respect to x^var (degree -1): e_{var+l}."""
+        if not 0 <= var < self.l:
+            raise ValueError(f"variable {var} out of range for l={self.l}")
+        return clifford_basis(var + self.l, self)
 
 
 _set = object.__setattr__
@@ -254,7 +277,7 @@ _new = object.__new__
 def _spinor(l: int, cap: int, num: dict, den: int) -> PolySpinor:
     """The unchecked constructor: `num` must already be valid for (l, cap),
     and (num, den) in lowest terms, as every unit multiple of a valid spinor
-    and every `mult_x` result is."""
+    is."""
     s = _new(PolySpinor)
     _set(s, "l", l)
     _set(s, "cap", cap)
@@ -275,19 +298,29 @@ def _reduced(l: int, cap: int, num: dict, den: int) -> PolySpinor:
     return _spinor(l, cap, num, den)
 
 
+def _from_acc(l: int, cap: int, acc: dict, den: int) -> PolySpinor:
+    """The spinor acc / den from a kernel accumulator {key: [re, im]}:
+    cancelled terms are dropped and the rest reduced once."""
+    return _reduced(l, cap, {a: (re, im) for a, (re, im) in acc.items() if re or im}, den)
+
+
+def _common_den(dens) -> tuple[int, list[int]]:
+    """The lcm D of the denominators `dens` and each one's factor D // d:
+    numerators times their factors are summable over D."""
+    den = lcm(*dens)
+    return den, [den // d for d in dens]
+
+
 def _sum(s: PolySpinor, t: PolySpinor, sign: int) -> PolySpinor:
     """s + sign * t over the lcm of the two denominators, reduced once."""
     if s.l != t.l:
         raise ValueError("mixed number of variables")
-    den = s.den
-    if den == t.den:
-        out = dict(s.num)
-        f = sign
+    if s.den == t.den:
+        den, out, f = s.den, dict(s.num), sign
     else:
-        den = lcm(den, t.den)
-        g = den // s.den
+        den, (g, h) = _common_den((s.den, t.den))
         out = {a: (re * g, im * g) for a, (re, im) in s.num.items()}
-        f = sign * (den // t.den)
+        f = sign * h
     for a, (re, im) in t.num.items():
         cur = out.get(a)
         if cur is None:
@@ -302,22 +335,58 @@ def _sum(s: PolySpinor, t: PolySpinor, sign: int) -> PolySpinor:
     return _reduced(s.l, max(s.cap, t.cap), out, den)
 
 
-def _lincomb(l: int, cap: int, terms) -> PolySpinor:
-    """sum of c * s over the (rational c, spinor s) pairs of `terms`, summed
-    in place over the lcm of every c.denominator * s.den and reduced once."""
-    terms = [(c.numerator, c.denominator * s.den, s.num) for c, s in terms]
-    den = lcm(*(d for _, d, _ in terms))
-    acc: dict[tuple[int, ...], list] = {}
-    for p, d, num in terms:
-        f = p * (den // d)
-        for a, (re, im) in num.items():
-            cur = acc.get(a)
+# ---------------------------------------------------------------------------
+# The Clifford accumulation kernel
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _clifford_steps(l: int) -> tuple[tuple[int | None, int], ...]:
+    """(shift, step) of each basis index over l variables.  e_i with i < l
+    (shift None) adds `step` to a key: one to the x^i field and one to the
+    degree.  e_{v+l} reads the x^v exponent at `shift` and subtracts `step`."""
+    top = 1 << FIELD_BITS * l
+    return (tuple((None, (1 << FIELD_BITS * v) + top) for v in range(l))
+            + tuple((FIELD_BITS * v, (1 << FIELD_BITS * v) + top) for v in range(l)))
+
+
+def _clifford_into(acc: dict, num: dict, i: int, l: int, cap: int, f: int) -> None:
+    """acc += f * e_i.(num): the Clifford product of the basis vector e_i with
+    the numerators `num` ({key: (re, im)}, or an accumulator) of a spinor over
+    l variables, times the int f, summed in place into `acc` ({key: [re, im]}).
+
+    e_i = i x^i (i < l) sends re + i im to -im + i re under the shifted key,
+    and raises DegreeCapError when any term would pass `cap`, whether or not
+    it would later cancel; e_{v+l} = d/dx^v multiplies by the exponent of
+    x^v.  Nothing is reduced here; `_from_acc` does it once per result.
+    """
+    shift, step = _clifford_steps(l)[i]
+    get = acc.get
+    if shift is None:
+        top = cap << FIELD_BITS * l
+        for key, (re, im) in num.items():
+            if key >= top:
+                raise DegreeCapError(
+                    f"x^{i} * monomial {_unpack(key, l)} would exceed cap {cap}")
+            key += step
+            cur = get(key)
             if cur is None:
-                acc[a] = [re * f, im * f]
+                acc[key] = [-im * f, re * f]
             else:
-                cur[0] += re * f
-                cur[1] += im * f
-    return _reduced(l, cap, {a: (re, im) for a, (re, im) in acc.items() if re or im}, den)
+                cur[0] -= im * f
+                cur[1] += re * f
+    else:
+        for key, (re, im) in num.items():
+            k = key >> shift & _FIELD_MASK
+            if k:
+                k *= f
+                key -= step
+                cur = get(key)
+                if cur is None:
+                    acc[key] = [re * k, im * k]
+                else:
+                    cur[0] += re * k
+                    cur[1] += im * k
 
 
 def clifford_basis(i: int, s: PolySpinor) -> PolySpinor:
@@ -325,9 +394,9 @@ def clifford_basis(i: int, s: PolySpinor) -> PolySpinor:
     l = s.l
     if not (0 <= i < 2 * l):
         raise ValueError(f"basis index {i} out of range for l={l}")
-    if i < l:
-        return s.mult_x(i).scale(GR_I)
-    return s.diff_x(i - l)
+    acc: dict = {}
+    _clifford_into(acc, s.num, i, l, s.cap, 1)
+    return _from_acc(l, s.cap, acc, s.den)
 
 
 class SpLieElement:
@@ -383,16 +452,25 @@ class SpLieElement:
 
 
 def sp_action(A: SpLieElement, s: PolySpinor) -> PolySpinor:
-    """Infinitesimal metaplectic action: (i/2) * sum_ab A[a][b] e_a.e_b.s."""
+    """Infinitesimal metaplectic action: (i/2) * sum_ab A[a][b] e_a.e_b.s.
+
+    A is cleared to the ints M = c A once; the sum of M[a][b] e_a.(e_b.s)
+    runs through the Clifford kernel over the one denominator 2 c s.den.
+    """
     if A.l != s.l:
         raise ValueError("mismatched l")
-    acc = PolySpinor.zero(s.l, s.cap)
-    for a, row in enumerate(A.matrix):
-        for b, coeff in enumerate(row):
-            if not coeff:
-                continue
-            acc = acc + clifford_basis(a, clifford_basis(b, s)).scale(coeff)
-    return acc.scale(_HALF_I)
+    l, cap = s.l, s.cap
+    c = lcm(*(x.denominator for row in A.matrix for x in row))
+    acc: dict = {}
+    for b in range(2 * l):
+        column = [(a, row[b]) for a, row in enumerate(A.matrix) if row[b]]
+        if not column:
+            continue
+        eb: dict = {}
+        _clifford_into(eb, s.num, b, l, cap, 1)
+        for a, x in column:
+            _clifford_into(acc, eb, a, l, cap, x.numerator * (c // x.denominator))
+    return _from_acc(l, cap, acc, 2 * c * s.den).scale(GR_I)
 
 
 def random_spinor(

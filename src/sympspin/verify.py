@@ -24,8 +24,11 @@ All checks are exact zero tests; there are no tolerances anywhere.
 Two evaluators are folded, exactly: the action sums c e_i.e_j.phi with the
 real c per slot k < l of the antisymmetric last pair and applies i once, and
 the eq. 11 display sums W^{ijk}_l e_k.e_i.e_j.phi per slot l before the one
-outer Clifford product.  The theorem checks take p20, p21 and p22 of an action
-from one XY and one X^2Y^2 (`forms._two_form_parts`).
+outer Clifford product.  The action and the displays raise no index: they read
+T^{ij}_{kl} = s_i s_j T_{i*j*kl} off the lowered entries, cleared once to
+ints, and sum int multiples of Clifford products through the one kernel
+`spinors._clifford_into` over one denominator.  The theorem checks take p20,
+p21 and p22 of an action from one XY and one X^2Y^2 (`forms._two_form_parts`).
 
 Every suite is one entry of the registry SUITES: its checks and paper anchors,
 its requirements, a sampler, one `holds` per check, a decoder from a
@@ -40,7 +43,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 
 from .curvature import (
     CurvatureTensor,
@@ -48,7 +51,6 @@ from .curvature import (
     check_symmetries,
     curvature_from_json,
     curvature_to_json,
-    raise_all,
     random_curvature,
     random_weyl,
     ricci_from_json,
@@ -56,6 +58,7 @@ from .curvature import (
     ricci_of,
     sigma_tilde_of,
     _cleared,
+    _cleared_matrix,
     _lowered_traces,
     _ricci_entries,
 )
@@ -69,7 +72,8 @@ from .connections import (
 from .exact import GR_I, GaussianRational, RandomStream
 from .forms import (
     SpinorForm,
-    _accumulate,
+    _form,
+    _form_from_accs,
     _two_form_parts,
     op_X,
     op_Y,
@@ -85,13 +89,14 @@ from .spinors import (
     DegreeCapError,
     PolySpinor,
     SpLieElement,
-    _lincomb,
+    _clifford_into,
+    _from_acc,
     clifford_basis,
     poly_spinor_from_json,
     poly_spinor_to_json,
     random_spinor,
 )
-from .symplectic import omega_partners, raise_lower_index
+from .symplectic import omega_partners
 
 __all__ = [
     "ActionReport",
@@ -164,97 +169,101 @@ class ActionReport:
 # ---------------------------------------------------------------------------
 
 
-def _raise_first_two(entries):
-    return raise_lower_index(raise_lower_index(entries, 0, "raise"), 1, "raise")
-
-
 def spinor_curvature_action(T: CurvatureTensor, phi: PolySpinor) -> SpinorForm:
     """(i/2) T^{ij}_{kl} e^k ∧ e^l ⊗ e_i.e_j.phi as a spinor-valued 2-form.
 
     Folded: the last pair is antisymmetric (the entry check enforces it), so
-    (k, m) and (m, k) carry c and -c on e^k ∧ e^m.  Each slot k < m sums
-    c e_i.e_j.phi with the real c first and takes the factor (i/2) * 2 = i once.
+    (k, m) and (m, k) carry c and -c on e^k ∧ e^m, and the slot k < m is
+    i T^{ij}_{km} e_i.e_j.phi.  Raising is the signed swap
+    T^{ij}_{km} = s_i s_j T_{i*j*km}, read off the entries cleared once to
+    ints E = c T; each slot sums s_i s_j E_{i*j*km} e_i.(e_j.phi) through the
+    Clifford kernel over the one denominator c * phi.den and takes i once.
+    The 2l products e_j.phi are spinors (`clifford_basis`), shared by all i.
     """
     if not check_symmetries(T).curvature_type():
         raise ValueError("tensor violates the curvature symmetries")
     if phi.headroom() < 2:
         raise DegreeCapError("action needs spinor headroom >= 2")
-    n = 2 * T.l
-    raised = _raise_first_two(T.entries)
-    pairs = list(combinations(range(n), 2))
-    slots: dict[tuple[int, int], list] = {}
-    for i in range(n):
-        for j in range(n):
-            plane = raised[i][j]
-            coeffs = [((k, m), plane[k][m]) for k, m in pairs if plane[k][m]]
-            if not coeffs:
-                continue
-            s_ij = clifford_basis(i, clifford_basis(j, phi))
-            if s_ij.is_zero():
-                continue
-            for km, c in coeffs:
-                slots.setdefault(km, []).append((c, s_ij))
-    return SpinorForm(T.l, 2, phi.cap, {
-        km: _lincomb(phi.l, phi.cap, terms).scale(GR_I) for km, terms in slots.items()})
+    l, cap = T.l, phi.cap
+    partners = omega_partners(l)
+    pairs = list(combinations(range(2 * l), 2))
+    E, c = _cleared(T.entries)
+    accs: dict[tuple[int, int], dict] = {}
+    for jp, ej, g in _first_products(phi):
+        for i, (ip, si) in enumerate(partners):
+            plane = E[ip][jp]
+            for k, m in pairs:
+                x = plane[k][m]
+                if x:
+                    _clifford_into(accs.setdefault((k, m), {}), ej, i, l, cap, g * si * x)
+    return _form_from_accs(l, 2, cap, accs, c * phi.den).scale(GR_I)
+
+
+def _first_products(phi: PolySpinor):
+    """(j*, numerators of e_j.phi, g) for each basis index j with e_j.phi
+    nonzero, where g = s_j * phi.den / (e_j.phi).den is an int: g times the
+    numerators puts s_j e_j.phi over phi.den, so the second Clifford products
+    of every j sum over that one denominator.  s_j is the sign the raised
+    index j carries."""
+    for j, (jp, sj) in enumerate(omega_partners(phi.l)):
+        ej = clifford_basis(j, phi)
+        if ej.num:
+            yield jp, ej.num, sj * (phi.den // ej.den)
 
 
 # ---------------------------------------------------------------------------
 # Literal right-hand sides, evaluated independently of the projectors
 # ---------------------------------------------------------------------------
-
-
-def _omega_two_form(s: PolySpinor) -> SpinorForm:
-    """omega_kl e^k ∧ e^l ⊗ s, canonicalized: the slot (k, k*) with k < k*
-    carries omega_kk* - omega_k*k = 2 s_k, and no other slot is nonzero."""
-    comps = {(k, kp): s.scale(2 * w) for k, (kp, w) in enumerate(omega_partners(s.l)) if k < kp}
-    return SpinorForm(s.l, 2, s.cap, comps)
+#
+# Each display reads its raised tensor off the lowered entries, cleared once
+# to ints: sigma^{ij} = s_i s_j sigma_{i*j*} and W^{ijk}_l = s_i s_j s_k
+# W_{i*j*k*l}.  The spinor sums run through the Clifford kernel over one
+# denominator, and i is applied once per component at the end.
 
 
 def literal_p20_ricci(sigma: RicciTensor, phi: PolySpinor) -> SpinorForm:
-    """As displayed: i sigma^{ij} omega_kl e^k ∧ e^l ⊗ (1 + 1/l) e_i.e_j.phi."""
-    n = 2 * sigma.l
-    sig_up = _raise_first_two(sigma.entries)
-    spin = PolySpinor.zero(phi.l, phi.cap)
-    for i in range(n):
-        for j in range(n):
-            c = sig_up[i][j]
-            if c:
-                spin = spin + clifford_basis(i, clifford_basis(j, phi)).scale(c)
-    coeff = GaussianRational(0, Fraction(sigma.l + 1, sigma.l))   # i (1 + 1/l)
-    return _omega_two_form(spin).scale(coeff)
+    """As displayed: i sigma^{ij} omega_kl e^k ∧ e^l ⊗ (1 + 1/l) e_i.e_j.phi.
+
+    omega_kl e^k ∧ e^l puts 2 s_k = 2 on each slot (k, k+l), k < l, and
+    nothing elsewhere, so every such slot is i 2(l+1)/l sigma^{ij} e_i.e_j.phi.
+    """
+    l, cap = sigma.l, phi.cap
+    partners = omega_partners(l)
+    S, c = _cleared_matrix(sigma.entries)
+    acc: dict = {}
+    for jp, ej, g in _first_products(phi):
+        for i, (ip, si) in enumerate(partners):
+            x = S[ip][jp]
+            if x:
+                _clifford_into(acc, ej, i, l, cap, 2 * (l + 1) * g * si * x)
+    s = _from_acc(l, cap, acc, l * c * phi.den).scale(GR_I)
+    return _form(l, 2, cap, {(k, k + l): s for k in range(l)})
 
 
 def literal_p21_ricci(sigma: RicciTensor, phi: PolySpinor) -> SpinorForm:
-    """As displayed: i sigma^{ij} e^k ∧ e^l (2 omega_il ⊗ e_k.e_j. - (1/l) omega_kl ⊗ e_i.e_j.) phi."""
-    l = sigma.l
+    """As displayed: i sigma^{ij} e^k ∧ e^l (2 omega_il ⊗ e_k.e_j. - (1/l) omega_kl ⊗ e_i.e_j.) phi.
+
+    Over the denominator l * c * phi.den, the first term puts
+    2 l sigma^{ij} s_i e_k.e_j.phi on e^k ∧ e^{i*} (omega_{i i*} = s_i), and
+    the second -2 sigma^{ij} e_i.e_j.phi on each slot (k, k+l), k < l.
+    """
+    l, cap = sigma.l, phi.cap
     partners = omega_partners(l)
-    n = len(partners)
-    sig_up = _raise_first_two(sigma.entries)
-    cl_cache: dict[tuple[int, int], PolySpinor] = {}
-
-    def cl2(a: int, b: int) -> PolySpinor:
-        key = (a, b)
-        if key not in cl_cache:
-            cl_cache[key] = clifford_basis(a, clifford_basis(b, phi))
-        return cl_cache[key]
-
-    trace_spin = PolySpinor.zero(phi.l, phi.cap)
-    comps: dict[tuple[int, int], PolySpinor] = {}
-    for i in range(n):
-        for j in range(n):
-            c = sig_up[i][j]
-            if not c:
+    S, c = _cleared_matrix(sigma.entries)
+    accs: dict[tuple[int, int], dict] = {}
+    for jp, ej, g in _first_products(phi):
+        for i, (m, si) in enumerate(partners):
+            x = g * si * S[m][jp]
+            if not x:
                 continue
-            trace_spin = trace_spin + cl2(i, j).scale(c)
-            m, w = partners[i]      # omega_im = w
-            for k in range(n):
-                if k == m:
-                    continue
-                key, sign = ((k, m), 1) if k < m else ((m, k), -1)
-                _accumulate(comps, key, cl2(k, j).scale(2 * c * w * sign))
-    acc = SpinorForm(l, 2, phi.cap, comps)
-    acc = acc - _omega_two_form(trace_spin).scale(Fraction(1, l))
-    return acc.scale(GR_I)
+            for k in range(l):
+                _clifford_into(accs.setdefault((k, k + l), {}), ej, i, l, cap, -2 * x)
+            for k in range(2 * l):
+                if k != m:
+                    key, sign = ((k, m), 1) if k < m else ((m, k), -1)
+                    _clifford_into(accs.setdefault(key, {}), ej, k, l, cap,
+                                   2 * l * x * si * sign)
+    return _form_from_accs(l, 2, cap, accs, l * c * phi.den).scale(GR_I)
 
 
 def literal_p21_weyl(W: CurvatureTensor, phi: PolySpinor) -> SpinorForm:
@@ -262,31 +271,30 @@ def literal_p21_weyl(W: CurvatureTensor, phi: PolySpinor) -> SpinorForm:
 
     Folded: T_l = W^{ijk}_l e_k.e_i.e_j.phi is summed first for each slot l,
     so the slot a < b of the form is e_a.T_b - e_b.T_a, one Clifford product
-    per (m, l) pair.
+    per (m, l) pair.  2i/(1-l) is -2 i over the denominator (l-1) c phi.den.
     """
-    n = 2 * W.l
-    t = W.entries
-    for slot in range(3):
-        t = raise_lower_index(t, slot, "raise")
-    s2: dict[tuple[int, int], PolySpinor] = {}
-    slot_terms: list[list] = [[] for _ in range(n)]
-    for i, j, k in product(range(n), repeat=3):
-        row = t[i][j][k]
-        if all(not c for c in row):
-            continue
-        if (i, j) not in s2:
-            s2[(i, j)] = clifford_basis(i, clifford_basis(j, phi))
-        s3 = clifford_basis(k, s2[(i, j)])
-        if s3.is_zero():
-            continue
-        for mm, c in enumerate(row):
-            if c:
-                slot_terms[mm].append((c, s3))
-    slot_spin = [_lincomb(phi.l, phi.cap, terms) for terms in slot_terms]
-    comps = {(a, b): clifford_basis(a, slot_spin[b]) - clifford_basis(b, slot_spin[a])
-             for a, b in combinations(range(n), 2)}
-    coeff = GaussianRational(0, Fraction(2, 1 - W.l))
-    return SpinorForm(W.l, 2, phi.cap, comps).scale(coeff)
+    l, cap = W.l, phi.cap
+    n = 2 * l
+    partners = omega_partners(l)
+    E, c = _cleared(W.entries)
+    slot: list[dict] = [{} for _ in range(n)]
+    for jp, ej, g in _first_products(phi):
+        for i, (ip, si) in enumerate(partners):
+            eij: dict = {}
+            _clifford_into(eij, ej, i, l, cap, g * si)
+            if not eij:
+                continue
+            block = E[ip][jp]
+            for k, (kp, sk) in enumerate(partners):
+                for m, x in enumerate(block[kp]):
+                    if x:
+                        _clifford_into(slot[m], eij, k, l, cap, sk * x)
+    accs: dict[tuple[int, int], dict] = {}
+    for a, b in combinations(range(n), 2):
+        acc = accs[(a, b)] = {}
+        _clifford_into(acc, slot[b], a, l, cap, -2)
+        _clifford_into(acc, slot[a], b, l, cap, 2)
+    return _form_from_accs(l, 2, cap, accs, (l - 1) * c * phi.den).scale(GR_I)
 
 
 # ---------------------------------------------------------------------------
@@ -458,23 +466,19 @@ def lemma5_partition_instance(one_form, two_form) -> str | None:
 
 
 def lemma6_instance(R: CurvatureTensor) -> bool:
-    partners = omega_partners(R.l)
-    n = len(partners)
+    """sigma is symmetric and R^{ijkl} omega_kl = 2 sigma^{ij}.
+
+    Raising is the signed swap T'[i] = s_i T[i*] in every slot, so the raised
+    trace at (i, j) is s_i s_j sum_a s_a R_{i*j*aa*} and 2 sigma^{ij} is
+    2 s_i s_j sigma_{i*j*}: the identity is the lowered slot-(2, 3) trace
+    sum_a s_a R_{uvaa*} = 2 sigma_uv for every (u, v).
+    """
     sig = _ricci_entries(R)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sig[i][j] != sig[j][i]:
-                return False
-    raised = raise_all(R)
-    sig_up = _raise_first_two(sig)
-    for i in range(n):
-        for j in range(n):
-            acc = Fraction(0)
-            for k, (m, w) in enumerate(partners):      # omega_km = w
-                acc += raised[i][j][k][m] * w
-            if acc != 2 * sig_up[i][j]:
-                return False
-    return True
+    n = len(sig)
+    if any(sig[i][j] != sig[j][i] for i in range(n) for j in range(i + 1, n)):
+        return False
+    trace = _lowered_traces(R.entries, omega_partners(R.l), ((2, 3),))[(2, 3)]
+    return all(trace[u][v] == 2 * sig[u][v] for u in range(n) for v in range(n))
 
 
 def lemma7_weyl_instance(R: CurvatureTensor) -> bool:
@@ -490,7 +494,7 @@ def lemma7_weyl_instance(R: CurvatureTensor) -> bool:
     so sigma(W) vanishes exactly when that trace does.
     """
     sigma = RicciTensor(R.l, _ricci_entries(R))
-    W = _cleared((R - sigma_tilde_of(sigma)).entries)
+    W, _ = _cleared((R - sigma_tilde_of(sigma)).entries)
     if not check_symmetries(W).all_hold():
         return False
     traces = _lowered_traces(W, omega_partners(R.l))
@@ -535,9 +539,13 @@ def _aggregate_displays(per_trial: list[list[DisplayComparison]]) -> list[Displa
 # theorem trial takes seconds; the fedosov suite (5 connections x 5 points)
 # takes about 1 s at l = 3 and 4 s at l = 4 (CPython 3.11.7, 2 vCPUs); much
 # beyond, the set-up (constraint-space bases) alone does not end in useful time.
-# Raise these when the kernels make larger sizes practical.
+# Raise these when the kernels make larger sizes practical.  MAX_TRIALS bounds
+# the trial loop: the default run (l = 2) decides 20 trials of every suite in
+# under a second, so 1000 keeps even l = 4 runs finite without limiting any
+# run anyone needs.
 MAX_L = 4
 MAX_DEGREE = 16
+MAX_TRIALS = 1000
 
 FEDOSOV_CONNECTIONS = 5     # connections a CLI run samples whenever trials > 0
 FEDOSOV_POINTS = 5          # curvature evaluation points per connection

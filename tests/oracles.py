@@ -8,9 +8,11 @@ instead, so a test comparing the two catches a defect in either.
 The naive spinor kernels below are the other half: checked arithmetic, in
 which every result goes through the public `PolySpinor` and
 `GaussianRational` constructors and every product of Gaussian rationals takes
-four Fraction products, and the unfolded curvature action, eq. 11 display and
-two-form projectors.  The package's Gaussian-integer, unchecked and folded
-fast paths are tested against them, and its integer `check_symmetries`,
+four Fraction products: X and Y one (component, index) pair at a time, the
+unfolded curvature action and eq. 9, 10 and 11 displays on raised indices,
+and the two-form projectors.  The package's packed-key Clifford kernel and
+its Gaussian-integer, unchecked and folded fast paths are tested against
+them, and its integer `check_symmetries`,
 `sigma_tilde_of`, `omega_traces` and curvature evaluation against the
 Fraction ones kept here, which evaluate a `Poly` term by term.
 """
@@ -20,7 +22,8 @@ from itertools import combinations, product
 
 from sympspin.curvature import CurvatureTensor, IdentityCheck, SymmetryReport
 from sympspin.exact import GR_I, GaussianRational
-from sympspin.forms import PROJECTORS, SpinorForm, _accumulate, op_X
+from sympspin.forms import PROJECTORS, SpinorForm
+from sympspin.forms import op_X as _op_X
 from sympspin.spinors import DegreeCapError, PolySpinor, SpLieElement, clifford_basis
 from sympspin.symplectic import standard_symplectic_form
 
@@ -119,13 +122,31 @@ def raise_lower_index(tensor, slot: int, direction: str):
     return build(())
 
 
+def op_X(phi: SpinorForm) -> SpinorForm:
+    """X = - sum_i (e^i ∧ .) ⊗ e_i., one checked Clifford product and one
+    checked sum per (component, index) pair."""
+    l = phi.l
+    if phi.r == 2 * l:
+        return SpinorForm.zero(l, phi.r, phi.cap)
+    out: dict = {}
+    for tup, s in phi.components.items():
+        for i in range(2 * l):
+            if i in tup:
+                continue
+            pos = sum(1 for t in tup if t < i)      # e^i moves past pos indices
+            term = clifford(i, s)
+            _add_into(out, tup[:pos] + (i,) + tup[pos:], term if pos % 2 else spinor_neg(term))
+    return SpinorForm(l, phi.r + 1, phi.cap, out)
+
+
 def op_Y(phi: SpinorForm) -> SpinorForm:
-    """Y = sum_ij omega_upper[i][j] (iota_{e_i} .) ⊗ e_j., summed over the matrix."""
+    """Y = sum_ij omega_upper[i][j] (iota_{e_i} .) ⊗ e_j., summed over the
+    matrix with checked arithmetic."""
     l = phi.l
     if phi.r == 0:
         return SpinorForm.zero(l, 0, phi.cap)
     upper = standard_symplectic_form(l).omega_upper
-    out = {}
+    out: dict = {}
     for tup, s in phi.components.items():
         for pos, i in enumerate(tup):
             reduced = tup[:pos] + tup[pos + 1:]
@@ -133,9 +154,7 @@ def op_Y(phi: SpinorForm) -> SpinorForm:
             for j in range(2 * l):
                 w = upper[i][j]
                 if w:
-                    term = clifford_basis(j, s).scale(w * contraction_sign)
-                    if not term.is_zero():
-                        _accumulate(out, reduced, term)
+                    _add_into(out, reduced, spinor_scale(clifford(j, s), w * contraction_sign))
     return SpinorForm(l, phi.r - 1, phi.cap, out)
 
 
@@ -204,10 +223,14 @@ def _slot(k: int, m: int) -> tuple[tuple[int, int], int]:
     return ((k, m), 1) if k < m else ((m, k), -1)
 
 
+def _raise_first_two(entries):
+    return raise_lower_index(raise_lower_index(entries, 0, "raise"), 1, "raise")
+
+
 def spinor_curvature_action(T, phi: PolySpinor) -> SpinorForm:
     """(i/2) T^{ij}_{kl} e^k ∧ e^l ⊗ e_i.e_j.phi, one term per (i, j, k, l)."""
     n = 2 * T.l
-    raised = raise_lower_index(raise_lower_index(T.entries, 0, "raise"), 1, "raise")
+    raised = _raise_first_two(T.entries)
     half_i = GaussianRational(0, Fraction(1, 2))
     comps: dict = {}
     for i, j in product(range(n), repeat=2):
@@ -218,6 +241,52 @@ def spinor_curvature_action(T, phi: PolySpinor) -> SpinorForm:
                 key, sign = _slot(k, m)
                 _add_into(comps, key, spinor_scale(s_ij, gr_mul(half_i, c * sign)))
     return SpinorForm(T.l, 2, phi.cap, comps)
+
+
+def literal_p20_ricci(sigma, phi: PolySpinor) -> SpinorForm:
+    """i (1 + 1/l) sigma^{ij} omega_kl e^k ∧ e^l ⊗ e_i.e_j.phi, one term per
+    (i, j, k, l), summed over every entry of omega_lower."""
+    lo = standard_symplectic_form(sigma.l).omega_lower
+    n = 2 * sigma.l
+    sig_up = _raise_first_two(sigma.entries)
+    coeff = GaussianRational(0, Fraction(sigma.l + 1, sigma.l))
+    comps: dict = {}
+    for i, j in product(range(n), repeat=2):
+        if not sig_up[i][j]:
+            continue
+        s_ij = clifford(i, clifford(j, phi))
+        for k, m in product(range(n), repeat=2):
+            if lo[k][m] and k != m:
+                key, sign = _slot(k, m)
+                scalar = gr_mul(coeff, sig_up[i][j] * lo[k][m] * sign)
+                _add_into(comps, key, spinor_scale(s_ij, scalar))
+    return SpinorForm(sigma.l, 2, phi.cap, comps)
+
+
+def literal_p21_ricci(sigma, phi: PolySpinor) -> SpinorForm:
+    """i sigma^{ij} e^k ∧ e^l (2 omega_il e_k.e_j. - (1/l) omega_kl e_i.e_j.) phi,
+    one term per (i, j, k, l), summed over every entry of omega_lower."""
+    lo = standard_symplectic_form(sigma.l).omega_lower
+    n = 2 * sigma.l
+    sig_up = _raise_first_two(sigma.entries)
+    comps: dict = {}
+    for i, j in product(range(n), repeat=2):
+        c = sig_up[i][j]
+        if not c:
+            continue
+        for k, m in product(range(n), repeat=2):
+            if k == m:
+                continue
+            key, sign = _slot(k, m)
+            if lo[i][m]:
+                term = clifford(k, clifford(j, phi))
+                scalar = GaussianRational(0, 2 * c * lo[i][m] * sign)
+                _add_into(comps, key, spinor_scale(term, scalar))
+            if lo[k][m]:
+                term = clifford(i, clifford(j, phi))
+                scalar = GaussianRational(0, -c * lo[k][m] * sign / sigma.l)
+                _add_into(comps, key, spinor_scale(term, scalar))
+    return SpinorForm(sigma.l, 2, phi.cap, comps)
 
 
 def literal_p21_weyl(W, phi: PolySpinor) -> SpinorForm:
@@ -242,17 +311,18 @@ def literal_p21_weyl(W, phi: PolySpinor) -> SpinorForm:
 
 
 def project(which: str, phi: SpinorForm) -> SpinorForm:
-    """The isotypic projectors, each built from its own op_X / op_Y calls."""
+    """The isotypic projectors, each built from its own calls to the
+    package's X and the matrix Y above."""
     if which not in PROJECTORS:
         raise ValueError(f"unknown projector {which!r}")
     l = phi.l
     if which in ("p10", "p11"):
-        p10 = op_X(op_Y(phi)).scale(GaussianRational(0, Fraction(1, l)))
+        p10 = _op_X(op_Y(phi)).scale(GaussianRational(0, Fraction(1, l)))
         return p10 if which == "p10" else phi - p10
-    x2y2 = op_X(op_X(op_Y(op_Y(phi))))
+    x2y2 = _op_X(_op_X(op_Y(op_Y(phi))))
     if which == "p20":
         return x2y2.scale(Fraction(1, l))
-    p21 = (op_X(op_Y(phi)) - x2y2.scale(GaussianRational(0, Fraction(1, l)))).scale(
+    p21 = (_op_X(op_Y(phi)) - x2y2.scale(GaussianRational(0, Fraction(1, l)))).scale(
         GaussianRational(0, Fraction(1, l - 1)))
     if which == "p21":
         return p21

@@ -14,6 +14,7 @@ from sympspin.cli import (
     EXPECTED_DISPLAYS,
     MAX_DEGREE,
     MAX_L,
+    MAX_TRIALS,
     RunConfig,
     SUITE_ORDER,
     emit_report,
@@ -60,6 +61,15 @@ def test_sizes_above_the_ceiling_rejected():
         validate_config(RunConfig(l=MAX_L + 1, suites=("lemma6",)))
     with pytest.raises(ValueError):
         validate_config(RunConfig(max_degree=MAX_DEGREE + 1, suites=("lemma1",)))
+    assert validate_config(RunConfig(trials=MAX_TRIALS, suites=("lemma1",))) == ["lemma1"]
+    with pytest.raises(ValueError):
+        validate_config(RunConfig(trials=MAX_TRIALS + 1, suites=("lemma1",)))
+
+
+def test_main_huge_trials_exits_two_before_computing(capsys):
+    assert main(["--suite", "lemma1", "--trials", "100000000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
 
 
 def test_main_huge_l_exits_two_before_computing(capsys):
@@ -300,6 +310,8 @@ HOSTILE_REPLAYS = {
     "no-instance": json.dumps({"check": "symbol-complex.negative-control", "l": 2,
                                "note": "no nonzero witness found"}),
     "huge-l": json.dumps({**_LEMMA1_CE, "l": 1000}),
+    # a cap past one exponent field of the packed monomial keys
+    "huge-cap": json.dumps({**_LEMMA1_CE, "spinor": {**_LEMMA1_CE["spinor"], "cap": 10**9}}),
 }
 
 

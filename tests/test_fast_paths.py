@@ -1,8 +1,9 @@
 """Differential tests of the exact fast paths against the naive oracles.
 
 The package stores spinors as Gaussian-integer numerators over one
-denominator, multiplies by units by negating or swapping numerator parts,
-builds spinor and form results without re-validating them, folds the
+denominator under packed monomial keys, sums every Clifford product through
+one in-place kernel, multiplies by units by negating or swapping numerator
+parts, builds spinor and form results without re-validating them, folds the
 curvature action and the eq. 11 display, computes XY and X^2Y^2 once per
 2-form, checks the curvature symmetries on integer-cleared entries, sums
 sigma_tilde over ints and reads the omega-traces off the lowered tensor.
@@ -19,6 +20,8 @@ from math import gcd, lcm
 import pytest
 
 import oracles
+import sympspin.forms as forms
+import sympspin.spinors as spinors
 import sympspin.verify as verify
 from sympspin.cli import main
 from sympspin.curvature import (
@@ -49,9 +52,12 @@ from sympspin.forms import (
 from sympspin.spinors import (
     DegreeCapError,
     PolySpinor,
+    FIELD_BITS,
     SpLieElement,
-    _lincomb,
-    _spinor,
+    _clifford_into,
+    _common_den,
+    _from_acc,
+    _pack,
     clifford_basis,
     random_spinor,
 )
@@ -89,7 +95,7 @@ def assert_valid(x) -> None:
         assert type(c.re) is Fraction and type(c.im) is Fraction
 
 
-def spinors(l, seed, count=3, degree=3, cap=7):
+def sample_spinors(l, seed, count=3, degree=3, cap=7):
     stream = RandomStream(seed)
     return [random_spinor(l, degree, cap, stream, terms=5) for _ in range(count)]
 
@@ -113,7 +119,7 @@ def test_gaussian_products_match_four_multiply():
 
 @pytest.mark.parametrize("l", [2, 3])
 def test_spinor_arithmetic_matches_checked_oracle(l):
-    s, t, u = spinors(l, 10 + l)
+    s, t, u = sample_spinors(l, 10 + l)
     cases = [
         (s + t, oracles.spinor_add(s, t)),
         (s + (-s), oracles.spinor_add(s, oracles.spinor_neg(s))),
@@ -142,6 +148,16 @@ def test_clifford_raises_at_the_cap(l):
         assert_valid(clifford_basis(i + l, top))
 
 
+def _kernel_sum(l, cap, i, terms):
+    """sum of f * e_i.s over the (int f, spinor s) pairs of `terms`, summed
+    through the Clifford kernel over one denominator and reduced once."""
+    den, factors = _common_den([s.den for _, s in terms])
+    acc = {}
+    for (f, s), g in zip(terms, factors):
+        _clifford_into(acc, s.num, i, l, cap, f * g)
+    return _from_acc(l, cap, acc, den)
+
+
 def test_mixed_denominators_reduce_to_lowest_terms():
     s = PolySpinor(2, 5, {(1, 0): GR(F(1, 2), F(1, 3)), (0, 2): F(2, 7)})
     t = PolySpinor(2, 5, {(1, 0): GR(F(-1, 6), 0), (0, 2): F(1, 14)})
@@ -149,23 +165,32 @@ def test_mixed_denominators_reduce_to_lowest_terms():
         (s - s, PolySpinor.zero(2, 5)),
         (s + (-s), PolySpinor.zero(2, 5)),
         (s + s.scale(-1), PolySpinor.zero(2, 5)),
-        (_lincomb(2, 5, [(F(1, 3), s), (F(-2, 3), s), (F(1, 3), s)]), PolySpinor.zero(2, 5)),
+        (_kernel_sum(2, 5, 3, [(1, s), (-2, s), (1, s)]), PolySpinor.zero(2, 5)),
         (s + t, oracles.spinor_add(s, t)),
         (s - t, oracles.spinor_add(s, oracles.spinor_neg(t))),
-        (_lincomb(2, 5, [(F(3, 2), s), (F(-5, 4), t)]),
-         oracles.spinor_add(oracles.spinor_scale(s, F(3, 2)), oracles.spinor_scale(t, F(-5, 4)))),
+        (_kernel_sum(2, 5, 3, [(3, s), (-5, t)]),
+         oracles.spinor_add(oracles.spinor_scale(oracles.clifford(3, s), 3),
+                            oracles.spinor_scale(oracles.clifford(3, t), -5))),
+        (_kernel_sum(2, 5, 0, [(2, s), (7, t)]),
+         oracles.spinor_add(oracles.spinor_scale(oracles.clifford(0, s), 2),
+                            oracles.spinor_scale(oracles.clifford(0, t), 7))),
         (s.scale(GR(1, 1)), oracles.spinor_scale(s, GR(1, 1))),
     ]
     for got, want in cases:
         assert got == want
         assert_valid(got)
     assert (s - s).den == 1 and (s - s).is_zero()
+    # the monomial 1 packs to the key 0
+    assert _pack((0, 0)) == 0
     # 1/6 + 1/3 = 1/2: the sum's lowest terms have a smaller denominator
     half = PolySpinor(2, 5, {(0, 0): F(1, 6)}) + PolySpinor(2, 5, {(0, 0): F(1, 3)})
-    assert half.den == 2 and half.num == {(0, 0): (1, 0)}
+    assert half.den == 2 and half.num == {0: (1, 0)}
     # (1 + i)(1 - i) / 2 = 1: a non-unit Gaussian scalar must reduce too
     one = PolySpinor(2, 5, {(0, 0): GR(F(1, 2), F(-1, 2))}).scale(GR(1, 1))
-    assert one.den == 1 and one.num == {(0, 0): (1, 0)}
+    assert one.den == 1 and one.num == {0: (1, 0)}
+    # d/dx^0 (x^0)^2 / 4 = x^0 / 2: the exponent 2 shares a factor with den 4
+    sq = clifford_basis(2, PolySpinor(2, 5, {(2, 0): F(1, 4)}))
+    assert sq.den == 2 and sq.num == {_pack((1, 0)): (1, 0)}
 
 
 def test_form_difference_subtracts_component_by_component():
@@ -361,38 +386,78 @@ def test_lemma7_weyl_instance_on_integer_cleared_tensors(l):
 # ---------------------------------------------------------------------------
 
 
-def test_flipped_unit_i_fails_lemma1_and_replays(tmp_path, monkeypatch, capsys):
-    # The planted defect: the +i fast path of PolySpinor.scale returns -i s.
-    # Every e_i with i < l then acts as -i x^i, which flips the sign of the
-    # Clifford commutator.  At l = 2, trials = 2 (seed 42) exactly these six
-    # records fail: lemma1, lemma4, lemma5.idempotency, lemma5.orthogonality,
-    # theorem9.eq9-display and corollary11.p20-display.  The theorem verdicts
-    # themselves still pass; lemma1 is the check that decides the unit.
-    scale = PolySpinor.scale
-
-    def flipped(self, scalar):
-        if isinstance(scalar, GaussianRational) and scalar == GR_I:
-            return scale(self, -GR_I)
-        return scale(self, scalar)
-
-    monkeypatch.setattr(PolySpinor, "scale", flipped)
+def _failing_checks(tmp_path) -> tuple[set, list]:
+    """Run the default suites at l = 2, trials = 2 (seed 42), which must
+    fail; return the failing record names and every record."""
     report_path = tmp_path / "report.json"
     argv = ["--l", "2", "--trials", "2", "--format", "json", "--out", str(report_path)]
     assert main(argv) == 1
     checks = json.loads(report_path.read_text())["checks"]
-    failing = {c["name"] for c in checks if c["status"] == "fail"}
-    assert failing == {
-        "lemma1", "lemma4", "lemma5.idempotency", "lemma5.orthogonality",
-        "theorem9.eq9-display", "corollary11.p20-display",
-    }
-    ce_path = tmp_path / "lemma1.json"
+    return {c["name"] for c in checks if c["status"] == "fail"}, checks
+
+
+def _replays_then_heals(name, checks, tmp_path, monkeypatch, capsys) -> None:
+    """The counterexample of check `name` replays with exit 1 under the
+    planted defect and with exit 0 once it is undone."""
+    ce_path = tmp_path / f"{name}.json"
     ce_path.write_text(json.dumps(next(c["counterexample"] for c in checks
-                                       if c["name"] == "lemma1")))
+                                       if c["name"] == name)))
     capsys.readouterr()
     assert main(["--replay", str(ce_path)]) == 1
     assert json.loads(capsys.readouterr().out)["reproduced"] is True
     monkeypatch.undo()
     assert main(["--replay", str(ce_path)]) == 0
+
+
+def _plant_kernel(monkeypatch, kernel) -> None:
+    """Route every Clifford product through `kernel`: the modules that call
+    the accumulation kernel each hold their own reference to it."""
+    for module in (spinors, forms, verify):
+        monkeypatch.setattr(module, "_clifford_into", kernel)
+
+
+def test_flipped_unit_i_fails_lemma1_and_replays(tmp_path, monkeypatch, capsys):
+    # The planted defect: the Clifford kernel multiplies by -i instead of +i
+    # for e_i with i < l, so e_i acts as -i x^i and the Clifford commutator
+    # changes sign.  At l = 2, trials = 2 (seed 42) exactly these nine
+    # records fail; lemma1 is the check that decides the unit.
+    kernel = spinors._clifford_into
+
+    def flipped(acc, num, i, l, cap, f):
+        kernel(acc, num, i, l, cap, -f if i < l else f)
+
+    _plant_kernel(monkeypatch, flipped)
+    failing, checks = _failing_checks(tmp_path)
+    assert failing == {
+        "lemma1", "lemma4", "lemma5.idempotency", "lemma5.orthogonality",
+        "theorem9", "theorem9.eq10-display",
+        "corollary11.p21-display", "corollary11.p22-display", "symbol-complex",
+    }
+    _replays_then_heals("lemma1", checks, tmp_path, monkeypatch, capsys)
+
+
+def test_diff_x_reading_the_wrong_field_fails_lemma1_and_replays(tmp_path, monkeypatch, capsys):
+    # The planted defect: d/dx^v reads the exponent field of x^(v+1 mod l)
+    # (but still subtracts its step from the x^v field and the degree).
+    # At l = 2, trials = 2 (seed 42) exactly these fourteen records fail:
+    # every spinor check but symbol-complex's negative control, and
+    # theorem10.  lemma6, lemma7 and fedosov use no spinors.
+    steps = spinors._clifford_steps
+
+    def wrong_field(l):
+        up, down = steps(l)[:l], steps(l)[l:]
+        return up + tuple((FIELD_BITS * ((v + 1) % l), step) for v, (_, step) in enumerate(down))
+
+    monkeypatch.setattr(spinors, "_clifford_steps", wrong_field)
+    failing, checks = _failing_checks(tmp_path)
+    assert failing == {
+        "lemma1", "lemma4", "lemma5.idempotency", "lemma5.orthogonality",
+        "theorem9", "theorem9.eq9-display", "theorem9.eq10-display",
+        "theorem10", "theorem10.eq11-display", "theorem10.eq12-display",
+        "corollary11.p20-display", "corollary11.p21-display", "corollary11.p22-display",
+        "symbol-complex",
+    }
+    _replays_then_heals("lemma1", checks, tmp_path, monkeypatch, capsys)
 
 
 def test_halved_action_fails_the_corrected_eq9_display(monkeypatch):
@@ -416,45 +481,26 @@ def test_halved_action_fails_the_corrected_eq9_display(monkeypatch):
 
 
 def test_unscaled_mixed_denominator_add_fails_and_replays(tmp_path, monkeypatch, capsys):
-    # The planted defect: when the two denominators differ, PolySpinor.__add__
-    # sums the numerators over the lcm without rescaling them to it.  At
-    # l = 2, trials = 2 (seed 42) exactly these fifteen records fail: lemma4,
-    # lemma5.idempotency, lemma5.orthogonality, lemma5.partition-of-identity,
-    # theorem9 and its eq9/eq10 displays, theorem10 and its eq11/eq12
-    # displays, corollary11 and its p20/p21/p22 displays, and symbol-complex.
-    # The other eight pass: lemma6, lemma7 and fedosov use no spinors, and
-    # lemma1 and the symbol-complex negative control miss it at these draws.
-    add = PolySpinor.__add__
-
-    def unscaled(self, other):
-        if not isinstance(other, PolySpinor) or self.den == other.den:
-            return add(self, other)
-        den = lcm(self.den, other.den)
-        return add(_spinor(self.l, self.cap, self.num, den),
-                   _spinor(other.l, other.cap, other.num, den))
-
-    monkeypatch.setattr(PolySpinor, "__add__", unscaled)
-    report_path = tmp_path / "report.json"
-    argv = ["--l", "2", "--trials", "2", "--format", "json", "--out", str(report_path)]
-    assert main(argv) == 1
-    checks = json.loads(report_path.read_text())["checks"]
+    # The planted defect: the one-denominator step (`_common_den`) returns
+    # the lcm of the denominators but leaves every numerator unscaled, so
+    # spinors and form components over different denominators are summed
+    # as if they shared the lcm: in PolySpinor.__add__ and in X and Y.  At
+    # l = 2, trials = 2 (seed 42) exactly these fifteen records fail.  The
+    # other eight pass: lemma6, lemma7 and fedosov use no spinors, and
+    # theorem10 and symbol-complex's negative control miss it at these draws.
+    monkeypatch.setattr(spinors, "_common_den", lambda dens: (lcm(*dens), [1] * len(dens)))
+    monkeypatch.setattr(forms, "_common_den", spinors._common_den)
+    failing, checks = _failing_checks(tmp_path)
     assert {c["status"] for c in checks} == {"pass", "fail"}
-    failing = {c["name"] for c in checks if c["status"] == "fail"}
     assert failing == {
-        "lemma4", "lemma5.idempotency", "lemma5.orthogonality", "lemma5.partition-of-identity",
+        "lemma1", "lemma4", "lemma5.idempotency", "lemma5.orthogonality",
+        "lemma5.partition-of-identity",
         "theorem9", "theorem9.eq9-display", "theorem9.eq10-display",
-        "theorem10", "theorem10.eq11-display", "theorem10.eq12-display",
+        "theorem10.eq11-display", "theorem10.eq12-display",
         "corollary11", "corollary11.p20-display", "corollary11.p21-display",
         "corollary11.p22-display", "symbol-complex",
     }
-    ce_path = tmp_path / "theorem9.json"
-    ce_path.write_text(json.dumps(next(c["counterexample"] for c in checks
-                                       if c["name"] == "theorem9")))
-    capsys.readouterr()
-    assert main(["--replay", str(ce_path)]) == 1
-    assert json.loads(capsys.readouterr().out)["reproduced"] is True
-    monkeypatch.undo()
-    assert main(["--replay", str(ce_path)]) == 0
+    _replays_then_heals("theorem9", checks, tmp_path, monkeypatch, capsys)
 
 
 def _scaled(T: CurvatureTensor, k) -> CurvatureTensor:
