@@ -7,8 +7,9 @@ torsion-free exactly when the fully lowered symbols
     Gamma_ijk  (with Gamma^m_jk = sum_i omega^{mi} Gamma_ijk = s_m Gamma_{m* jk})
 
 are totally symmetric in (i, j, k).  `check_connection_axioms` does not
-assume this equivalence: it verifies nabla(omega) = 0 and T = 0 symbolically,
-as polynomial identities, for whatever symbols it is handed.
+assume this equivalence: it verifies nabla(omega) = 0 (Gamma_ikj = Gamma_jki)
+and T = 0 (Gamma_ijk = Gamma_ikj) for whatever symbols it is handed, as
+equalities of stored polynomials.
 
 The curvature of such a connection,
 
@@ -18,15 +19,15 @@ The curvature of such a connection,
 
 is a field of genuine curvature-type tensors.  Both contractions with omega
 are signed swaps through the partner map (i*, s_i) of `symplectic`.  It is
-never formed as a field of polynomials: `curvature_field_of` keeps the one-jet
-of the data, Gamma^m_jk and its partials d_v Gamma^m_jk (linear Poly
-operations only), and the `CurvatureField` clears that jet once, to integer
-numerators over the lcm L of its coefficient denominators, with the degree
-bound D.  `evaluate_curvature_at` writes the point as p = X/d with integer X,
+never formed as a field of polynomials, and no Poly arithmetic is done: the
+`CurvatureField` of a connection clears each signed lowered symbol once, to
+integer numerators over the lcm L of its coefficient denominators, with the
+degree bound D, and reads the partials d_v Gamma^m_jk off the same integer
+terms.  `evaluate_curvature_at` writes the point as p = X/d with integer X,
 evaluates every jet as an integer sum over one table of homogenised monomials
 X^alpha d^(D-|alpha|), so that Gamma(p) and d Gamma(p) are those integers over
-S = L d^D, and assembles S^2 R(p) from the display above: O(n^5) integer
-operations and one Fraction per nonzero entry.  Every evaluation feeds the
+S = L d^D, and assembles S^2 R(p) from the display above in O(n^5) integer
+operations; R(p) is those integers over S^2.  Every evaluation feeds the
 curvature module without synthetic constraint solving.  The lowering realizes
 R_ijkl = omega(R(e_k, e_l) e_j, e_i); the pair-symmetry identity (C) doubles
 as the sign oracle for this convention, so the test suite failing identity
@@ -40,8 +41,8 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import lcm, prod
 
-from .curvature import CurvatureTensor
-from .exact import RandomStream
+from .curvature import CurvatureTensor, _tensor
+from .exact import RandomStream, parse_rational
 from .symplectic import omega_partners
 
 __all__ = [
@@ -112,23 +113,15 @@ class Poly:
         return hash((self.n, frozenset(self.terms.items())))
 
     def __add__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            s = out.get(a, F0) + c
-            if s:
-                out[a] = s
-            else:
-                out.pop(a, None)
-        return _poly(self.n, out)
+        return self._combine(other, 1) if isinstance(other, Poly) else NotImplemented
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
+        return self._combine(other, -1) if isinstance(other, Poly) else NotImplemented
+
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
         out = dict(self.terms)
         for a, c in other.terms.items():
-            s = out.get(a, F0) - c
+            s = out.get(a, F0) + sign * c
             if s:
                 out[a] = s
             else:
@@ -184,19 +177,18 @@ def _poly(n: int, terms: dict) -> Poly:
     return p
 
 
+def _exponents(n: int, budget: int) -> list:
+    """The exponent tuples of n variables of total degree <= budget, in
+    lexicographic order."""
+    if n == 1:
+        return [(e,) for e in range(budget + 1)]
+    return [(e, *rest) for e in range(budget + 1) for rest in _exponents(n - 1, budget - e)]
+
+
 def random_poly(n: int, degree: int, stream: RandomStream, bound: int = 3) -> Poly:
     """Dense random polynomial of total degree <= degree."""
-    def exponents(vars_left, budget):
-        if vars_left == 1:
-            for e in range(budget + 1):
-                yield (e,)
-            return
-        for e in range(budget + 1):
-            for rest in exponents(vars_left - 1, budget - e):
-                yield (e,) + rest
-
     terms = {}
-    for alpha in exponents(n, degree):
+    for alpha in _exponents(n, degree):
         c = stream.next_fraction(bound)
         if c:
             terms[alpha] = c
@@ -208,10 +200,9 @@ class PolynomialConnection:
 
     Stores one polynomial per ordered triple so that deliberately broken
     (asymmetric) data can be represented and caught by the axiom check.
-    The raised table of `_gamma_upper` is built on first use and kept.
     """
 
-    __slots__ = ("l", "cap", "gamma", "_upper")
+    __slots__ = ("l", "cap", "gamma")
 
     def __init__(self, l: int, cap: int, gamma: dict):
         n = 2 * l
@@ -277,83 +268,72 @@ class ConnectionAxiomReport:
         return self.torsion_free and self.preserves_omega
 
 
-def _gamma_upper(conn: PolynomialConnection):
-    """Gamma^m_jk = s_m Gamma_{m* jk}, tabulated once per connection: the
-    axiom check and the curvature jets share the table."""
-    try:
-        return conn._upper
-    except AttributeError:
-        pass
-    partners = omega_partners(conn.l)
-    table = {}
-    for m, j, k in product(range(len(partners)), repeat=3):
-        i, w = partners[m]
-        p = conn.entry(i, j, k)
-        table[(m, j, k)] = p if w > 0 else -p
-    object.__setattr__(conn, "_upper", table)
-    return table
-
-
 def check_connection_axioms(conn: PolynomialConnection) -> ConnectionAxiomReport:
-    """Verify nabla(omega) = 0 and zero torsion as polynomial identities."""
+    """Verify nabla(omega) = 0 and zero torsion as polynomial identities.
+
+    With Gamma^m_jk = s_m Gamma_{m* jk}, the torsion Gamma^m_jk - Gamma^m_kj
+    is s_m (Gamma_{m* jk} - Gamma_{m* kj}); for constant omega,
+    -nabla_k omega_ij = Gamma^m_ki omega_mj + Gamma^m_kj omega_im
+    = s_i Gamma^{i*}_kj - s_j Gamma^{j*}_ki = Gamma_jki - Gamma_ikj, as
+    s_i s_{i*} = -1.  So both compare stored polynomials, and a difference
+    is built only for the first violation's payload.
+    """
     partners = omega_partners(conn.l)
     n = len(partners)
-    gu = _gamma_upper(conn)
+    g = conn.gamma
     torsion_ok, omega_ok = True, True
     violation, poly = None, None
     for m, j, k in product(range(n), repeat=3):
-        if j < k:
-            diff = gu[(m, j, k)] - gu[(m, k, j)]
-            if not diff.is_zero():
-                torsion_ok = False
-                if violation is None:
-                    violation = ("torsion", m, j, k)
-                    poly = poly_to_json(diff)
+        i, w = partners[m]
+        if j < k and g[i, j, k] != g[i, k, j]:
+            torsion_ok = False
+            if violation is None:
+                violation = ("torsion", m, j, k)
+                poly = poly_to_json(g[i, j, k] - g[i, k, j] if w > 0 else g[i, k, j] - g[i, j, k])
     for k, i, j in product(range(n), repeat=3):
-        # constant omega: nabla_k omega_ij = -(Gamma^m_ki omega_mj + Gamma^m_kj omega_im),
-        # and the sum is s_i Gamma^{i*}_kj - s_j Gamma^{j*}_ki
-        (ip, si), (jp, sj) = partners[i], partners[j]
-        a, b = gu[(ip, k, j)], gu[(jp, k, i)]
-        acc = (a if si > 0 else -a) - (b if sj > 0 else -b)
-        if not acc.is_zero():
+        if g[j, k, i] != g[i, k, j]:
             omega_ok = False
             if violation is None:
                 violation = ("nabla-omega", k, i, j)
-                poly = poly_to_json(acc)
+                poly = poly_to_json(g[j, k, i] - g[i, k, j])
             break
     return ConnectionAxiomReport(torsion_ok, omega_ok, violation, poly)
 
 
+def _deriv_terms(terms, v: int) -> list:
+    """d/dx_v of a polynomial given by its (exponent, coefficient) terms:
+    a_v c x^(a - e_v) for each term c x^a with a_v > 0."""
+    return [(a[:v] + (a[v] - 1,) + a[v + 1:], a[v] * c) for a, c in terms if a[v]]
+
+
 class CurvatureField:
-    """One-jet of a verified connection: the raised Christoffel table
-    gamma[(m, j, k)] = Gamma^m_jk and its first partials
-    dgamma[(v, m, j, k)] = d_v Gamma^m_jk, as polynomials.
+    """One-jet of a connection, cleared once to integers when built.
 
-    The jets are also cleared once, when the field is built: `den` is the lcm
-    L of every coefficient denominator and `degree` the bound D of every total
-    degree.  Each jet is kept as ((monomial index, L * coefficient), ...)
-    over the exponents of `_monomials`, nested as gamma[m][j][k] and
-    dgamma[v][m][j][k]."""
+    `den` is the lcm L of every coefficient denominator of the symbols and
+    `degree` the bound D of every total degree.  Gamma^m_jk = s_m Gamma_{m* jk}
+    is kept as ((monomial index, L * coefficient), ...) over the exponents of
+    `_monomials`, nested as _gamma_ints[m][j][k], and d_v Gamma^m_jk, read off
+    the same integer terms (`_deriv_terms`), as _dgamma_ints[v][m][j][k]."""
 
-    __slots__ = ("l", "gamma", "dgamma", "den", "degree", "_monomials", "_gamma_ints",
-                 "_dgamma_ints")
+    __slots__ = ("l", "den", "degree", "_monomials", "_gamma_ints", "_dgamma_ints")
 
-    def __init__(self, l: int, gamma: dict, dgamma: dict):
-        n = 2 * l
-        polys = [*gamma.values(), *dgamma.values()]
+    def __init__(self, conn: PolynomialConnection):
+        l, n = conn.l, 2 * conn.l
+        polys = conn.gamma.values()
         den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
         degree = max([0] + [p.degree() for p in polys])
+        upper = [[[[(a, w * c.numerator * (den // c.denominator))
+                    for a, c in conn.gamma[i, j, k].terms.items()] for k in range(n)]
+                  for j in range(n)] for i, w in omega_partners(l)]
         index: dict[tuple[int, ...], int] = {}
 
-        def cleared(p):
-            return tuple((index.setdefault(a, len(index)), c.numerator * (den // c.denominator))
-                         for a, c in p.terms.items())
+        def jet(terms):
+            return tuple((index.setdefault(a, len(index)), c) for a, c in terms)
 
-        g = [[[cleared(gamma[m, j, k]) for k in range(n)] for j in range(n)] for m in range(n)]
-        dg = [[[[cleared(dgamma[v, m, j, k]) for k in range(n)] for j in range(n)]
-               for m in range(n)] for v in range(n)]
-        for name, value in (("l", l), ("gamma", gamma), ("dgamma", dgamma), ("den", den),
-                            ("degree", degree),
+        g = [[[jet(t) for t in row] for row in plane] for plane in upper]
+        dg = [[[[jet(_deriv_terms(t, v)) for t in row] for row in plane] for plane in upper]
+              for v in range(n)]
+        for name, value in (("l", l), ("den", den), ("degree", degree),
                             ("_monomials", [(degree - sum(a), a) for a in index]),
                             ("_gamma_ints", g), ("_dgamma_ints", dg)):
             object.__setattr__(self, name, value)
@@ -370,9 +350,7 @@ def curvature_field_of(conn: PolynomialConnection) -> CurvatureField:
     report = check_connection_axioms(conn)
     if not report.ok():
         raise ValueError(f"connection violates axioms: {report.first_violation}")
-    gamma = _gamma_upper(conn)
-    dgamma = {(v, *idx): p.deriv(v) for idx, p in gamma.items() for v in range(2 * conn.l)}
-    return CurvatureField(conn.l, gamma, dgamma)
+    return CurvatureField(conn)
 
 
 def _jets_at(field: CurvatureField, point):
@@ -400,16 +378,16 @@ def evaluate_curvature_at(field: CurvatureField, point) -> CurvatureTensor:
 
     With Gamma(p) = g/S and d Gamma(p) = dg/S in ints, S^2 R^m_jkl is
     S (dg - dg) + (g g - g g): the derivative terms carry one factor S, the
-    quadratic ones none.  The tensor is returned unvalidated: deciding its
-    symmetries is the caller's check (the fedosov suite runs
-    `check_symmetries` at every point).
+    quadratic ones none, and R(p) is those integers over S^2.  The tensor is
+    returned unvalidated: deciding its symmetries is the caller's check (the
+    fedosov suite runs `check_symmetries` at every point).
     """
     n = 2 * field.l
     if len(point) != n:
         raise ValueError("point must have dimension 2l")
     g, dg, scale = _jets_at(field, point)
     s2 = scale * scale
-    entries = [[[[F0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    entries = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for m, (i, w) in enumerate(omega_partners(field.l)):
         gm, dgm = g[m], [block[m] for block in dg]
         for j in range(n):
@@ -420,9 +398,9 @@ def evaluate_curvature_at(field: CurvatureField, point) -> CurvatureTensor:
                 for a, (gk, gmm) in enumerate(zip(gm[k], gm[mm])):
                     acc += gk * g[a][mm][j] - gmm * g[a][k][j]
                 if acc:
-                    x = Fraction(acc if w > 0 else -acc, s2)
+                    x = acc if w > 0 else -acc
                     plane[k][mm], plane[mm][k] = x, -x
-    return CurvatureTensor(field.l, entries, validate=False)
+    return _tensor(field.l, entries, s2)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +416,7 @@ def poly_to_json(p: Poly) -> dict:
 
 
 def poly_from_json(obj: dict) -> Poly:
-    return Poly(obj["n"], {tuple(t["alpha"]): Fraction(t["val"]) for t in obj["terms"]})
+    return Poly(obj["n"], {tuple(t["alpha"]): parse_rational(t["val"]) for t in obj["terms"]})
 
 
 def connection_to_json(conn: PolynomialConnection) -> dict:

@@ -28,6 +28,11 @@ sigma_tilde rebuilds a curvature-type tensor from a symmetric matrix:
 and the trace-free remainder W = R - sigma_tilde(ricci(R)) has all six
 omega-contractions equal to zero.
 
+Tensors hold int numerators over one int denominator, settled once when they
+are built: the public constructors clear and check their entries, and every
+result computed here goes through the unchecked `_tensor` and `_ricci`.  The
+identities are linear and homogeneous, so each check compares numerators.
+
 Random tensors are drawn as exact rational combinations of a nullspace basis
 of the linear constraints, materialized once per l and cached; membership in
 the constraint space is therefore exact by construction.  The constraint
@@ -40,11 +45,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from math import lcm
-from operator import add, sub
+from itertools import chain, combinations, product
+from math import gcd, lcm
 
-from .exact import RandomStream, nullspace_basis, random_symmetric_matrix, symmetric_matrix
+from .exact import (
+    RandomStream,
+    nullspace_basis,
+    parse_rational,
+    random_symmetric_matrix,
+    symmetric_matrix,
+)
 from .symplectic import omega_partners, raise_lower_index
 
 __all__ = [
@@ -69,116 +79,166 @@ __all__ = [
 ]
 
 F0 = Fraction(0)
+_set = object.__setattr__
 
 
-def _zero_entries(n: int):
-    return [[[[F0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+def _zero_ints(n: int):
+    return [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+
+
+def _flat(num):
+    """The entries of a rank-4 array, in index order."""
+    return (x for block in num for plane in block for row in plane for x in row)
+
+
+def _cleared(e):
+    """(ints, den): the rational rank-4 array e times den, the lcm of its
+    reduced denominators.  So e = ints / den, in lowest terms."""
+    den = lcm(*(x.denominator for x in _flat(e)))
+    return [[[[x.numerator * (den // x.denominator) for x in row] for row in plane]
+             for plane in block] for block in e], den
+
+
+def _cleared_matrix(m):
+    """(ints, den) of a rational matrix, as `_cleared` does for rank 4."""
+    den = lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in m], den
+
+
+def _init(obj, l: int, num, den: int):
+    for name, value in (("l", l), ("num", num), ("den", den)):
+        _set(obj, name, value)
+    return obj
 
 
 class CurvatureTensor:
-    """Dense rank-4 array of rationals satisfying the curvature symmetries."""
+    """Dense rank-4 array of rationals satisfying the curvature symmetries.
 
-    __slots__ = ("l", "entries")
+    R_ijkl = num[i][j][k][m] / den, with int numerators over one int den >= 1
+    in lowest terms, so equality of (num, den) is equality of tensors;
+    `entries` is a read-only Fraction view, built on each read.  The public
+    constructor clears its rational entries and checks (A)-(C); results
+    computed here are built through the unchecked `_tensor`.
+    """
 
-    def __init__(self, l: int, entries, validate: bool = True):
-        n = 2 * l
-        if len(entries) != n:
+    __slots__ = ("l", "num", "den")
+
+    def __init__(self, l: int, entries):
+        if len(entries) != 2 * l:
             raise ValueError("entries must be (2l)^4")
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "entries", entries)
-        if validate:
-            report = check_symmetries(entries)
-            if not report.curvature_type():
-                raise ValueError(f"symmetry violation: {report}")
+        _init(self, l, *_cleared(entries))._check()
+
+    def _check(self) -> None:
+        report = check_symmetries(self)
+        if not report.curvature_type():
+            raise ValueError(f"symmetry violation: {report}")
 
     def __setattr__(self, name, value):
         raise AttributeError("CurvatureTensor is immutable")
 
+    @property
+    def entries(self) -> list:
+        den = self.den
+        return [[[[Fraction(x, den) for x in row] for row in plane] for plane in block]
+                for block in self.num]
+
     @classmethod
     def zero(cls, l: int) -> "CurvatureTensor":
-        return cls(l, _zero_entries(2 * l), validate=False)
+        return _tensor(l, _zero_ints(2 * l), 1, cls)
 
     def entry(self, i: int, j: int, k: int, m: int) -> Fraction:
-        return self.entries[i][j][k][m]
+        return Fraction(self.num[i][j][k][m], self.den)
 
     def is_zero(self) -> bool:
-        n = 2 * self.l
-        return all(
-            not self.entries[i][j][k][m]
-            for i, j, k, m in product(range(n), repeat=4)
-        )
+        return not any(_flat(self.num))
 
     def __eq__(self, other):
         if not isinstance(other, CurvatureTensor):
             return NotImplemented
-        return self.l == other.l and self.entries == other.entries
+        return self.l == other.l and self.den == other.den and self.num == other.num
 
     def __add__(self, other):
-        if not isinstance(other, CurvatureTensor):
-            return NotImplemented
-        return self._combine(other, add)
+        return self._combine(other, 1) if isinstance(other, CurvatureTensor) else NotImplemented
 
     def __sub__(self, other):
-        if not isinstance(other, CurvatureTensor):
-            return NotImplemented
-        return self._combine(other, sub)
+        return self._combine(other, -1) if isinstance(other, CurvatureTensor) else NotImplemented
 
-    def _combine(self, other: "CurvatureTensor", op) -> "CurvatureTensor":
-        """op(self, other) entry by entry, for op in (add, sub); a zero entry
-        of other leaves self's entry as it is."""
-        out = [[[[op(x, y) if y else x for x, y in zip(r, q)] for r, q in zip(p, o)]
-                for p, o in zip(b, c)] for b, c in zip(self.entries, other.entries)]
-        return CurvatureTensor(self.l, out, validate=False)
+    def _combine(self, other: "CurvatureTensor", sign: int) -> "CurvatureTensor":
+        """self + sign * other, summed over ints on the lcm of the denominators."""
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        num = [[[[a * x + b * y for x, y in zip(r, q)] for r, q in zip(p, o)]
+                for p, o in zip(c, d)] for c, d in zip(self.num, other.num)]
+        return _tensor(self.l, num, den)
 
     def __repr__(self):
         return f"{type(self).__name__}(l={self.l})"
 
 
-class RicciTensor:
-    """Symmetric 2l x 2l rational matrix."""
+def _tensor(l: int, num, den: int, cls=CurvatureTensor) -> CurvatureTensor:
+    """The unchecked constructor: a (2l)^4 int array over den >= 1, reduced
+    here to lowest terms.  No symmetry is checked."""
+    g = gcd(den, *_flat(num))
+    if g > 1:
+        num, den = [[[[x // g for x in row] for row in plane] for plane in block]
+                    for block in num], den // g
+    return _init(object.__new__(cls), l, num, den)
 
-    __slots__ = ("l", "entries")
+
+class RicciTensor:
+    """Symmetric 2l x 2l rational matrix, stored as a `CurvatureTensor` is;
+    the public constructor checks the symmetry, the unchecked one is `_ricci`."""
+
+    __slots__ = ("l", "num", "den")
 
     def __init__(self, l: int, entries):
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "entries", symmetric_matrix(2 * l, entries))
+        _init(self, l, *_cleared_matrix(symmetric_matrix(2 * l, entries)))
 
     def __setattr__(self, name, value):
         raise AttributeError("RicciTensor is immutable")
 
+    @property
+    def entries(self) -> list:
+        return [[Fraction(x, self.den) for x in row] for row in self.num]
+
     @classmethod
     def zero(cls, l: int) -> "RicciTensor":
-        n = 2 * l
-        return cls(l, [[F0] * n for _ in range(n)])
+        return _ricci(l, [[0] * (2 * l) for _ in range(2 * l)], 1)
 
     @classmethod
     def random(cls, l: int, stream: RandomStream, bound: int = 5) -> "RicciTensor":
         return cls(l, random_symmetric_matrix(2 * l, stream, bound))
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
+        return not any(chain.from_iterable(self.num))
 
     def __eq__(self, other):
         if not isinstance(other, RicciTensor):
             return NotImplemented
-        return self.l == other.l and self.entries == other.entries
+        return self.l == other.l and self.den == other.den and self.num == other.num
 
     def __repr__(self):
         return f"RicciTensor(l={self.l})"
 
 
-class WeylTensor(CurvatureTensor):
-    """Curvature-type tensor whose six omega-traces all vanish."""
+def _ricci(l: int, num, den: int) -> RicciTensor:
+    """The unchecked constructor of `RicciTensor`, as `_tensor` is of tensors."""
+    g = gcd(den, *chain.from_iterable(num))
+    if g > 1:
+        num, den = [[x // g for x in row] for row in num], den // g
+    return _init(object.__new__(RicciTensor), l, num, den)
 
-    def __init__(self, l: int, entries, validate: bool = True):
-        super().__init__(l, entries, validate=validate)
-        if validate:
-            traces = omega_traces(self)
-            for pair, mat in traces.items():
-                for row in mat:
-                    for x in row:
-                        if x:
-                            raise ValueError(f"nonzero omega-trace on slots {pair}")
+
+class WeylTensor(CurvatureTensor):
+    """Curvature-type tensor whose six omega-traces all vanish.  The public
+    constructor checks them on the lowered numerators: each raised trace is
+    a signed permutation of a lowered one (see `omega_traces`)."""
+
+    def _check(self) -> None:
+        super()._check()
+        for pair, mat in _lowered_traces(self.num, omega_partners(self.l)).items():
+            if any(chain.from_iterable(mat)):
+                raise ValueError(f"nonzero omega-trace on slots {pair}")
 
 
 # ---------------------------------------------------------------------------
@@ -212,34 +272,13 @@ class SymmetryReport:
         return self.curvature_type() and self.extended_bianchi.holds
 
 
-def _entries_of(R):
-    return R.entries if isinstance(R, CurvatureTensor) else R
-
-
-def _cleared(e):
-    """(ints, den): the rational rank-4 array e times den, the lcm of its
-    denominators.  The ints are the same array up to one positive factor, so
-    they satisfy exactly the same linear identities, and e = ints / den."""
-    den = lcm(*(x.denominator for block in e for plane in block for row in plane for x in row))
-    return [[[[x.numerator * (den // x.denominator) for x in row] for row in plane]
-             for plane in block] for block in e], den
-
-
-def _cleared_matrix(m):
-    """(ints, den) of a rational matrix, as `_cleared` does for rank 4."""
-    den = lcm(*(x.denominator for row in m for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in m], den
-
-
 def check_symmetries(R) -> SymmetryReport:
-    """Check identities (A)-(D) on a rank-4 array or CurvatureTensor.
-
-    The entries (ints or Fractions) are cleared to integers once, and every
-    identity is then an exact integer comparison.  Quadruples are visited in
-    lexicographic order, so each `first_violation` is the first offending
-    (i, j, k, m) in that order.
+    """Check identities (A)-(D) on the numerators of a CurvatureTensor, or on
+    a rank-4 array of ints or Fractions as it is: they are linear and
+    homogeneous.  Quadruples are visited in lexicographic order, so each
+    `first_violation` is the first offending (i, j, k, m) in that order.
     """
-    e, _ = _cleared(_entries_of(R))
+    e = R.num if isinstance(R, CurvatureTensor) else R
     n = len(e)
     anti = bianchi = pair = ext = None
     for i, j, k, m in product(range(n), repeat=4):
@@ -269,17 +308,12 @@ def check_symmetries(R) -> SymmetryReport:
 
 
 def _ricci_entries(R: CurvatureTensor):
-    e = R.entries
+    """The Ricci trace sum_m s_m R[m*][j][m][i] as int numerators over R.den."""
+    e = R.num
     partners = omega_partners(R.l)
     n = len(partners)
-    out = [[F0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = F0
-            for m, (a, w) in enumerate(partners):
-                acc += w * e[a][j][m][i]
-            out[i][j] = acc
-    return out
+    return [[sum(w * e[a][j][m][i] for m, (a, w) in enumerate(partners)) for j in range(n)]
+            for i in range(n)]
 
 
 def ricci_of(R: CurvatureTensor) -> RicciTensor:
@@ -287,7 +321,7 @@ def ricci_of(R: CurvatureTensor) -> RicciTensor:
     report = check_symmetries(R)
     if not report.curvature_type():
         raise ValueError("input violates the curvature symmetries")
-    return RicciTensor(R.l, _ricci_entries(R))
+    return _ricci(R.l, _ricci_entries(R), R.den)
 
 
 def sigma_tilde_of(sigma: RicciTensor) -> CurvatureTensor:
@@ -296,14 +330,13 @@ def sigma_tilde_of(sigma: RicciTensor) -> CurvatureTensor:
     This is the unique (up to the fixed normalization 1/(2(l+1))) Ricci-type
     section: ricci_of(sigma_tilde_of(s)) = s exactly.  Each of the five terms
     of the display is nonzero only where its omega pairs a slot with its
-    partner, so the sum runs over the partner map.  The terms are summed over
-    ints, from the entries of s cleared to the lcm c of their denominators;
-    each entry is then one Fraction over c * 2(l+1).
+    partner, so the sum runs over the partner map, on the numerators of s,
+    over the one denominator den(s) * 2(l+1).
     """
     partners = omega_partners(sigma.l)
     n = len(partners)
-    s, c = _cleared_matrix(sigma.entries)
-    out = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    s = sigma.num
+    out = _zero_ints(n)
     for x, (y, w) in enumerate(partners):     # omega_xy = w
         for a in range(n):
             for b in range(n):
@@ -315,16 +348,15 @@ def sigma_tilde_of(sigma: RicciTensor) -> CurvatureTensor:
                 out[a][x][b][y] += v            # omega_jm s_ik
                 out[a][x][y][b] -= v            # omega_jk s_im
                 out[a][b][x][y] += 2 * v        # 2 s_ij omega_km
-    denom = c * 2 * (sigma.l + 1)
-    entries = [[[[Fraction(v, denom) if v else F0 for v in row] for row in plane]
-                for plane in block] for block in out]
-    return CurvatureTensor(sigma.l, entries, validate=False)
+    return _tensor(sigma.l, out, sigma.den * 2 * (sigma.l + 1))
 
 
 def weyl_of(R: CurvatureTensor) -> WeylTensor:
     """Trace-free part W = R - sigma_tilde(ricci(R)); validated on the way out."""
     diff = R - sigma_tilde_of(ricci_of(R))
-    return WeylTensor(R.l, diff.entries, validate=True)
+    W = _tensor(R.l, diff.num, diff.den, WeylTensor)
+    W._check()
+    return W
 
 
 def raise_all(R: CurvatureTensor):
@@ -361,15 +393,16 @@ def _lowered_traces(e, partners, pairs=tuple(combinations(range(4), 2))) -> dict
 def omega_traces(R: CurvatureTensor) -> dict:
     """The six contractions R^{ijkl} omega_(pair), keyed by slot pair.
 
-    Each value is a 2l x 2l matrix over the two free slots, in slot order.
-    Raising is the signed swap T'[i] = s_i T[i*] in every slot, so the raised
-    trace at (u, v) is s_u s_v times the lowered trace at (u*, v*); it is read
-    off `_lowered_traces` without raising the tensor.
+    Each value is a 2l x 2l matrix of Fractions over the two free slots, in
+    slot order.  Raising is the signed swap T'[i] = s_i T[i*] in every slot,
+    so the raised trace at (u, v) is s_u s_v times the lowered trace at
+    (u*, v*), read off `_lowered_traces` of the numerators, over R.den.
     """
     partners = omega_partners(R.l)
-    lowered = _lowered_traces(R.entries, partners)
+    lowered = _lowered_traces(R.num, partners)
     return {
-        pair: [[su * sv * Fraction(mat[up][vp]) for vp, sv in partners] for up, su in partners]
+        pair: [[Fraction(su * sv * mat[up][vp], R.den) for vp, sv in partners]
+               for up, su in partners]
         for pair, mat in lowered.items()
     }
 
@@ -453,35 +486,32 @@ def _trace_rows(n: int, index) -> list[dict[int, Fraction]]:
     return rows
 
 
-_curvature_basis_cache: dict[int, list] = {}
-_weyl_basis_cache: dict[int, list] = {}
+_basis_cache: dict[tuple[int, bool], list] = {}
+
+
+def _space_basis(l: int, trace_free: bool):
+    if (l, trace_free) not in _basis_cache:
+        n = 2 * l
+        variables, index = _canonical_vars(n)
+        rows = _bianchi_rows(n, index) + (_trace_rows(n, index) if trace_free else [])
+        basis = nullspace_basis(rows, len(variables))
+        _basis_cache[l, trace_free] = [(variables, vec) for vec in basis]
+    return _basis_cache[l, trace_free]
 
 
 def curvature_space_basis(l: int):
     """Cached nullspace basis of constraints (A)+(B)+(C), reduced coordinates."""
-    if l not in _curvature_basis_cache:
-        n = 2 * l
-        variables, index = _canonical_vars(n)
-        rows = _bianchi_rows(n, index)
-        basis = nullspace_basis(rows, len(variables))
-        _curvature_basis_cache[l] = [(variables, vec) for vec in basis]
-    return _curvature_basis_cache[l]
+    return _space_basis(l, False)
 
 
 def weyl_space_basis(l: int):
     """Cached nullspace basis of (A)+(B)+(C) plus all six trace conditions."""
-    if l not in _weyl_basis_cache:
-        n = 2 * l
-        variables, index = _canonical_vars(n)
-        rows = _bianchi_rows(n, index) + _trace_rows(n, index)
-        basis = nullspace_basis(rows, len(variables))
-        _weyl_basis_cache[l] = [(variables, vec) for vec in basis]
-    return _weyl_basis_cache[l]
+    return _space_basis(l, True)
 
 
-def _expand_var_vector(l: int, variables, vec: dict[int, Fraction]):
-    n = 2 * l
-    out = _zero_entries(n)
+def _expand_var_vector(l: int, variables, vec: dict):
+    """The rank-4 array of a vector of ints or Fractions on reduced coordinates."""
+    out = _zero_ints(2 * l)
     for var, coeff in vec.items():
         i, j, k, m = variables[var]
         out[i][j][k][m] += coeff
@@ -493,8 +523,8 @@ def _expand_var_vector(l: int, variables, vec: dict[int, Fraction]):
 
 
 def _random_combination(l: int, basis, stream: RandomStream, bound: int):
+    """(num, den) of a random combination, cleared on the reduced coordinates."""
     acc: dict[int, Fraction] = {}
-    variables = basis[0][0] if basis else None
     for _, vec in basis:
         c = stream.next_fraction(bound)
         if not c:
@@ -505,9 +535,9 @@ def _random_combination(l: int, basis, stream: RandomStream, bound: int):
                 acc[var] = val
             else:
                 acc.pop(var, None)
-    if variables is None:
-        return _zero_entries(2 * l)
-    return _expand_var_vector(l, variables, acc)
+    den = lcm(*(x.denominator for x in acc.values()))
+    ints = {var: x.numerator * (den // x.denominator) for var, x in acc.items()}
+    return _expand_var_vector(l, basis[0][0] if basis else None, ints), den
 
 
 def random_curvature(l: int, seed: int, bound: int = 9) -> CurvatureTensor:
@@ -515,8 +545,7 @@ def random_curvature(l: int, seed: int, bound: int = 9) -> CurvatureTensor:
     if l < 1:
         raise ValueError("l must be >= 1")
     basis = curvature_space_basis(l)
-    entries = _random_combination(l, basis, RandomStream(seed), bound)
-    return CurvatureTensor(l, entries, validate=False)
+    return _tensor(l, *_random_combination(l, basis, RandomStream(seed), bound))
 
 
 def random_weyl(l: int, seed: int, bound: int = 9) -> WeylTensor:
@@ -524,13 +553,13 @@ def random_weyl(l: int, seed: int, bound: int = 9) -> WeylTensor:
     if l < 1:
         raise ValueError("l must be >= 1")
     basis = weyl_space_basis(l)
-    entries = _random_combination(l, basis, RandomStream(seed), bound)
-    return WeylTensor(l, entries, validate=False)
+    return _tensor(l, *_random_combination(l, basis, RandomStream(seed), bound), WeylTensor)
 
 
 # ---------------------------------------------------------------------------
 # JSON wire format: {"l": int, "entries": [{"ijkl": [..1-based..],
-#                    "val": "p/q"}]} with only nonzero entries listed.
+#                    "val": "p/q"}]} with only nonzero entries listed; values
+# are read back by `exact.parse_rational`, in the written forms only.
 # ---------------------------------------------------------------------------
 
 
@@ -538,19 +567,19 @@ def curvature_to_json(R: CurvatureTensor) -> dict:
     n = 2 * R.l
     items = []
     for i, j, k, m in product(range(n), repeat=4):
-        v = R.entries[i][j][k][m]
+        v = R.num[i][j][k][m]
         if v:
-            items.append({"ijkl": [i + 1, j + 1, k + 1, m + 1], "val": str(v)})
+            items.append({"ijkl": [i + 1, j + 1, k + 1, m + 1], "val": str(Fraction(v, R.den))})
     return {"l": R.l, "entries": items}
 
 
-def curvature_from_json(obj: dict, validate: bool = True) -> CurvatureTensor:
+def curvature_from_json(obj: dict) -> CurvatureTensor:
     l = obj["l"]
-    entries = _zero_entries(2 * l)
+    entries = _zero_ints(2 * l)
     for item in obj["entries"]:
         i, j, k, m = (x - 1 for x in item["ijkl"])
-        entries[i][j][k][m] = Fraction(item["val"])
-    return CurvatureTensor(l, entries, validate=validate)
+        entries[i][j][k][m] = parse_rational(item["val"])
+    return CurvatureTensor(l, entries)
 
 
 def ricci_to_json(sigma: RicciTensor) -> dict:
@@ -558,4 +587,4 @@ def ricci_to_json(sigma: RicciTensor) -> dict:
 
 
 def ricci_from_json(obj: dict) -> RicciTensor:
-    return RicciTensor(obj["l"], [[Fraction(x) for x in row] for row in obj["rows"]])
+    return RicciTensor(obj["l"], [[parse_rational(x) for x in row] for row in obj["rows"]])

@@ -11,6 +11,7 @@ projector images are; nothing here stores a dense matrix.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable
 
@@ -19,6 +20,7 @@ __all__ = [
     "GR_ZERO",
     "GR_ONE",
     "GR_I",
+    "parse_rational",
     "RandomStream",
     "symmetric_matrix",
     "random_symmetric_matrix",
@@ -162,6 +164,16 @@ def _gr(re: Fraction, im: Fraction) -> GaussianRational:
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def parse_rational(s) -> Fraction:
+    """The rational of a string in a form str(Fraction) writes, p or p/q; else
+    ValueError.  Fraction would also expand "1e10000000" to 10^7 digits."""
+    if type(s) is not str or not _RATIONAL.fullmatch(s):
+        raise ValueError(f"expected a rational written as p or p/q, got {s!r}")
+    return Fraction(s)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ from .exact import (
     RandomStream,
     _as_fraction,
     _gr,
+    parse_rational,
     random_symmetric_matrix,
     symmetric_matrix,
 )
@@ -516,7 +517,7 @@ def poly_spinor_to_json(s: PolySpinor) -> dict:
 
 def poly_spinor_from_json(obj: dict) -> PolySpinor:
     coeffs = {
-        tuple(t["alpha"]): GaussianRational(Fraction(t["re"]), Fraction(t["im"]))
+        tuple(t["alpha"]): GaussianRational(parse_rational(t["re"]), parse_rational(t["im"]))
         for t in obj["terms"]
     }
     return PolySpinor(obj["l"], obj["cap"], coeffs)

@@ -25,10 +25,11 @@ Two evaluators are folded, exactly: the action sums c e_i.e_j.phi with the
 real c per slot k < l of the antisymmetric last pair and applies i once, and
 the eq. 11 display sums W^{ijk}_l e_k.e_i.e_j.phi per slot l before the one
 outer Clifford product.  The action and the displays raise no index: they read
-T^{ij}_{kl} = s_i s_j T_{i*j*kl} off the lowered entries, cleared once to
-ints, and sum int multiples of Clifford products through the one kernel
-`spinors._clifford_into` over one denominator.  The theorem checks take p20,
-p21 and p22 of an action from one XY and one X^2Y^2 (`forms._two_form_parts`).
+T^{ij}_{kl} = s_i s_j T_{i*j*kl} off the tensor's lowered int numerators and
+sum int multiples of Clifford products through the one kernel
+`spinors._clifford_into` over one denominator; no verdict clears a tensor.
+The theorem checks take p20, p21 and p22 of an action from one XY and one
+X^2Y^2 (`forms._two_form_parts`).
 
 Every suite is one entry of the registry SUITES: its checks and paper anchors,
 its requirements, a sampler, one `holds` per check, a decoder from a
@@ -40,7 +41,7 @@ counterexample; the `*_suite` functions are thin entry points into the loop.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -57,9 +58,8 @@ from .curvature import (
     ricci_to_json,
     ricci_of,
     sigma_tilde_of,
-    _cleared,
-    _cleared_matrix,
     _lowered_traces,
+    _ricci,
     _ricci_entries,
 )
 from .connections import (
@@ -69,7 +69,7 @@ from .connections import (
     evaluate_curvature_at,
     random_connection,
 )
-from .exact import GR_I, GaussianRational, RandomStream
+from .exact import GR_I, GaussianRational, RandomStream, parse_rational
 from .forms import (
     SpinorForm,
     _form,
@@ -152,15 +152,7 @@ class ActionReport:
             "status": self.status,
             "counterexample": self.counterexample,
             "literal_formula_match": self.literal_formula_match,
-            "displays": [
-                {
-                    "display": d.display,
-                    "literal_match": d.literal_match,
-                    "corrected_match": d.corrected_match,
-                    "note": d.note,
-                }
-                for d in self.displays
-            ],
+            "displays": [asdict(d) for d in self.displays],
         }
 
 
@@ -175,9 +167,9 @@ def spinor_curvature_action(T: CurvatureTensor, phi: PolySpinor) -> SpinorForm:
     Folded: the last pair is antisymmetric (the entry check enforces it), so
     (k, m) and (m, k) carry c and -c on e^k ∧ e^m, and the slot k < m is
     i T^{ij}_{km} e_i.e_j.phi.  Raising is the signed swap
-    T^{ij}_{km} = s_i s_j T_{i*j*km}, read off the entries cleared once to
-    ints E = c T; each slot sums s_i s_j E_{i*j*km} e_i.(e_j.phi) through the
-    Clifford kernel over the one denominator c * phi.den and takes i once.
+    T^{ij}_{km} = s_i s_j T_{i*j*km}, read off the numerators E = T.den T;
+    each slot sums s_i s_j E_{i*j*km} e_i.(e_j.phi) through the Clifford
+    kernel over the one denominator T.den * phi.den and takes i once.
     The 2l products e_j.phi are spinors (`clifford_basis`), shared by all i.
     """
     if not check_symmetries(T).curvature_type():
@@ -187,7 +179,7 @@ def spinor_curvature_action(T: CurvatureTensor, phi: PolySpinor) -> SpinorForm:
     l, cap = T.l, phi.cap
     partners = omega_partners(l)
     pairs = list(combinations(range(2 * l), 2))
-    E, c = _cleared(T.entries)
+    E, c = T.num, T.den
     accs: dict[tuple[int, int], dict] = {}
     for jp, ej, g in _first_products(phi):
         for i, (ip, si) in enumerate(partners):
@@ -215,8 +207,8 @@ def _first_products(phi: PolySpinor):
 # Literal right-hand sides, evaluated independently of the projectors
 # ---------------------------------------------------------------------------
 #
-# Each display reads its raised tensor off the lowered entries, cleared once
-# to ints: sigma^{ij} = s_i s_j sigma_{i*j*} and W^{ijk}_l = s_i s_j s_k
+# Each display reads its raised tensor off the lowered int numerators:
+# sigma^{ij} = s_i s_j sigma_{i*j*} and W^{ijk}_l = s_i s_j s_k
 # W_{i*j*k*l}.  The spinor sums run through the Clifford kernel over one
 # denominator, and i is applied once per component at the end.
 
@@ -229,7 +221,7 @@ def literal_p20_ricci(sigma: RicciTensor, phi: PolySpinor) -> SpinorForm:
     """
     l, cap = sigma.l, phi.cap
     partners = omega_partners(l)
-    S, c = _cleared_matrix(sigma.entries)
+    S, c = sigma.num, sigma.den
     acc: dict = {}
     for jp, ej, g in _first_products(phi):
         for i, (ip, si) in enumerate(partners):
@@ -249,7 +241,7 @@ def literal_p21_ricci(sigma: RicciTensor, phi: PolySpinor) -> SpinorForm:
     """
     l, cap = sigma.l, phi.cap
     partners = omega_partners(l)
-    S, c = _cleared_matrix(sigma.entries)
+    S, c = sigma.num, sigma.den
     accs: dict[tuple[int, int], dict] = {}
     for jp, ej, g in _first_products(phi):
         for i, (m, si) in enumerate(partners):
@@ -276,7 +268,7 @@ def literal_p21_weyl(W: CurvatureTensor, phi: PolySpinor) -> SpinorForm:
     l, cap = W.l, phi.cap
     n = 2 * l
     partners = omega_partners(l)
-    E, c = _cleared(W.entries)
+    E, c = W.num, W.den
     slot: list[dict] = [{} for _ in range(n)]
     for jp, ej, g in _first_products(phi):
         for i, (ip, si) in enumerate(partners):
@@ -323,14 +315,8 @@ def verify_theorem9(sigma: RicciTensor, phi: PolySpinor) -> ActionReport:
             note="corrected variant reinstates the 1/(2(l+1)) normalization",
         ),
     ]
-    ce = None
-    if not ok:
-        ce = {
-            "check": "theorem9",
-            "l": sigma.l,
-            "sigma": ricci_to_json(sigma),
-            "phi": poly_spinor_to_json(phi),
-        }
+    ce = None if ok else {"check": "theorem9", "l": sigma.l, "sigma": ricci_to_json(sigma),
+                          "phi": poly_spinor_to_json(phi)}
     literal = "pass" if all(d.literal_match for d in displays) else "fail"
     return ActionReport("theorem9", 1, "pass" if ok else "fail", ce, literal, displays)
 
@@ -356,19 +342,10 @@ def verify_theorem10(W: CurvatureTensor, phi: PolySpinor) -> ActionReport:
                  "variant (action minus the corrected p21 term)",
         ),
     ]
-    ce = None
-    if not ok:
-        ce = {
-            "check": "theorem10",
-            "l": W.l,
-            "weyl": curvature_to_json(W),
-            "phi": poly_spinor_to_json(phi),
-        }
-    lit = displays[0].literal_match
-    return ActionReport(
-        "theorem10", 1, "pass" if ok else "fail", ce,
-        "pass" if lit else "fail", displays,
-    )
+    ce = None if ok else {"check": "theorem10", "l": W.l, "weyl": curvature_to_json(W),
+                          "phi": poly_spinor_to_json(phi)}
+    literal = "pass" if displays[0].literal_match else "fail"
+    return ActionReport("theorem10", 1, "pass" if ok else "fail", ce, literal, displays)
 
 
 def verify_corollary11(R: CurvatureTensor, phi: PolySpinor) -> ActionReport:
@@ -378,12 +355,8 @@ def verify_corollary11(R: CurvatureTensor, phi: PolySpinor) -> ActionReport:
     sigma = ricci_of(R)
     st = sigma_tilde_of(sigma)
     W = R - st
-    act_r = spinor_curvature_action(R, phi)
-    act_s = spinor_curvature_action(st, phi)
-    act_w = spinor_curvature_action(W, phi)
-    parts_r = _two_form_parts(act_r)[:3]
-    parts_s = _two_form_parts(act_s)[:3]
-    parts_w = _two_form_parts(act_w)[:3]
+    act_r, act_s, act_w = (spinor_curvature_action(T, phi) for T in (R, st, W))
+    parts_r, parts_s, parts_w = (_two_form_parts(act)[:3] for act in (act_r, act_s, act_w))
     ok = all(pr == ps + pw for pr, ps, pw in zip(parts_r, parts_s, parts_w))
     proj_r = dict(zip(("p20", "p21", "p22"), parts_r))
     prefactor = Fraction(1, 2 * (R.l + 1))
@@ -409,14 +382,8 @@ def verify_corollary11(R: CurvatureTensor, phi: PolySpinor) -> ActionReport:
             note="corrected variant divides the subtracted term by 2i",
         ),
     ]
-    ce = None
-    if not ok:
-        ce = {
-            "check": "corollary11",
-            "l": R.l,
-            "curvature": curvature_to_json(R),
-            "phi": poly_spinor_to_json(phi),
-        }
+    ce = None if ok else {"check": "corollary11", "l": R.l, "curvature": curvature_to_json(R),
+                          "phi": poly_spinor_to_json(phi)}
     literal = "pass" if all(d.literal_match for d in displays) else "fail"
     return ActionReport("corollary11", 1, "pass" if ok else "fail", ce, literal, displays)
 
@@ -471,33 +438,33 @@ def lemma6_instance(R: CurvatureTensor) -> bool:
     Raising is the signed swap T'[i] = s_i T[i*] in every slot, so the raised
     trace at (i, j) is s_i s_j sum_a s_a R_{i*j*aa*} and 2 sigma^{ij} is
     2 s_i s_j sigma_{i*j*}: the identity is the lowered slot-(2, 3) trace
-    sum_a s_a R_{uvaa*} = 2 sigma_uv for every (u, v).
+    sum_a s_a R_{uvaa*} = 2 sigma_uv for every (u, v), decided on the
+    numerators of R: both sides are over R.den.
     """
     sig = _ricci_entries(R)
     n = len(sig)
     if any(sig[i][j] != sig[j][i] for i in range(n) for j in range(i + 1, n)):
         return False
-    trace = _lowered_traces(R.entries, omega_partners(R.l), ((2, 3),))[(2, 3)]
+    trace = _lowered_traces(R.num, omega_partners(R.l), ((2, 3),))[(2, 3)]
     return all(trace[u][v] == 2 * sig[u][v] for u in range(n) for v in range(n))
 
 
 def lemma7_weyl_instance(R: CurvatureTensor) -> bool:
     """W = R - sigma_tilde(ricci R) satisfies (A)-(D) and is trace-free.
 
-    W is cleared to ints once (`curvature._cleared`, a positive factor), and
-    every test below is an integer zero test on it.  The six omega-traces are
-    taken on the lowered W: raising is a signed permutation of the entries, so
-    each raised trace is a signed permutation of the lowered one and vanishes
-    exactly when it does.  The Ricci trace of W needs no test of its own:
-    with a = m*, s_a = -s_m, the slot-(0, 2) trace is
+    W is R - sigma_tilde summed over ints on the lcm of their denominators,
+    and every test below is an integer zero test on its numerators.  The six
+    omega-traces are taken on the lowered W: raising is a signed permutation
+    of the entries, so each raised trace is a signed permutation of the
+    lowered one and vanishes exactly when it does.  The Ricci trace of W
+    needs no test of its own: with a = m*, s_a = -s_m, the slot-(0, 2) trace is
     sum_a s_a W_{a u a* v} = -sum_m s_m W_{m* u m v} = -sigma_vu(W),
     so sigma(W) vanishes exactly when that trace does.
     """
-    sigma = RicciTensor(R.l, _ricci_entries(R))
-    W, _ = _cleared((R - sigma_tilde_of(sigma)).entries)
+    W = R - sigma_tilde_of(_ricci(R.l, _ricci_entries(R), R.den))
     if not check_symmetries(W).all_hold():
         return False
-    traces = _lowered_traces(W, omega_partners(R.l))
+    traces = _lowered_traces(W.num, omega_partners(R.l))
     return not any(x for mat in traces.values() for row in mat for x in row)
 
 
@@ -505,7 +472,7 @@ def lemma7_section_instance(sigma: RicciTensor) -> bool:
     st = sigma_tilde_of(sigma)
     if not check_symmetries(st).curvature_type():
         return False
-    return RicciTensor(sigma.l, _ricci_entries(st)) == sigma
+    return _ricci(sigma.l, _ricci_entries(st), st.den) == sigma
 
 
 def equivariance_instance(A: SpLieElement, phi: SpinorForm) -> bool:
@@ -603,6 +570,10 @@ def _strs(xs) -> list[str]:
     return [str(x) for x in xs]
 
 
+def _rationals(xs) -> list[Fraction]:
+    return [parse_rational(x) for x in xs]
+
+
 def _curvature_payload(R: CurvatureTensor) -> dict:
     return {"l": R.l, "curvature": curvature_to_json(R)}
 
@@ -697,7 +668,7 @@ def _fedosov_sample(l, degree, stream, n_points=FEDOSOV_POINTS):
 
 def _fedosov_decode(ce):
     conn = connection_from_json(ce["connection"])
-    points = [] if ce["check"] == "fedosov.axioms" else [[Fraction(x) for x in ce["point"]]]
+    points = [] if ce["check"] == "fedosov.axioms" else [_rationals(ce["point"])]
     return _FedosovTrial(conn, points)
 
 
@@ -834,7 +805,7 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
         ),
         sample=lambda l, degree, stream: ([stream.next_fraction(5) for _ in range(2 * l)],
                                           random_form(l, 1, degree, degree + 6, stream)),
-        decode=lambda ce: ([Fraction(x) for x in ce["xi"]], spinor_form_from_json(ce["eta"])),
+        decode=lambda ce: (_rationals(ce["xi"]), spinor_form_from_json(ce["eta"])),
         run=lambda l, degree, trials, seed: symbol_complex_suite(l, degree, trials, seed),
         min_l=2,
         min_pad=6,
@@ -867,7 +838,7 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
         sample=lambda l, degree, stream: (SpLieElement.random(l, stream),
                                           random_form(l, 1, degree, degree + 4, stream)),
         decode=lambda ce: (
-            SpLieElement(ce["l"], [[Fraction(x) for x in row] for row in ce["matrix"]]),
+            SpLieElement(ce["l"], [_rationals(row) for row in ce["matrix"]]),
             spinor_form_from_json(ce["form"]),
         ),
         run=lambda l, degree, trials, seed: [equivariance_suite(l, degree, trials, seed)],
@@ -996,7 +967,8 @@ def _check_replay_sizes(ce: dict) -> None:
     every "l" in it, at any depth, is that one integer in 1..MAX_L.  A fedosov
     counterexample carries only its connection, whose own l stands alone.
     Runs before decoding: the decoders allocate by l, and a curvature tensor
-    alone holds (2l)^4 entries."""
+    alone holds (2l)^4 entries.  A connection's degree cap is bounded by
+    MAX_DEGREE too, as its evaluation tabulates powers up to that degree."""
     if "l" not in ce and "connection" not in ce:
         raise ValueError("counterexample has no top-level l")
     stack = [ce]
@@ -1010,6 +982,9 @@ def _check_replay_sizes(ce: dict) -> None:
             stack.extend(node.values())
         elif isinstance(node, list):
             stack.extend(node)
+    cap = ce["connection"].get("cap") if isinstance(ce.get("connection"), dict) else 0
+    if type(cap) is not int or not 0 <= cap <= MAX_DEGREE:
+        raise ValueError(f"connection has cap = {cap!r}; replay accepts 0..{MAX_DEGREE}")
 
 
 def replay_counterexample(ce: dict) -> dict:

@@ -14,13 +14,18 @@ and the two-form projectors.  The package's packed-key Clifford kernel and
 its Gaussian-integer, unchecked and folded fast paths are tested against
 them, and its integer `check_symmetries`,
 `sigma_tilde_of`, `omega_traces` and curvature evaluation against the
-Fraction ones kept here, which evaluate a `Poly` term by term.
+Fraction ones kept here, which evaluate a `Poly` term by term.  The connection
+axioms are decided here by building every difference of raised symbols, and
+the curvature jets by `Poly.deriv` of the raised table; the package compares
+stored symbols and differentiates integer terms instead.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
-from sympspin.curvature import CurvatureTensor, IdentityCheck, SymmetryReport
+from sympspin.connections import ConnectionAxiomReport, Poly, poly_to_json
+from sympspin.curvature import (CurvatureTensor, IdentityCheck, SymmetryReport, _cleared,
+                                 _tensor)
 from sympspin.exact import GR_I, GaussianRational
 from sympspin.forms import PROJECTORS, SpinorForm
 from sympspin.forms import op_X as _op_X
@@ -364,6 +369,12 @@ def _zero4(n):
     return [[[[Fraction(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
 
 
+def unchecked_tensor(l, entries) -> CurvatureTensor:
+    """A CurvatureTensor of the rational rank-4 array `entries`, whose
+    symmetries are not checked: for planting defects."""
+    return _tensor(l, *_cleared(entries))
+
+
 def poly_eval(p, point) -> Fraction:
     """The Poly p at `point`, term by term, each power a repeated product."""
     if len(point) != p.n:
@@ -378,15 +389,61 @@ def poly_eval(p, point) -> Fraction:
     return acc
 
 
-def evaluate_curvature_at(field, point) -> CurvatureTensor:
-    """R_ijkl at `point` from the Poly jets, every value a Fraction:
+def gamma_upper(conn) -> dict:
+    """Gamma^m_jk = sum_i omega^{mi} Gamma_ijk as Polys, summed over every
+    entry of omega_upper."""
+    up = standard_symplectic_form(conn.l).omega_upper
+    n = 2 * conn.l
+    table = {}
+    for m, j, k in product(range(n), repeat=3):
+        acc = Poly.zero(n)
+        for i in range(n):
+            if up[m][i]:
+                acc = acc + conn.entry(i, j, k).scale(up[m][i])
+        table[(m, j, k)] = acc
+    return table
+
+
+def check_connection_axioms(conn) -> ConnectionAxiomReport:
+    """Zero torsion and nabla(omega) = 0 decided by building every difference
+    of raised symbols: Gamma^m_jk - Gamma^m_kj, and
+    Gamma^m_ki omega_mj + Gamma^m_kj omega_im = -nabla_k omega_ij summed over
+    every entry of omega_lower."""
+    lo = standard_symplectic_form(conn.l).omega_lower
+    n = 2 * conn.l
+    gu = gamma_upper(conn)
+    torsion_ok, omega_ok = True, True
+    violation, poly = None, None
+    for m, j, k in product(range(n), repeat=3):
+        if j < k:
+            diff = gu[(m, j, k)] - gu[(m, k, j)]
+            if not diff.is_zero():
+                torsion_ok = False
+                if violation is None:
+                    violation, poly = ("torsion", m, j, k), poly_to_json(diff)
+    for k, i, j in product(range(n), repeat=3):
+        acc = Poly.zero(n)
+        for m in range(n):
+            acc = acc + gu[(m, k, i)].scale(lo[m][j]) + gu[(m, k, j)].scale(lo[i][m])
+        if not acc.is_zero():
+            omega_ok = False
+            if violation is None:
+                violation, poly = ("nabla-omega", k, i, j), poly_to_json(acc)
+            break
+    return ConnectionAxiomReport(torsion_ok, omega_ok, violation, poly)
+
+
+def evaluate_curvature_at(conn, point) -> CurvatureTensor:
+    """R_ijkl at `point` from the raised table of the connection and its
+    `Poly.deriv` partials, every value a Fraction:
     R^m_jkl = d_k Gamma^m_lj - d_l Gamma^m_kj + Gamma^m_ka Gamma^a_lj
     - Gamma^m_la Gamma^a_kj, lowered with the omega matrix."""
-    lo = standard_symplectic_form(field.l).omega_lower
-    n = 2 * field.l
+    lo = standard_symplectic_form(conn.l).omega_lower
+    n = 2 * conn.l
     pt = [Fraction(x) for x in point]
-    g = {idx: poly_eval(p, pt) for idx, p in field.gamma.items()}
-    dg = {idx: poly_eval(p, pt) for idx, p in field.dgamma.items()}
+    gamma = gamma_upper(conn)
+    g = {idx: poly_eval(p, pt) for idx, p in gamma.items()}
+    dg = {(v, *idx): poly_eval(p.deriv(v), pt) for idx, p in gamma.items() for v in range(n)}
     out = _zero4(n)
     for m, j, k, mm in product(range(n), repeat=4):
         if k == mm:
@@ -396,7 +453,7 @@ def evaluate_curvature_at(field, point) -> CurvatureTensor:
             acc += g[(m, k, a)] * g[(a, mm, j)] - g[(m, mm, a)] * g[(a, k, j)]
         for i in range(n):
             out[i][j][k][mm] += acc * lo[m][i]
-    return CurvatureTensor(field.l, out, validate=False)
+    return unchecked_tensor(conn.l, out)
 
 
 def sigma_tilde_of(sigma) -> CurvatureTensor:
@@ -409,7 +466,7 @@ def sigma_tilde_of(sigma) -> CurvatureTensor:
     for i, j, k, m in product(range(n), repeat=4):
         out[i][j][k][m] = (lo[i][m] * s[j][k] - lo[i][k] * s[j][m] + lo[j][m] * s[i][k]
                            - lo[j][k] * s[i][m] + 2 * s[i][j] * lo[k][m]) / (2 * (sigma.l + 1))
-    return CurvatureTensor(sigma.l, out, validate=False)
+    return unchecked_tensor(sigma.l, out)
 
 
 def omega_traces(R) -> dict:

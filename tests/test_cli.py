@@ -312,6 +312,18 @@ HOSTILE_REPLAYS = {
     "huge-l": json.dumps({**_LEMMA1_CE, "l": 1000}),
     # a cap past one exponent field of the packed monomial keys
     "huge-cap": json.dumps({**_LEMMA1_CE, "spinor": {**_LEMMA1_CE["spinor"], "cap": 10**9}}),
+    # rationals in forms the writer never emits: Fraction would expand the
+    # exponent into a ten-million-digit integer
+    "exponent-val": json.dumps({"check": "lemma6", "l": 2, "curvature": {
+        "l": 2, "entries": [{"ijkl": [1, 2, 1, 2], "val": "1e10000000"}]}}),
+    "exponent-re": json.dumps({**_LEMMA1_CE, "spinor": {**_LEMMA1_CE["spinor"], "terms": [
+        {"alpha": [0, 1], "re": "1e10000000", "im": "0"}]}}),
+    # a connection that passes the axioms, with a degree its evaluation would
+    # tabulate powers up to
+    "huge-connection-cap": json.dumps({
+        "check": "fedosov.curvature-symmetries", "point": ["1/2", "2/3"],
+        "connection": {"l": 1, "cap": 1000000, "gamma": [{"ijk": [1, 1, 1], "poly": {
+            "n": 2, "terms": [{"alpha": [1000000, 0], "val": "1"}]}}]}}),
 }
 
 

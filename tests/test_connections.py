@@ -256,16 +256,17 @@ def test_curvature_jets_match_symbolic_field(l, degree):
 
 @pytest.mark.parametrize("defect", ["shifted-variable", "doubled"])
 def test_symbolic_oracle_catches_a_planted_deriv_defect(monkeypatch, defect):
-    # Either defect keeps every curvature symmetry (with Gamma totally
-    # symmetric, any d_f(k) in place of d_k does, and so does doubling the
-    # derivative terms), so all three fedosov checks still pass: the
-    # differential test above is the only guard of the derivative terms.
-    deriv = Poly.deriv
+    # The defect is planted in the integer derivative of the jets.  Either
+    # one keeps every curvature symmetry (with Gamma totally symmetric, any
+    # d_f(k) in place of d_k does, and so does doubling the derivative
+    # terms), so all three fedosov checks still pass: the differential test
+    # above is the only guard of the derivative terms.
+    deriv = connections._deriv_terms
     planted = {
-        "shifted-variable": lambda self, var: deriv(self, (var + 1) % self.n),
-        "doubled": lambda self, var: deriv(self, var).scale(2),
+        "shifted-variable": lambda terms, v: deriv(terms, (v + 1) % 4),
+        "doubled": lambda terms, v: [(a, 2 * c) for a, c in deriv(terms, v)],
     }
-    monkeypatch.setattr(Poly, "deriv", planted[defect])
+    monkeypatch.setattr(connections, "_deriv_terms", planted[defect])
     reports = fedosov_suite(2, 31, n_connections=1, n_points=2)
     assert [r.status for r in reports] == ["pass", "pass", "pass"]
     assert _oracle_mismatches(2, 1, seed=201)
@@ -281,29 +282,33 @@ def _points(l: int, seed: int) -> list:
     return [first, second, [stream.next_int(-4, 4) for _ in range(n)], [0] * n]
 
 
-def _differential_mismatches(field, points) -> list:
+def _differential_mismatches(conn, points) -> list:
     """The points where the integer evaluation and the Fraction oracle differ."""
+    field = curvature_field_of(conn)
     return [p for p in points
-            if evaluate_curvature_at(field, p) != oracles.evaluate_curvature_at(field, p)]
+            if evaluate_curvature_at(field, p) != oracles.evaluate_curvature_at(conn, p)]
 
 
 @pytest.mark.parametrize("l,degree", [(l, d) for l in (1, 2, 3) for d in range(4)])
 def test_integer_evaluation_matches_fraction_oracle(l, degree):
-    field = curvature_field_of(random_connection(l, degree, 300 + 10 * l + degree))
+    conn = random_connection(l, degree, 300 + 10 * l + degree)
+    field = curvature_field_of(conn)
     assert field.degree == degree and field.den >= 1
     points = _points(l, 400 + 10 * l + degree)
     assert points[0][0].denominator == 7
-    assert _differential_mismatches(field, points) == []
+    assert _differential_mismatches(conn, points) == []
     R = evaluate_curvature_at(field, points[0])
+    assert all(type(x) is int for b in R.num for p in b for r in p for x in r)
     assert all(type(x) is Fraction for b in R.entries for p in b for r in p for x in r)
 
 
 @pytest.mark.parametrize("l", [1, 2, 3])
 def test_integer_evaluation_of_the_flat_connection(l):
-    field = curvature_field_of(PolynomialConnection(l, 0, {}))
+    conn = PolynomialConnection(l, 0, {})
+    field = curvature_field_of(conn)
     assert (field.den, field.degree) == (1, 0)
     points = _points(l, 500 + l)
-    assert _differential_mismatches(field, points) == []
+    assert _differential_mismatches(conn, points) == []
     assert all(evaluate_curvature_at(field, p).is_zero() for p in points)
 
 
@@ -324,31 +329,56 @@ def test_planted_derivative_scale_defect_passes_the_suite(monkeypatch):
     monkeypatch.setattr(connections, "_jets_at", scaled)
     reports = fedosov_suite(2, 31, n_connections=2, n_points=3)
     assert [r.status for r in reports] == ["pass", "pass", "pass"]
-    field = curvature_field_of(random_connection(2, 2, 322))
     points = _points(2, 422)
-    assert _differential_mismatches(field, points) == points[:2]
+    assert _differential_mismatches(random_connection(2, 2, 322), points) == points[:2]
     assert _oracle_mismatches(2, 1, seed=201)
 
 
 def test_evaluation_returns_a_symmetry_breaking_tensor_unvalidated():
-    # jets that no connection has; deciding the symmetries is the caller's check
-    zero = Poly.zero(2)
-    gamma = {idx: zero for idx in product(range(2), repeat=3)}
-    dgamma = {idx: zero for idx in product(range(2), repeat=4)}
-    dgamma[(0, 0, 1, 0)] = Poly.const(2, 1)      # d_0 Gamma^0_10 = 1
-    R = evaluate_curvature_at(CurvatureField(1, gamma, dgamma), [0, 0])
+    # jets of a connection that fails the axioms, so CurvatureField is built
+    # directly; deciding the symmetries is the caller's check
+    conn = PolynomialConnection(1, 1, {(1, 1, 0): Poly(2, {(1, 0): F(1)})})  # Gamma^0_10 = x_0
+    assert not check_connection_axioms(conn).ok()
+    R = evaluate_curvature_at(CurvatureField(conn), [0, 0])
     assert not check_symmetries(R).curvature_type()
 
 
-def test_raised_christoffel_table_is_built_once_per_connection():
-    # the axiom check and the curvature jets share one table per connection
-    from sympspin.connections import _gamma_upper
+def _planted_connection(l: int, defect: str, seed: int) -> PolynomialConnection:
+    """A random connection with one symbol bumped: "torsion" breaks the
+    symmetry of the last two indices; "nabla-omega" bumps Gamma_100, which
+    keeps it and breaks the symmetry of the first and last."""
+    conn = random_connection(l, 2, seed)
+    idx = (0, 0, 1) if defect == "torsion" else (1, 0, 0)
+    gamma = dict(conn.gamma)
+    gamma[idx] = gamma[idx] + Poly(2 * l, {(1,) + (0,) * (2 * l - 1): F(2, 3)})
+    return PolynomialConnection(l, 2, gamma)
 
-    conn = random_connection(1, 2, 4)
-    table = _gamma_upper(conn)
-    assert check_connection_axioms(conn).ok()
-    assert curvature_field_of(conn).gamma is table is _gamma_upper(conn)
-    assert _gamma_upper(random_connection(1, 2, 4)) is not table
+
+@pytest.mark.parametrize("l", [1, 2])
+@pytest.mark.parametrize("defect", ["torsion", "nabla-omega"])
+def test_axiom_report_matches_the_difference_oracle(l, defect):
+    # the package compares stored symbols; the oracle builds every difference
+    # of raised symbols; the reports, payload included, must be equal
+    conn = _planted_connection(l, defect, 600 + l)
+    report = check_connection_axioms(conn)
+    assert report == oracles.check_connection_axioms(conn)
+    assert not report.ok() and report.first_violation[0] == defect
+    assert report.violation_poly["terms"]
+    healthy = random_connection(l, 2, 600 + l)
+    assert check_connection_axioms(healthy) == oracles.check_connection_axioms(healthy)
+    assert check_connection_axioms(healthy).ok()
+
+
+def test_the_fedosov_path_does_no_poly_arithmetic(monkeypatch):
+    # the axioms compare stored symbols and the jets differentiate integer
+    # terms, so a Poly subtraction, negation or derivative is never needed
+    def refuse(*args, **kwargs):
+        raise AssertionError("Poly arithmetic on the fedosov path")
+
+    for name in ("deriv", "__sub__", "__neg__"):
+        monkeypatch.setattr(Poly, name, refuse)
+    reports = fedosov_suite(2, 31, n_connections=2, n_points=2)
+    assert [r.status for r in reports] == ["pass", "pass", "pass"]
 
 
 def test_curvature_field_rejects_broken_connection():

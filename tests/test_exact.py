@@ -10,6 +10,7 @@ from sympspin.exact import (
     GaussianRational,
     RandomStream,
     nullspace_basis,
+    parse_rational,
     random_symmetric_matrix,
     symmetric_matrix,
 )
@@ -230,3 +231,21 @@ def test_gaussian_rational_basics():
     assert (GR(1) / GR(0, 1)) == GR(0, -1)
     with pytest.raises(ZeroDivisionError):
         GR(0).inverse()
+
+
+@given(st.fractions())
+def test_parse_rational_reads_what_str_writes(x):
+    assert parse_rational(str(x)) == x
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "1.5", " 3", "3/4 ", "+3", "1/-2", "", "--1",
+                                  "1_000", "\u0663", "nan", "inf"])
+def test_parse_rational_refuses_other_forms(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
+
+
+@pytest.mark.parametrize("value", [3, 1.5, None, ["1"]])
+def test_parse_rational_refuses_non_strings(value):
+    with pytest.raises(ValueError):
+        parse_rational(value)

@@ -5,8 +5,9 @@ denominator under packed monomial keys, sums every Clifford product through
 one in-place kernel, multiplies by units by negating or swapping numerator
 parts, builds spinor and form results without re-validating them, folds the
 curvature action and the eq. 11 display, computes XY and X^2Y^2 once per
-2-form, checks the curvature symmetries on integer-cleared entries, sums
-sigma_tilde over ints and reads the omega-traces off the lowered tensor.
+2-form, keeps curvature tensors as integer numerators over one denominator
+(checking their symmetries, summing sigma_tilde and R - sigma_tilde on those
+ints) and reads the omega-traces off the lowered tensor.
 Each of these is compared here, at l = 2 and l = 3 (the curvature paths also
 at l = 1), with the checked Fraction and unfolded reference in `oracles`, and
 planted defects show that the suites catch a broken fast path.
@@ -27,11 +28,12 @@ from sympspin.cli import main
 from sympspin.curvature import (
     CurvatureTensor,
     RicciTensor,
-    _ricci_entries,
+    _tensor,
     check_symmetries,
     omega_traces,
     random_curvature,
     random_weyl,
+    ricci_of,
     sigma_tilde_of,
 )
 from sympspin.exact import GR_I, GaussianRational, RandomStream
@@ -353,7 +355,7 @@ def test_integer_sigma_tilde_matches_fraction_oracle(l):
         st = sigma_tilde_of(sigma)
         assert st == oracles.sigma_tilde_of(sigma)
         assert all(type(x) is Fraction for b in st.entries for p in b for r in p for x in r)
-        assert RicciTensor(l, _ricci_entries(st)) == sigma
+        assert ricci_of(st) == sigma
 
 
 @pytest.mark.parametrize("l", [1, 2, 3])
@@ -364,7 +366,7 @@ def test_omega_traces_of_the_lowered_tensor_match_the_raised_oracle(l):
     for i, j, k, m in ((0, 0, 0, 0), (0, 1, n - 1, 0), (n - 1, 0, 1, n - 1)):
         lone = _zero4(n)
         lone[i][j][k][m] = F(2, 7)
-        tensors.append(CurvatureTensor(l, lone, validate=False))
+        tensors.append(oracles.unchecked_tensor(l, lone))
     for T in tensors:
         assert omega_traces(T) == oracles.omega_traces(T)
     assert not any(x for mat in omega_traces(tensors[1]).values() for row in mat for x in row)
@@ -378,7 +380,47 @@ def test_lemma7_weyl_instance_on_integer_cleared_tensors(l):
     assert verify.lemma7_weyl_instance(CurvatureTensor.zero(l))
     bumped = copy.deepcopy(R.entries)
     bumped[0][1][0][1] += F(1, 3)
-    assert not verify.lemma7_weyl_instance(CurvatureTensor(l, bumped, validate=False))
+    assert not verify.lemma7_weyl_instance(oracles.unchecked_tensor(l, bumped))
+
+
+def _fraction_sum(R, S, sign):
+    return [[[[x + sign * y for x, y in zip(r, q)] for r, q in zip(p, o)]
+             for p, o in zip(b, c)] for b, c in zip(R.entries, S.entries)]
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_sum_over_different_denominators_matches_the_fraction_sum(l):
+    # R - sigma_tilde is summed over ints on the lcm of the two denominators
+    # and reduced once; entry by entry it is the Fraction difference
+    n = 2 * l
+    R = random_curvature(l, 160 + l)
+    st = sigma_tilde_of(RicciTensor(l, [[F(i + j + 1, 11) for j in range(n)] for i in range(n)]))
+    assert lcm(R.den, st.den) not in (R.den, st.den)
+    for sign, out in ((-1, R - st), (1, R + st)):
+        assert out.entries == _fraction_sum(R, st, sign)
+        assert gcd(out.den, *(x for b in out.num for p in b for r in p for x in r)) == 1
+    assert (R - R).is_zero() and (R - R).den == 1
+
+
+def test_the_verifiers_clear_no_tensor(monkeypatch):
+    # every tensor carries its numerators and denominator from the moment it
+    # is built, so once the instances are sampled nothing clears again
+    import sympspin.curvature as curvature
+
+    stream = RandomStream(170)
+    sigma, W, R = RicciTensor.random(2, stream), random_weyl(2, 171), random_curvature(2, 172)
+    phi = random_spinor(2, 2, 8, stream)
+
+    def refuse(*args):
+        raise AssertionError("a verifier cleared a tensor")
+
+    monkeypatch.setattr(curvature, "_cleared", refuse)
+    monkeypatch.setattr(curvature, "_cleared_matrix", refuse)
+    assert verify.verify_theorem9(sigma, phi).status == "pass"
+    assert verify.verify_theorem10(W, phi).status == "pass"
+    assert verify.verify_corollary11(R, phi).status == "pass"
+    assert verify.lemma6_instance(R)
+    assert verify.lemma7_weyl_instance(R)
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +546,8 @@ def test_unscaled_mixed_denominator_add_fails_and_replays(tmp_path, monkeypatch,
 
 
 def _scaled(T: CurvatureTensor, k) -> CurvatureTensor:
-    return CurvatureTensor(T.l, [[[[x * k for x in row] for row in plane] for plane in block]
-                                 for block in T.entries], validate=False)
+    return _tensor(T.l, [[[[x * k for x in row] for row in plane] for plane in block]
+                         for block in T.num], T.den)
 
 
 def test_sigma_tilde_without_its_normalization_fails_and_replays(tmp_path, monkeypatch, capsys):

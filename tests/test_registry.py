@@ -17,8 +17,8 @@ from sympspin.connections import (
     random_connection,
 )
 from sympspin.curvature import (
-    CurvatureTensor,
     RicciTensor,
+    _tensor,
     curvature_to_json,
     random_curvature,
     random_weyl,
@@ -218,9 +218,10 @@ def test_planted_curvature_defect_fails_the_symmetry_check_and_replays(
     evaluate = verify.evaluate_curvature_at
 
     def off_by_one(field, point):
-        entries = copy.deepcopy(evaluate(field, point).entries)
-        entries[0][1][0][1] += 1
-        return CurvatureTensor(field.l, entries, validate=False)
+        R = evaluate(field, point)
+        num = copy.deepcopy(R.num)
+        num[0][1][0][1] += R.den
+        return _tensor(field.l, num, R.den)
 
     monkeypatch.setattr(verify, "evaluate_curvature_at", off_by_one)
     path = tmp_path / "report.json"
