@@ -42,7 +42,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from math import lcm, prod
 
 from .curvature import CurvatureTensor, _tensor
-from .exact import RandomStream, parse_rational
+from .exact import RandomStream, parse_indices, parse_rational
 from .symplectic import omega_partners
 
 __all__ = [
@@ -431,7 +431,7 @@ def connection_to_json(conn: PolynomialConnection) -> dict:
 
 def connection_from_json(obj: dict) -> PolynomialConnection:
     gamma = {
-        tuple(x - 1 for x in item["ijk"]): poly_from_json(item["poly"])
+        parse_indices(item["ijk"], 3, 2 * obj["l"]): poly_from_json(item["poly"])
         for item in obj["gamma"]
     }
     return PolynomialConnection(obj["l"], obj["cap"], gamma)

@@ -35,7 +35,9 @@ identities are linear and homogeneous, so each check compares numerators.
 
 Random tensors are drawn as exact rational combinations of a nullspace basis
 of the linear constraints, materialized once per l and cached; membership in
-the constraint space is therefore exact by construction.  The constraint
+the constraint space is therefore exact by construction.  The first draw
+clears each basis vector to ints, and every draw sums its combination over
+ints.  The constraint
 systems are assembled over the (A)+(C)-reduced coordinates (i <= j, k < l)
 as sparse rows for `exact.nullspace_basis`; elimination over the full
 (2l)^4 coordinates would be needlessly slow at l = 3.
@@ -51,6 +53,7 @@ from math import gcd, lcm
 from .exact import (
     RandomStream,
     nullspace_basis,
+    parse_indices,
     parse_rational,
     random_symmetric_matrix,
     symmetric_matrix,
@@ -522,38 +525,54 @@ def _expand_var_vector(l: int, variables, vec: dict):
     return out
 
 
-def _random_combination(l: int, basis, stream: RandomStream, bound: int):
-    """(num, den) of a random combination, cleared on the reduced coordinates."""
-    acc: dict[int, Fraction] = {}
-    for _, vec in basis:
-        c = stream.next_fraction(bound)
-        if not c:
-            continue
-        for var, coeff in vec.items():
-            val = acc.get(var, F0) + c * coeff
-            if val:
-                acc[var] = val
-            else:
-                acc.pop(var, None)
-    den = lcm(*(x.denominator for x in acc.values()))
-    ints = {var: x.numerator * (den // x.denominator) for var, x in acc.items()}
-    return _expand_var_vector(l, basis[0][0] if basis else None, ints), den
+_int_basis_cache: dict[tuple[int, bool], tuple] = {}
+
+
+def _int_basis(l: int, trace_free: bool):
+    """(variables, [(ints, d)]): each basis vector of `_space_basis` as int
+    numerators over its own denominator d, cleared on the first draw."""
+    if (l, trace_free) not in _int_basis_cache:
+        basis = _space_basis(l, trace_free)
+        cleared = []
+        for _, vec in basis:
+            d = lcm(*(x.denominator for x in vec.values()))
+            cleared.append(({v: x.numerator * (d // x.denominator) for v, x in vec.items()}, d))
+        _int_basis_cache[l, trace_free] = (basis[0][0] if basis else None, cleared)
+    return _int_basis_cache[l, trace_free]
+
+
+def _random_combination(l: int, trace_free: bool, stream: RandomStream, bound: int):
+    """(num, den) of a random combination of the basis: each coefficient is
+    the `next_int` pair p, q that `next_fraction(bound)` draws, and the sum
+    runs over ints on the lcm of every q * d; `_tensor` reduces it."""
+    variables, basis = _int_basis(l, trace_free)
+    draws = []
+    for vec, d in basis:
+        p = stream.next_int(-bound, bound)
+        q = stream.next_int(1, bound)
+        if p:
+            draws.append((p, q * d, vec))
+    den = lcm(*(qd for _, qd, _ in draws))
+    acc: dict[int, int] = {}
+    for p, qd, vec in draws:
+        f = p * (den // qd)
+        for var, x in vec.items():
+            acc[var] = acc.get(var, 0) + f * x
+    return _expand_var_vector(l, variables, acc), den
 
 
 def random_curvature(l: int, seed: int, bound: int = 9) -> CurvatureTensor:
     """Deterministic random element of the curvature constraint space."""
     if l < 1:
         raise ValueError("l must be >= 1")
-    basis = curvature_space_basis(l)
-    return _tensor(l, *_random_combination(l, basis, RandomStream(seed), bound))
+    return _tensor(l, *_random_combination(l, False, RandomStream(seed), bound))
 
 
 def random_weyl(l: int, seed: int, bound: int = 9) -> WeylTensor:
     """Deterministic random trace-free curvature tensor; zero when l = 1."""
     if l < 1:
         raise ValueError("l must be >= 1")
-    basis = weyl_space_basis(l)
-    return _tensor(l, *_random_combination(l, basis, RandomStream(seed), bound), WeylTensor)
+    return _tensor(l, *_random_combination(l, True, RandomStream(seed), bound), WeylTensor)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +596,7 @@ def curvature_from_json(obj: dict) -> CurvatureTensor:
     l = obj["l"]
     entries = _zero_ints(2 * l)
     for item in obj["entries"]:
-        i, j, k, m = (x - 1 for x in item["ijkl"])
+        i, j, k, m = parse_indices(item["ijkl"], 4, 2 * l)
         entries[i][j][k][m] = parse_rational(item["val"])
     return CurvatureTensor(l, entries)
 

@@ -21,6 +21,7 @@ __all__ = [
     "GR_ONE",
     "GR_I",
     "parse_rational",
+    "parse_indices",
     "RandomStream",
     "symmetric_matrix",
     "random_symmetric_matrix",
@@ -174,6 +175,15 @@ def parse_rational(s) -> Fraction:
     if type(s) is not str or not _RATIONAL.fullmatch(s):
         raise ValueError(f"expected a rational written as p or p/q, got {s!r}")
     return Fraction(s)
+
+
+def parse_indices(idx, count: int, n: int) -> tuple[int, ...]:
+    """`count` 1-based indices in 1..n, as the JSON writers emit them, made
+    0-based; else ValueError, so no index wraps round to the end of a row."""
+    if type(idx) is not list or len(idx) != count or any(
+            type(x) is not int or not 1 <= x <= n for x in idx):
+        raise ValueError(f"expected {count} indices in 1..{n}")
+    return tuple(x - 1 for x in idx)
 
 
 # ---------------------------------------------------------------------------

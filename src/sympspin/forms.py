@@ -36,12 +36,14 @@ field per variable, the total degree on top; see `spinors`).  Each output
 component is reduced to lowest terms once; no spinor is built per
 (component, index) pair.
 
-Projectors never materialize matrices; they compose X and Y.  The three
-two-form projectors share their work: `_two_form_parts` returns p20, p21, p22
-(and Y^2) from one Y, one XY and one X^2Y^2, `project` reads p21 or p22 off
-it, and p20 alone needs no XY.
-`graded_projector_rank` records the exact rank of a projector on a finite
-graded piece by eliminating its images as sparse rows.
+Projectors never materialize matrices; they compose X and Y, and each form
+is projected once.  A form's private slot `_parts` is empty when it is built;
+the first projection fills it with (p10, p11) of a 1-form, from one XY, or
+with (p20, p21, p22, Y^2) of a 2-form (`_two_form_parts`), from one Y, one XY
+and one X^2Y^2.  Every later `project` of that form reads the slot, so a
+check that asks for all the parts of one form, and then for the parts of
+each part, builds one chain per distinct form.  Forms are immutable, so the
+slot never goes stale; equality, hashing and JSON never read it.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import GR_I, GaussianRational, RandomStream, nullspace_basis
+from .exact import GR_I, GaussianRational, RandomStream
 from .spinors import (
     PolySpinor,
     SpLieElement,
@@ -75,7 +77,6 @@ __all__ = [
     "project",
     "sp_action_form",
     "random_form",
-    "graded_projector_rank",
     "spinor_form_to_json",
     "spinor_form_from_json",
 ]
@@ -88,9 +89,10 @@ class SpinorForm:
 
     The public constructor checks every tuple and component; the results of
     the operators on valid forms are built through the unchecked `_form`.
+    Both leave `_parts` empty; `project` fills it once.
     """
 
-    __slots__ = ("l", "r", "cap", "components")
+    __slots__ = ("l", "r", "cap", "components", "_parts")
 
     def __init__(self, l: int, r: int, cap: int, components: dict | None = None):
         if not (0 <= r <= 2 * l):
@@ -115,6 +117,7 @@ class SpinorForm:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "cap", cap)
         object.__setattr__(self, "components", clean)
+        object.__setattr__(self, "_parts", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SpinorForm is immutable")
@@ -218,6 +221,7 @@ def _form(l: int, r: int, cap: int, components: dict) -> SpinorForm:
     object.__setattr__(phi, "r", r)
     object.__setattr__(phi, "cap", cap)
     object.__setattr__(phi, "components", {t: s for t, s in components.items() if s.num})
+    object.__setattr__(phi, "_parts", None)
     return phi
 
 
@@ -374,32 +378,30 @@ def project(which: str, phi: SpinorForm) -> SpinorForm:
     if which in ("p10", "p11"):
         if phi.r != 1:
             raise ValueError(f"{which} acts on 1-forms, got degree {phi.r}")
-        p10 = op_X(op_Y(phi)).scale(GaussianRational(0, Fraction(1, phi.l)))
-        return p10 if which == "p10" else phi - p10
+        if phi._parts is None:
+            p10 = op_X(op_Y(phi)).scale(GaussianRational(0, Fraction(1, phi.l)))
+            object.__setattr__(phi, "_parts", (p10, phi - p10))
+        return phi._parts[which == "p11"]
     if phi.r != 2:
         raise ValueError(f"{which} acts on 2-forms, got degree {phi.r}")
-    if which == "p20":
-        return _p20(op_Y(op_Y(phi)))
     return _two_form_parts(phi)[int(which[2])]     # p2j is part j
 
 
-def _p20(yy: SpinorForm) -> SpinorForm:
-    """p20 = (1/l) X^2Y^2, from Y^2 of the 2-form."""
-    return op_X(op_X(yy)).scale(Fraction(1, yy.l))
-
-
 def _two_form_parts(phi: SpinorForm) -> tuple[SpinorForm, SpinorForm, SpinorForm, SpinorForm]:
-    """(p20, p21, p22, Y^2) of a 2-form, from one Y, one XY and one X^2Y^2.
+    """(p20, p21, p22, Y^2) of a 2-form, from one Y, one XY and one X^2Y^2,
+    computed on the first call and kept on the form.
 
-    p21 = (i/(l-1)) (XY - i p20) and p22 = Id - p20 - p21; with `_p20` these
-    are the only places the two-form normalizations are written.  phi must be
-    a 2-form with l >= 2, as `project` checks.
+    p20 = (1/l) X^2Y^2, p21 = (i/(l-1)) (XY - i p20) and p22 = Id - p20 - p21;
+    these are the only places the two-form normalizations are written.  phi
+    must be a 2-form with l >= 2, as `project` checks.
     """
-    y = op_Y(phi)
-    yy = op_Y(y)
-    p20 = _p20(yy)
-    p21 = (op_X(y) - p20.scale(GR_I)).scale(GaussianRational(0, Fraction(1, phi.l - 1)))
-    return p20, p21, phi - p20 - p21, yy
+    if phi._parts is None:
+        y = op_Y(phi)
+        yy = op_Y(y)
+        p20 = op_X(op_X(yy)).scale(Fraction(1, phi.l))
+        p21 = (op_X(y) - p20.scale(GR_I)).scale(GaussianRational(0, Fraction(1, phi.l - 1)))
+        object.__setattr__(phi, "_parts", (p20, p21, phi - p20 - p21, yy))
+    return phi._parts
 
 
 def sp_action_form(A: SpLieElement, phi: SpinorForm) -> SpinorForm:
@@ -450,48 +452,6 @@ def random_form(
     for tup in combinations(range(2 * l), r):
         comps[tup] = random_spinor(l, degree, cap, stream, terms=terms_per_component, bound=bound)
     return SpinorForm(l, r, cap, comps)
-
-
-# ---------------------------------------------------------------------------
-# Graded ranks
-# ---------------------------------------------------------------------------
-
-
-def _graded_basis(l: int, r: int, degree: int, cap: int) -> list[SpinorForm]:
-    """Basis of Lambda^r ⊗ (spinors of exact total degree `degree`)."""
-    def monomials(vars_left, total):
-        if vars_left == 1:
-            yield (total,)
-            return
-        for e in range(total + 1):
-            for rest in monomials(vars_left - 1, total - e):
-                yield (e,) + rest
-
-    basis = []
-    for tup in combinations(range(2 * l), r):
-        for alpha in monomials(l, degree):
-            s = PolySpinor.monomial(l, cap, alpha)
-            basis.append(SpinorForm(l, r, cap, {tup: s}))
-    return basis
-
-
-def graded_projector_rank(which: str, l: int, degree: int) -> int:
-    """Exact rank of a projector restricted to the exact-degree graded piece.
-
-    Each image of a graded basis element becomes one sparse row, keyed by the
-    (tuple, monomial) pairs it occupies; the rank of that row system is the
-    projector's rank.  Used only to record exact ranks.
-    """
-    cap = degree + 8
-    r = 1 if which in ("p10", "p11") else 2
-    images = [project(which, b) for b in _graded_basis(l, r, degree, cap)]
-    columns: dict[tuple, int] = {}
-    rows = [
-        {columns.setdefault((tup, alpha), len(columns)): c
-         for tup, s in img.components.items() for alpha, c in s.coeffs.items()}
-        for img in images
-    ]
-    return len(columns) - len(nullspace_basis(rows, len(columns)))
 
 
 # ---------------------------------------------------------------------------

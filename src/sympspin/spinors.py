@@ -51,7 +51,6 @@ from math import gcd, lcm
 from .exact import (
     GR_I,
     GR_ONE,
-    GR_ZERO,
     GaussianRational,
     RandomStream,
     _as_fraction,
@@ -482,23 +481,37 @@ def random_spinor(
     terms: int = 6,
     bound: int = 5,
 ) -> PolySpinor:
-    """Sparse random spinor: up to `terms` monomials of total degree <= degree."""
+    """Sparse random spinor: up to `terms` monomials of total degree <= degree.
+
+    Each coefficient is the four `next_int` draws of `next_gaussian(bound)`
+    (a zero draw becomes 1); they are summed as Gaussian integers over the
+    lcm of their denominators under packed keys and reduced once."""
+    if l < 1:
+        raise ValueError("l must be >= 1")
+    if not 0 <= cap <= MAX_CAP:
+        raise ValueError(f"cap must be in 0..{MAX_CAP}, got {cap}")
     if degree > cap:
         raise ValueError("degree must not exceed cap")
-    coeffs: dict[tuple[int, ...], GaussianRational] = {}
+    draws = []
     for _ in range(terms):
         remaining = stream.next_int(0, degree)
-        alpha = [0] * l
-        for v in range(l):
+        alpha = []
+        for _v in range(l):
             e = stream.next_int(0, remaining)
-            alpha[v] = e
+            alpha.append(e)
             remaining -= e
-        c = stream.next_gaussian(bound)
-        if not c:
-            c = GR_ONE
-        key = tuple(alpha)
-        coeffs[key] = coeffs.get(key, GR_ZERO) + c
-    return PolySpinor(l, cap, coeffs)
+        re, re_den, im, im_den = (stream.next_int(-bound, bound), stream.next_int(1, bound),
+                                  stream.next_int(-bound, bound), stream.next_int(1, bound))
+        if not (re or im):
+            re = re_den = 1
+        draws.append((_pack(alpha), re, re_den, im, im_den))
+    den = lcm(*(d for _, _, re_den, _, im_den in draws for d in (re_den, im_den)))
+    acc: dict = {}
+    for key, re, re_den, im, im_den in draws:
+        cur = acc.setdefault(key, [0, 0])
+        cur[0] += re * (den // re_den)
+        cur[1] += im * (den // im_den)
+    return _from_acc(l, cap, acc, den)
 
 
 # ---------------------------------------------------------------------------

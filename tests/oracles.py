@@ -17,18 +17,23 @@ them, and its integer `check_symmetries`,
 Fraction ones kept here, which evaluate a `Poly` term by term.  The connection
 axioms are decided here by building every difference of raised symbols, and
 the curvature jets by `Poly.deriv` of the raised table; the package compares
-stored symbols and differentiates integer terms instead.
+stored symbols and differentiates integer terms instead.  The Fraction
+samplers of curvature tensors and spinors are kept here for the integer ones
+to match draw for draw, and so is the exact rank of each projector on a
+graded piece, which only a test records.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 from sympspin.connections import ConnectionAxiomReport, Poly, poly_to_json
 from sympspin.curvature import (CurvatureTensor, IdentityCheck, SymmetryReport, _cleared,
-                                 _tensor)
-from sympspin.exact import GR_I, GaussianRational
+                                 _expand_var_vector, _tensor)
+from sympspin.exact import GR_I, GR_ONE, GR_ZERO, GaussianRational, RandomStream, nullspace_basis
 from sympspin.forms import PROJECTORS, SpinorForm
 from sympspin.forms import op_X as _op_X
+from sympspin.forms import project as _project
 from sympspin.spinors import DegreeCapError, PolySpinor, SpLieElement, clifford_basis
 from sympspin.symplectic import standard_symplectic_form
 
@@ -487,3 +492,74 @@ def omega_traces(R) -> dict:
                 mat[idx[free[0]]][idx[free[1]]] += w * t[idx[0]][idx[1]][idx[2]][idx[3]]
         out[(s, u)] = mat
     return out
+
+
+def random_combination(l: int, basis, stream: RandomStream, bound: int):
+    """(num, den) of a random combination of a constraint-space basis, summed
+    in Fractions from `next_fraction` draws and cleared at the end."""
+    acc: dict[int, Fraction] = {}
+    for _, vec in basis:
+        c = stream.next_fraction(bound)
+        if not c:
+            continue
+        for var, coeff in vec.items():
+            val = acc.get(var, Fraction(0)) + c * coeff
+            if val:
+                acc[var] = val
+            else:
+                acc.pop(var, None)
+    den = lcm(*(x.denominator for x in acc.values()))
+    ints = {var: x.numerator * (den // x.denominator) for var, x in acc.items()}
+    return _expand_var_vector(l, basis[0][0] if basis else None, ints), den
+
+
+def random_spinor(l, degree, cap, stream: RandomStream, terms=6, bound=5) -> PolySpinor:
+    """The sampler summed over `next_gaussian` draws and built through the
+    public constructor."""
+    if degree > cap:
+        raise ValueError("degree must not exceed cap")
+    coeffs: dict[tuple[int, ...], GaussianRational] = {}
+    for _ in range(terms):
+        remaining = stream.next_int(0, degree)
+        alpha = [0] * l
+        for v in range(l):
+            e = stream.next_int(0, remaining)
+            alpha[v] = e
+            remaining -= e
+        c = stream.next_gaussian(bound)
+        if not c:
+            c = GR_ONE
+        key = tuple(alpha)
+        coeffs[key] = coeffs.get(key, GR_ZERO) + c
+    return PolySpinor(l, cap, coeffs)
+
+
+def graded_basis(l: int, r: int, degree: int, cap: int) -> list[SpinorForm]:
+    """Basis of Lambda^r ⊗ (spinors of exact total degree `degree`)."""
+    def monomials(vars_left, total):
+        if vars_left == 1:
+            yield (total,)
+            return
+        for e in range(total + 1):
+            for rest in monomials(vars_left - 1, total - e):
+                yield (e,) + rest
+
+    return [SpinorForm(l, r, cap, {tup: PolySpinor.monomial(l, cap, alpha)})
+            for tup in combinations(range(2 * l), r) for alpha in monomials(l, degree)]
+
+
+def graded_projector_rank(which: str, l: int, degree: int) -> int:
+    """Exact rank of the package's projector on the exact-degree graded piece:
+    each image of a graded basis element is one sparse row, keyed by the
+    (tuple, monomial) pairs it occupies, and the rank of those rows is the
+    projector's rank."""
+    cap = degree + 8
+    r = 1 if which in ("p10", "p11") else 2
+    images = [_project(which, b) for b in graded_basis(l, r, degree, cap)]
+    columns: dict[tuple, int] = {}
+    rows = [
+        {columns.setdefault((tup, alpha), len(columns)): c
+         for tup, s in img.components.items() for alpha, c in s.coeffs.items()}
+        for img in images
+    ]
+    return len(columns) - len(nullspace_basis(rows, len(columns)))

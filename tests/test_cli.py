@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import sympspin
+from sympspin.connections import connection_to_json, random_connection
+from sympspin.curvature import curvature_to_json, random_curvature
 from sympspin.cli import (
     EXPECTED_DISPLAYS,
     MAX_DEGREE,
@@ -301,6 +303,13 @@ _LEMMA1_CE = {
     "spinor": {"l": 2, "cap": 6, "terms": [{"alpha": [0, 1], "re": "1", "im": "0"}]},
 }
 
+def _zero_index(items, key, top):
+    """The JSON entries `items` with every 1-based index `top` in their `key`
+    lists written as 0, which a decoder without a lower bound would read as
+    index -1, the last one, so as `top` itself."""
+    return [{**item, key: [0 if x == top else x for x in item[key]]} for item in items]
+
+
 HOSTILE_REPLAYS = {
     "not-json": "{this is not json",
     "too-deep": "[" * 100000 + "]" * 100000,
@@ -324,6 +333,13 @@ HOSTILE_REPLAYS = {
         "check": "fedosov.curvature-symmetries", "point": ["1/2", "2/3"],
         "connection": {"l": 1, "cap": 1000000, "gamma": [{"ijk": [1, 1, 1], "poly": {
             "n": 2, "terms": [{"alpha": [1000000, 0], "val": "1"}]}}]}}),
+    # index 0 is out of 1..2l; read as -1 it would decode to the unchanged tensor
+    "zero-index-curvature": json.dumps({"check": "lemma6", "l": 2, "curvature": {
+        "l": 2, "entries": _zero_index(curvature_to_json(random_curvature(2, 5))["entries"],
+                                       "ijkl", 4)}}),
+    "zero-index-connection": json.dumps({"check": "fedosov.axioms", "connection": {
+        **(conn := connection_to_json(random_connection(1, 2, 5))),
+        "gamma": _zero_index(conn["gamma"], "ijk", 2)}}),
 }
 
 

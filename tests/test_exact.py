@@ -10,6 +10,7 @@ from sympspin.exact import (
     GaussianRational,
     RandomStream,
     nullspace_basis,
+    parse_indices,
     parse_rational,
     random_symmetric_matrix,
     symmetric_matrix,
@@ -249,3 +250,14 @@ def test_parse_rational_refuses_other_forms(text):
 def test_parse_rational_refuses_non_strings(value):
     with pytest.raises(ValueError):
         parse_rational(value)
+
+
+def test_parse_indices_makes_one_based_indices_zero_based():
+    assert parse_indices([1, 4, 2, 3], 4, 4) == (0, 3, 1, 2)
+
+
+@pytest.mark.parametrize("idx", [[0, 1, 1], [1, 5, 1], [-1, 1, 1], [1, 1], [1, 1, 1, 1],
+                                 [1.0, 1, 1], [True, 1, 1], (1, 1, 1), "111", None])
+def test_parse_indices_refuses_indices_outside_one_to_n(idx):
+    with pytest.raises(ValueError):
+        parse_indices(idx, 3, 4)

@@ -8,7 +8,6 @@ from sympspin.exact import GaussianRational, RandomStream
 from sympspin.forms import (
     SpinorForm,
     contract,
-    graded_projector_rank,
     op_H,
     op_X,
     op_Y,
@@ -237,7 +236,7 @@ GOLDEN_GRADED_RANKS = {
 @pytest.mark.parametrize("degree", [0, 1, 2])
 def test_graded_projector_ranks_golden(degree):
     for which, expected in GOLDEN_GRADED_RANKS[degree].items():
-        assert graded_projector_rank(which, 2, degree) == expected
+        assert oracles.graded_projector_rank(which, 2, degree) == expected
 
 
 @pytest.mark.parametrize("l", [1, 2, 3])
