@@ -20,12 +20,14 @@ The curvature of such a connection,
 is a field of genuine curvature-type tensors.  Both contractions with omega
 are signed swaps through the partner map (i*, s_i) of `symplectic`.  It is
 never formed as a field of polynomials, and no Poly arithmetic is done: the
-`CurvatureField` of a connection clears each signed lowered symbol once, to
-integer numerators over the lcm L of its coefficient denominators, with the
-degree bound D, and reads the partials d_v Gamma^m_jk off the same integer
-terms.  `evaluate_curvature_at` writes the point as p = X/d with integer X,
-evaluates every jet as an integer sum over one table of homogenised monomials
-X^alpha d^(D-|alpha|), so that Gamma(p) and d Gamma(p) are those integers over
+`CurvatureField` of a connection clears each lowered symbol once, to integer
+numerators over the lcm L of its coefficient denominators, with the degree
+bound D, reads the partials d_v Gamma_ijk off the same integer terms, and
+interns each distinct jet once, by content: a totally symmetric connection
+has at most C(2l+2, 3)(2l+1) of its (2l)^3 + (2l)^4.  `evaluate_curvature_at`
+writes the point as p = X/d with integer X, evaluates each distinct jet once
+as an integer sum over one table of homogenised monomials X^alpha
+d^(D-|alpha|), so that Gamma(p) and d Gamma(p) are those integers over
 S = L d^D, and assembles S^2 R(p) from the display above in O(n^5) integer
 operations; R(p) is those integers over S^2.  Every evaluation feeds the
 curvature module without synthetic constraint solving.  The lowering realizes
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import lcm, prod
 
@@ -177,22 +180,23 @@ def _poly(n: int, terms: dict) -> Poly:
     return p
 
 
-def _exponents(n: int, budget: int) -> list:
+@cache
+def _exponents(n: int, budget: int) -> tuple:
     """The exponent tuples of n variables of total degree <= budget, in
     lexicographic order."""
     if n == 1:
-        return [(e,) for e in range(budget + 1)]
-    return [(e, *rest) for e in range(budget + 1) for rest in _exponents(n - 1, budget - e)]
+        return tuple((e,) for e in range(budget + 1))
+    return tuple((e, *rest) for e in range(budget + 1) for rest in _exponents(n - 1, budget - e))
 
 
 def random_poly(n: int, degree: int, stream: RandomStream, bound: int = 3) -> Poly:
-    """Dense random polynomial of total degree <= degree."""
+    """Dense random polynomial of total degree <= degree, from `next_fraction`'s draws."""
     terms = {}
     for alpha in _exponents(n, degree):
-        c = stream.next_fraction(bound)
-        if c:
-            terms[alpha] = c
-    return Poly(n, terms)
+        p, q = stream.next_int(-bound, bound), stream.next_int(1, bound)
+        if p:
+            terms[alpha] = Fraction(p, q)
+    return _poly(n, terms)
 
 
 class PolynomialConnection:
@@ -254,7 +258,10 @@ def random_connection(l: int, degree: int, seed: int, bound: int = 3) -> Polynom
         p = random_poly(n, degree, stream, bound)
         for perm in permutations(idx):
             gamma[perm] = p
-    return PolynomialConnection(l, degree, gamma)
+    conn = object.__new__(PolynomialConnection)  # unchecked: every triple filled, within the cap
+    for name, value in (("l", l), ("cap", degree), ("gamma", gamma)):
+        object.__setattr__(conn, name, value)
+    return conn
 
 
 @dataclass(frozen=True)
@@ -310,32 +317,38 @@ class CurvatureField:
     """One-jet of a connection, cleared once to integers when built.
 
     `den` is the lcm L of every coefficient denominator of the symbols and
-    `degree` the bound D of every total degree.  Gamma^m_jk = s_m Gamma_{m* jk}
-    is kept as ((monomial index, L * coefficient), ...) over the exponents of
-    `_monomials`, nested as _gamma_ints[m][j][k], and d_v Gamma^m_jk, read off
-    the same integer terms (`_deriv_terms`), as _dgamma_ints[v][m][j][k]."""
+    `degree` the bound D of every total degree.  `_jets` holds each distinct
+    jet ((monomial index, L * coefficient), ...) over `_monomials` once,
+    interned by content.  _gamma_ints[m][j][k] pairs the jet of Gamma_{m* jk}
+    with s_m, so Gamma^m_jk is s_m times it; _dgamma_ints[v][m][j][k] pairs
+    d_v Gamma_{m* jk}, read off the same integer terms (`_deriv_terms`), with s_m."""
 
-    __slots__ = ("l", "den", "degree", "_monomials", "_gamma_ints", "_dgamma_ints")
+    __slots__ = ("l", "den", "degree", "_monomials", "_jets", "_gamma_ints", "_dgamma_ints")
 
     def __init__(self, conn: PolynomialConnection):
         l, n = conn.l, 2 * conn.l
-        polys = conn.gamma.values()
-        den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
-        degree = max([0] + [p.degree() for p in polys])
-        upper = [[[[(a, w * c.numerator * (den // c.denominator))
-                    for a, c in conn.gamma[i, j, k].terms.items()] for k in range(n)]
-                  for j in range(n)] for i, w in omega_partners(l)]
+        partners = omega_partners(l)
+        den = lcm(*(c.denominator for p in conn.gamma.values() for c in p.terms.values()))
         index: dict[tuple[int, ...], int] = {}
+        jets: dict[tuple, int] = {}
 
         def jet(terms):
-            return tuple((index.setdefault(a, len(index)), c) for a, c in terms)
+            key = tuple((index.setdefault(a, len(index)), c) for a, c in terms)
+            return jets.setdefault(key, len(jets))
 
-        g = [[[jet(t) for t in row] for row in plane] for plane in upper]
-        dg = [[[[jet(_deriv_terms(t, v)) for t in row] for row in plane] for plane in upper]
-              for v in range(n)]
+        lowered = [[[jet((a, c.numerator * (den // c.denominator))
+                         for a, c in conn.gamma[i, j, k].terms.items()) for k in range(n)]
+                    for j in range(n)] for i, _ in partners]
+        monomials = list(index)
+        partials = [[jet(_deriv_terms([(monomials[i], c) for i, c in key], v)) for v in range(n)]
+                    for key in list(jets)]
+        g = [[[(t, w) for t in row] for row in plane] for plane, (_, w) in zip(lowered, partners)]
+        dg = [[[[(partials[t][v], w) for t in row] for row in plane]
+               for plane, (_, w) in zip(lowered, partners)] for v in range(n)]
+        degree = max([0] + [sum(a) for a in monomials])
         for name, value in (("l", l), ("den", den), ("degree", degree),
-                            ("_monomials", [(degree - sum(a), a) for a in index]),
-                            ("_gamma_ints", g), ("_dgamma_ints", dg)):
+                            ("_monomials", [(*a, degree - sum(a)) for a in index]),
+                            ("_jets", list(jets)), ("_gamma_ints", g), ("_dgamma_ints", dg)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -355,20 +368,17 @@ def curvature_field_of(conn: PolynomialConnection) -> CurvatureField:
 
 def _jets_at(field: CurvatureField, point):
     """(g, dg, S): g[m][j][k] = S Gamma^m_jk(p) and dg[v][m][j][k] =
-    S d_v Gamma^m_jk(p) as ints, with S = L d^D for p = X/d."""
+    S d_v Gamma^m_jk(p) as ints, with S = L d^D for p = X/d; one sum per distinct jet."""
     pt = [Fraction(x) for x in point]
     d = lcm(*(x.denominator for x in pt))
     D = field.degree
     X = [x.numerator * (d // x.denominator) for x in pt]
     powers = [[x ** e for e in range(D + 1)] for x in X + [d]]
-    # table[i] = X^alpha d^(D - |alpha|) for the i-th exponent alpha
-    table = [prod(row[e] for row, e in zip(powers, (*a, r))) for r, a in field._monomials]
-
-    def value(jet):
-        return sum(c * table[i] for i, c in jet)
-
-    g = [[[value(jet) for jet in row] for row in plane] for plane in field._gamma_ints]
-    dg = [[[[value(jet) for jet in row] for row in plane] for plane in block]
+    # table[i] = X^alpha d^(D - |alpha|) for the i-th exponent (alpha, D - |alpha|)
+    table = [prod(map(list.__getitem__, powers, e)) for e in field._monomials]
+    values = [sum([c * table[i] for i, c in jet]) for jet in field._jets]
+    g = [[[w * values[t] for t, w in row] for row in plane] for plane in field._gamma_ints]
+    dg = [[[[w * values[t] for t, w in row] for row in plane] for plane in block]
           for block in field._dgamma_ints]
     return g, dg, field.den * d ** D
 

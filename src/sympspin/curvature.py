@@ -132,9 +132,8 @@ class CurvatureTensor:
         _init(self, l, *_cleared(entries))._check()
 
     def _check(self) -> None:
-        report = check_symmetries(self)
-        if not report.curvature_type():
-            raise ValueError(f"symmetry violation: {report}")
+        if not _curvature_type(self):
+            raise ValueError(f"symmetry violation: {check_symmetries(self)}")
 
     def __setattr__(self, name, value):
         raise AttributeError("CurvatureTensor is immutable")
@@ -305,6 +304,22 @@ def check_symmetries(R) -> SymmetryReport:
     )
 
 
+def _curvature_type(R) -> bool:
+    """`check_symmetries(R).curvature_type()`, stopping at the first violation:
+    (C) compares whole planes, (A) each plane with its negated transpose, and
+    (B), alternating in its last three slots given (A), runs over j < k < l."""
+    e = R.num if isinstance(R, CurvatureTensor) else R
+    triples = list(combinations(range(len(e)), 3))
+    for i, block in enumerate(e):
+        for j, plane in enumerate(block):
+            if plane != e[j][i] or any(x != -y for row, col in zip(plane, zip(*plane))
+                                       for x, y in zip(row, col)):
+                return False
+        if any(block[j][k][m] + block[k][m][j] + block[m][j][k] for j, k, m in triples):
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Ricci trace, sigma_tilde, trace-free part
 # ---------------------------------------------------------------------------
@@ -321,8 +336,7 @@ def _ricci_entries(R: CurvatureTensor):
 
 def ricci_of(R: CurvatureTensor) -> RicciTensor:
     """Ricci trace sigma_ij = sum_m s_m R[m*][j][m][i]."""
-    report = check_symmetries(R)
-    if not report.curvature_type():
+    if not _curvature_type(R):
         raise ValueError("input violates the curvature symmetries")
     return _ricci(R.l, _ricci_entries(R), R.den)
 

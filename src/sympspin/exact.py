@@ -224,7 +224,11 @@ class RandomStream:
         slight bias is irrelevant for sampling test inputs."""
         if hi < lo:
             raise ValueError("empty range")
-        return lo + self.next_u64() % (hi - lo + 1)
+        # next_u64, with the splitmix64 finalizer inlined: one call per draw
+        z = self._state = (self._state + _GOLDEN) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return lo + (z ^ (z >> 31)) % (hi - lo + 1)
 
     def next_fraction(self, bound: int) -> Fraction:
         """Rational with |numerator| <= bound and 1 <= denominator <= bound."""

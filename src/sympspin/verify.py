@@ -58,6 +58,7 @@ from .curvature import (
     ricci_to_json,
     ricci_of,
     sigma_tilde_of,
+    _curvature_type,
     _lowered_traces,
     _ricci,
     _ricci_entries,
@@ -172,7 +173,7 @@ def spinor_curvature_action(T: CurvatureTensor, phi: PolySpinor) -> SpinorForm:
     kernel over the one denominator T.den * phi.den and takes i once.
     The 2l products e_j.phi are spinors (`clifford_basis`), shared by all i.
     """
-    if not check_symmetries(T).curvature_type():
+    if not _curvature_type(T):
         raise ValueError("tensor violates the curvature symmetries")
     if phi.headroom() < 2:
         raise DegreeCapError("action needs spinor headroom >= 2")
@@ -470,7 +471,7 @@ def lemma7_weyl_instance(R: CurvatureTensor) -> bool:
 
 def lemma7_section_instance(sigma: RicciTensor) -> bool:
     st = sigma_tilde_of(sigma)
-    if not check_symmetries(st).curvature_type():
+    if not _curvature_type(st):
         return False
     return _ricci(sigma.l, _ricci_entries(st), st.den) == sigma
 
@@ -504,7 +505,7 @@ def _aggregate_displays(per_trial: list[list[DisplayComparison]]) -> list[Displa
 
 # Size ceiling for a run and for a replayed counterexample.  At l = 4 a
 # theorem trial takes seconds; the fedosov suite (5 connections x 5 points)
-# takes about 1 s at l = 3 and 4 s at l = 4 (CPython 3.11.7, 2 vCPUs); much
+# takes about 0.26 s at l = 3 and 0.86 s at l = 4 (CPython 3.11.7, 2 vCPUs); much
 # beyond, the set-up (constraint-space bases) alone does not end in useful time.
 # Raise these when the kernels make larger sizes practical.  MAX_TRIALS bounds
 # the trial loop: the default run (l = 2) decides 20 trials of every suite in

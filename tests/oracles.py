@@ -20,14 +20,17 @@ the curvature jets by `Poly.deriv` of the raised table; the package compares
 stored symbols and differentiates integer terms instead.  The Fraction
 samplers of curvature tensors and spinors are kept here for the integer ones
 to match draw for draw, and so is the exact rank of each projector on a
-graded piece, which only a test records.
+graded piece, which only a test records.  So are connection samplers that
+draw through `next_fraction` and build through the public constructors, for
+the package's unchecked ones to match, and the draw of one stream integer
+composed of `next_u64` and `_mix64`, which `RandomStream.next_int` inlines.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import lcm
 
-from sympspin.connections import ConnectionAxiomReport, Poly, poly_to_json
+from sympspin.connections import ConnectionAxiomReport, Poly, PolynomialConnection, poly_to_json
 from sympspin.curvature import (CurvatureTensor, IdentityCheck, SymmetryReport, _cleared,
                                  _expand_var_vector, _tensor)
 from sympspin.exact import GR_I, GR_ONE, GR_ZERO, GaussianRational, RandomStream, nullspace_basis
@@ -492,6 +495,44 @@ def omega_traces(R) -> dict:
                 mat[idx[free[0]]][idx[free[1]]] += w * t[idx[0]][idx[1]][idx[2]][idx[3]]
         out[(s, u)] = mat
     return out
+
+
+def next_int(stream: RandomStream, lo: int, hi: int) -> int:
+    """`stream.next_int(lo, hi)` composed of `next_u64`, which calls `_mix64`."""
+    if hi < lo:
+        raise ValueError("empty range")
+    return lo + stream.next_u64() % (hi - lo + 1)
+
+
+def exponents(n: int, budget: int) -> list:
+    """The exponent tuples of n variables of total degree <= budget, in
+    lexicographic order, rebuilt on every call."""
+    if n == 1:
+        return [(e,) for e in range(budget + 1)]
+    return [(e, *rest) for e in range(budget + 1) for rest in exponents(n - 1, budget - e)]
+
+
+def random_poly(n: int, degree: int, stream: RandomStream, bound: int = 3) -> Poly:
+    """The polynomial sampler over `next_fraction` draws, built through the
+    public constructor."""
+    terms = {}
+    for alpha in exponents(n, degree):
+        c = stream.next_fraction(bound)
+        if c:
+            terms[alpha] = c
+    return Poly(n, terms)
+
+
+def random_connection(l: int, degree: int, seed: int, bound: int = 3) -> PolynomialConnection:
+    """The connection sampler, built and checked through the public constructor."""
+    n = 2 * l
+    stream = RandomStream(seed)
+    gamma = {}
+    for idx in combinations_with_replacement(range(n), 3):
+        p = random_poly(n, degree, stream, bound)
+        for perm in permutations(idx):
+            gamma[perm] = p
+    return PolynomialConnection(l, degree, gamma)
 
 
 def random_combination(l: int, basis, stream: RandomStream, bound: int):

@@ -277,7 +277,7 @@ def _points(l: int, seed: int) -> list:
     first is in lowest terms over 7), an integer point (d = 1) and the origin."""
     stream = RandomStream(seed)
     n = 2 * l
-    first = [F(stream.next_int(1, 6), 7 - i) for i in range(n)]
+    first = [F(stream.next_int(1, 6), 7 - i % 6) for i in range(n)]
     second = [F(stream.next_int(-9, 9), stream.next_int(1, 7)) for _ in range(n)]
     return [first, second, [stream.next_int(-4, 4) for _ in range(n)], [0] * n]
 
@@ -289,24 +289,30 @@ def _differential_mismatches(conn, points) -> list:
             if evaluate_curvature_at(field, p) != oracles.evaluate_curvature_at(conn, p)]
 
 
-@pytest.mark.parametrize("l,degree", [(l, d) for l in (1, 2, 3) for d in range(4)])
+@pytest.mark.parametrize("l,degree", [(l, d) for l in (1, 2, 3, 4) for d in range(4)])
 def test_integer_evaluation_matches_fraction_oracle(l, degree):
+    # the JSON copy holds separate but equal Polys, so it interns the same jets;
+    # at l = 4, where the oracle takes seconds per point, the first point alone
     conn = random_connection(l, degree, 300 + 10 * l + degree)
     field = curvature_field_of(conn)
+    copy = curvature_field_of(connection_from_json(connection_to_json(conn)))
     assert field.degree == degree and field.den >= 1
-    points = _points(l, 400 + 10 * l + degree)
+    assert len(copy._jets) == len(field._jets)
+    points = _points(l, 400 + 10 * l + degree)[:1 if l == 4 else None]
     assert points[0][0].denominator == 7
-    assert _differential_mismatches(conn, points) == []
+    for p in points:
+        R = oracles.evaluate_curvature_at(conn, p)
+        assert evaluate_curvature_at(field, p) == R and evaluate_curvature_at(copy, p) == R
     R = evaluate_curvature_at(field, points[0])
     assert all(type(x) is int for b in R.num for p in b for r in p for x in r)
     assert all(type(x) is Fraction for b in R.entries for p in b for r in p for x in r)
 
 
-@pytest.mark.parametrize("l", [1, 2, 3])
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
 def test_integer_evaluation_of_the_flat_connection(l):
     conn = PolynomialConnection(l, 0, {})
     field = curvature_field_of(conn)
-    assert (field.den, field.degree) == (1, 0)
+    assert (field.den, field.degree, field._jets) == (1, 0, [()])
     points = _points(l, 500 + l)
     assert _differential_mismatches(conn, points) == []
     assert all(evaluate_curvature_at(field, p).is_zero() for p in points)

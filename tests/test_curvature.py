@@ -9,7 +9,9 @@ from sympspin.curvature import (
     CurvatureTensor,
     RicciTensor,
     WeylTensor,
+    _curvature_type,
     _expand_var_vector,
+    _tensor,
     check_symmetries,
     curvature_from_json,
     curvature_space_basis,
@@ -62,6 +64,70 @@ def test_constructor_validates():
     e[0][0][0][0] = F(1)
     with pytest.raises(ValueError):
         CurvatureTensor(2, e)
+
+
+def _planted(l: int, identity: str, seed: int):
+    """The numerators of a random curvature tensor with a violation of one
+    identity planted at indices drawn from `seed`.  "A" bumps R_iikk, which
+    breaks (A) and (B) and keeps (C); "B" adds 1 at R_iiab and -1 at R_iiba
+    (i, a, b distinct, so l >= 2), which keeps (A) and (C); "C" adds 1 at
+    R_iaai and -1 at R_iaia (i != a), which keeps (A) and (B)."""
+    stream = RandomStream(seed)
+    e = [[[list(row) for row in plane] for plane in block]
+         for block in random_curvature(l, seed).num]
+    i, a, b = stream.next_int(0, 2 * l - 1), 0, 0
+    while a == i:
+        a = stream.next_int(0, 2 * l - 1)
+    while l > 1 and b in (i, a):
+        b = stream.next_int(0, 2 * l - 1)
+    c = stream.next_int(1, 5)
+    if identity == "A":
+        e[i][i][a][a] += c
+    elif identity == "B":
+        e[i][i][a][b] += c
+        e[i][i][b][a] -= c
+    else:
+        e[i][a][a][i] += c
+        e[i][a][i][a] -= c
+    return e
+
+
+_FIELDS = {"A": "antisym_last_pair", "B": "first_bianchi", "C": "pair_symmetry"}
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_curvature_type_predicate_matches_the_oracle_report(l):
+    # the early-exit predicate against the full Fraction report on tensors that
+    # hold (A)-(C), on arrays with no symmetry, and on one planted violation
+    # of each identity; (B) cannot fail alone at l = 1, where (A) makes its
+    # sum an alternating 3-form in two dimensions
+    stream = RandomStream(40 + l)
+    n = 2 * l
+    arrays = [random_curvature(l, s).num for s in range(3)] + [random_weyl(l, 3).num]
+    arrays += [[[[[stream.next_int(-1, 1) for _ in range(n)] for _ in range(n)]
+                 for _ in range(n)] for _ in range(n)] for _ in range(3)]
+    for identity in ("A", "B", "C") if l > 1 else ("A", "C"):
+        for seed in range(4):
+            e = _planted(l, identity, 50 + seed)
+            report = oracles.check_symmetries(e)
+            assert not getattr(report, _FIELDS[identity]).holds
+            if identity != "A":
+                assert sum(getattr(report, f).holds for f in _FIELDS.values()) == 2
+            arrays.append(e)
+    for e in arrays:
+        expected = oracles.check_symmetries(e).curvature_type()
+        assert _curvature_type(e) == expected
+        assert _curvature_type(_tensor(l, e, 1)) == expected
+        assert check_symmetries(e).curvature_type() == expected
+
+
+def test_constructor_message_is_the_full_report():
+    e = _planted(2, "B", 7)
+    with pytest.raises(ValueError) as exc:
+        CurvatureTensor(2, e)
+    assert str(exc.value) == f"symmetry violation: {check_symmetries(e)}"
+    with pytest.raises(ValueError):
+        ricci_of(_tensor(2, e, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from sympspin.exact import (
     GaussianRational,
     RandomStream,
@@ -184,6 +185,19 @@ def test_symmetric_matrix_rejects_asymmetry_and_bad_shape():
         symmetric_matrix(2, [[0, 1], [0, 0]])
     with pytest.raises(ValueError):
         symmetric_matrix(2, [[0, 1], [1, 0], [0, 0]])
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 0), (-5, 5), (1, 9), (0, 2 ** 40)])
+def test_inlined_next_int_matches_the_composed_draw(lo, hi):
+    # next_int inlines next_u64 and the splitmix64 finalizer; the oracle
+    # composes them, and both must give the same draws and end state
+    for seed in range(100):
+        a, b = RandomStream(seed), RandomStream(seed)
+        assert [a.next_int(lo, hi) for _ in range(20)] == [
+            oracles.next_int(b, lo, hi) for _ in range(20)]
+        assert a._state == b._state
+    with pytest.raises(ValueError):
+        RandomStream(1).next_int(1, 0)
 
 
 def test_stream_split_is_independent():
