@@ -6,10 +6,13 @@ torsion-free exactly when the fully lowered symbols
 
     Gamma_ijk  (with Gamma^m_jk = sum_i omega^{mi} Gamma_ijk = s_m Gamma_{m* jk})
 
-are totally symmetric in (i, j, k).  `check_connection_axioms` does not
-assume this equivalence: it verifies nabla(omega) = 0 (Gamma_ikj = Gamma_jki)
-and T = 0 (Gamma_ijk = Gamma_ikj) for whatever symbols it is handed, as
-equalities of stored polynomials.
+are totally symmetric in (i, j, k).  A `PolynomialConnection` stores each
+distinct symbol once, as int numerators over one denominator L (the lcm of
+the reduced coefficient denominators), with a symbol id per ordered triple:
+at most C(2l+2, 3) symbols of (2l)^3 when it is totally symmetric.
+`check_connection_axioms` does not assume the equivalence above: it verifies
+nabla(omega) = 0 (Gamma_ikj = Gamma_jki) and T = 0 (Gamma_ijk = Gamma_ikj)
+for whatever symbols it is handed, as equalities of symbol ids.
 
 The curvature of such a connection,
 
@@ -20,16 +23,16 @@ The curvature of such a connection,
 is a field of genuine curvature-type tensors.  Both contractions with omega
 are signed swaps through the partner map (i*, s_i) of `symplectic`.  It is
 never formed as a field of polynomials, and no Poly arithmetic is done: the
-`CurvatureField` of a connection clears each lowered symbol once, to integer
-numerators over the lcm L of its coefficient denominators, with the degree
-bound D, reads the partials d_v Gamma_ijk off the same integer terms, and
-interns each distinct jet once, by content: a totally symmetric connection
-has at most C(2l+2, 3)(2l+1) of its (2l)^3 + (2l)^4.  `evaluate_curvature_at`
-writes the point as p = X/d with integer X, evaluates each distinct jet once
-as an integer sum over one table of homogenised monomials X^alpha
-d^(D-|alpha|), so that Gamma(p) and d Gamma(p) are those integers over
-S = L d^D, and assembles S^2 R(p) from the display above in O(n^5) integer
-operations; R(p) is those integers over S^2.  Every evaluation feeds the
+`CurvatureField` of a connection takes each distinct symbol as a jet over the
+degree bound D, reads the partials d_v Gamma_ijk off the same integer terms,
+and interns each distinct jet once, by content: a totally symmetric
+connection has at most C(2l+2, 3)(2l+1) of its (2l)^3 + (2l)^4.
+`evaluate_curvature_at` writes the point as p = X/d with integer X,
+evaluates each distinct jet once as an integer sum over one table of
+homogenised monomials X^alpha d^(D-|alpha|), so that Gamma(p) and
+d Gamma(p) are those integers over S = L d^D, and assembles S^2 R(p) from
+the display above in O(n^5) integer operations; R(p) is those integers over
+S^2.  Every evaluation feeds the
 curvature module without synthetic constraint solving.  The lowering realizes
 R_ijkl = omega(R(e_k, e_l) e_j, e_i); the pair-symmetry identity (C) doubles
 as the sign oracle for this convention, so the test suite failing identity
@@ -41,8 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, combinations_with_replacement, permutations, product
-from math import lcm, prod
+from itertools import combinations, combinations_with_replacement, product
+from math import gcd, lcm, prod
 
 from .curvature import CurvatureTensor, _tensor
 from .exact import RandomStream, parse_indices, parse_rational
@@ -67,12 +70,10 @@ F0 = Fraction(0)
 
 
 class Poly:
-    """Sparse polynomial in n variables over the rationals.
-
-    The public constructor checks every exponent tuple and coerces every
-    coefficient; the results of arithmetic on valid polynomials are built
-    through the unchecked `_poly`.
-    """
+    """Sparse polynomial in n variables over the rationals: the value and JSON
+    type of one Christoffel symbol.  The public constructor checks every
+    exponent tuple (ints >= 0, one per variable) and coerces every
+    coefficient; connections compute on their integer symbols instead."""
 
     __slots__ = ("n", "terms")
 
@@ -80,9 +81,9 @@ class Poly:
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for alpha, c in terms.items():
-                if len(alpha) != n or any(a < 0 for a in alpha):
+                if len(alpha) != n or any(type(a) is not int or a < 0 for a in alpha):
                     raise ValueError(f"bad exponent tuple {alpha}")
-                c = Fraction(c)
+                c = c if type(c) is Fraction else Fraction(c)
                 if c:
                     clean[tuple(alpha)] = c
         object.__setattr__(self, "n", n)
@@ -103,9 +104,7 @@ class Poly:
         return not self.terms
 
     def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(a) for a in self.terms)
+        return max((sum(a) for a in self.terms), default=-1)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -115,28 +114,9 @@ class Poly:
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
 
-    def __add__(self, other):
-        return self._combine(other, 1) if isinstance(other, Poly) else NotImplemented
-
-    def __sub__(self, other):
-        return self._combine(other, -1) if isinstance(other, Poly) else NotImplemented
-
-    def _combine(self, other: "Poly", sign: int) -> "Poly":
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            s = out.get(a, F0) + sign * c
-            if s:
-                out[a] = s
-            else:
-                out.pop(a, None)
-        return _poly(self.n, out)
-
-    def __neg__(self):
-        return _poly(self.n, {a: -c for a, c in self.terms.items()})
-
+    # No caller in the package; kept because the benchmark's
+    # connections.poly_mul layer resolves Poly.__mul__ by name.
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
         out: dict[tuple[int, ...], Fraction] = {}
@@ -150,21 +130,6 @@ class Poly:
                     out.pop(key, None)
         return _poly(self.n, out)
 
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        return _poly(self.n, {a: x * c for a, x in self.terms.items()} if c else {})
-
-    def deriv(self, var: int) -> "Poly":
-        out = {}
-        for a, c in self.terms.items():
-            k = a[var]
-            if k == 0:
-                continue
-            out[a[:var] + (k - 1,) + a[var + 1:]] = c * k
-        return _poly(self.n, out)
-
     def __repr__(self):
         if not self.terms:
             return "Poly(0)"
@@ -172,8 +137,7 @@ class Poly:
 
 
 def _poly(n: int, terms: dict) -> Poly:
-    """The unchecked constructor: `terms` must already be valid for n and hold
-    no zero, as every result of arithmetic on valid polynomials does."""
+    """The unchecked constructor: `terms` must be valid for n, with no zero."""
     p = object.__new__(Poly)
     object.__setattr__(p, "n", n)
     object.__setattr__(p, "terms", terms)
@@ -189,79 +153,100 @@ def _exponents(n: int, budget: int) -> tuple:
     return tuple((e, *rest) for e in range(budget + 1) for rest in _exponents(n - 1, budget - e))
 
 
-def random_poly(n: int, degree: int, stream: RandomStream, bound: int = 3) -> Poly:
-    """Dense random polynomial of total degree <= degree, from `next_fraction`'s draws."""
-    terms = {}
+def _draw(n: int, degree: int, stream: RandomStream, bound: int) -> list:
+    """The (alpha, p, q) terms p/q x^alpha, sorted by alpha, of a dense random
+    polynomial of total degree <= degree, from `next_fraction`'s draws."""
+    out = []
     for alpha in _exponents(n, degree):
         p, q = stream.next_int(-bound, bound), stream.next_int(1, bound)
         if p:
-            terms[alpha] = Fraction(p, q)
-    return _poly(n, terms)
+            out.append((alpha, p, q))
+    return out
 
 
 class PolynomialConnection:
     """Christoffel data Gamma_ijk with polynomial entries on flat R^{2l}.
 
-    Stores one polynomial per ordered triple so that deliberately broken
-    (asymmetric) data can be represented and caught by the axiom check.
-    """
+    Gamma_ijk = sum c x^alpha / den over the (alpha, c) terms of the symbol
+    `symbols[ids[i, j, k]]`, sorted by alpha, with int c and den the lcm of
+    the reduced coefficient denominators.  Each distinct symbol is stored
+    once, interned by content, so equal ids are equal polynomials; broken
+    (asymmetric) data stores more symbols.  `entry` and `gamma` are read-only
+    `Poly` views, built on each read."""
 
-    __slots__ = ("l", "cap", "gamma")
+    __slots__ = ("l", "cap", "den", "symbols", "ids")
 
     def __init__(self, l: int, cap: int, gamma: dict):
         n = 2 * l
-        table: dict[tuple[int, int, int], Poly] = {}
         zero = Poly.zero(n)
+        terms, keys = {}, {}  # each Poly object is checked and cleared once
         for idx in product(range(n), repeat=3):
             p = gamma.get(idx, zero)
+            keys[idx] = key = id(p)
+            if key in terms:
+                continue
             if p.n != n:
                 raise ValueError("polynomial has wrong number of variables")
             if p.degree() > cap:
                 raise ValueError(f"Gamma{idx} exceeds degree cap {cap}")
-            table[idx] = p
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "gamma", table)
+            terms[key] = [(a, c.numerator, c.denominator) for a, c in sorted(p.terms.items())]
+        _intern(self, l, cap, terms, keys)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolynomialConnection is immutable")
 
     def entry(self, i: int, j: int, k: int) -> Poly:
-        return self.gamma[(i, j, k)]
+        den = self.den
+        return _poly(2 * self.l, {a: Fraction(c, den) for a, c in self.symbols[self.ids[i, j, k]]})
+
+    @property
+    def gamma(self) -> dict:
+        return {idx: self.entry(*idx) for idx in self.ids}
 
     def is_totally_symmetric(self) -> bool:
-        n = 2 * self.l
-        for idx in combinations_with_replacement(range(n), 3):
-            base = self.gamma[idx]
-            for perm in permutations(idx):
-                if self.gamma[perm] != base:
-                    return False
-        return True
+        ids = self.ids
+        return all(ids[idx] == ids[key] for idx, key in _sorted_triples(2 * self.l).items())
 
     def __eq__(self, other):
         if not isinstance(other, PolynomialConnection):
             return NotImplemented
-        return self.l == other.l and self.gamma == other.gamma
+        return (self.l == other.l and self.den == other.den
+                and all(self.symbols[t] == other.symbols[other.ids[idx]]
+                        for idx, t in self.ids.items()))
 
     def __repr__(self):
         return f"PolynomialConnection(l={self.l}, cap={self.cap})"
 
 
+@cache
+def _sorted_triples(n: int) -> dict:
+    """Each ordered triple of range(n), mapped to its sorted triple."""
+    return {idx: tuple(sorted(idx)) for idx in product(range(n), repeat=3)}
+
+
+def _intern(conn, l: int, cap: int, terms: dict, keys: dict):
+    """Fill `conn` from the (alpha, p, q) terms p/q x^alpha, sorted by alpha,
+    of the symbol under each key, with keys[i, j, k] the key of each triple:
+    each cleared to int numerators over den, each distinct one stored once."""
+    den = lcm(*(q // gcd(p, q) for t in terms.values() for _, p, q in t))
+    symbols: dict[tuple, int] = {}
+    ids = {k: symbols.setdefault(tuple((a, p * den // q) for a, p, q in t), len(symbols))
+           for k, t in terms.items()}
+    for name, value in (("l", l), ("cap", cap), ("den", den), ("symbols", tuple(symbols)),
+                        ("ids", {idx: ids[k] for idx, k in keys.items()})):
+        object.__setattr__(conn, name, value)
+    return conn
+
+
 def random_connection(l: int, degree: int, seed: int, bound: int = 3) -> PolynomialConnection:
-    """Random totally symmetric polynomial Christoffel data; deterministic."""
+    """Random totally symmetric Christoffel data, one symbol per sorted triple; deterministic."""
     if l < 1 or degree < 0:
         raise ValueError("need l >= 1 and degree >= 0")
     n = 2 * l
     stream = RandomStream(seed)
-    gamma: dict[tuple[int, int, int], Poly] = {}
-    for idx in combinations_with_replacement(range(n), 3):
-        p = random_poly(n, degree, stream, bound)
-        for perm in permutations(idx):
-            gamma[perm] = p
-    conn = object.__new__(PolynomialConnection)  # unchecked: every triple filled, within the cap
-    for name, value in (("l", l), ("cap", degree), ("gamma", gamma)):
-        object.__setattr__(conn, name, value)
-    return conn
+    drawn = {idx: _draw(n, degree, stream, bound)
+             for idx in combinations_with_replacement(range(n), 3)}
+    return _intern(object.__new__(PolynomialConnection), l, degree, drawn, _sorted_triples(n))
 
 
 @dataclass(frozen=True)
@@ -275,6 +260,14 @@ class ConnectionAxiomReport:
         return self.torsion_free and self.preserves_omega
 
 
+def _difference(conn: PolynomialConnection, a: int, b: int) -> Poly:
+    """The symbol with id a minus the one with id b."""
+    acc = dict(conn.symbols[a])
+    for alpha, c in conn.symbols[b]:
+        acc[alpha] = acc.get(alpha, 0) - c
+    return _poly(2 * conn.l, {alpha: Fraction(c, conn.den) for alpha, c in acc.items() if c})
+
+
 def check_connection_axioms(conn: PolynomialConnection) -> ConnectionAxiomReport:
     """Verify nabla(omega) = 0 and zero torsion as polynomial identities.
 
@@ -282,12 +275,12 @@ def check_connection_axioms(conn: PolynomialConnection) -> ConnectionAxiomReport
     is s_m (Gamma_{m* jk} - Gamma_{m* kj}); for constant omega,
     -nabla_k omega_ij = Gamma^m_ki omega_mj + Gamma^m_kj omega_im
     = s_i Gamma^{i*}_kj - s_j Gamma^{j*}_ki = Gamma_jki - Gamma_ikj, as
-    s_i s_{i*} = -1.  So both compare stored polynomials, and a difference
-    is built only for the first violation's payload.
+    s_i s_{i*} = -1.  So both compare symbol ids, and a difference is built
+    only for the first violation's payload.
     """
     partners = omega_partners(conn.l)
     n = len(partners)
-    g = conn.gamma
+    g = conn.ids
     torsion_ok, omega_ok = True, True
     violation, poly = None, None
     for m, j, k in product(range(n), repeat=3):
@@ -296,13 +289,14 @@ def check_connection_axioms(conn: PolynomialConnection) -> ConnectionAxiomReport
             torsion_ok = False
             if violation is None:
                 violation = ("torsion", m, j, k)
-                poly = poly_to_json(g[i, j, k] - g[i, k, j] if w > 0 else g[i, k, j] - g[i, j, k])
+                a, b = (g[i, j, k], g[i, k, j]) if w > 0 else (g[i, k, j], g[i, j, k])
+                poly = poly_to_json(_difference(conn, a, b))
     for k, i, j in product(range(n), repeat=3):
         if g[j, k, i] != g[i, k, j]:
             omega_ok = False
             if violation is None:
                 violation = ("nabla-omega", k, i, j)
-                poly = poly_to_json(g[j, k, i] - g[i, k, j])
+                poly = poly_to_json(_difference(conn, g[j, k, i], g[i, k, j]))
             break
     return ConnectionAxiomReport(torsion_ok, omega_ok, violation, poly)
 
@@ -314,21 +308,20 @@ def _deriv_terms(terms, v: int) -> list:
 
 
 class CurvatureField:
-    """One-jet of a connection, cleared once to integers when built.
-
-    `den` is the lcm L of every coefficient denominator of the symbols and
-    `degree` the bound D of every total degree.  `_jets` holds each distinct
-    jet ((monomial index, L * coefficient), ...) over `_monomials` once,
-    interned by content.  _gamma_ints[m][j][k] pairs the jet of Gamma_{m* jk}
-    with s_m, so Gamma^m_jk is s_m times it; _dgamma_ints[v][m][j][k] pairs
-    d_v Gamma_{m* jk}, read off the same integer terms (`_deriv_terms`), with s_m."""
+    """One-jet of a connection, in integers when built: `den` is the
+    connection's denominator L and `degree` the bound D of every total
+    degree.  `_jets` holds each distinct jet ((monomial index, numerator),
+    ...) over `_monomials` once, interned by content: one per distinct symbol
+    of the connection and one per distinct partial, read off its integer
+    terms (`_deriv_terms`).  _gamma_ints[m][j][k] pairs the jet of
+    Gamma_{m* jk} with s_m, so Gamma^m_jk is s_m times it;
+    _dgamma_ints[v][m][j][k] pairs the jet of d_v Gamma_{m* jk} with s_m."""
 
     __slots__ = ("l", "den", "degree", "_monomials", "_jets", "_gamma_ints", "_dgamma_ints")
 
     def __init__(self, conn: PolynomialConnection):
         l, n = conn.l, 2 * conn.l
         partners = omega_partners(l)
-        den = lcm(*(c.denominator for p in conn.gamma.values() for c in p.terms.values()))
         index: dict[tuple[int, ...], int] = {}
         jets: dict[tuple, int] = {}
 
@@ -336,17 +329,16 @@ class CurvatureField:
             key = tuple((index.setdefault(a, len(index)), c) for a, c in terms)
             return jets.setdefault(key, len(jets))
 
-        lowered = [[[jet((a, c.numerator * (den // c.denominator))
-                         for a, c in conn.gamma[i, j, k].terms.items()) for k in range(n)]
-                    for j in range(n)] for i, _ in partners]
+        symbol = [jet(terms) for terms in conn.symbols]
         monomials = list(index)
         partials = [[jet(_deriv_terms([(monomials[i], c) for i, c in key], v)) for v in range(n)]
                     for key in list(jets)]
-        g = [[[(t, w) for t in row] for row in plane] for plane, (_, w) in zip(lowered, partners)]
-        dg = [[[[(partials[t][v], w) for t in row] for row in plane]
-               for plane, (_, w) in zip(lowered, partners)] for v in range(n)]
+        ids = conn.ids
+        g = [[[(symbol[ids[i, j, k]], w) for k in range(n)] for j in range(n)] for i, w in partners]
+        dg = [[[[(partials[t][v], w) for t, w in row] for row in plane] for plane in g]
+              for v in range(n)]
         degree = max([0] + [sum(a) for a in monomials])
-        for name, value in (("l", l), ("den", den), ("degree", degree),
+        for name, value in (("l", l), ("den", conn.den), ("degree", degree),
                             ("_monomials", [(*a, degree - sum(a)) for a in index]),
                             ("_jets", list(jets)), ("_gamma_ints", g), ("_dgamma_ints", dg)):
             object.__setattr__(self, name, value)
@@ -431,12 +423,9 @@ def poly_from_json(obj: dict) -> Poly:
 
 def connection_to_json(conn: PolynomialConnection) -> dict:
     n = 2 * conn.l
-    items = []
-    for idx in product(range(n), repeat=3):
-        p = conn.entry(*idx)
-        if not p.is_zero():
-            items.append({"ijk": [x + 1 for x in idx], "poly": poly_to_json(p)})
-    return {"l": conn.l, "cap": conn.cap, "gamma": items}
+    return {"l": conn.l, "cap": conn.cap, "gamma": [
+        {"ijk": [x + 1 for x in idx], "poly": poly_to_json(conn.entry(*idx))}
+        for idx in product(range(n), repeat=3) if conn.symbols[conn.ids[idx]]]}
 
 
 def connection_from_json(obj: dict) -> PolynomialConnection:

@@ -47,8 +47,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations, product
 from math import gcd, lcm
+from operator import itemgetter
 
 from .exact import (
     RandomStream,
@@ -274,14 +276,23 @@ class SymmetryReport:
         return self.curvature_type() and self.extended_bianchi.holds
 
 
+_ALL_HOLD = SymmetryReport(*[IdentityCheck(True)] * 4)
+
+
 def check_symmetries(R) -> SymmetryReport:
     """Check identities (A)-(D) on the numerators of a CurvatureTensor, or on
     a rank-4 array of ints or Fractions as it is: they are linear and
     homogeneous.  Quadruples are visited in lexicographic order, so each
     `first_violation` is the first offending (i, j, k, m) in that order.
+    A tensor on which all four hold gets one shared report, after early exits.
     """
     e = R.num if isinstance(R, CurvatureTensor) else R
     n = len(e)
+    # the (D) sum is invariant under rotating (i, j, k, m): start at the least
+    if _curvature_type(e) and not any(
+            e[i][j][k][m] + e[j][k][m][i] + e[k][m][i][j] + e[m][i][j][k]
+            for i in range(n) for j, k, m in product(range(i, n), repeat=3)):
+        return _ALL_HOLD
     anti = bianchi = pair = ext = None
     for i, j, k, m in product(range(n), repeat=4):
         if anti is None and e[i][j][k][m] != -e[i][j][m][k]:
@@ -384,27 +395,32 @@ def raise_all(R: CurvatureTensor):
     return t
 
 
-def _lowered_traces(e, partners, pairs=tuple(combinations(range(4), 2))) -> dict:
+_SLOT_PAIRS = tuple(combinations(range(4), 2))
+
+
+@cache
+def _trace_walk(partners: tuple, pairs: tuple) -> tuple:
+    """(slot pair, cells) for each slot pair of `pairs`: cells[u][v] lists the
+    (index quadruple, s_a) terms of the omega-contraction on that pair, with
+    a, a* in its slots and u, v in the two free slots, in slot order."""
+    n = len(partners)
+    walk = []
+    for pair in pairs:
+        slots = [*pair, *(p for p in range(4) if p not in pair)]
+        place = itemgetter(*(slots.index(p) for p in range(4)))
+        walk.append((pair, [[[(place((a, b, u, v)), w) for a, (b, w) in enumerate(partners)]
+                             for v in range(n)] for u in range(n)]))
+    return tuple(walk)
+
+
+def _lowered_traces(e, partners, pairs=_SLOT_PAIRS) -> dict:
     """The omega-contractions sum_a s_a e[..a..a*..] of a lowered rank-4
     array (ints or Fractions) over each slot pair of `pairs` (default: all
     six), keyed by slot pair; each value is a 2l x 2l matrix over the two
     free slots, in slot order."""
-    n = len(partners)
-    out = {}
-    for s, t in pairs:
-        free = [p for p in range(4) if p not in (s, t)]
-        mat = [[0] * n for _ in range(n)]
-        for u in range(n):
-            for v in range(n):
-                acc = 0
-                for a, (b, w) in enumerate(partners):
-                    idx = [0, 0, 0, 0]
-                    idx[s], idx[t] = a, b
-                    idx[free[0]], idx[free[1]] = u, v
-                    acc += w * e[idx[0]][idx[1]][idx[2]][idx[3]]
-                mat[u][v] = acc
-        out[(s, t)] = mat
-    return out
+    return {pair: [[sum([w * e[i][j][k][m] for (i, j, k, m), w in cell]) for cell in row]
+                   for row in rows]
+            for pair, rows in _trace_walk(partners, pairs)}
 
 
 def omega_traces(R: CurvatureTensor) -> dict:
@@ -478,28 +494,22 @@ def _trace_rows(n: int, index) -> list[dict[int, Fraction]]:
     A raised-pair trace W^{ijkl} omega_(slots s,t) = 0 is equivalent to the
     omega^{ab} contraction of the lowered tensor on the same slots.
     """
-    partners = omega_partners(n // 2)
     rows = []
-    for s, t in combinations(range(4), 2):
-        free = [p for p in range(4) if p not in (s, t)]
-        for u in range(n):
-            for v in range(n):
-                row: dict[int, Fraction] = {}
-                for a, (b, w) in enumerate(partners):
-                    idx = [0, 0, 0, 0]
-                    idx[s], idx[t] = a, b
-                    idx[free[0]], idx[free[1]] = u, v
-                    r = _resolve(index, *idx)
-                    if r is None:
-                        continue
-                    var, sign = r
-                    val = row.get(var, F0) + w * sign
-                    if val:
-                        row[var] = val
-                    else:
-                        row.pop(var, None)
-                if row:
-                    rows.append(row)
+    for _, cells in _trace_walk(omega_partners(n // 2), _SLOT_PAIRS):
+        for cell in chain.from_iterable(cells):
+            row: dict[int, Fraction] = {}
+            for idx, w in cell:
+                r = _resolve(index, *idx)
+                if r is None:
+                    continue
+                var, sign = r
+                val = row.get(var, F0) + w * sign
+                if val:
+                    row[var] = val
+                else:
+                    row.pop(var, None)
+            if row:
+                rows.append(row)
     return rows
 
 

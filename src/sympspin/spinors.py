@@ -127,7 +127,7 @@ class PolySpinor:
         clean: dict[int, GaussianRational] = {}
         if coeffs:
             for alpha, c in coeffs.items():
-                if len(alpha) != l or any(not isinstance(a, int) or a < 0 for a in alpha):
+                if len(alpha) != l or any(type(a) is not int or a < 0 for a in alpha):
                     raise ValueError(f"bad exponent tuple {alpha}")
                 if sum(alpha) > cap:
                     raise DegreeCapError(

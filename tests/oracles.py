@@ -14,16 +14,21 @@ and the two-form projectors.  The package's packed-key Clifford kernel and
 its Gaussian-integer, unchecked and folded fast paths are tested against
 them, and its integer `check_symmetries`,
 `sigma_tilde_of`, `omega_traces` and curvature evaluation against the
-Fraction ones kept here, which evaluate a `Poly` term by term.  The connection
-axioms are decided here by building every difference of raised symbols, and
-the curvature jets by `Poly.deriv` of the raised table; the package compares
-stored symbols and differentiates integer terms instead.  The Fraction
-samplers of curvature tensors and spinors are kept here for the integer ones
-to match draw for draw, and so is the exact rank of each projector on a
-graded piece, which only a test records.  So are connection samplers that
-draw through `next_fraction` and build through the public constructors, for
-the package's unchecked ones to match, and the draw of one stream integer
-composed of `next_u64` and `_mix64`, which `RandomStream.next_int` inlines.
+Fraction ones kept here, which evaluate a `Poly` term by term.  The `Poly`
+sums, products and partials are done here too, through the public
+constructor, since the package computes only on a connection's integer
+symbols.  The connection axioms are decided here by building every
+difference of raised symbols, and the curvature jets by `poly_deriv` of the
+raised table; the package compares symbol ids and differentiates integer
+terms instead.  The omega-trace rows of the Weyl constraint space are built
+here by their own index walk, for the package's shared, cached one.  The
+Fraction samplers of curvature tensors and spinors are kept here for the
+integer ones to match draw for draw, and so is the exact rank of each
+projector on a graded piece, which only a test records.  So are connection
+samplers that draw through `next_fraction` and build through the public
+constructors, for the package's unchecked ones to match, and the draw of one
+stream integer composed of `next_u64` and `_mix64`, which
+`RandomStream.next_int` inlines.
 """
 
 from fractions import Fraction
@@ -32,13 +37,13 @@ from math import lcm
 
 from sympspin.connections import ConnectionAxiomReport, Poly, PolynomialConnection, poly_to_json
 from sympspin.curvature import (CurvatureTensor, IdentityCheck, SymmetryReport, _cleared,
-                                 _expand_var_vector, _tensor)
+                                 _expand_var_vector, _resolve, _tensor)
 from sympspin.exact import GR_I, GR_ONE, GR_ZERO, GaussianRational, RandomStream, nullspace_basis
 from sympspin.forms import PROJECTORS, SpinorForm
 from sympspin.forms import op_X as _op_X
 from sympspin.forms import project as _project
 from sympspin.spinors import DegreeCapError, PolySpinor, SpLieElement, clifford_basis
-from sympspin.symplectic import standard_symplectic_form
+from sympspin.symplectic import omega_partners, standard_symplectic_form
 
 
 def omega_pairing(l, u, v):
@@ -397,19 +402,39 @@ def poly_eval(p, point) -> Fraction:
     return acc
 
 
+def poly_lincomb(n: int, pairs) -> Poly:
+    """sum c p over the (c, p) pairs, as a Poly in n variables."""
+    terms: dict = {}
+    for c, p in pairs:
+        for alpha, x in p.terms.items():
+            terms[alpha] = terms.get(alpha, 0) + (x if c == 1 else -x if c == -1 else c * x)
+    return Poly(n, terms)
+
+
+def poly_mul(p: Poly, q: Poly) -> Poly:
+    """The product p q, summed term by term."""
+    terms: dict = {}
+    for a, x in p.terms.items():
+        for b, y in q.terms.items():
+            key = tuple(s + t for s, t in zip(a, b))
+            terms[key] = terms.get(key, 0) + x * y
+    return Poly(p.n, terms)
+
+
+def poly_deriv(p: Poly, v: int) -> Poly:
+    """d/dx_v of p."""
+    return Poly(p.n, {a[:v] + (a[v] - 1,) + a[v + 1:]: a[v] * c
+                      for a, c in p.terms.items() if a[v]})
+
+
 def gamma_upper(conn) -> dict:
     """Gamma^m_jk = sum_i omega^{mi} Gamma_ijk as Polys, summed over every
     entry of omega_upper."""
     up = standard_symplectic_form(conn.l).omega_upper
     n = 2 * conn.l
-    table = {}
-    for m, j, k in product(range(n), repeat=3):
-        acc = Poly.zero(n)
-        for i in range(n):
-            if up[m][i]:
-                acc = acc + conn.entry(i, j, k).scale(up[m][i])
-        table[(m, j, k)] = acc
-    return table
+    return {(m, j, k): poly_lincomb(n, [(up[m][i], conn.entry(i, j, k)) for i in range(n)
+                                        if up[m][i]])
+            for m, j, k in product(range(n), repeat=3)}
 
 
 def check_connection_axioms(conn) -> ConnectionAxiomReport:
@@ -424,15 +449,14 @@ def check_connection_axioms(conn) -> ConnectionAxiomReport:
     violation, poly = None, None
     for m, j, k in product(range(n), repeat=3):
         if j < k:
-            diff = gu[(m, j, k)] - gu[(m, k, j)]
+            diff = poly_lincomb(n, [(1, gu[(m, j, k)]), (-1, gu[(m, k, j)])])
             if not diff.is_zero():
                 torsion_ok = False
                 if violation is None:
                     violation, poly = ("torsion", m, j, k), poly_to_json(diff)
     for k, i, j in product(range(n), repeat=3):
-        acc = Poly.zero(n)
-        for m in range(n):
-            acc = acc + gu[(m, k, i)].scale(lo[m][j]) + gu[(m, k, j)].scale(lo[i][m])
+        acc = poly_lincomb(n, [pair for m in range(n)
+                               for pair in ((lo[m][j], gu[(m, k, i)]), (lo[i][m], gu[(m, k, j)]))])
         if not acc.is_zero():
             omega_ok = False
             if violation is None:
@@ -443,7 +467,7 @@ def check_connection_axioms(conn) -> ConnectionAxiomReport:
 
 def evaluate_curvature_at(conn, point) -> CurvatureTensor:
     """R_ijkl at `point` from the raised table of the connection and its
-    `Poly.deriv` partials, every value a Fraction:
+    `poly_deriv` partials, every value a Fraction:
     R^m_jkl = d_k Gamma^m_lj - d_l Gamma^m_kj + Gamma^m_ka Gamma^a_lj
     - Gamma^m_la Gamma^a_kj, lowered with the omega matrix."""
     lo = standard_symplectic_form(conn.l).omega_lower
@@ -451,7 +475,7 @@ def evaluate_curvature_at(conn, point) -> CurvatureTensor:
     pt = [Fraction(x) for x in point]
     gamma = gamma_upper(conn)
     g = {idx: poly_eval(p, pt) for idx, p in gamma.items()}
-    dg = {(v, *idx): poly_eval(p.deriv(v), pt) for idx, p in gamma.items() for v in range(n)}
+    dg = {(v, *idx): poly_eval(poly_deriv(p, v), pt) for idx, p in gamma.items() for v in range(n)}
     out = _zero4(n)
     for m, j, k, mm in product(range(n), repeat=4):
         if k == mm:
@@ -497,6 +521,36 @@ def omega_traces(R) -> dict:
     return out
 
 
+def trace_rows(n: int, index) -> list:
+    """The rows of the six omega-trace conditions on lowered coordinates, as
+    `curvature._trace_rows` built them with their own index walk: for each
+    slot pair (s, t) and free indices (u, v), the signed sum over a of the
+    coordinate at a, a* in slots s, t."""
+    partners = omega_partners(n // 2)
+    rows = []
+    for s, t in combinations(range(4), 2):
+        free = [p for p in range(4) if p not in (s, t)]
+        for u in range(n):
+            for v in range(n):
+                row: dict = {}
+                for a, (b, w) in enumerate(partners):
+                    idx = [0, 0, 0, 0]
+                    idx[s], idx[t] = a, b
+                    idx[free[0]], idx[free[1]] = u, v
+                    r = _resolve(index, *idx)
+                    if r is None:
+                        continue
+                    var, sign = r
+                    val = row.get(var, Fraction(0)) + w * sign
+                    if val:
+                        row[var] = val
+                    else:
+                        row.pop(var, None)
+                if row:
+                    rows.append(row)
+    return rows
+
+
 def next_int(stream: RandomStream, lo: int, hi: int) -> int:
     """`stream.next_int(lo, hi)` composed of `next_u64`, which calls `_mix64`."""
     if hi < lo:
@@ -523,8 +577,9 @@ def random_poly(n: int, degree: int, stream: RandomStream, bound: int = 3) -> Po
     return Poly(n, terms)
 
 
-def random_connection(l: int, degree: int, seed: int, bound: int = 3) -> PolynomialConnection:
-    """The connection sampler, built and checked through the public constructor."""
+def random_gamma(l: int, degree: int, seed: int, bound: int = 3) -> dict:
+    """The connection sampler's Christoffel symbols as Polys, one per ordered
+    triple: one draw per sorted triple, shared by its permutations."""
     n = 2 * l
     stream = RandomStream(seed)
     gamma = {}
@@ -532,7 +587,12 @@ def random_connection(l: int, degree: int, seed: int, bound: int = 3) -> Polynom
         p = random_poly(n, degree, stream, bound)
         for perm in permutations(idx):
             gamma[perm] = p
-    return PolynomialConnection(l, degree, gamma)
+    return gamma
+
+
+def random_connection(l: int, degree: int, seed: int, bound: int = 3) -> PolynomialConnection:
+    """The connection sampler, built and checked through the public constructor."""
+    return PolynomialConnection(l, degree, random_gamma(l, degree, seed, bound))
 
 
 def random_combination(l: int, basis, stream: RandomStream, bound: int):

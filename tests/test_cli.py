@@ -340,6 +340,16 @@ HOSTILE_REPLAYS = {
     "zero-index-connection": json.dumps({"check": "fedosov.axioms", "connection": {
         **(conn := connection_to_json(random_connection(1, 2, 5))),
         "gamma": _zero_index(conn["gamma"], "ijk", 2)}}),
+    # exponents must be ints: 1.0 and true would read as 1, and 0.5 fails
+    # only deep inside evaluation
+    **{f"{kind}-exponent-connection": json.dumps({
+        "check": "fedosov.curvature-symmetries", "point": ["1/2", "2/3"],
+        "connection": {"l": 1, "cap": 1, "gamma": [{"ijk": [1, 1, 1], "poly": {
+            "n": 2, "terms": [{"alpha": alpha, "val": "1"}]}}]}})
+       for kind, alpha in (("float", [1.0, 0]), ("bool", [True, 0]), ("half", [0.5, 0.5]))},
+    **{f"{kind}-exponent-spinor": json.dumps({**_LEMMA1_CE, "spinor": {
+        **_LEMMA1_CE["spinor"], "terms": [{"alpha": alpha, "re": "1", "im": "0"}]}})
+       for kind, alpha in (("float", [0, 1.0]), ("bool", [0, True]))},
 }
 
 

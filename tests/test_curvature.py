@@ -9,9 +9,12 @@ from sympspin.curvature import (
     CurvatureTensor,
     RicciTensor,
     WeylTensor,
+    _bianchi_rows,
+    _canonical_vars,
     _curvature_type,
     _expand_var_vector,
     _tensor,
+    _trace_rows,
     check_symmetries,
     curvature_from_json,
     curvature_space_basis,
@@ -25,7 +28,7 @@ from sympspin.curvature import (
     weyl_of,
     weyl_space_basis,
 )
-from sympspin.exact import RandomStream
+from sympspin.exact import RandomStream, nullspace_basis
 from sympspin.symplectic import raise_lower_index, standard_symplectic_form
 
 F = Fraction
@@ -154,6 +157,21 @@ def test_constraint_space_dims_golden():
 @pytest.mark.parametrize("l", [1, 2])
 def test_constraint_dim_splits_into_weyl_plus_ricci(l):
     assert curvature_space_dim(l) - weyl_space_dim(l) == l * (2 * l + 1)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_trace_rows_and_bases_match_the_separate_index_walk(l):
+    # the trace rows and the lowered traces share one cached index walk; the
+    # rows, and the nullspace bases built from them, are the oracle's
+    n = 2 * l
+    variables, index = _canonical_vars(n)
+    rows = oracles.trace_rows(n, index)
+    assert _trace_rows(n, index) == rows
+    bianchi = _bianchi_rows(n, index)
+    assert weyl_space_basis(l) == [(variables, v) for v in
+                                   nullspace_basis(bianchi + rows, len(variables))]
+    assert curvature_space_basis(l) == [(variables, v) for v in
+                                        nullspace_basis(bianchi, len(variables))]
 
 
 def test_extended_bianchi_on_full_basis():

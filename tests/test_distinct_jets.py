@@ -1,5 +1,6 @@
-"""The curvature field interns each distinct jet once and evaluates it once per
-point; the connection sampler builds its polynomials and connection unchecked.
+"""A connection stores each distinct symbol once, over one denominator; the
+curvature field interns each distinct jet once and evaluates it once per
+point; the connection sampler clears each drawn symbol once, unchecked.
 
 The integer evaluation is compared with the Fraction oracle, which evaluates
 the raised `Poly` table term by term, here on connections whose symbols are
@@ -8,11 +9,12 @@ JSON copies and the flat connection.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 import oracles
+from sympspin import connections
 from sympspin.connections import (
     CurvatureField,
     PolynomialConnection,
@@ -20,7 +22,6 @@ from sympspin.connections import (
     connection_to_json,
     evaluate_curvature_at,
     random_connection,
-    random_poly,
 )
 from sympspin.exact import RandomStream
 from sympspin.symplectic import omega_partners
@@ -40,7 +41,7 @@ def _asymmetric_connection(l: int, degree: int, seed: int) -> PolynomialConnecti
     """Independent random symbols for every ordered triple."""
     n = 2 * l
     stream = RandomStream(seed)
-    gamma = {idx: random_poly(n, degree, stream) for idx in product(range(n), repeat=3)}
+    gamma = {idx: oracles.random_poly(n, degree, stream) for idx in product(range(n), repeat=3)}
     return PolynomialConnection(l, degree, gamma)
 
 
@@ -124,22 +125,53 @@ def test_differential_tests_catch_a_dropped_sign(l):
 
 
 def test_random_poly_matches_the_fraction_sampler():
+    # the private sampler draws the same pairs as `next_fraction`, in order
     for seed, l, degree in product(range(50), (1, 2, 3), range(4)):
         a, b = RandomStream(seed), RandomStream(seed)
         for _ in range(2):
-            p, q = random_poly(2 * l, degree, a), oracles.random_poly(2 * l, degree, b)
-            assert list(p.terms.items()) == list(q.terms.items()) and p.n == q.n
-        assert all(type(c) is Fraction and c for c in p.terms.values())
+            p = connections._draw(2 * l, degree, a, 3)
+            q = oracles.random_poly(2 * l, degree, b)
+            assert [(alpha, F(x, y)) for alpha, x, y in p] == list(q.terms.items())
+        assert all(type(x) is int and x and 1 <= y <= 3 for _, x, y in p)
         assert a._state == b._state
 
 
 def test_random_connection_matches_the_checked_sampler():
     for seed, l, degree in product(range(50), (1, 2, 3), range(4)):
         conn = random_connection(l, degree, seed)
-        assert conn == oracles.random_connection(l, degree, seed)
+        gamma = oracles.random_gamma(l, degree, seed)
+        assert conn == PolynomialConnection(l, degree, gamma)
+        # one draw per sorted triple; the equality above covers its permutations
+        drawn = [gamma[idx] for idx in combinations_with_replacement(range(2 * l), 3)]
+        assert [conn.entry(*idx) for idx in combinations_with_replacement(range(2 * l), 3)] == drawn
         assert (conn.l, conn.cap) == (l, degree)
-        assert sorted(conn.gamma) == list(product(range(2 * l), repeat=3))
+        assert sorted(conn.ids) == list(product(range(2 * l), repeat=3))
+        assert len(conn.symbols) == len(set(drawn))
     with pytest.raises(ValueError):
         random_connection(0, 1, 1)
     with pytest.raises(ValueError):
         random_connection(1, -1, 1)
+
+
+@pytest.mark.parametrize("l,symbols", [(2, 20), (3, 56), (4, 120)])
+def test_a_sampled_connection_stores_each_distinct_symbol_once(l, symbols):
+    # C(2l+2, 3) sorted triples, one symbol each; the JSON copy holds separate
+    # but equal Polys and interns the same symbols
+    for seed in (0, 1):
+        conn = random_connection(l, 2, seed)
+        copy = connection_from_json(connection_to_json(conn))
+        assert len(conn.symbols) == len(copy.symbols) == symbols
+        assert copy == conn and copy.den == conn.den
+        assert all(type(c) is int and c for sym in conn.symbols for _, c in sym)
+        assert all(list(sym) == sorted(sym) for sym in conn.symbols)
+
+
+@pytest.mark.parametrize("l,degree", [(1, 0), (1, 2), (2, 0), (2, 1)])
+def test_an_asymmetric_connection_stores_each_distinct_poly_once(l, degree):
+    # independent draws per ordered triple; at degree 0 many repeat
+    conn = _asymmetric_connection(l, degree, 1700 + 10 * l + degree)
+    gamma = conn.gamma
+    assert len(conn.symbols) == len(set(gamma.values()))
+    assert all((conn.ids[a] == conn.ids[b]) == (gamma[a] == gamma[b])
+               for a in gamma for b in gamma)
+    assert connection_from_json(connection_to_json(conn)) == conn

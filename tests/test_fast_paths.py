@@ -21,6 +21,7 @@ from math import gcd, lcm
 import pytest
 
 import oracles
+import sympspin.curvature as curvature
 import sympspin.forms as forms
 import sympspin.spinors as spinors
 import sympspin.verify as verify
@@ -295,13 +296,15 @@ def _zero4(n):
 
 
 def _symmetry_cases(l):
-    """Valid, trace-free, zero, single-entry and int arrays of side 2l."""
+    """Valid, trace-free, zero, single-entry and int arrays of side 2l, and
+    arrays with no symmetry."""
     n = 2 * l
     R = random_curvature(l, 80 + l)
     W = random_weyl(l, 90 + l)
     cases = [R.entries, W.entries, _zero4(n)]
     for d in (2, 3, 7):
-        for i, j, k, m in ((0, 0, 0, 0), (0, 1, 2, 3), (n - 1, 0, n - 1, 1)):
+        for quad in ((0, 0, 0, 0), (0, 1, 2, 3), (n - 1, 0, n - 1, 1)):
+            i, j, k, m = (x % n for x in quad)
             lone = _zero4(n)
             lone[i][j][k][m] = F(1, d)
             bumped = copy.deepcopy(R.entries)
@@ -317,7 +320,23 @@ def _symmetry_cases(l):
     return cases + [as_ints, bumped, noise]
 
 
-@pytest.mark.parametrize("l", [2, 3])
+def _planted_symmetry_cases(l):
+    """Single-entry plants on random curvature and Weyl tensors, each failing
+    (A), (B) or (C), at the first and last first index."""
+    n = 2 * l
+    cases = []
+    for T in (random_curvature(l, 150 + l), random_weyl(l, 160 + l)):
+        for i in (0, n - 1):
+            # each breaks (A) and (B), and (C) unless its first two indices agree
+            for quad in ((i, i, 0, 1), (i, (i + 1) % n, 1, 0), (i, n - 1, n - 1, n - 1)):
+                a, b, c, d = quad
+                bumped = copy.deepcopy(T.entries)
+                bumped[a][b][c][d] += F(1, 3)
+                cases.append(bumped)
+    return cases
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
 def test_integer_symmetry_check_matches_fraction_oracle(l):
     reports = []
     for entries in _symmetry_cases(l):
@@ -328,8 +347,19 @@ def test_integer_symmetry_check_matches_fraction_oracle(l):
     for name in ("antisym_last_pair", "first_bianchi", "pair_symmetry", "extended_bianchi"):
         verdicts = {getattr(r, name).holds for r in reports}
         assert verdicts == {True, False}
-    R = random_curvature(l, 80 + l)
-    assert check_symmetries(R) == oracles.check_symmetries(R.entries)
+    for seed in range(2):
+        for T in (random_curvature(l, 80 + 10 * seed + l), random_weyl(l, 90 + 10 * seed + l)):
+            assert check_symmetries(T) == oracles.check_symmetries(T.entries)
+            assert check_symmetries(T) is curvature._ALL_HOLD
+    # every plant fails the early exit and reaches the full scan, whose first
+    # violations are the oracle's
+    cases = _planted_symmetry_cases(l)
+    planted = [check_symmetries(e) for e in cases]
+    assert planted == [oracles.check_symmetries(e) for e in cases]
+    assert not any(r.all_hold() for r in planted)
+    for name in ("antisym_last_pair", "first_bianchi", "pair_symmetry"):
+        assert not all(getattr(r, name).holds for r in planted)
+    assert any(r.pair_symmetry.holds for r in planted)
 
 
 # ---------------------------------------------------------------------------

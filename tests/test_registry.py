@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from sympspin import connections, forms, symplectic, verify
 from sympspin.cli import main
 from sympspin.connections import (
@@ -290,7 +291,8 @@ def test_a_connection_failing_the_axioms_fails_only_the_axiom_check(tmp_path, mo
     def broken(l, degree, seed, bound=3):
         conn = random_connection(l, degree, seed, bound)
         gamma = dict(conn.gamma)
-        gamma[(0, 0, 1)] = gamma[(0, 0, 1)] + Poly.const(2 * l, 1)
+        gamma[(0, 0, 1)] = oracles.poly_lincomb(2 * l, [(1, gamma[(0, 0, 1)]),
+                                                        (1, Poly.const(2 * l, 1))])
         return PolynomialConnection(l, degree, gamma)
 
     monkeypatch.setattr(verify, "random_connection", broken)
