@@ -171,18 +171,23 @@ class PolynomialConnection:
     `symbols[ids[i, j, k]]`, sorted by alpha, with int c and den the lcm of
     the reduced coefficient denominators.  Each distinct symbol is stored
     once, interned by content, so equal ids are equal polynomials; broken
-    (asymmetric) data stores more symbols.  `entry` and `gamma` are read-only
-    `Poly` views, built on each read."""
+    (asymmetric) data stores more symbols.  The public constructor checks and
+    clears each distinct `Poly` value once, however many triples share it.
+    `entry` and `gamma` are read-only `Poly` views, built on each read."""
 
     __slots__ = ("l", "cap", "den", "symbols", "ids")
 
     def __init__(self, l: int, cap: int, gamma: dict):
         n = 2 * l
         zero = Poly.zero(n)
-        terms, keys = {}, {}  # each Poly object is checked and cleared once
+        # each distinct Poly value is checked and cleared once; a shared object
+        # is hashed by content only the first time it is met
+        terms, keys, seen, values = {}, {}, {}, {}
         for idx in product(range(n), repeat=3):
             p = gamma.get(idx, zero)
-            keys[idx] = key = id(p)
+            if id(p) not in seen:
+                seen[id(p)] = values.setdefault(p, len(values))
+            keys[idx] = key = seen[id(p)]
             if key in terms:
                 continue
             if p.n != n:
@@ -429,8 +434,11 @@ def connection_to_json(conn: PolynomialConnection) -> dict:
 
 
 def connection_from_json(obj: dict) -> PolynomialConnection:
-    gamma = {
-        parse_indices(item["ijk"], 3, 2 * obj["l"]): poly_from_json(item["poly"])
-        for item in obj["gamma"]
-    }
+    parsed: dict[str, Poly] = {}    # equal symbols, as written, are parsed once
+    gamma = {}
+    for item in obj["gamma"]:
+        key = repr(item["poly"])
+        if key not in parsed:
+            parsed[key] = poly_from_json(item["poly"])
+        gamma[parse_indices(item["ijk"], 3, 2 * obj["l"])] = parsed[key]
     return PolynomialConnection(obj["l"], obj["cap"], gamma)

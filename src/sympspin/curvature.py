@@ -471,21 +471,22 @@ def _resolve(index, i, j, k, m):
     return index[(i, j, k, m)], sign
 
 
+def _row(index, terms) -> dict[int, Fraction]:
+    """The constraint sum w R_idx over the (index quadruple, w) terms, on
+    reduced coordinates: each quadruple resolved to (variable, sign), zeros
+    dropped."""
+    row: dict[int, Fraction] = {}
+    for idx, w in terms:
+        r = _resolve(index, *idx)
+        if r is not None:
+            row[r[0]] = row.get(r[0], F0) + w * r[1]
+    return {v: x for v, x in row.items() if x}
+
+
 def _bianchi_rows(n: int, index) -> list[dict[int, Fraction]]:
-    rows = []
-    for i in range(n):
-        for j, k, m in combinations(range(n), 3):
-            row: dict[int, Fraction] = {}
-            for (a, b, c, d) in ((i, j, k, m), (i, k, m, j), (i, m, j, k)):
-                r = _resolve(index, a, b, c, d)
-                if r is None:
-                    continue
-                var, sign = r
-                row[var] = row.get(var, F0) + sign
-            row = {v: x for v, x in row.items() if x}
-            if row:
-                rows.append(row)
-    return rows
+    rows = (_row(index, [(q, 1) for q in ((i, j, k, m), (i, k, m, j), (i, m, j, k))])
+            for i in range(n) for j, k, m in combinations(range(n), 3))
+    return [row for row in rows if row]
 
 
 def _trace_rows(n: int, index) -> list[dict[int, Fraction]]:
@@ -494,36 +495,17 @@ def _trace_rows(n: int, index) -> list[dict[int, Fraction]]:
     A raised-pair trace W^{ijkl} omega_(slots s,t) = 0 is equivalent to the
     omega^{ab} contraction of the lowered tensor on the same slots.
     """
-    rows = []
-    for _, cells in _trace_walk(omega_partners(n // 2), _SLOT_PAIRS):
-        for cell in chain.from_iterable(cells):
-            row: dict[int, Fraction] = {}
-            for idx, w in cell:
-                r = _resolve(index, *idx)
-                if r is None:
-                    continue
-                var, sign = r
-                val = row.get(var, F0) + w * sign
-                if val:
-                    row[var] = val
-                else:
-                    row.pop(var, None)
-            if row:
-                rows.append(row)
-    return rows
+    rows = (_row(index, cell) for _, cells in _trace_walk(omega_partners(n // 2), _SLOT_PAIRS)
+            for cell in chain.from_iterable(cells))
+    return [row for row in rows if row]
 
 
-_basis_cache: dict[tuple[int, bool], list] = {}
-
-
+@cache
 def _space_basis(l: int, trace_free: bool):
-    if (l, trace_free) not in _basis_cache:
-        n = 2 * l
-        variables, index = _canonical_vars(n)
-        rows = _bianchi_rows(n, index) + (_trace_rows(n, index) if trace_free else [])
-        basis = nullspace_basis(rows, len(variables))
-        _basis_cache[l, trace_free] = [(variables, vec) for vec in basis]
-    return _basis_cache[l, trace_free]
+    n = 2 * l
+    variables, index = _canonical_vars(n)
+    rows = _bianchi_rows(n, index) + (_trace_rows(n, index) if trace_free else [])
+    return [(variables, vec) for vec in nullspace_basis(rows, len(variables))]
 
 
 def curvature_space_basis(l: int):
@@ -549,20 +531,16 @@ def _expand_var_vector(l: int, variables, vec: dict):
     return out
 
 
-_int_basis_cache: dict[tuple[int, bool], tuple] = {}
-
-
+@cache
 def _int_basis(l: int, trace_free: bool):
     """(variables, [(ints, d)]): each basis vector of `_space_basis` as int
     numerators over its own denominator d, cleared on the first draw."""
-    if (l, trace_free) not in _int_basis_cache:
-        basis = _space_basis(l, trace_free)
-        cleared = []
-        for _, vec in basis:
-            d = lcm(*(x.denominator for x in vec.values()))
-            cleared.append(({v: x.numerator * (d // x.denominator) for v, x in vec.items()}, d))
-        _int_basis_cache[l, trace_free] = (basis[0][0] if basis else None, cleared)
-    return _int_basis_cache[l, trace_free]
+    basis = _space_basis(l, trace_free)
+    cleared = []
+    for _, vec in basis:
+        d = lcm(*(x.denominator for x in vec.values()))
+        cleared.append(({v: x.numerator * (d // x.denominator) for v, x in vec.items()}, d))
+    return basis[0][0] if basis else None, cleared
 
 
 def _random_combination(l: int, trace_free: bool, stream: RandomStream, bound: int):

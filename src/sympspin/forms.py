@@ -51,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import GR_I, GaussianRational, RandomStream
+from .exact import GR_I, GaussianRational, RandomStream, parse_indices
 from .spinors import (
     PolySpinor,
     SpLieElement,
@@ -470,7 +470,7 @@ def spinor_form_to_json(phi: SpinorForm) -> dict:
 def spinor_form_from_json(obj: dict) -> SpinorForm:
     comps = {}
     for item in obj["components"]:
-        tup = tuple(t - 1 for t in item["tuple"])
+        tup = parse_indices(item["tuple"], obj["r"], 2 * obj["l"])
         inner = poly_spinor_from_json(
             {"l": obj["l"], "cap": obj["cap"], "terms": item["terms"]}
         )

@@ -36,13 +36,16 @@ its key, the cap test is one comparison with cap << FIELD_BITS * l, and d/dx^v
 reads one field with a shift and a mask.  `MAX_CAP` fills a field, so no
 exponent of a capped spinor carries into the next one.  Every Clifford
 product in the package goes through one kernel, `_clifford_into`, which adds
-f * e_i.s for an int f straight into a dict of [re, im] accumulators; X, Y,
-the curvature action and the displays sum whole forms through it over one
-denominator and reduce once per output component (`_from_acc`).
+f * e_i.s for an int f straight into a dict of [re, im] accumulators; X and Y
+sum whole forms through it over one denominator and reduce once per output
+component (`_from_acc`).  Every quadratic Clifford element sum f e_a.e_b.s
+(`sp_action`, the curvature action and the displays) goes through one more,
+`_quadratic_into`, which forms each first product e_b.s once.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -399,6 +402,26 @@ def clifford_basis(i: int, s: PolySpinor) -> PolySpinor:
     return _from_acc(l, s.cap, acc, s.den)
 
 
+def _quadratic_into(s: PolySpinor, terms) -> dict:
+    """The accumulators {slot: {key: [re, im]}} of the quadratic Clifford sums
+    sum_b sum f e_a.(e_b.s) over (slot, a, f) in terms[b], for int f, all
+    over the one denominator s.den.
+
+    Each first product e_b.s is formed once (`clifford_basis`) and put back
+    over s.den by the int s.den // (e_b.s).den; every second product is
+    summed in place by `_clifford_into`.  Nothing is reduced here."""
+    l, cap = s.l, s.cap
+    accs: dict = defaultdict(dict)
+    for b, row in enumerate(terms):
+        if not row:
+            continue
+        eb = clifford_basis(b, s)
+        num, g = eb.num, s.den // eb.den
+        for slot, a, f in row:
+            _clifford_into(accs[slot], num, a, l, cap, g * f)
+    return accs
+
+
 class SpLieElement:
     """Element of sp(2l) presented as a symmetric 2l x 2l rational matrix.
 
@@ -454,23 +477,16 @@ class SpLieElement:
 def sp_action(A: SpLieElement, s: PolySpinor) -> PolySpinor:
     """Infinitesimal metaplectic action: (i/2) * sum_ab A[a][b] e_a.e_b.s.
 
-    A is cleared to the ints M = c A once; the sum of M[a][b] e_a.(e_b.s)
-    runs through the Clifford kernel over the one denominator 2 c s.den.
+    A is cleared to the ints M = c A once; `_quadratic_into` sums
+    M[a][b] e_a.(e_b.s) over the one denominator 2 c s.den.
     """
     if A.l != s.l:
         raise ValueError("mismatched l")
-    l, cap = s.l, s.cap
     c = lcm(*(x.denominator for row in A.matrix for x in row))
-    acc: dict = {}
-    for b in range(2 * l):
-        column = [(a, row[b]) for a, row in enumerate(A.matrix) if row[b]]
-        if not column:
-            continue
-        eb: dict = {}
-        _clifford_into(eb, s.num, b, l, cap, 1)
-        for a, x in column:
-            _clifford_into(acc, eb, a, l, cap, x.numerator * (c // x.denominator))
-    return _from_acc(l, cap, acc, 2 * c * s.den).scale(GR_I)
+    terms = [[(0, a, row[b].numerator * (c // row[b].denominator))
+              for a, row in enumerate(A.matrix) if row[b]] for b in range(2 * s.l)]
+    acc = _quadratic_into(s, terms).get(0, {})
+    return _from_acc(s.l, s.cap, acc, 2 * c * s.den).scale(GR_I)
 
 
 def random_spinor(

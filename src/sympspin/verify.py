@@ -25,9 +25,12 @@ Two evaluators are folded, exactly: the action sums c e_i.e_j.phi with the
 real c per slot k < l of the antisymmetric last pair and applies i once, and
 the eq. 11 display sums W^{ijk}_l e_k.e_i.e_j.phi per slot l before the one
 outer Clifford product.  The action and the displays raise no index: they read
-T^{ij}_{kl} = s_i s_j T_{i*j*kl} off the tensor's lowered int numerators and
-sum int multiples of Clifford products through the one kernel
-`spinors._clifford_into` over one denominator; no verdict clears a tensor.
+T^{ij}_{kl} = s_i s_j T_{i*j*kl} off the tensor's lowered int numerators into
+int tables of quadratic Clifford terms, which the one kernel
+`spinors._quadratic_into` sums over one denominator (eq. 11 adds its third
+and outer products through `spinors._clifford_into`); no verdict clears a
+tensor.  Replay decodes every index through `exact.parse_indices`, and a
+theorem10 tensor as a checked `WeylTensor`.
 The theorem checks take p20, p21 and p22 of an action from one XY and one
 X^2Y^2 (`forms._two_form_parts`).
 
@@ -49,6 +52,7 @@ from itertools import combinations
 from .curvature import (
     CurvatureTensor,
     RicciTensor,
+    WeylTensor,
     check_symmetries,
     curvature_from_json,
     curvature_to_json,
@@ -70,7 +74,7 @@ from .connections import (
     evaluate_curvature_at,
     random_connection,
 )
-from .exact import GR_I, GaussianRational, RandomStream, parse_rational
+from .exact import GR_I, GaussianRational, RandomStream, parse_indices, parse_rational
 from .forms import (
     SpinorForm,
     _form,
@@ -92,6 +96,7 @@ from .spinors import (
     SpLieElement,
     _clifford_into,
     _from_acc,
+    _quadratic_into,
     clifford_basis,
     poly_spinor_from_json,
     poly_spinor_to_json,
@@ -169,39 +174,21 @@ def spinor_curvature_action(T: CurvatureTensor, phi: PolySpinor) -> SpinorForm:
     (k, m) and (m, k) carry c and -c on e^k ∧ e^m, and the slot k < m is
     i T^{ij}_{km} e_i.e_j.phi.  Raising is the signed swap
     T^{ij}_{km} = s_i s_j T_{i*j*km}, read off the numerators E = T.den T;
-    each slot sums s_i s_j E_{i*j*km} e_i.(e_j.phi) through the Clifford
-    kernel over the one denominator T.den * phi.den and takes i once.
-    The 2l products e_j.phi are spinors (`clifford_basis`), shared by all i.
+    each slot sums s_i s_j E_{i*j*km} e_i.(e_j.phi) through
+    `_quadratic_into` over the one denominator T.den * phi.den and takes i
+    once.
     """
     if not _curvature_type(T):
         raise ValueError("tensor violates the curvature symmetries")
     if phi.headroom() < 2:
         raise DegreeCapError("action needs spinor headroom >= 2")
-    l, cap = T.l, phi.cap
-    partners = omega_partners(l)
-    pairs = list(combinations(range(2 * l), 2))
-    E, c = T.num, T.den
-    accs: dict[tuple[int, int], dict] = {}
-    for jp, ej, g in _first_products(phi):
-        for i, (ip, si) in enumerate(partners):
-            plane = E[ip][jp]
-            for k, m in pairs:
-                x = plane[k][m]
-                if x:
-                    _clifford_into(accs.setdefault((k, m), {}), ej, i, l, cap, g * si * x)
-    return _form_from_accs(l, 2, cap, accs, c * phi.den).scale(GR_I)
-
-
-def _first_products(phi: PolySpinor):
-    """(j*, numerators of e_j.phi, g) for each basis index j with e_j.phi
-    nonzero, where g = s_j * phi.den / (e_j.phi).den is an int: g times the
-    numerators puts s_j e_j.phi over phi.den, so the second Clifford products
-    of every j sum over that one denominator.  s_j is the sign the raised
-    index j carries."""
-    for j, (jp, sj) in enumerate(omega_partners(phi.l)):
-        ej = clifford_basis(j, phi)
-        if ej.num:
-            yield jp, ej.num, sj * (phi.den // ej.den)
+    partners = omega_partners(T.l)
+    pairs = list(combinations(range(2 * T.l), 2))
+    terms = [[((k, m), i, si * sj * x) for i, (ip, si) in enumerate(partners)
+              for plane in [T.num[ip][jp]] for k, m in pairs if (x := plane[k][m])]
+             for jp, sj in partners]
+    accs = _quadratic_into(phi, terms)
+    return _form_from_accs(T.l, 2, phi.cap, accs, T.den * phi.den).scale(GR_I)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +197,9 @@ def _first_products(phi: PolySpinor):
 #
 # Each display reads its raised tensor off the lowered int numerators:
 # sigma^{ij} = s_i s_j sigma_{i*j*} and W^{ijk}_l = s_i s_j s_k
-# W_{i*j*k*l}.  The spinor sums run through the Clifford kernel over one
-# denominator, and i is applied once per component at the end.
+# W_{i*j*k*l}.  Each builds an int table of quadratic Clifford terms for
+# `_quadratic_into`, which sums them over one denominator, and i is applied
+# once per component at the end.
 
 
 def literal_p20_ricci(sigma: RicciTensor, phi: PolySpinor) -> SpinorForm:
@@ -220,74 +208,66 @@ def literal_p20_ricci(sigma: RicciTensor, phi: PolySpinor) -> SpinorForm:
     omega_kl e^k ∧ e^l puts 2 s_k = 2 on each slot (k, k+l), k < l, and
     nothing elsewhere, so every such slot is i 2(l+1)/l sigma^{ij} e_i.e_j.phi.
     """
-    l, cap = sigma.l, phi.cap
+    l, S = sigma.l, sigma.num
     partners = omega_partners(l)
-    S, c = sigma.num, sigma.den
-    acc: dict = {}
-    for jp, ej, g in _first_products(phi):
-        for i, (ip, si) in enumerate(partners):
-            x = S[ip][jp]
-            if x:
-                _clifford_into(acc, ej, i, l, cap, 2 * (l + 1) * g * si * x)
-    s = _from_acc(l, cap, acc, l * c * phi.den).scale(GR_I)
-    return _form(l, 2, cap, {(k, k + l): s for k in range(l)})
+    terms = [[(0, i, 2 * (l + 1) * si * sj * x) for i, (ip, si) in enumerate(partners)
+              if (x := S[ip][jp])] for jp, sj in partners]
+    acc = _quadratic_into(phi, terms).get(0, {})
+    s = _from_acc(l, phi.cap, acc, l * sigma.den * phi.den).scale(GR_I)
+    return _form(l, 2, phi.cap, {(k, k + l): s for k in range(l)})
 
 
 def literal_p21_ricci(sigma: RicciTensor, phi: PolySpinor) -> SpinorForm:
     """As displayed: i sigma^{ij} e^k ∧ e^l (2 omega_il ⊗ e_k.e_j. - (1/l) omega_kl ⊗ e_i.e_j.) phi.
 
-    Over the denominator l * c * phi.den, the first term puts
+    Over the denominator l * sigma.den * phi.den, the first term puts
     2 l sigma^{ij} s_i e_k.e_j.phi on e^k ∧ e^{i*} (omega_{i i*} = s_i), and
     the second -2 sigma^{ij} e_i.e_j.phi on each slot (k, k+l), k < l.
     """
-    l, cap = sigma.l, phi.cap
+    l, S = sigma.l, sigma.num
     partners = omega_partners(l)
-    S, c = sigma.num, sigma.den
-    accs: dict[tuple[int, int], dict] = {}
-    for jp, ej, g in _first_products(phi):
+    terms = []
+    for jp, sj in partners:
+        row = []
         for i, (m, si) in enumerate(partners):
-            x = g * si * S[m][jp]
-            if not x:
-                continue
-            for k in range(l):
-                _clifford_into(accs.setdefault((k, k + l), {}), ej, i, l, cap, -2 * x)
-            for k in range(2 * l):
-                if k != m:
-                    key, sign = ((k, m), 1) if k < m else ((m, k), -1)
-                    _clifford_into(accs.setdefault(key, {}), ej, k, l, cap,
-                                   2 * l * x * si * sign)
-    return _form_from_accs(l, 2, cap, accs, l * c * phi.den).scale(GR_I)
+            x = si * sj * S[m][jp]
+            if x:
+                row += [((k, k + l), i, -2 * x) for k in range(l)]
+                row += [((k, m), k, 2 * l * x * si) if k < m else ((m, k), k, -2 * l * x * si)
+                        for k in range(2 * l) if k != m]
+        terms.append(row)
+    accs = _quadratic_into(phi, terms)
+    return _form_from_accs(l, 2, phi.cap, accs, l * sigma.den * phi.den).scale(GR_I)
 
 
 def literal_p21_weyl(W: CurvatureTensor, phi: PolySpinor) -> SpinorForm:
     """As displayed: (2i/(1-l)) W^{ijk}_l e^m ∧ e^l ⊗ e_m.e_k.e_i.e_j.phi.
 
-    Folded: T_l = W^{ijk}_l e_k.e_i.e_j.phi is summed first for each slot l,
+    Folded: s_i s_j e_i.e_j.phi is summed once per (i*, j*) by
+    `_quadratic_into`, then T_l = W^{ijk}_l e_k.e_i.e_j.phi for each slot l,
     so the slot a < b of the form is e_a.T_b - e_b.T_a, one Clifford product
-    per (m, l) pair.  2i/(1-l) is -2 i over the denominator (l-1) c phi.den.
+    per (m, l) pair.  2i/(1-l) is -2 i over the denominator (l-1) W.den phi.den.
     """
     l, cap = W.l, phi.cap
     n = 2 * l
     partners = omega_partners(l)
-    E, c = W.num, W.den
+    E = W.num
+    terms = [[((ip, jp), i, si * sj) for i, (ip, si) in enumerate(partners)] for jp, sj in partners]
     slot: list[dict] = [{} for _ in range(n)]
-    for jp, ej, g in _first_products(phi):
-        for i, (ip, si) in enumerate(partners):
-            eij: dict = {}
-            _clifford_into(eij, ej, i, l, cap, g * si)
-            if not eij:
-                continue
-            block = E[ip][jp]
-            for k, (kp, sk) in enumerate(partners):
-                for m, x in enumerate(block[kp]):
-                    if x:
-                        _clifford_into(slot[m], eij, k, l, cap, sk * x)
+    for (ip, jp), eij in _quadratic_into(phi, terms).items():
+        if not eij:
+            continue
+        block = E[ip][jp]
+        for k, (kp, sk) in enumerate(partners):
+            for m, x in enumerate(block[kp]):
+                if x:
+                    _clifford_into(slot[m], eij, k, l, cap, sk * x)
     accs: dict[tuple[int, int], dict] = {}
     for a, b in combinations(range(n), 2):
         acc = accs[(a, b)] = {}
         _clifford_into(acc, slot[b], a, l, cap, -2)
         _clifford_into(acc, slot[a], b, l, cap, 2)
-    return _form_from_accs(l, 2, cap, accs, (l - 1) * c * phi.den).scale(GR_I)
+    return _form_from_accs(l, 2, cap, accs, (l - 1) * W.den * phi.den).scale(GR_I)
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +665,8 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
         # a spinor and every ordered pair of basis vectors
         sample=lambda l, degree, stream: (random_spinor(l, degree, degree + 2, stream),
                                           [(a, b) for a in range(2 * l) for b in range(2 * l)]),
-        decode=lambda ce: (poly_spinor_from_json(ce["spinor"]), [(ce["a"] - 1, ce["b"] - 1)]),
+        decode=lambda ce: (poly_spinor_from_json(ce["spinor"]),
+                           [parse_indices([ce["a"], ce["b"]], 2, 2 * ce["l"])]),
         run=lambda l, degree, trials, seed: [lemma1_suite(l, degree, trials, seed)],
         min_l=2,
     ),
@@ -764,7 +745,9 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
                lambda inst: _theorem(verify_theorem10(*inst))),),
         sample=lambda l, degree, stream: (random_weyl(l, _seed(stream)),
                                           random_spinor(l, degree, degree + 6, stream)),
-        decode=lambda ce: _theorem_decode(ce, "weyl", curvature_from_json),
+        # the theorem is about trace-free tensors only: refuse any other
+        decode=lambda ce: _theorem_decode(
+            ce, "weyl", lambda obj: WeylTensor(obj["l"], curvature_from_json(obj).entries)),
         run=lambda l, degree, trials, seed: [theorem10_suite(l, degree, trials, seed)],
         min_l=2,
         min_pad=6,

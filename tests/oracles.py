@@ -32,6 +32,7 @@ stream integer composed of `next_u64` and `_mix64`, which
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import lcm
 
@@ -388,17 +389,23 @@ def unchecked_tensor(l, entries) -> CurvatureTensor:
     return _tensor(l, *_cleared(entries))
 
 
-def poly_eval(p, point) -> Fraction:
-    """The Poly p at `point`, term by term, each power a repeated product."""
+def poly_eval(p, point, monomials=None) -> Fraction:
+    """The Poly p at `point`, term by term, each monomial a repeated product.
+    A dict `monomials` shares the monomial values between calls at one point."""
     if len(point) != p.n:
         raise ValueError("point has wrong dimension")
+    if monomials is None:
+        monomials = {}
     acc = Fraction(0)
     for alpha, c in p.terms.items():
-        term = c
-        for x, e in zip(point, alpha):
-            for _ in range(e):
-                term *= x
-        acc += term
+        x = monomials.get(alpha)
+        if x is None:
+            x = Fraction(1)
+            for xv, e in zip(point, alpha):
+                for _ in range(e):
+                    x *= xv
+            monomials[alpha] = x
+        acc += c * x
     return acc
 
 
@@ -429,12 +436,13 @@ def poly_deriv(p: Poly, v: int) -> Poly:
 
 def gamma_upper(conn) -> dict:
     """Gamma^m_jk = sum_i omega^{mi} Gamma_ijk as Polys, summed over every
-    entry of omega_upper."""
+    entry of omega_upper; equal values share one Poly."""
     up = standard_symplectic_form(conn.l).omega_upper
     n = 2 * conn.l
-    return {(m, j, k): poly_lincomb(n, [(up[m][i], conn.entry(i, j, k)) for i in range(n)
-                                        if up[m][i]])
-            for m, j, k in product(range(n), repeat=3)}
+    shared: dict = {}
+    return {(m, j, k): shared.setdefault(p, p) for m, j, k in product(range(n), repeat=3)
+            for p in [poly_lincomb(n, [(up[m][i], conn.entry(i, j, k))
+                                       for i in range(n) if up[m][i]])]}
 
 
 def check_connection_axioms(conn) -> ConnectionAxiomReport:
@@ -465,27 +473,37 @@ def check_connection_axioms(conn) -> ConnectionAxiomReport:
     return ConnectionAxiomReport(torsion_ok, omega_ok, violation, poly)
 
 
-def evaluate_curvature_at(conn, point) -> CurvatureTensor:
-    """R_ijkl at `point` from the raised table of the connection and its
-    `poly_deriv` partials, every value a Fraction:
+def curvatures_at(conn, points) -> list[CurvatureTensor]:
+    """R_ijkl at each of `points` from the raised table of the connection and
+    its `poly_deriv` partials, every value a Fraction:
     R^m_jkl = d_k Gamma^m_lj - d_l Gamma^m_kj + Gamma^m_ka Gamma^a_lj
-    - Gamma^m_la Gamma^a_kj, lowered with the omega matrix."""
+    - Gamma^m_la Gamma^a_kj, lowered with the omega matrix.  The table and
+    the partials of each distinct raised symbol are built once; at each
+    point each of them, and each monomial, is evaluated once."""
     lo = standard_symplectic_form(conn.l).omega_lower
     n = 2 * conn.l
-    pt = [Fraction(x) for x in point]
     gamma = gamma_upper(conn)
-    g = {idx: poly_eval(p, pt) for idx, p in gamma.items()}
-    dg = {(v, *idx): poly_eval(poly_deriv(p, v), pt) for idx, p in gamma.items() for v in range(n)}
-    out = _zero4(n)
-    for m, j, k, mm in product(range(n), repeat=4):
-        if k == mm:
-            continue
-        acc = dg[(k, m, mm, j)] - dg[(mm, m, k, j)]
-        for a in range(n):
-            acc += g[(m, k, a)] * g[(a, mm, j)] - g[(m, mm, a)] * g[(a, k, j)]
-        for i in range(n):
-            out[i][j][k][mm] += acc * lo[m][i]
-    return unchecked_tensor(conn.l, out)
+    distinct = {id(p): p for p in gamma.values()}
+    partials = {(key, v): poly_deriv(p, v) for key, p in distinct.items() for v in range(n)}
+    tensors = []
+    for point in points:
+        pt = [Fraction(x) for x in point]
+        monomials: dict = {}
+        values = {key: poly_eval(p, pt, monomials) for key, p in distinct.items()}
+        dvalues = {key: poly_eval(p, pt, monomials) for key, p in partials.items()}
+        g = {idx: values[id(p)] for idx, p in gamma.items()}
+        dg = {(v, *idx): dvalues[id(p), v] for idx, p in gamma.items() for v in range(n)}
+        out = _zero4(n)
+        for m, j, k, mm in product(range(n), repeat=4):
+            if k == mm:
+                continue
+            acc = dg[(k, m, mm, j)] - dg[(mm, m, k, j)]
+            for a in range(n):
+                acc += g[(m, k, a)] * g[(a, mm, j)] - g[(m, mm, a)] * g[(a, k, j)]
+            for i in range(n):
+                out[i][j][k][mm] += acc * lo[m][i]
+        tensors.append(unchecked_tensor(conn.l, out))
+    return tensors
 
 
 def sigma_tilde_of(sigma) -> CurvatureTensor:
@@ -558,12 +576,13 @@ def next_int(stream: RandomStream, lo: int, hi: int) -> int:
     return lo + stream.next_u64() % (hi - lo + 1)
 
 
-def exponents(n: int, budget: int) -> list:
+@cache
+def exponents(n: int, budget: int) -> tuple:
     """The exponent tuples of n variables of total degree <= budget, in
-    lexicographic order, rebuilt on every call."""
+    lexicographic order, by their own recursion."""
     if n == 1:
-        return [(e,) for e in range(budget + 1)]
-    return [(e, *rest) for e in range(budget + 1) for rest in exponents(n - 1, budget - e)]
+        return tuple((e,) for e in range(budget + 1))
+    return tuple((e, *rest) for e in range(budget + 1) for rest in exponents(n - 1, budget - e))
 
 
 def random_poly(n: int, degree: int, stream: RandomStream, bound: int = 3) -> Poly:

@@ -12,6 +12,8 @@ import pytest
 import sympspin
 from sympspin.connections import connection_to_json, random_connection
 from sympspin.curvature import curvature_to_json, random_curvature
+from sympspin.exact import RandomStream
+from sympspin.spinors import poly_spinor_to_json, random_spinor
 from sympspin.cli import (
     EXPECTED_DISPLAYS,
     MAX_DEGREE,
@@ -350,6 +352,18 @@ HOSTILE_REPLAYS = {
     **{f"{kind}-exponent-spinor": json.dumps({**_LEMMA1_CE, "spinor": {
         **_LEMMA1_CE["spinor"], "terms": [{"alpha": alpha, "re": "1", "im": "0"}]}})
        for kind, alpha in (("float", [0, 1.0]), ("bool", [0, True]))},
+    # theorem10 is about trace-free tensors: a generic curvature tensor there
+    # is outside its hypothesis, not a counterexample
+    "not-weyl": json.dumps({"check": "theorem10", "l": 2,
+                            "weyl": curvature_to_json(random_curvature(2, 5)),
+                            "phi": poly_spinor_to_json(random_spinor(2, 2, 8, RandomStream(5)))}),
+    # indices must be ints in 1..2l: true would read as 1, and 99 ends deep
+    # inside the check
+    "bool-index": json.dumps({**_LEMMA1_CE, "a": True}),
+    "huge-index": json.dumps({**_LEMMA1_CE, "a": 99}),
+    "bool-tuple-form": json.dumps({"check": "lemma4", "l": 2, "form": {
+        "l": 2, "r": 1, "cap": 4, "components": [
+            {"tuple": [True], "terms": [{"alpha": [0, 1], "re": "1", "im": "0"}]}]}}),
 }
 
 

@@ -17,6 +17,7 @@ import oracles
 from sympspin import connections
 from sympspin.connections import (
     CurvatureField,
+    Poly,
     PolynomialConnection,
     connection_from_json,
     connection_to_json,
@@ -47,8 +48,8 @@ def _asymmetric_connection(l: int, degree: int, seed: int) -> PolynomialConnecti
 
 def _mismatches(field: CurvatureField, conn: PolynomialConnection, points) -> list:
     """The points where the field's evaluation and the Fraction oracle differ."""
-    return [p for p in points
-            if evaluate_curvature_at(field, p) != oracles.evaluate_curvature_at(conn, p)]
+    return [p for p, R in zip(points, oracles.curvatures_at(conn, points))
+            if evaluate_curvature_at(field, p) != R]
 
 
 @pytest.mark.parametrize("l,degree", [(l, d) for l in (1, 2, 3, 4) for d in range(4)])
@@ -164,6 +165,22 @@ def test_a_sampled_connection_stores_each_distinct_symbol_once(l, symbols):
         assert copy == conn and copy.den == conn.den
         assert all(type(c) is int and c for sym in conn.symbols for _, c in sym)
         assert all(list(sym) == sorted(sym) for sym in conn.symbols)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_a_json_round_trip_checks_and_clears_each_distinct_symbol_once(l, monkeypatch):
+    # the constructor keys its Polys by content, so separate but equal ones
+    # (`gamma` builds a fresh view per triple) are checked once; the decoder
+    # parses each symbol, as written, once
+    conn = random_connection(l, 2, 60 + l)
+    checked = []
+    degree = Poly.degree
+    monkeypatch.setattr(Poly, "degree", lambda p: checked.append(p) or degree(p))
+    for build in (lambda: connection_from_json(connection_to_json(conn)),
+                  lambda: PolynomialConnection(l, 2, conn.gamma)):
+        checked.clear()
+        assert build() == conn
+        assert len(checked) == len(set(checked)) == len(conn.symbols)
 
 
 @pytest.mark.parametrize("l,degree", [(1, 0), (1, 2), (2, 0), (2, 1)])
