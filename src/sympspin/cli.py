@@ -7,7 +7,7 @@ MAX_L / MAX_DEGREE / MAX_TRIALS), the report records and their emission, and
 the `sympspin` entry point.  `--replay` re-runs the counterexamples in a file
 and exits 2 with a one-line message on a file it cannot replay.
 
-Report schema (JSON):
+Report schema (JSON), each record its dataclass's fields in declared order:
 
     {"config": {...}, "checks": [{"name": str, "paper_anchor": str,
       "status": "pass"|"fail"|"skipped", "trials_run": int,
@@ -32,7 +32,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .exact import RandomStream
 from .verify import (
@@ -88,16 +88,7 @@ class RunConfig:
     format: str = "text"
 
     def to_json(self) -> dict:
-        return {
-            "l": self.l,
-            "max_degree": self.max_degree,
-            "pad": self.pad,
-            "trials": self.trials,
-            "seed": self.seed,
-            "suites": list(self.suites),
-            "out": self.out,
-            "format": self.format,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -110,14 +101,7 @@ class CheckRecord:
     counterexample: dict | None
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "paper_anchor": self.paper_anchor,
-            "status": self.status,
-            "trials_run": self.trials_run,
-            "elapsed_ms": self.elapsed_ms,
-            "counterexample": self.counterexample,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -249,7 +233,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-degree", type=int, default=6, dest="max_degree",
                         help="maximum sampled spinor degree (default 6)")
     parser.add_argument("--pad", type=int, default=6,
-                        help="degree headroom floor; theorem suites need >= 6")
+                        help="a gate (default 6), not headroom: theorem suites and "
+                             "symbol-complex need >= 6; each sampler fixes its own cap")
     parser.add_argument("--trials", type=int, default=20,
                         help="random trials per check (default 20)")
     parser.add_argument("--seed", type=int, default=42,

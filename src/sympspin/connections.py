@@ -48,7 +48,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import gcd, lcm, prod
 
 from .curvature import CurvatureTensor, _tensor
-from .exact import RandomStream, parse_indices, parse_rational
+from .exact import RandomStream, _keyed, parse_indices, parse_rational
 from .symplectic import omega_partners
 
 __all__ = [
@@ -181,12 +181,14 @@ class PolynomialConnection:
         n = 2 * l
         zero = Poly.zero(n)
         # each distinct Poly value is checked and cleared once; a shared object
-        # is hashed by content only the first time it is met
+        # is keyed the first time it is met, by n and its sorted (alpha, p, q)
+        # terms, so no Fraction is hashed
         terms, keys, seen, values = {}, {}, {}, {}
         for idx in product(range(n), repeat=3):
             p = gamma.get(idx, zero)
             if id(p) not in seen:
-                seen[id(p)] = values.setdefault(p, len(values))
+                t = tuple((a, c.numerator, c.denominator) for a, c in sorted(p.terms.items()))
+                seen[id(p)] = values.setdefault((p.n, t), len(values))
             keys[idx] = key = seen[id(p)]
             if key in terms:
                 continue
@@ -194,7 +196,7 @@ class PolynomialConnection:
                 raise ValueError("polynomial has wrong number of variables")
             if p.degree() > cap:
                 raise ValueError(f"Gamma{idx} exceeds degree cap {cap}")
-            terms[key] = [(a, c.numerator, c.denominator) for a, c in sorted(p.terms.items())]
+            terms[key] = t      # a key not yet in terms was made from t just now
         _intern(self, l, cap, terms, keys)
 
     def __setattr__(self, name, value):
@@ -423,7 +425,8 @@ def poly_to_json(p: Poly) -> dict:
 
 
 def poly_from_json(obj: dict) -> Poly:
-    return Poly(obj["n"], {tuple(t["alpha"]): parse_rational(t["val"]) for t in obj["terms"]})
+    return Poly(obj["n"], {alpha: parse_rational(t["val"])
+                           for alpha, t in _keyed(obj["terms"], "alpha").items()})
 
 
 def connection_to_json(conn: PolynomialConnection) -> dict:
@@ -436,9 +439,10 @@ def connection_to_json(conn: PolynomialConnection) -> dict:
 def connection_from_json(obj: dict) -> PolynomialConnection:
     parsed: dict[str, Poly] = {}    # equal symbols, as written, are parsed once
     gamma = {}
-    for item in obj["gamma"]:
+    for idx, item in _keyed(obj["gamma"], "ijk",
+                            lambda t: parse_indices(t, 3, 2 * obj["l"])).items():
         key = repr(item["poly"])
         if key not in parsed:
             parsed[key] = poly_from_json(item["poly"])
-        gamma[parse_indices(item["ijk"], 3, 2 * obj["l"])] = parsed[key]
+        gamma[idx] = parsed[key]
     return PolynomialConnection(obj["l"], obj["cap"], gamma)

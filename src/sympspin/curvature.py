@@ -54,6 +54,7 @@ from operator import itemgetter
 
 from .exact import (
     RandomStream,
+    _keyed,
     nullspace_basis,
     parse_indices,
     parse_rational,
@@ -597,8 +598,8 @@ def curvature_to_json(R: CurvatureTensor) -> dict:
 def curvature_from_json(obj: dict) -> CurvatureTensor:
     l = obj["l"]
     entries = _zero_ints(2 * l)
-    for item in obj["entries"]:
-        i, j, k, m = parse_indices(item["ijkl"], 4, 2 * l)
+    for (i, j, k, m), item in _keyed(obj["entries"], "ijkl",
+                                     lambda t: parse_indices(t, 4, 2 * l)).items():
         entries[i][j][k][m] = parse_rational(item["val"])
     return CurvatureTensor(l, entries)
 

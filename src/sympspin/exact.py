@@ -186,6 +186,17 @@ def parse_indices(idx, count: int, n: int) -> tuple[int, ...]:
     return tuple(x - 1 for x in idx)
 
 
+def _keyed(entries, name: str, parse=tuple) -> dict:
+    """The JSON `entries` keyed by parse(entry[name]); ValueError on a repeated
+    key, so a later entry never silently replaces an earlier one."""
+    out = {}
+    for entry in entries:
+        if (key := parse(entry[name])) in out:
+            raise ValueError(f"repeated {name!r} {entry[name]}")
+        out[key] = entry
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Deterministic splittable PRNG
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import GR_I, GaussianRational, RandomStream, parse_indices
+from .exact import GR_I, GaussianRational, RandomStream, _keyed, parse_indices
 from .spinors import (
     PolySpinor,
     SpLieElement,
@@ -250,19 +250,16 @@ def _insert_index(i: int, tup: tuple[int, ...]) -> tuple[int, tuple[int, ...]] |
 
 
 def wedge(i: int, phi: SpinorForm) -> SpinorForm:
-    """Left wedge by the basis covector e^i."""
+    """Left wedge by the basis covector e^i: each component moves, signed."""
     if not (0 <= i < 2 * phi.l):
         raise ValueError(f"covector index {i} out of range")
     if phi.r == 2 * phi.l:
         return SpinorForm.zero(phi.l, phi.r, phi.cap)
-    out: dict[tuple[int, ...], PolySpinor] = {}
+    out = {}
     for tup, s in phi.components.items():
-        ins = _insert_index(i, tup)
-        if ins is None:
-            continue
-        sign, new = ins
-        term = s if sign == 1 else -s
-        _accumulate(out, new, term)
+        if i not in tup:
+            sign, new = _insert_index(i, tup)
+            out[new] = s if sign == 1 else -s
     return _form(phi.l, phi.r + 1, phi.cap, out)
 
 
@@ -279,19 +276,16 @@ def wedge_covector(xi, phi: SpinorForm) -> SpinorForm:
 
 
 def contract(i: int, phi: SpinorForm) -> SpinorForm:
-    """Interior product iota_{e_i}; zero on 0-forms."""
+    """Interior product iota_{e_i}: each component moves, signed; zero on 0-forms."""
     if not (0 <= i < 2 * phi.l):
         raise ValueError(f"vector index {i} out of range")
     if phi.r == 0:
         return SpinorForm.zero(phi.l, 0, phi.cap)
-    out: dict[tuple[int, ...], PolySpinor] = {}
+    out = {}
     for tup, s in phi.components.items():
-        if i not in tup:
-            continue
-        pos = tup.index(i)
-        reduced = tup[:pos] + tup[pos + 1:]
-        term = s if pos % 2 == 0 else -s
-        _accumulate(out, reduced, term)
+        if i in tup:
+            pos = tup.index(i)
+            out[tup[:pos] + tup[pos + 1:]] = -s if pos % 2 else s
     return _form(phi.l, phi.r - 1, phi.cap, out)
 
 
@@ -468,11 +462,7 @@ def spinor_form_to_json(phi: SpinorForm) -> dict:
 
 
 def spinor_form_from_json(obj: dict) -> SpinorForm:
-    comps = {}
-    for item in obj["components"]:
-        tup = parse_indices(item["tuple"], obj["r"], 2 * obj["l"])
-        inner = poly_spinor_from_json(
-            {"l": obj["l"], "cap": obj["cap"], "terms": item["terms"]}
-        )
-        comps[tup] = inner
+    items = _keyed(obj["components"], "tuple", lambda t: parse_indices(t, obj["r"], 2 * obj["l"]))
+    comps = {tup: poly_spinor_from_json({"l": obj["l"], "cap": obj["cap"], "terms": item["terms"]})
+             for tup, item in items.items()}
     return SpinorForm(obj["l"], obj["r"], obj["cap"], comps)

@@ -58,6 +58,7 @@ from .exact import (
     RandomStream,
     _as_fraction,
     _gr,
+    _keyed,
     parse_rational,
     random_symmetric_matrix,
     symmetric_matrix,
@@ -545,8 +546,6 @@ def poly_spinor_to_json(s: PolySpinor) -> dict:
 
 
 def poly_spinor_from_json(obj: dict) -> PolySpinor:
-    coeffs = {
-        tuple(t["alpha"]): GaussianRational(parse_rational(t["re"]), parse_rational(t["im"]))
-        for t in obj["terms"]
-    }
+    coeffs = {alpha: GaussianRational(parse_rational(t["re"]), parse_rational(t["im"]))
+              for alpha, t in _keyed(obj["terms"], "alpha").items()}
     return PolySpinor(obj["l"], obj["cap"], coeffs)

@@ -29,8 +29,10 @@ T^{ij}_{kl} = s_i s_j T_{i*j*kl} off the tensor's lowered int numerators into
 int tables of quadratic Clifford terms, which the one kernel
 `spinors._quadratic_into` sums over one denominator (eq. 11 adds its third
 and outer products through `spinors._clifford_into`); no verdict clears a
-tensor.  Replay decodes every index through `exact.parse_indices`, and a
-theorem10 tensor as a checked `WeylTensor`.
+tensor.  Lemma 1 goes through the same kernel, one slot per ordered product
+e_a.(e_b.s), so each e_b.s is formed once per trial.  Replay decodes every
+index through `exact.parse_indices`, and a theorem10 tensor as a checked
+`WeylTensor`.
 The theorem checks take p20, p21 and p22 of an action from one XY and one
 X^2Y^2 (`forms._two_form_parts`).
 
@@ -97,7 +99,6 @@ from .spinors import (
     _clifford_into,
     _from_acc,
     _quadratic_into,
-    clifford_basis,
     poly_spinor_from_json,
     poly_spinor_to_json,
     random_spinor,
@@ -152,14 +153,7 @@ class ActionReport:
     witness: dict | None = None        # recorded nonzero instance, where one is required
 
     def to_json(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "trials": self.trials,
-            "status": self.status,
-            "counterexample": self.counterexample,
-            "literal_formula_match": self.literal_formula_match,
-            "displays": [asdict(d) for d in self.displays],
-        }
+        return {k: v for k, v in asdict(self).items() if k != "witness"}
 
 
 # ---------------------------------------------------------------------------
@@ -560,15 +554,16 @@ def _curvature_payload(R: CurvatureTensor) -> dict:
 
 
 def _lemma1_holds(instance):
+    """e_a.(e_b.s) - e_b.(e_a.s) + i omega_ab s per pair; one kernel slot per product."""
     s, pairs = instance
+    need = {p for a, b in pairs for p in ((a, b), (b, a))}
+    accs = _quadratic_into(s, [[(ab, ab[0], 1) for ab in need if ab[1] == c]
+                               for c in range(2 * s.l)])
+    product = {ab: _from_acc(s.l, s.cap, acc, s.den) for ab, acc in accs.items()}
     partners = omega_partners(s.l)
     for a, b in pairs:
         partner, sign = partners[a]     # omega(e_a, e_b) = sign at b = partner, else 0
-        resid = (
-            clifford_basis(a, clifford_basis(b, s))
-            - clifford_basis(b, clifford_basis(a, s))
-            + s.scale(GR_I * (sign if b == partner else 0))
-        )
+        resid = product[a, b] - product[b, a] + s.scale(GR_I * (sign if b == partner else 0))
         if not resid.is_zero():
             return {"l": s.l, "a": a + 1, "b": b + 1, "spinor": poly_spinor_to_json(s)}
     return None

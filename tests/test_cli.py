@@ -11,8 +11,9 @@ import pytest
 
 import sympspin
 from sympspin.connections import connection_to_json, random_connection
-from sympspin.curvature import curvature_to_json, random_curvature
+from sympspin.curvature import RicciTensor, curvature_to_json, random_curvature, ricci_to_json
 from sympspin.exact import RandomStream
+from sympspin.forms import random_form, spinor_form_to_json
 from sympspin.spinors import poly_spinor_to_json, random_spinor
 from sympspin.cli import (
     EXPECTED_DISPLAYS,
@@ -312,6 +313,11 @@ def _zero_index(items, key, top):
     return [{**item, key: [0 if x == top else x for x in item[key]]} for item in items]
 
 
+def _repeat_first(items):
+    """The JSON entries `items` with the first one listed again."""
+    return items + items[:1]
+
+
 HOSTILE_REPLAYS = {
     "not-json": "{this is not json",
     "too-deep": "[" * 100000 + "]" * 100000,
@@ -364,6 +370,23 @@ HOSTILE_REPLAYS = {
     "bool-tuple-form": json.dumps({"check": "lemma4", "l": 2, "form": {
         "l": 2, "r": 1, "cap": 4, "components": [
             {"tuple": [True], "terms": [{"alpha": [0, 1], "re": "1", "im": "0"}]}]}}),
+    # a writer lists each key once; a decoder that kept the last of repeated
+    # keys would replay an instance other than the one the file lists (the
+    # connection cases reuse `conn`, bound in "zero-index-connection")
+    "repeated-alpha-spinor": json.dumps({
+        "check": "theorem9", "l": 2, "sigma": ricci_to_json(RicciTensor.random(2, RandomStream(5))),
+        "phi": {**(phi := poly_spinor_to_json(random_spinor(2, 2, 8, RandomStream(6)))),
+                "terms": _repeat_first(phi["terms"])}}),
+    "repeated-tuple-form": json.dumps({"check": "lemma4", "l": 2, "form": {
+        **(form := spinor_form_to_json(random_form(2, 1, 2, 4, RandomStream(7)))),
+        "components": _repeat_first(form["components"])}}),
+    "repeated-ijkl-curvature": json.dumps({"check": "lemma6", "l": 2, "curvature": {
+        **(R := curvature_to_json(random_curvature(2, 5))), "entries": _repeat_first(R["entries"])}}),
+    "repeated-ijk-connection": json.dumps({"check": "fedosov.axioms", "connection": {
+        **conn, "gamma": _repeat_first(conn["gamma"])}}),
+    "repeated-alpha-connection": json.dumps({"check": "fedosov.axioms", "connection": {
+        **conn, "gamma": [{**g, "poly": {**g["poly"], "terms": _repeat_first(g["poly"]["terms"])}}
+                          for g in conn["gamma"][:1]] + conn["gamma"][1:]}}),
 }
 
 

@@ -121,6 +121,14 @@ def test_connection_degree_cap_enforced():
         PolynomialConnection(2, 1, gamma)
 
 
+@pytest.mark.parametrize("poly", [Poly.zero(5), Poly.const(5, 1)])
+def test_connection_refuses_a_symbol_over_the_wrong_number_of_variables(poly):
+    # the zero Poly over 5 variables has the same (empty) terms as the zero
+    # over 4 that fills every unlisted triple, and must still be refused
+    with pytest.raises(ValueError, match="wrong number of variables"):
+        PolynomialConnection(2, 1, {(0, 1, 2): poly})
+
+
 # ---------------------------------------------------------------------------
 # Curvature fields
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ planted defects show that the suites catch a broken fast path.
 
 import copy
 import json
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -528,6 +529,33 @@ def test_diff_x_reading_the_wrong_field_fails_lemma1_and_replays(tmp_path, monke
         "theorem10", "theorem10.eq11-display", "theorem10.eq12-display",
         "corollary11.p20-display", "corollary11.p21-display", "corollary11.p22-display",
         "symbol-complex",
+    }
+    _replays_then_heals("lemma1", checks, tmp_path, monkeypatch, capsys)
+
+
+def test_unscaled_first_products_fail_lemma1_and_replay(tmp_path, monkeypatch, capsys):
+    # The planted defect: `_quadratic_into` drops the factor
+    # s.den // (e_b.s).den, so wherever d/dx^v shares a factor with s.den and
+    # e_b.s reduces to a smaller denominator, its second products are summed
+    # as if e_b.s were still over s.den.  lemma1 decides the Clifford
+    # relation through this kernel, so it must fail and replay.  At l = 2,
+    # trials = 2 (seed 42) exactly these five records fail; the others do not
+    # reach the kernel or miss the defect at these draws.
+    def unscaled(s, terms):
+        accs = defaultdict(dict)
+        for b, row in enumerate(terms):
+            if row:
+                eb = clifford_basis(b, s)
+                for slot, a, f in row:
+                    _clifford_into(accs[slot], eb.num, a, s.l, s.cap, f)
+        return accs
+
+    for module in (spinors, verify):
+        monkeypatch.setattr(module, "_quadratic_into", unscaled)
+    failing, checks = _failing_checks(tmp_path)
+    assert failing == {
+        "lemma1", "theorem9", "theorem9.eq10-display",
+        "corollary11.p21-display", "corollary11.p22-display",
     }
     _replays_then_heals("lemma1", checks, tmp_path, monkeypatch, capsys)
 

@@ -222,6 +222,9 @@ def test_symbol_complex_and_negative_control():
     assert main.status == "pass"
     assert negative.status == "pass"
     assert negative.witness is not None
+    # the witness is kept on the report but left out of its JSON record
+    assert list(negative.to_json()) == ["theorem_id", "trials", "status", "counterexample",
+                                        "literal_formula_match", "displays"]
     # the recorded witness genuinely exhibits a nonzero p22(xi ^ p11(eta))
     from sympspin.forms import spinor_form_from_json, wedge_covector
 
