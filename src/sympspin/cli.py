@@ -19,10 +19,10 @@ is genuine wall time and therefore varies run to run.
 Display-comparison checks (names ending in "-display") report how a printed
 closed-form right-hand side compares with the projector oracle.  Their
 counterexample slot always carries the comparison record, and their status is
-"pass" exactly when the comparison came out as documented in EXPECTED_DISPLAYS
-below; a documented mismatch of a printed display therefore does not fail the
-run, while a surprise (a display behaving differently from its documented
-verdict) does.
+"pass" exactly when the comparison came out as documented in the display's
+`Display` entry of the registry; a documented mismatch of a printed display
+therefore does not fail the run, while a surprise (a display behaving
+differently from its documented verdict) does.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .verify import (
     MAX_L,
     MAX_TRIALS,
     SUITES,
-    ActionReport,
     replay_counterexample,
     theorem9_suite,  # noqa: F401  re-exported: callers import it from here
 )
@@ -62,15 +61,8 @@ def _display_record_name(suite: str, display: str) -> str:
     return f"{suite}.{display}" if display.endswith("-display") else f"{suite}.{display}-display"
 
 
-ANCHORS = {check.name: check.anchor for suite in SUITES.values() for check in suite.checks}
-ANCHORS.update(
-    (_display_record_name(suite.name, d.name), d.anchor)
-    for suite in SUITES.values()
-    for d in suite.displays
-)
-
-# Documented verdicts for the printed displays: (literal_match, corrected_match).
-# A display check fails only when a comparison disagrees with this account.
+# Documented verdicts for the printed displays: (literal_match, corrected_match),
+# a view of the registry's Display entries.
 EXPECTED_DISPLAYS = {
     (suite.name, d.name): d.expected for suite in SUITES.values() for d in suite.displays
 }
@@ -144,37 +136,28 @@ def validate_config(config: RunConfig) -> list[str]:
     return selected
 
 
-def _display_records(suite: str, report: ActionReport, elapsed_ms: int) -> list[CheckRecord]:
-    records = []
-    for d in report.displays:
-        expected = EXPECTED_DISPLAYS[(suite, d.display)]
+def _run_named_suite(name: str, config: RunConfig, seed: int) -> list[CheckRecord]:
+    """One record per Check, then one per Display, each named and anchored by
+    its registry entry; a skipped suite compared no display."""
+    suite = SUITES[name]
+    t0 = time.perf_counter()
+    reports = suite.run(config.l, config.max_degree, config.trials, seed)
+    elapsed_ms = int((time.perf_counter() - t0) * 1000)
+    records = [CheckRecord(c.name, c.anchor, r.status, r.trials, elapsed_ms, r.counterexample)
+               for c, r in zip(suite.checks, reports, strict=True)]
+    shown = reports[0].displays
+    for d, cmp in zip(suite.displays if shown else (), shown, strict=True):
+        verdict = (cmp.literal_match, cmp.corrected_match)
         payload = {
-            "literal_match": d.literal_match,
-            "corrected_match": d.corrected_match,
-            "expected_literal_match": expected[0],
-            "expected_corrected_match": expected[1],
+            "literal_match": verdict[0],
+            "corrected_match": verdict[1],
+            "expected_literal_match": d.expected[0],
+            "expected_corrected_match": d.expected[1],
             "note": d.note,
         }
-        name = _display_record_name(suite, d.display)
-        as_documented = (d.literal_match, d.corrected_match) == expected
-        records.append(
-            CheckRecord(name, ANCHORS[name], "pass" if as_documented else "fail",
-                        report.trials, elapsed_ms, payload)
-        )
-    return records
-
-
-def _run_named_suite(name: str, config: RunConfig, seed: int) -> list[CheckRecord]:
-    t0 = time.perf_counter()
-    reports = SUITES[name].run(config.l, config.max_degree, config.trials, seed)
-    elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    records = [
-        CheckRecord(r.theorem_id, ANCHORS[r.theorem_id], r.status, r.trials, elapsed_ms,
-                    r.counterexample)
-        for r in reports
-    ]
-    for report in reports:
-        records.extend(_display_records(name, report, elapsed_ms))
+        records.append(CheckRecord(_display_record_name(name, d.name), d.anchor,
+                                   "pass" if verdict == d.expected else "fail",
+                                   reports[0].trials, elapsed_ms, payload))
     return records
 
 

@@ -155,10 +155,10 @@ def _exponents(n: int, budget: int) -> tuple:
 
 def _draw(n: int, degree: int, stream: RandomStream, bound: int) -> list:
     """The (alpha, p, q) terms p/q x^alpha, sorted by alpha, of a dense random
-    polynomial of total degree <= degree, from `next_fraction`'s draws."""
+    polynomial of total degree <= degree, each from `next_ratio(bound)`."""
     out = []
     for alpha in _exponents(n, degree):
-        p, q = stream.next_int(-bound, bound), stream.next_int(1, bound)
+        p, q = stream.next_ratio(bound)
         if p:
             out.append((alpha, p, q))
     return out

@@ -338,12 +338,10 @@ def _curvature_type(R) -> bool:
 
 
 def _ricci_entries(R: CurvatureTensor):
-    """The Ricci trace sum_m s_m R[m*][j][m][i] as int numerators over R.den."""
-    e = R.num
-    partners = omega_partners(R.l)
-    n = len(partners)
-    return [[sum(w * e[a][j][m][i] for m, (a, w) in enumerate(partners)) for j in range(n)]
-            for i in range(n)]
+    """The Ricci trace sum_m s_m R[m*][j][m][i] as int numerators over R.den:
+    with a = m*, s_a = -s_m, it is minus the slot-(0, 2) lowered trace at (j, i)."""
+    trace = _lowered_traces(R.num, omega_partners(R.l), ((0, 2),))[(0, 2)]
+    return [[-x for x in col] for col in zip(*trace)]
 
 
 def ricci_of(R: CurvatureTensor) -> RicciTensor:
@@ -546,13 +544,12 @@ def _int_basis(l: int, trace_free: bool):
 
 def _random_combination(l: int, trace_free: bool, stream: RandomStream, bound: int):
     """(num, den) of a random combination of the basis: each coefficient is
-    the `next_int` pair p, q that `next_fraction(bound)` draws, and the sum
-    runs over ints on the lcm of every q * d; `_tensor` reduces it."""
+    the pair p, q of `next_ratio(bound)`, and the sum runs over ints on the
+    lcm of every q * d; `_tensor` reduces it."""
     variables, basis = _int_basis(l, trace_free)
     draws = []
     for vec, d in basis:
-        p = stream.next_int(-bound, bound)
-        q = stream.next_int(1, bound)
+        p, q = stream.next_ratio(bound)
         if p:
             draws.append((p, q * d, vec))
     den = lcm(*(qd for _, qd, _ in draws))

@@ -241,11 +241,13 @@ class RandomStream:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return lo + (z ^ (z >> 31)) % (hi - lo + 1)
 
+    def next_ratio(self, bound: int) -> tuple[int, int]:
+        """The draws (p, q) of a rational p/q: |p| <= bound, then 1 <= q <= bound."""
+        return self.next_int(-bound, bound), self.next_int(1, bound)
+
     def next_fraction(self, bound: int) -> Fraction:
-        """Rational with |numerator| <= bound and 1 <= denominator <= bound."""
-        num = self.next_int(-bound, bound)
-        den = self.next_int(1, bound)
-        return Fraction(num, den)
+        """The rational of `next_ratio(bound)`."""
+        return Fraction(*self.next_ratio(bound))
 
     def next_gaussian(self, bound: int) -> GaussianRational:
         re = self.next_fraction(bound)

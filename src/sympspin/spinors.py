@@ -500,7 +500,7 @@ def random_spinor(
 ) -> PolySpinor:
     """Sparse random spinor: up to `terms` monomials of total degree <= degree.
 
-    Each coefficient is the four `next_int` draws of `next_gaussian(bound)`
+    Each coefficient is the two `next_ratio` draws of `next_gaussian(bound)`
     (a zero draw becomes 1); they are summed as Gaussian integers over the
     lcm of their denominators under packed keys and reduced once."""
     if l < 1:
@@ -517,8 +517,7 @@ def random_spinor(
             e = stream.next_int(0, remaining)
             alpha.append(e)
             remaining -= e
-        re, re_den, im, im_den = (stream.next_int(-bound, bound), stream.next_int(1, bound),
-                                  stream.next_int(-bound, bound), stream.next_int(1, bound))
+        (re, re_den), (im, im_den) = stream.next_ratio(bound), stream.next_ratio(bound)
         if not (re or im):
             re = re_den = 1
         draws.append((_pack(alpha), re, re_den, im, im_den))

@@ -38,8 +38,9 @@ X^2Y^2 (`forms._two_form_parts`).
 
 Every suite is one entry of the registry SUITES: its checks and paper anchors,
 its requirements, a sampler, one `holds` per check, a decoder from a
-counterexample back to an instance and, for theorem suites, the documented
-display verdicts.  One trial loop runs any suite and one replay re-decides any
+counterexample back to an instance and, for theorem suites, one `Display` per
+printed display: the only statement of its name, anchor, documented verdict
+and note.  One trial loop runs any suite and one replay re-decides any
 counterexample; the `*_suite` functions are thin entry points into the loop.
 """
 
@@ -269,98 +270,70 @@ def literal_p21_weyl(W: CurvatureTensor, phi: PolySpinor) -> SpinorForm:
 # ---------------------------------------------------------------------------
 
 
-def verify_theorem9(sigma: RicciTensor, phi: PolySpinor) -> ActionReport:
-    """Ricci-type action lands in the first two summands: p22 of it vanishes."""
+def _theorem_headroom(phi: PolySpinor) -> None:
     if phi.headroom() < 6:
         raise DegreeCapError("theorem check needs spinor headroom >= 6")
-    st = sigma_tilde_of(sigma)
-    act = spinor_curvature_action(st, phi)
-    p20, p21, p22, _ = _two_form_parts(act)
-    ok = p22.is_zero()
+
+
+def _literal_verdict(displays) -> str:
+    """"pass" when every evaluable literal display matched the oracle."""
+    evaluable = [d.literal_match for d in displays if d.literal_match is not None]
+    return "pass" if all(evaluable) else "fail"
+
+
+def _theorem_report(name: str, ok: bool, key: str, T, phi: PolySpinor, verdicts) -> ActionReport:
+    """One theorem instance's report: the (literal, corrected) verdicts, in the
+    order of the suite's registry displays, named and annotated from them."""
+    displays = [DisplayComparison(d.name, *verdict, d.note)
+                for d, verdict in zip(SUITES[name].displays, verdicts, strict=True)]
+    to_json = ricci_to_json if isinstance(T, RicciTensor) else curvature_to_json
+    ce = None if ok else {"check": name, "l": T.l, key: to_json(T),
+                          "phi": poly_spinor_to_json(phi)}
+    return ActionReport(name, 1, "pass" if ok else "fail", ce, _literal_verdict(displays), displays)
+
+
+def verify_theorem9(sigma: RicciTensor, phi: PolySpinor) -> ActionReport:
+    """Ricci-type action lands in the first two summands: p22 of it vanishes."""
+    _theorem_headroom(phi)
+    p20, p21, p22, _ = _two_form_parts(spinor_curvature_action(sigma_tilde_of(sigma), phi))
     prefactor = Fraction(1, 2 * (sigma.l + 1))
     lit9 = literal_p20_ricci(sigma, phi)
     lit10 = literal_p21_ricci(sigma, phi)
-    displays = [
-        DisplayComparison(
-            "eq9", p20 == lit9, p20 == lit9.scale(prefactor),
-            note="corrected variant reinstates the 1/(2(l+1)) normalization",
-        ),
-        DisplayComparison(
-            "eq10", p21 == lit10, p21 == lit10.scale(prefactor),
-            note="corrected variant reinstates the 1/(2(l+1)) normalization",
-        ),
-    ]
-    ce = None if ok else {"check": "theorem9", "l": sigma.l, "sigma": ricci_to_json(sigma),
-                          "phi": poly_spinor_to_json(phi)}
-    literal = "pass" if all(d.literal_match for d in displays) else "fail"
-    return ActionReport("theorem9", 1, "pass" if ok else "fail", ce, literal, displays)
+    verdicts = [(p20 == lit9, p20 == lit9.scale(prefactor)),
+                (p21 == lit10, p21 == lit10.scale(prefactor))]
+    return _theorem_report("theorem9", p22.is_zero(), "sigma", sigma, phi, verdicts)
 
 
 def verify_theorem10(W: CurvatureTensor, phi: PolySpinor) -> ActionReport:
     """Trace-free action avoids the first summand, and Y^2 kills it outright."""
-    if phi.headroom() < 6:
-        raise DegreeCapError("theorem check needs spinor headroom >= 6")
+    _theorem_headroom(phi)
     act = spinor_curvature_action(W, phi)
     p20, p21, p22, yy = _two_form_parts(act)
-    ok = p20.is_zero() and yy.is_zero()
     lit11 = literal_p21_weyl(W, phi)
     lit11_corr = lit11.scale(_EQ11_CORRECTION)
-    displays = [
-        DisplayComparison(
-            "eq11", p21 == lit11, p21 == lit11_corr,
-            note="oracle matches the display divided by 2i: the coefficient "
-                 "is 1/(1-l), not 2i/(1-l)",
-        ),
-        DisplayComparison(
-            "eq12", None, p22 == act - lit11_corr,
-            note="printed display has an unbound index; tested the bound "
-                 "variant (action minus the corrected p21 term)",
-        ),
-    ]
-    ce = None if ok else {"check": "theorem10", "l": W.l, "weyl": curvature_to_json(W),
-                          "phi": poly_spinor_to_json(phi)}
-    literal = "pass" if displays[0].literal_match else "fail"
-    return ActionReport("theorem10", 1, "pass" if ok else "fail", ce, literal, displays)
+    verdicts = [(p21 == lit11, p21 == lit11_corr), (None, p22 == act - lit11_corr)]
+    return _theorem_report("theorem10", p20.is_zero() and yy.is_zero(), "weyl", W, phi, verdicts)
 
 
 def verify_corollary11(R: CurvatureTensor, phi: PolySpinor) -> ActionReport:
     """Projections of the full action split into Ricci and trace-free parts."""
-    if phi.headroom() < 6:
-        raise DegreeCapError("theorem check needs spinor headroom >= 6")
+    _theorem_headroom(phi)
     sigma = ricci_of(R)
     st = sigma_tilde_of(sigma)
     W = R - st
     act_r, act_s, act_w = (spinor_curvature_action(T, phi) for T in (R, st, W))
     parts_r, parts_s, parts_w = (_two_form_parts(act)[:3] for act in (act_r, act_s, act_w))
     ok = all(pr == ps + pw for pr, ps, pw in zip(parts_r, parts_s, parts_w))
-    proj_r = dict(zip(("p20", "p21", "p22"), parts_r))
+    p20, p21, p22 = parts_r
     prefactor = Fraction(1, 2 * (R.l + 1))
     lit9 = literal_p20_ricci(sigma, phi)
     lit10 = literal_p21_ricci(sigma, phi)
     lit11 = literal_p21_weyl(W, phi)
     lit11_corr = lit11.scale(_EQ11_CORRECTION)
-    displays = [
-        DisplayComparison(
-            "p20-display", proj_r["p20"] == lit9,
-            proj_r["p20"] == lit9.scale(prefactor),
-            note="Ricci part as displayed vs with the sigma_tilde normalization",
-        ),
-        DisplayComparison(
-            "p21-display", proj_r["p21"] == lit10 + lit11,
-            proj_r["p21"] == lit10.scale(prefactor) + lit11_corr,
-            note="corrected variant: sigma_tilde normalization on the Ricci "
-                 "summand and the trace-free summand divided by 2i",
-        ),
-        DisplayComparison(
-            "p22-display", proj_r["p22"] == act_w - lit11,
-            proj_r["p22"] == act_w - lit11_corr,
-            note="corrected variant divides the subtracted term by 2i",
-        ),
-    ]
-    ce = None if ok else {"check": "corollary11", "l": R.l, "curvature": curvature_to_json(R),
-                          "phi": poly_spinor_to_json(phi)}
-    literal = "pass" if all(d.literal_match for d in displays) else "fail"
-    return ActionReport("corollary11", 1, "pass" if ok else "fail", ce, literal, displays)
+    verdicts = [(p20 == lit9, p20 == lit9.scale(prefactor)),
+                (p21 == lit10 + lit11, p21 == lit10.scale(prefactor) + lit11_corr),
+                (p22 == act_w - lit11, p22 == act_w - lit11_corr)]
+    return _theorem_report("corollary11", ok, "curvature", R, phi, verdicts)
 
 
 def symbol_complex_instance(xi, eta: SpinorForm) -> bool:
@@ -510,11 +483,15 @@ class Check:
 
 @dataclass(frozen=True)
 class Display:
-    """A printed right-hand side and its documented (literal, corrected) verdict."""
+    """A printed right-hand side: the one statement of its name, paper anchor,
+    documented (literal, corrected) verdict and note.  The theorem verdicts
+    name and annotate their comparisons from these entries, in order, and the
+    report's display records read them."""
 
     name: str                                   # as in DisplayComparison.display
     anchor: str
     expected: tuple[bool | None, bool | None]
+    note: str
 
 
 @dataclass(frozen=True)
@@ -730,7 +707,7 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
         min_pad=6,
         displays=tuple(
             Display(f"eq{9 + j}", f"printed p2{j} of the Ricci-type action vs projector oracle",
-                    (False, True))
+                    (False, True), "corrected variant reinstates the 1/(2(l+1)) normalization")
             for j in range(2)
         ),
     ),
@@ -748,9 +725,11 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
         min_pad=6,
         displays=(
             Display("eq11", "printed p21 of the trace-free action vs projector oracle",
-                    (False, True)),
+                    (False, True), "oracle matches the display divided by 2i: the coefficient "
+                                   "is 1/(1-l), not 2i/(1-l)"),
             Display("eq12", "printed p22 of the trace-free action (bound variant) vs oracle",
-                    (None, True)),
+                    (None, True), "printed display has an unbound index; tested the bound "
+                                  "variant (action minus the corrected p21 term)"),
         ),
     ),
     Suite(
@@ -766,8 +745,13 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
         min_pad=6,
         displays=tuple(
             Display(f"p2{j}-display", f"printed p2{j} of the full action vs projector oracle",
-                    (False, True))
-            for j in range(3)
+                    (False, True), note)
+            for j, note in enumerate((
+                "Ricci part as displayed vs with the sigma_tilde normalization",
+                "corrected variant: sigma_tilde normalization on the Ricci "
+                "summand and the trace-free summand divided by 2i",
+                "corrected variant divides the subtracted term by 2i",
+            ))
         ),
     ),
     Suite(
@@ -873,10 +857,8 @@ def _run_checks(suite: Suite, l: int, degree: int, trials: int, seed: int) -> li
         reports.append(ActionReport(check.name, n, "fail" if ce else "pass", ce,
                                     witness=payload if check.witness else None))
     if shown:
-        agg = _aggregate_displays(shown)
-        literal = all(d.literal_match for d in agg if d.literal_match is not None)
-        reports[0].displays = agg
-        reports[0].literal_formula_match = "pass" if literal else "fail"
+        reports[0].displays = _aggregate_displays(shown)
+        reports[0].literal_formula_match = _literal_verdict(reports[0].displays)
     return reports
 
 

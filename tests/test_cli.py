@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from sympspin.curvature import RicciTensor, curvature_to_json, random_curvature,
 from sympspin.exact import RandomStream
 from sympspin.forms import random_form, spinor_form_to_json
 from sympspin.spinors import poly_spinor_to_json, random_spinor
+from sympspin.verify import SUITES
 from sympspin.cli import (
     EXPECTED_DISPLAYS,
     MAX_DEGREE,
@@ -139,6 +141,30 @@ def test_theorem_suite_emits_display_records():
 def test_display_expectation_table_is_exhaustive():
     suites = {s for s, _ in EXPECTED_DISPLAYS}
     assert suites == {"theorem9", "theorem10", "corollary11"}
+
+
+def test_display_disagreeing_with_its_documented_verdict_fails_alone(monkeypatch):
+    config = fast_config(suites=("theorem9", "theorem10", "corollary11"))
+
+    def records(report):
+        return [json.dumps({**c.to_json(), "elapsed_ms": 0}) for c in report.checks]
+
+    before = run_suite(config)
+    suite = SUITES["theorem10"]
+    eq11, *rest = suite.displays
+    monkeypatch.setitem(SUITES, "theorem10", replace(
+        suite, displays=(replace(eq11, expected=(True, True)), *rest)))
+    after = run_suite(config)
+    assert before.overall == "pass" and after.overall == "fail"
+    changed = [c.name for c, old, new in zip(after.checks, records(before), records(after),
+                                              strict=True) if old != new]
+    assert changed == ["theorem10.eq11-display"]
+    failed = next(c for c in after.checks if c.name == "theorem10.eq11-display")
+    assert failed.status == "fail"
+    assert failed.counterexample["literal_match"] is False
+    assert failed.counterexample["expected_literal_match"] is True
+    assert failed.counterexample["expected_corrected_match"] is True
+    assert [c.name for c in after.checks if c.status == "fail"] == ["theorem10.eq11-display"]
 
 
 # ---------------------------------------------------------------------------
