@@ -61,13 +61,6 @@ def _display_record_name(suite: str, display: str) -> str:
     return f"{suite}.{display}" if display.endswith("-display") else f"{suite}.{display}-display"
 
 
-# Documented verdicts for the printed displays: (literal_match, corrected_match),
-# a view of the registry's Display entries.
-EXPECTED_DISPLAYS = {
-    (suite.name, d.name): d.expected for suite in SUITES.values() for d in suite.displays
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     l: int = 2
@@ -137,8 +130,8 @@ def validate_config(config: RunConfig) -> list[str]:
 
 
 def _run_named_suite(name: str, config: RunConfig, seed: int) -> list[CheckRecord]:
-    """One record per Check, then one per Display, each named and anchored by
-    its registry entry; a skipped suite compared no display."""
+    """One record per Check, then one per Display (none if skipped), each named
+    and anchored by its registry entry; Displays zip strictly with the pairs."""
     suite = SUITES[name]
     t0 = time.perf_counter()
     reports = suite.run(config.l, config.max_degree, config.trials, seed)
@@ -146,17 +139,16 @@ def _run_named_suite(name: str, config: RunConfig, seed: int) -> list[CheckRecor
     records = [CheckRecord(c.name, c.anchor, r.status, r.trials, elapsed_ms, r.counterexample)
                for c, r in zip(suite.checks, reports, strict=True)]
     shown = reports[0].displays
-    for d, cmp in zip(suite.displays if shown else (), shown, strict=True):
-        verdict = (cmp.literal_match, cmp.corrected_match)
+    for d, (literal, corrected) in zip(suite.displays if shown else (), shown, strict=True):
         payload = {
-            "literal_match": verdict[0],
-            "corrected_match": verdict[1],
+            "literal_match": literal,
+            "corrected_match": corrected,
             "expected_literal_match": d.expected[0],
             "expected_corrected_match": d.expected[1],
             "note": d.note,
         }
         records.append(CheckRecord(_display_record_name(name, d.name), d.anchor,
-                                   "pass" if verdict == d.expected else "fail",
+                                   "pass" if (literal, corrected) == d.expected else "fail",
                                    reports[0].trials, elapsed_ms, payload))
     return records
 
@@ -232,9 +224,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# What an unreadable or malformed replay file raises: a missing file, bad JSON
-# or an unknown check (ValueError), JSON nested past the parser's depth limit
-# (RecursionError), missing keys, wrongly typed fields, a zero denominator.
+# What an unreadable or malformed replay file raises: a missing file, bad JSON,
+# an unknown check or a rational over 0 (ValueError), JSON nested past the
+# parser's depth limit (RecursionError), missing keys, wrongly typed fields.
+# ArithmeticError stays until this tuple is narrowed to what decoders raise.
 _BAD_REPLAY = (OSError, ValueError, RecursionError, LookupError, TypeError, AttributeError,
                ArithmeticError)
 

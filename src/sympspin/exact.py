@@ -166,7 +166,7 @@ GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")     # q = 0 is refused
 
 
 def parse_rational(s) -> Fraction:

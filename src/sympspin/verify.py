@@ -40,14 +40,15 @@ Every suite is one entry of the registry SUITES: its checks and paper anchors,
 its requirements, a sampler, one `holds` per check, a decoder from a
 counterexample back to an instance and, for theorem suites, one `Display` per
 printed display: the only statement of its name, anchor, documented verdict
-and note.  One trial loop runs any suite and one replay re-decides any
-counterexample; the `*_suite` functions are thin entry points into the loop.
+and note; a theorem report carries only its verdict pairs, in that order.
+One trial loop runs any suite and one replay re-decides any counterexample;
+the `*_suite` functions are thin entry points into the loop.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -108,7 +109,6 @@ from .symplectic import omega_partners
 
 __all__ = [
     "ActionReport",
-    "DisplayComparison",
     "Check",
     "Display",
     "Suite",
@@ -133,28 +133,17 @@ __all__ = [
 _EQ11_CORRECTION = GaussianRational(0, Fraction(-1, 2))   # 1/(2i)
 
 
-@dataclass(frozen=True)
-class DisplayComparison:
-    """Outcome of comparing one printed right-hand side with the oracle."""
-
-    display: str
-    literal_match: bool | None        # None: not evaluable as printed
-    corrected_match: bool | None      # None: no corrected variant applies
-    note: str = ""
-
-
 @dataclass
 class ActionReport:
+    """One check's outcome.  A theorem report's `displays` are its (literal,
+    corrected) verdict pairs, in the order of its suite's `Display` entries."""
+
     theorem_id: str
     trials: int
     status: str                        # "pass" | "fail" | "skipped"
     counterexample: dict | None = None
-    literal_formula_match: str = "not-applicable"   # "pass" | "fail" | "not-applicable"
-    displays: list[DisplayComparison] = field(default_factory=list)
+    displays: list[tuple[bool | None, bool | None]] = field(default_factory=list)
     witness: dict | None = None        # recorded nonzero instance, where one is required
-
-    def to_json(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if k != "witness"}
 
 
 # ---------------------------------------------------------------------------
@@ -275,21 +264,13 @@ def _theorem_headroom(phi: PolySpinor) -> None:
         raise DegreeCapError("theorem check needs spinor headroom >= 6")
 
 
-def _literal_verdict(displays) -> str:
-    """"pass" when every evaluable literal display matched the oracle."""
-    evaluable = [d.literal_match for d in displays if d.literal_match is not None]
-    return "pass" if all(evaluable) else "fail"
-
-
 def _theorem_report(name: str, ok: bool, key: str, T, phi: PolySpinor, verdicts) -> ActionReport:
-    """One theorem instance's report: the (literal, corrected) verdicts, in the
-    order of the suite's registry displays, named and annotated from them."""
-    displays = [DisplayComparison(d.name, *verdict, d.note)
-                for d, verdict in zip(SUITES[name].displays, verdicts, strict=True)]
+    """One theorem instance's report, keeping its (literal, corrected) verdicts
+    as given, in the order of the suite's registry displays."""
     to_json = ricci_to_json if isinstance(T, RicciTensor) else curvature_to_json
     ce = None if ok else {"check": name, "l": T.l, key: to_json(T),
                           "phi": poly_spinor_to_json(phi)}
-    return ActionReport(name, 1, "pass" if ok else "fail", ce, _literal_verdict(displays), displays)
+    return ActionReport(name, 1, "pass" if ok else "fail", ce, verdicts)
 
 
 def verify_theorem9(sigma: RicciTensor, phi: PolySpinor) -> ActionReport:
@@ -434,16 +415,10 @@ def equivariance_instance(A: SpLieElement, phi: SpinorForm) -> bool:
     return lhs_y == rhs_y
 
 
-def _aggregate_displays(per_trial: list[list[DisplayComparison]]) -> list[DisplayComparison]:
-    """AND the comparisons across trials, display by display; None stays None."""
-    def every(verdicts):
-        return None if verdicts[0] is None else all(verdicts)
-
-    return [
-        DisplayComparison(col[0].display, every([d.literal_match for d in col]),
-                          every([d.corrected_match for d in col]), col[0].note)
-        for col in zip(*per_trial)
-    ]
+def _aggregate_displays(per_trial: list[list[tuple]]) -> list[tuple]:
+    """AND the verdict pairs across trials, column by column; None stays None."""
+    return [tuple(None if col[0] is None else all(col) for col in zip(*pairs))
+            for pairs in zip(*per_trial)]
 
 
 # ---------------------------------------------------------------------------
@@ -484,11 +459,11 @@ class Check:
 @dataclass(frozen=True)
 class Display:
     """A printed right-hand side: the one statement of its name, paper anchor,
-    documented (literal, corrected) verdict and note.  The theorem verdicts
-    name and annotate their comparisons from these entries, in order, and the
-    report's display records read them."""
+    documented (literal, corrected) verdict and note.  A theorem report's
+    verdict pairs follow these entries in order, and whatever names or
+    annotates a pair (the report's display records) zips it with them."""
 
-    name: str                                   # as in DisplayComparison.display
+    name: str
     anchor: str
     expected: tuple[bool | None, bool | None]
     note: str
@@ -498,7 +473,7 @@ class Display:
 class Suite:
     """One suite.  `sample(l, degree, stream)` draws a trial's instance from the
     suite's one stream; `decode(counterexample)` rebuilds the instance.  In a
-    theorem suite (one with displays) holds returns (payload, comparisons).
+    theorem suite (one with displays) holds returns (payload, verdict pairs).
     `run(l, degree, trials, seed)` calls the suite's module-level entry point,
     by name, as a CLI run configures it, and returns its reports."""
 
@@ -817,7 +792,7 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
 
 
 def _evaluate(suite: Suite, check: Check, instance):
-    """(failure payload or None, display comparisons) of one check on one instance."""
+    """(failure payload or None, display verdict pairs) of one check on one instance."""
     verdict = check.holds(instance)
     return verdict if suite.displays else (verdict, [])
 
@@ -833,7 +808,7 @@ def _run_checks(suite: Suite, l: int, degree: int, trials: int, seed: int) -> li
         return [ActionReport(c.name, 0, "skipped") for c in suite.checks]
     stream = RandomStream(seed)
     found: dict[str, dict] = {}
-    shown: list[list[DisplayComparison]] = []
+    shown: list[list[tuple]] = []
     for _ in range(trials):
         pending = [c for c in suite.checks if suite.displays or c.name not in found]
         if not pending:
@@ -858,7 +833,6 @@ def _run_checks(suite: Suite, l: int, degree: int, trials: int, seed: int) -> li
                                     witness=payload if check.witness else None))
     if shown:
         reports[0].displays = _aggregate_displays(shown)
-        reports[0].literal_formula_match = _literal_verdict(reports[0].displays)
     return reports
 
 

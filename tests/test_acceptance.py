@@ -28,6 +28,7 @@ from sympspin.forms import op_H, random_form
 from sympspin.spinors import clifford_basis, random_spinor
 from sympspin.symplectic import standard_symplectic_form
 from sympspin.verify import (
+    SUITES,
     equivariance_suite,
     fedosov_suite,
     lemma5_suite,
@@ -156,8 +157,8 @@ def test_criterion_08_corollary11_additivity_and_displays():
         phi = random_spinor(2, 4, 10, stream)
         rep = verify_corollary11(R, phi)
         assert rep.status == "pass"
-        for d in rep.displays:
-            display_verdicts.add((d.display, d.literal_match, d.corrected_match))
+        for d, verdict in zip(SUITES["corollary11"].displays, rep.displays, strict=True):
+            display_verdicts.add((d.name, *verdict))
     # explicit match/mismatch records exist; the mismatches do not fail the
     # suite (rep.status stayed "pass" above)
     assert display_verdicts == {

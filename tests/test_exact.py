@@ -254,7 +254,7 @@ def test_parse_rational_reads_what_str_writes(x):
 
 
 @pytest.mark.parametrize("text", ["1e10000000", "1.5", " 3", "3/4 ", "+3", "1/-2", "", "--1",
-                                  "1_000", "\u0663", "nan", "inf"])
+                                  "1_000", "\u0663", "nan", "inf", "1/0", "-3/0", "0/0", "1/00"])
 def test_parse_rational_refuses_other_forms(text):
     with pytest.raises(ValueError):
         parse_rational(text)

@@ -569,15 +569,15 @@ def test_halved_action_fails_the_corrected_eq9_display(monkeypatch):
     sigma = RicciTensor.random(2, stream)
     phi = random_spinor(2, 3, 9, stream)
     healthy = verify.verify_theorem9(sigma, phi)
-    assert healthy.status == "pass" and healthy.displays[0].corrected_match is True
+    assert healthy.status == "pass" and healthy.displays[0][1] is True
 
     action = verify.spinor_curvature_action
     monkeypatch.setattr(verify, "spinor_curvature_action",
                         lambda T, phi: action(T, phi).scale(F(1, 2)))
     broken = verify.verify_theorem9(sigma, phi)
     assert broken.status == "pass"
-    assert broken.displays[0].display == "eq9"
-    assert broken.displays[0].corrected_match is False
+    assert verify.SUITES["theorem9"].displays[0].name == "eq9"
+    assert broken.displays[0][1] is False
 
 
 def test_unscaled_mixed_denominator_add_fails_and_replays(tmp_path, monkeypatch, capsys):
