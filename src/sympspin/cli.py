@@ -7,7 +7,7 @@ MAX_L / MAX_DEGREE / MAX_TRIALS), the report records and their emission, and
 the `sympspin` entry point.  `--replay` re-runs the counterexamples in a file
 and exits 2 with a one-line message on a file it cannot replay.
 
-Report schema (JSON), each record its dataclass's fields in declared order:
+Report schema (JSON), each record its NamedTuple's fields in declared order:
 
     {"config": {...}, "checks": [{"name": str, "paper_anchor": str,
       "status": "pass"|"fail"|"skipped", "trials_run": int,
@@ -27,12 +27,11 @@ differently from its documented verdict) does.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .exact import RandomStream
 from .verify import (
@@ -61,8 +60,7 @@ def _display_record_name(suite: str, display: str) -> str:
     return f"{suite}.{display}" if display.endswith("-display") else f"{suite}.{display}-display"
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     l: int = 2
     max_degree: int = 6
     pad: int = 6
@@ -73,11 +71,10 @@ class RunConfig:
     format: str = "text"
 
     def to_json(self) -> dict:
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in self._asdict().items()}
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     name: str
     paper_anchor: str
     status: str
@@ -86,11 +83,10 @@ class CheckRecord:
     counterexample: dict | None
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     config: RunConfig
     checks: tuple[CheckRecord, ...]
     overall: str
@@ -199,7 +195,9 @@ def emit_report(report: SuiteReport, format: str = "json") -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse     # loaded when main runs, not when this module is imported
+
     parser = argparse.ArgumentParser(
         prog="sympspin",
         description="Exact verification of symplectic spinor operator identities.",

@@ -41,11 +41,11 @@ as the sign oracle for this convention, so the test suite failing identity
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd, lcm, prod
+from typing import NamedTuple
 
 from .curvature import CurvatureTensor, _tensor
 from .exact import RandomStream, _keyed, parse_indices, parse_rational
@@ -256,8 +256,7 @@ def random_connection(l: int, degree: int, seed: int, bound: int = 3) -> Polynom
     return _intern(object.__new__(PolynomialConnection), l, degree, drawn, _sorted_triples(n))
 
 
-@dataclass(frozen=True)
-class ConnectionAxiomReport:
+class ConnectionAxiomReport(NamedTuple):
     torsion_free: bool
     preserves_omega: bool
     first_violation: tuple | None = None

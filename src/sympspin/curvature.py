@@ -45,12 +45,12 @@ as sparse rows for `exact.nullspace_basis`; elimination over the full
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, product
 from math import gcd, lcm
 from operator import itemgetter
+from typing import NamedTuple
 
 from .exact import (
     RandomStream,
@@ -84,7 +84,6 @@ __all__ = [
     "ricci_from_json",
 ]
 
-F0 = Fraction(0)
 _set = object.__setattr__
 
 
@@ -251,14 +250,12 @@ class WeylTensor(CurvatureTensor):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     holds: bool
     first_violation: tuple[int, int, int, int] | None = None
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(NamedTuple):
     """Per-identity verdicts; violations carry the first offending indices."""
 
     antisym_last_pair: IdentityCheck    # (A)
@@ -470,25 +467,25 @@ def _resolve(index, i, j, k, m):
     return index[(i, j, k, m)], sign
 
 
-def _row(index, terms) -> dict[int, Fraction]:
-    """The constraint sum w R_idx over the (index quadruple, w) terms, on
-    reduced coordinates: each quadruple resolved to (variable, sign), zeros
-    dropped."""
-    row: dict[int, Fraction] = {}
+def _row(index, terms) -> dict[int, int]:
+    """The constraint sum w R_idx over the (index quadruple, int w) terms, on
+    reduced coordinates: each quadruple resolved to (variable, sign), summed
+    in ints, zeros dropped."""
+    row: dict[int, int] = {}
     for idx, w in terms:
         r = _resolve(index, *idx)
         if r is not None:
-            row[r[0]] = row.get(r[0], F0) + w * r[1]
+            row[r[0]] = row.get(r[0], 0) + w * r[1]
     return {v: x for v, x in row.items() if x}
 
 
-def _bianchi_rows(n: int, index) -> list[dict[int, Fraction]]:
+def _bianchi_rows(n: int, index) -> list[dict[int, int]]:
     rows = (_row(index, [(q, 1) for q in ((i, j, k, m), (i, k, m, j), (i, m, j, k))])
             for i in range(n) for j, k, m in combinations(range(n), 3))
     return [row for row in rows if row]
 
 
-def _trace_rows(n: int, index) -> list[dict[int, Fraction]]:
+def _trace_rows(n: int, index) -> list[dict[int, int]]:
     """Vanishing of the six omega-traces, expressed on lowered coordinates.
 
     A raised-pair trace W^{ijkl} omega_(slots s,t) = 0 is equivalent to the

@@ -295,11 +295,15 @@ def random_symmetric_matrix(n: int, stream: RandomStream, bound: int) -> list[li
 def nullspace_basis(rows: Iterable[dict], ncols: int) -> list[dict]:
     """Basis of {v : row . v = 0 for every row} over Q or Q(i).
 
-    Each row maps columns in range(ncols) to nonzero scalars; absent columns
-    are zero.  The rows are reduced in order, each pivoting on its lowest
-    surviving column, then fully back-substituted.  The basis holds one sparse
-    vector per free column, in increasing column order, with 1 at that column;
-    so its length is the nullity, and ncols minus it is the rank.
+    Each row maps columns in range(ncols) to nonzero scalars (ints, Fractions
+    or Gaussian rationals); absent columns are zero.  The rows are reduced in
+    order, each pivoting on its lowest surviving column, then fully
+    back-substituted.  A pivot of 1 or -1 is its own inverse, so int rows stay
+    ints while every pivot is a unit; any other pivot is inverted as
+    Fraction(1) / p, never rounded.  The basis holds one sparse vector per
+    free column, in increasing column order, with 1 at that column and then
+    the pivots in the order they were found; so its length is the nullity,
+    and ncols minus it is the rank.
     """
     pivot_rows: dict[int, dict] = {}
     for row in rows:
@@ -311,21 +315,23 @@ def nullspace_basis(rows: Iterable[dict], ncols: int) -> list[dict]:
                 for cc, vv in pivot_rows[c].items():
                     if cc == c:
                         continue
-                    nv = row.get(cc, _F0) - f * vv
+                    nv = row.get(cc, 0) - f * vv
                     if nv:
                         row[cc] = nv
                     else:
                         row.pop(cc, None)
             else:
-                inv = 1 / row[c]
+                p = row[c]
+                inv = p if p == 1 or p == -1 else _F1 / p
                 pivot_rows[c] = {cc: vv * inv for cc, vv in row.items()}
                 break
-    # full reduction: eliminate pivot columns from earlier pivot rows
-    for c in sorted(pivot_rows, reverse=True):
+    # full reduction: eliminate pivot columns from earlier pivot rows, so each
+    # pivot row ends holding its pivot and free columns only
+    order = sorted(pivot_rows)
+    for at in range(len(order) - 1, 0, -1):
+        c = order[at]
         prow = pivot_rows[c]
-        for c2 in sorted(pivot_rows):
-            if c2 >= c:
-                break
+        for c2 in order[:at]:
             row2 = pivot_rows[c2]
             f = row2.get(c)
             if f:
@@ -333,19 +339,14 @@ def nullspace_basis(rows: Iterable[dict], ncols: int) -> list[dict]:
                 for cc, vv in prow.items():
                     if cc == c:
                         continue
-                    nv = row2.get(cc, _F0) - f * vv
+                    nv = row2.get(cc, 0) - f * vv
                     if nv:
                         row2[cc] = nv
                     else:
                         row2.pop(cc, None)
-    basis = []
-    for fcol in range(ncols):
-        if fcol in pivot_rows:
-            continue
-        vec = {fcol: _F1}
-        for p, prow in pivot_rows.items():
-            coeff = prow.get(fcol)
-            if coeff:
-                vec[p] = -coeff
-        basis.append(vec)
-    return basis
+    basis = {fcol: {fcol: 1} for fcol in range(ncols) if fcol not in pivot_rows}
+    for p, prow in pivot_rows.items():
+        for fcol, coeff in prow.items():
+            if fcol != p:
+                basis[fcol][p] = -coeff
+    return list(basis.values())

@@ -47,11 +47,11 @@ the `*_suite` functions are thin entry points into the loop.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .curvature import (
     CurvatureTensor,
@@ -133,8 +133,7 @@ __all__ = [
 _EQ11_CORRECTION = GaussianRational(0, Fraction(-1, 2))   # 1/(2i)
 
 
-@dataclass
-class ActionReport:
+class ActionReport(NamedTuple):
     """One check's outcome.  A theorem report's `displays` are its (literal,
     corrected) verdict pairs, in the order of its suite's `Display` entries."""
 
@@ -142,7 +141,7 @@ class ActionReport:
     trials: int
     status: str                        # "pass" | "fail" | "skipped"
     counterexample: dict | None = None
-    displays: list[tuple[bool | None, bool | None]] = field(default_factory=list)
+    displays: Sequence[tuple[bool | None, bool | None]] = ()
     witness: dict | None = None        # recorded nonzero instance, where one is required
 
 
@@ -427,12 +426,13 @@ def _aggregate_displays(per_trial: list[list[tuple]]) -> list[tuple]:
 
 # Size ceiling for a run and for a replayed counterexample.  At l = 4 a
 # theorem trial takes seconds; the fedosov suite (5 connections x 5 points)
-# takes about 0.26 s at l = 3 and 0.86 s at l = 4 (CPython 3.11.7, 2 vCPUs); much
-# beyond, the set-up (constraint-space bases) alone does not end in useful time.
-# Raise these when the kernels make larger sizes practical.  MAX_TRIALS bounds
-# the trial loop: the default run (l = 2) decides 20 trials of every suite in
-# under a second, so 1000 keeps even l = 4 runs finite without limiting any
-# run anyone needs.
+# takes about 0.26 s at l = 3 and 0.86 s at l = 4 (CPython 3.11.7, 2 vCPUs).
+# The set-up does not set the ceiling: both constraint-space bases take about
+# 5 ms at l = 3, 24 ms at l = 4 and 0.11 s at l = 5.  Raising MAX_L waits
+# for a work budget that keeps trials times per-trial cost bounded at larger
+# l.  MAX_TRIALS bounds the trial loop: the default run (l = 2) decides 20
+# trials of every suite in under a second, so 1000 keeps even l = 4 runs
+# finite without limiting any run anyone needs.
 MAX_L = 4
 MAX_DEGREE = 16
 MAX_TRIALS = 1000
@@ -441,8 +441,7 @@ FEDOSOV_CONNECTIONS = 5     # connections a CLI run samples whenever trials > 0
 FEDOSOV_POINTS = 5          # curvature evaluation points per connection
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One identity.  `holds(instance)` is None when the instance
     satisfies it, else the failure payload (the counterexample minus "check").
     A witness check is existential: holds returns a witness when the instance
@@ -456,8 +455,7 @@ class Check:
     witness: bool = False
 
 
-@dataclass(frozen=True)
-class Display:
+class Display(NamedTuple):
     """A printed right-hand side: the one statement of its name, paper anchor,
     documented (literal, corrected) verdict and note.  A theorem report's
     verdict pairs follow these entries in order, and whatever names or
@@ -469,8 +467,7 @@ class Display:
     note: str
 
 
-@dataclass(frozen=True)
-class Suite:
+class Suite(NamedTuple):
     """One suite.  `sample(l, degree, stream)` draws a trial's instance from the
     suite's one stream; `decode(counterexample)` rebuilds the instance.  In a
     theorem suite (one with displays) holds returns (payload, verdict pairs).
@@ -832,7 +829,7 @@ def _run_checks(suite: Suite, l: int, degree: int, trials: int, seed: int) -> li
         reports.append(ActionReport(check.name, n, "fail" if ce else "pass", ce,
                                     witness=payload if check.witness else None))
     if shown:
-        reports[0].displays = _aggregate_displays(shown)
+        reports[0] = reports[0]._replace(displays=_aggregate_displays(shown))
     return reports
 
 
@@ -877,8 +874,8 @@ def symbol_complex_suite(l: int, degree: int, trials: int, seed: int) -> list[Ac
 
 def fedosov_suite(l: int, seed: int, n_connections: int = FEDOSOV_CONNECTIONS,
                   n_points: int = FEDOSOV_POINTS, degree: int = 2) -> list[ActionReport]:
-    suite = replace(SUITES["fedosov"], per_trial=n_points,
-                    sample=lambda l, degree, stream: _fedosov_sample(l, degree, stream, n_points))
+    suite = SUITES["fedosov"]._replace(
+        per_trial=n_points, sample=lambda l, degree, stream: _fedosov_sample(l, degree, stream, n_points))
     return _run_checks(suite, l, degree, n_connections, seed)
 
 

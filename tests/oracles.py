@@ -28,7 +28,10 @@ projector on a graded piece, which only a test records.  So are connection
 samplers that draw through `next_fraction` and build through the public
 constructors, for the package's unchecked ones to match, and the draw of one
 stream integer composed of `next_u64` and `_mix64`, which
-`RandomStream.next_int` inlines.
+`RandomStream.next_int` inlines, and the sparse elimination as it was before
+it kept integer rows in integers: every pivot inverted as 1 / p, a re-sort of
+the pivots per back-substitution step, and the basis read off column by
+column.
 """
 
 from fractions import Fraction
@@ -39,7 +42,8 @@ from math import lcm
 from sympspin.connections import ConnectionAxiomReport, Poly, PolynomialConnection, poly_to_json
 from sympspin.curvature import (CurvatureTensor, IdentityCheck, SymmetryReport, _cleared,
                                  _expand_var_vector, _resolve, _tensor)
-from sympspin.exact import GR_I, GR_ONE, GR_ZERO, GaussianRational, RandomStream, nullspace_basis
+from sympspin.exact import GR_I, GR_ONE, GR_ZERO, GaussianRational, RandomStream
+from sympspin.exact import nullspace_basis as _nullspace_basis
 from sympspin.forms import PROJECTORS, SpinorForm
 from sympspin.forms import op_X as _op_X
 from sympspin.forms import project as _project
@@ -682,4 +686,58 @@ def graded_projector_rank(which: str, l: int, degree: int) -> int:
          for tup, s in img.components.items() for alpha, c in s.coeffs.items()}
         for img in images
     ]
-    return len(columns) - len(nullspace_basis(rows, len(columns)))
+    return len(columns) - len(_nullspace_basis(rows, len(columns)))
+
+
+def nullspace_basis(rows, ncols: int) -> list[dict]:
+    """`exact.nullspace_basis` before it stayed in integers: exact over Q and
+    Q(i) given Fraction or Gaussian rows (1 / p of an int pivot is a float)."""
+    _F0, _F1 = Fraction(0), Fraction(1)
+    pivot_rows: dict[int, dict] = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            c = min(row)
+            if c in pivot_rows:
+                f = row.pop(c)
+                for cc, vv in pivot_rows[c].items():
+                    if cc == c:
+                        continue
+                    nv = row.get(cc, _F0) - f * vv
+                    if nv:
+                        row[cc] = nv
+                    else:
+                        row.pop(cc, None)
+            else:
+                inv = 1 / row[c]
+                pivot_rows[c] = {cc: vv * inv for cc, vv in row.items()}
+                break
+    # full reduction: eliminate pivot columns from earlier pivot rows
+    for c in sorted(pivot_rows, reverse=True):
+        prow = pivot_rows[c]
+        for c2 in sorted(pivot_rows):
+            if c2 >= c:
+                break
+            row2 = pivot_rows[c2]
+            f = row2.get(c)
+            if f:
+                row2.pop(c)
+                for cc, vv in prow.items():
+                    if cc == c:
+                        continue
+                    nv = row2.get(cc, _F0) - f * vv
+                    if nv:
+                        row2[cc] = nv
+                    else:
+                        row2.pop(cc, None)
+    basis = []
+    for fcol in range(ncols):
+        if fcol in pivot_rows:
+            continue
+        vec = {fcol: _F1}
+        for p, prow in pivot_rows.items():
+            coeff = prow.get(fcol)
+            if coeff:
+                vec[p] = -coeff
+        basis.append(vec)
+    return basis

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -16,11 +15,12 @@ from sympspin.curvature import RicciTensor, curvature_to_json, random_curvature,
 from sympspin.exact import RandomStream
 from sympspin.forms import random_form, spinor_form_to_json
 from sympspin.spinors import poly_spinor_to_json, random_spinor
-from sympspin.verify import SUITES
+from sympspin.verify import SUITES, ActionReport
 from sympspin.cli import (
     MAX_DEGREE,
     MAX_L,
     MAX_TRIALS,
+    CheckRecord,
     RunConfig,
     SUITE_ORDER,
     emit_report,
@@ -35,6 +35,15 @@ FAST = dict(l=2, max_degree=3, trials=2, seed=7)
 def fast_config(**kw):
     merged = {**FAST, **kw}
     return RunConfig(**merged)
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter finding this checkout's sympspin first."""
+    src = str(Path(sympspin.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=60)
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +160,8 @@ def test_display_disagreeing_with_its_documented_verdict_fails_alone(monkeypatch
     before = run_suite(config)
     suite = SUITES["theorem10"]
     eq11, *rest = suite.displays
-    monkeypatch.setitem(SUITES, "theorem10", replace(
-        suite, displays=(replace(eq11, expected=(True, True)), *rest)))
+    monkeypatch.setitem(SUITES, "theorem10", suite._replace(
+        displays=(eq11._replace(expected=(True, True)), *rest)))
     after = run_suite(config)
     assert before.overall == "pass" and after.overall == "fail"
     changed = [c.name for c, old, new in zip(after.checks, records(before), records(after),
@@ -428,11 +437,7 @@ def test_module_run_of_bad_replay_writes_one_stderr_line(tmp_path):
     # `python -m sympspin.cli` must not find sympspin.cli imported by the package
     path = tmp_path / "ce.json"
     path.write_text(HOSTILE_REPLAYS["not-json"])
-    src = str(Path(sympspin.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-m", "sympspin.cli", "--replay", str(path)],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _python("-m", "sympspin.cli", "--replay", str(path))
     assert proc.returncode == 2
     assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1
 
@@ -477,3 +482,33 @@ def test_replay_of_missing_file_exits_two_with_one_line(tmp_path, capsys):
     assert main(["--replay", str(tmp_path / "absent.json")]) == 2
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
+# Start-up
+# ---------------------------------------------------------------------------
+
+
+def test_importing_cli_loads_neither_dataclasses_nor_argparse():
+    # the records are NamedTuples and argparse loads inside _build_parser, so
+    # an import pays for neither (dataclasses alone pulls in inspect and ast)
+    proc = _python("-c", "import sys, sympspin.cli; print(sorted(m for m in "
+                         "('dataclasses', 'inspect', 'argparse') if m in sys.modules))")
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: sympspin")
+
+
+@pytest.mark.parametrize("record,field", [
+    (RunConfig(), "l"),
+    (CheckRecord("lemma1", "anchor", "pass", 1, 0, None), "status"),
+    (ActionReport("lemma1", 1, "pass"), "displays"),
+])
+def test_records_refuse_assignment(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))

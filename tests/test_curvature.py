@@ -174,6 +174,22 @@ def test_trace_rows_and_bases_match_the_separate_index_walk(l):
                                         nullspace_basis(bianchi, len(variables))]
 
 
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_space_bases_match_the_fraction_oracle(l):
+    # every pivot of the Bianchi and trace rows is +-1, so the bases come out
+    # in ints, equal value for value and in key order to the elimination
+    # before it kept ints, which is fed the same rows as Fractions
+    n = 2 * l
+    variables, index = _canonical_vars(n)
+    bianchi = [{v: F(x) for v, x in row.items()} for row in _bianchi_rows(n, index)]
+    for basis, rows in ((curvature_space_basis(l), bianchi),
+                        (weyl_space_basis(l), bianchi + oracles.trace_rows(n, index))):
+        vectors = [vec for _, vec in basis]
+        assert [list(v.items()) for v in vectors] == [
+            list(v.items()) for v in oracles.nullspace_basis(rows, len(variables))]
+        assert all(type(x) is int for v in vectors for x in v.values())
+
+
 def test_extended_bianchi_on_full_basis():
     # identity (D) is implied by (A)-(C): check every basis tensor, not samples
     for l in (1, 2):

@@ -141,6 +141,60 @@ def test_nullspace_gaussian_rows_of_known_rank():
         assert all(annihilates(rows, v) for v in basis)
 
 
+def test_non_unit_int_pivots_give_exact_fractions():
+    # pivots 3 and 7 are inverted as Fractions, never as floats:
+    # x1 = -x2/7, then 3 x0 = -x1 - 2 x2 = -13/7 x2
+    basis = nullspace_basis([{0: 3, 1: 1, 2: 2}, {1: 7, 2: 1}], 3)
+    assert basis == [{2: 1, 0: Fraction(-13, 21), 1: Fraction(-1, 7)}]
+    assert nullspace_basis([{0: 3, 1: 1}], 2) == [{1: 1, 0: Fraction(-1, 3)}]
+    assert all(type(x) in (int, Fraction) for v in basis for x in v.values())
+
+
+def test_unit_int_pivots_stay_ints():
+    basis = nullspace_basis([{0: -1, 1: 2, 3: 1}, {1: 1, 2: -3}], 4)
+    assert basis == [{2: 1, 0: 6, 1: 3}, {3: 1, 0: 1}]
+    assert all(type(x) is int for v in basis for x in v.values())
+
+
+def as_items(basis):
+    """Each vector's (column, value) pairs in key order."""
+    return [list(v.items()) for v in basis]
+
+
+def rank_deficient_rows(stream, draw, scale, ncols):
+    """Random rows, some empty, plus combinations and repeats of them, shuffled."""
+    base = [{c: x for c in range(ncols) if stream.next_int(0, 2) and (x := draw())}
+            for _ in range(stream.next_int(0, 4))]
+    rows = base + [{}] * stream.next_int(0, 2)
+    for _ in range(stream.next_int(0, 3) if base else 0):
+        a, b = (base[stream.next_int(0, len(base) - 1)] for _ in range(2))
+        m = scale()
+        rows.append({c: x for c in range(ncols) if (x := a.get(c, 0) + m * b.get(c, 0))})
+    rows += [rows[stream.next_int(0, len(rows) - 1)] for _ in range(len(rows) // 2)]
+    for i in range(len(rows) - 1, 0, -1):
+        j = stream.next_int(0, i)
+        rows[i], rows[j] = rows[j], rows[i]
+    return rows
+
+
+@pytest.mark.parametrize("field", ["Z", "Q", "Q(i)"])
+def test_nullspace_matches_the_oracle(field):
+    # the oracle is the elimination before it stayed in ints: it is exact on
+    # Fraction and Gaussian rows, so int rows reach it as Fractions
+    stream = RandomStream({"Z": 11, "Q": 12, "Q(i)": 13}[field])
+    draw, scale = {
+        "Z": (lambda: stream.next_int(-4, 4), lambda: stream.next_int(-3, 3)),
+        "Q": (lambda: stream.next_fraction(5), lambda: stream.next_fraction(3)),
+        "Q(i)": (lambda: stream.next_gaussian(3), lambda: stream.next_gaussian(2)),
+    }[field]
+    for _ in range(200):
+        ncols = stream.next_int(1, 7)
+        rows = rank_deficient_rows(stream, draw, scale, ncols)
+        exact = [{c: Fraction(x) if field == "Z" else x for c, x in row.items()} for row in rows]
+        assert as_items(nullspace_basis(rows, ncols)) == as_items(
+            oracles.nullspace_basis(exact, ncols))
+
+
 # ---------------------------------------------------------------------------
 # Deterministic sampling
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """The curvature action on spinors and the theorem-level verification."""
 
 import json
-from dataclasses import asdict
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -281,8 +280,8 @@ def test_zero_trials_reports_skipped_not_passed():
 
 
 def test_suite_reports_deterministic():
-    a = [asdict(r) for name in LEMMA_SUITES for r in SUITES[name].run(2, 4, 2, 5)]
-    b = [asdict(r) for name in LEMMA_SUITES for r in SUITES[name].run(2, 4, 2, 5)]
+    a = [r._asdict() for name in LEMMA_SUITES for r in SUITES[name].run(2, 4, 2, 5)]
+    b = [r._asdict() for name in LEMMA_SUITES for r in SUITES[name].run(2, 4, 2, 5)]
     assert json.dumps(a) == json.dumps(b)
 
 
