@@ -37,12 +37,14 @@ component is reduced to lowest terms once; no spinor is built per
 (component, index) pair.
 
 Projectors never materialize matrices; they compose X and Y, and each form
-is projected once.  A form's private slot `_parts` is empty when it is built;
-the first projection fills it with (p10, p11) of a 1-form, from one XY, or
-with (p20, p21, p22, Y^2) of a 2-form (`_two_form_parts`), from one Y, one XY
-and one X^2Y^2.  Every later `project` of that form reads the slot, so a
-check that asks for all the parts of one form, and then for the parts of
-each part, builds one chain per distinct form.  Forms are immutable, so the
+is projected once.  By the Clifford relation that lemma1 decides, X^2 on a
+0-form is the omega-wedge X^2 (1 ⊗ s) = -i sum_a e^a ∧ e^{a+l} ⊗ s, so p20
+runs no X.  A form's private slot `_parts` is empty when it is built; the
+first projection fills it with (p10, p11) of a 1-form, from one XY, or with
+(p20, p21, p22, Y^2) of a 2-form (`_two_form_parts`), from one Y, one Y^2
+and one XY.  Every later `project` of that form reads the slot, so a check
+that asks for all the parts of one form, and then for the parts of each
+part, builds one chain per distinct form.  Forms are immutable, so the
 slot never goes stale; equality, hashing and JSON never read it.
 """
 
@@ -95,6 +97,8 @@ class SpinorForm:
     __slots__ = ("l", "r", "cap", "components", "_parts")
 
     def __init__(self, l: int, r: int, cap: int, components: dict | None = None):
+        if not all(type(x) is int for x in (l, r, cap)):
+            raise ValueError(f"l, r and cap must be ints, got {(l, r, cap)!r}")
         if not (0 <= r <= 2 * l):
             raise ValueError(f"form degree {r} out of range for l={l}")
         clean: dict[tuple[int, ...], PolySpinor] = {}
@@ -382,17 +386,20 @@ def project(which: str, phi: SpinorForm) -> SpinorForm:
 
 
 def _two_form_parts(phi: SpinorForm) -> tuple[SpinorForm, SpinorForm, SpinorForm, SpinorForm]:
-    """(p20, p21, p22, Y^2) of a 2-form, from one Y, one XY and one X^2Y^2,
+    """(p20, p21, p22, Y^2) of a 2-form, from one Y, one Y^2 and one XY,
     computed on the first call and kept on the form.
 
     p20 = (1/l) X^2Y^2, p21 = (i/(l-1)) (XY - i p20) and p22 = Id - p20 - p21;
-    these are the only places the two-form normalizations are written.  phi
-    must be a 2-form with l >= 2, as `project` checks.
+    these are the only places the two-form normalizations are written.  X^2
+    of the 0-form Y^2 phi = s is the omega-wedge (e_j.e_k - e_k.e_j) s =
+    -i omega_jk s on e^j ∧ e^k; Y^2 still runs through the kernel.  phi must
+    be a 2-form with l >= 2, as `project` checks.
     """
     if phi._parts is None:
         y = op_Y(phi)
         yy = op_Y(y)
-        p20 = op_X(op_X(yy)).scale(Fraction(1, phi.l))
+        s = yy.component(()).scale(GaussianRational(0, Fraction(-1, phi.l)))
+        p20 = _form(phi.l, 2, phi.cap, {(a, a + phi.l): s for a in range(phi.l)})
         p21 = (op_X(y) - p20.scale(GR_I)).scale(GaussianRational(0, Fraction(1, phi.l - 1)))
         object.__setattr__(phi, "_parts", (p20, p21, phi - p20 - p21, yy))
     return phi._parts

@@ -40,7 +40,8 @@ f * e_i.s for an int f straight into a dict of [re, im] accumulators; X and Y
 sum whole forms through it over one denominator and reduce once per output
 component (`_from_acc`).  Every quadratic Clifford element sum f e_a.e_b.s
 (`sp_action`, the curvature action and the displays) goes through one more,
-`_quadratic_into`, which forms each first product e_b.s once.
+`_quadratic_into`, which forms each first product e_b.s once and merges
+each product with its mirror e_b.e_a.s = e_a.e_b.s + i omega_ab s.
 """
 
 from __future__ import annotations
@@ -124,10 +125,10 @@ class PolySpinor:
     __slots__ = ("l", "cap", "num", "den")
 
     def __init__(self, l: int, cap: int, coeffs: dict | None = None):
-        if l < 1:
-            raise ValueError("l must be >= 1")
-        if not 0 <= cap <= MAX_CAP:
-            raise ValueError(f"cap must be in 0..{MAX_CAP}, got {cap}")
+        if type(l) is not int or l < 1:
+            raise ValueError(f"l must be an int >= 1, got {l!r}")
+        if type(cap) is not int or not 0 <= cap <= MAX_CAP:
+            raise ValueError(f"cap must be an int in 0..{MAX_CAP}, got {cap!r}")
         clean: dict[int, GaussianRational] = {}
         if coeffs:
             for alpha, c in coeffs.items():
@@ -221,8 +222,8 @@ class PolySpinor:
 
     def scale(self, scalar) -> "PolySpinor":
         """scalar * self; a unit (+-1, +-i) negates or swaps the two parts of
-        each numerator, and any other scalar p/q multiplies the numerators
-        by the Gaussian integer p and the denominator by q, then reduces."""
+        each numerator, i/q swaps them over q, and any other scalar p/q
+        multiplies them by the Gaussian integer p over q, then reduces."""
         if isinstance(scalar, GaussianRational):
             re, im = scalar.re, scalar.im
         else:
@@ -246,7 +247,8 @@ class PolySpinor:
         if not r:
             out = {a: (x * p, y * p) for a, (x, y) in num.items()}
         elif not p:
-            out = {a: (-y * r, x * r) for a, (x, y) in num.items()}
+            out = ({a: (-y, x) for a, (x, y) in num.items()} if r == 1
+                   else {a: (-y * r, x * r) for a, (x, y) in num.items()})
         else:
             out = {a: (x * p - y * r, x * r + y * p) for a, (x, y) in num.items()}
         return _reduced(l, cap, out, self.den * q)
@@ -303,9 +305,13 @@ def _reduced(l: int, cap: int, num: dict, den: int) -> PolySpinor:
 
 
 def _from_acc(l: int, cap: int, acc: dict, den: int) -> PolySpinor:
-    """The spinor acc / den from a kernel accumulator {key: [re, im]}:
-    cancelled terms are dropped and the rest reduced once."""
-    return _reduced(l, cap, {a: (re, im) for a, (re, im) in acc.items() if re or im}, den)
+    """The spinor acc / den from a kernel accumulator {key: [re, im]}, reduced
+    by one gcd (a cancelled [0, 0] leaves it be) in the pass that drops them."""
+    g = gcd(den, *chain.from_iterable(acc.values())) if den > 1 else 1
+    if g > 1:
+        return _spinor(l, cap, {a: (re // g, im // g) for a, (re, im) in acc.items()
+                                if re or im}, den // g)
+    return _spinor(l, cap, {a: (re, im) for a, (re, im) in acc.items() if re or im}, den)
 
 
 def _common_den(dens) -> tuple[int, list[int]]:
@@ -403,23 +409,46 @@ def clifford_basis(i: int, s: PolySpinor) -> PolySpinor:
     return _from_acc(l, s.cap, acc, s.den)
 
 
+def _i_times_into(acc: dict, num: dict, f: int) -> None:
+    """acc += i f num, for the numerators `num` of a spinor and an int f."""
+    for key, (re, im) in num.items():
+        cur = acc.setdefault(key, [0, 0])
+        cur[0] -= im * f
+        cur[1] += re * f
+
+
 def _quadratic_into(s: PolySpinor, terms) -> dict:
     """The accumulators {slot: {key: [re, im]}} of the quadratic Clifford sums
     sum_b sum f e_a.(e_b.s) over (slot, a, f) in terms[b], for int f, all
     over the one denominator s.den.
 
-    Each first product e_b.s is formed once (`clifford_basis`) and put back
-    over s.den by the int s.den // (e_b.s).den; every second product is
+    Where one slot holds f e_a.(e_b.s), a < b, and its mirror g e_b.(e_a.s),
+    the Clifford relation merges them into (f + g) e_a.(e_b.s), plus the
+    scalar i g s for a partner pair b = a + l.  So a merged partner pair no
+    longer forms e_a.s, which raises the degree and fails at the cap; nothing
+    is ever truncated.  Products without a mirror (lemma1's) stay as written.
+    Each first product still needed is formed once (`clifford_basis`) and put
+    back over s.den by the int s.den // (e_b.s).den; every second product is
     summed in place by `_clifford_into`.  Nothing is reduced here."""
     l, cap = s.l, s.cap
-    accs: dict = defaultdict(dict)
-    for b, row in enumerate(terms):
-        if not row:
-            continue
-        eb = clifford_basis(b, s)
-        num, g = eb.num, s.den // eb.den
+    rows: list[dict] = [{} for _ in terms]
+    for table, row in zip(rows, terms):
         for slot, a, f in row:
-            _clifford_into(accs[slot], num, a, l, cap, g * f)
+            table[slot, a] = table.get((slot, a), 0) + f
+    accs: dict = defaultdict(dict)
+    for b in reversed(range(len(rows))):       # a mirror sits in an earlier row
+        table = rows[b]
+        for (slot, a), f in table.items():
+            if a < b and (g := rows[a].pop((slot, b), None)) is not None:
+                table[slot, a] = f + g
+                if b == a + l:
+                    _i_times_into(accs[slot], s.num, g)
+        if any(table.values()):
+            eb = clifford_basis(b, s)
+            num, g = eb.num, s.den // eb.den
+            for (slot, a), f in table.items():
+                if f:
+                    _clifford_into(accs[slot], num, a, l, cap, g * f)
     return accs
 
 
@@ -503,10 +532,10 @@ def random_spinor(
     Each coefficient is the two `next_ratio` draws of `next_gaussian(bound)`
     (a zero draw becomes 1); they are summed as Gaussian integers over the
     lcm of their denominators under packed keys and reduced once."""
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    if not 0 <= cap <= MAX_CAP:
-        raise ValueError(f"cap must be in 0..{MAX_CAP}, got {cap}")
+    if type(l) is not int or l < 1:
+        raise ValueError(f"l must be an int >= 1, got {l!r}")
+    if type(cap) is not int or not 0 <= cap <= MAX_CAP:
+        raise ValueError(f"cap must be an int in 0..{MAX_CAP}, got {cap!r}")
     if degree > cap:
         raise ValueError("degree must not exceed cap")
     draws = []

@@ -29,12 +29,15 @@ T^{ij}_{kl} = s_i s_j T_{i*j*kl} off the tensor's lowered int numerators into
 int tables of quadratic Clifford terms, which the one kernel
 `spinors._quadratic_into` sums over one denominator (eq. 11 adds its third
 and outer products through `spinors._clifford_into`); no verdict clears a
-tensor.  Lemma 1 goes through the same kernel, one slot per ordered product
-e_a.(e_b.s), so each e_b.s is formed once per trial.  Replay decodes every
+tensor.  Eq. 11 keys its first products by the unordered pair {i*, j*},
+which (C) allows, and the kernel merges mirrored products there and in the
+symmetric tables of the action and eq. 9.  Lemma 1 goes through the same
+kernel, one slot per ordered product e_a.(e_b.s), so none is merged and
+each e_b.s is formed once per trial.  Replay decodes every
 index through `exact.parse_indices`, and a theorem10 tensor as a checked
 `WeylTensor`.
-The theorem checks take p20, p21 and p22 of an action from one XY and one
-X^2Y^2 (`forms._two_form_parts`).
+The theorem checks take p20, p21 and p22 of an action from one Y^2 and one
+XY (`forms._two_form_parts`).
 
 Every suite is one entry of the registry SUITES: its checks and paper anchors,
 its requirements, a sampler, one `holds` per check, a decoder from a
@@ -226,16 +229,17 @@ def literal_p21_ricci(sigma: RicciTensor, phi: PolySpinor) -> SpinorForm:
 def literal_p21_weyl(W: CurvatureTensor, phi: PolySpinor) -> SpinorForm:
     """As displayed: (2i/(1-l)) W^{ijk}_l e^m ∧ e^l ⊗ e_m.e_k.e_i.e_j.phi.
 
-    Folded: s_i s_j e_i.e_j.phi is summed once per (i*, j*) by
-    `_quadratic_into`, then T_l = W^{ijk}_l e_k.e_i.e_j.phi for each slot l,
-    so the slot a < b of the form is e_a.T_b - e_b.T_a, one Clifford product
-    per (m, l) pair.  2i/(1-l) is -2 i over the denominator (l-1) W.den phi.den.
+    Folded: s_i s_j e_i.e_j.phi is summed by `_quadratic_into` once per
+    unordered {i*, j*} (W is symmetric in its first pair, (C)), then
+    T_l = W^{ijk}_l e_k.e_i.e_j.phi per slot l; the form's slot a < b is
+    e_a.T_b - e_b.T_a.  2i/(1-l) is -2 i over (l-1) W.den phi.den.
     """
     l, cap = W.l, phi.cap
     n = 2 * l
     partners = omega_partners(l)
     E = W.num
-    terms = [[((ip, jp), i, si * sj) for i, (ip, si) in enumerate(partners)] for jp, sj in partners]
+    terms = [[((min(ip, jp), max(ip, jp)), i, si * sj) for i, (ip, si) in enumerate(partners)]
+             for jp, sj in partners]
     slot: list[dict] = [{} for _ in range(n)]
     for (ip, jp), eij in _quadratic_into(phi, terms).items():
         if not eij:

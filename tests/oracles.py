@@ -31,9 +31,13 @@ stream integer composed of `next_u64` and `_mix64`, which
 `RandomStream.next_int` inlines, and the sparse elimination as it was before
 it kept integer rows in integers: every pivot inverted as 1 / p, a re-sort of
 the pivots per back-substitution step, and the basis read off column by
-column.
+column.  So is the quadratic kernel as it was before it merged mirrored
+products by the Clifford relation (`quadratic_into`): it forms every
+product e_a.(e_b.s) as written.  The two-form projectors here build X^2Y^2
+from two calls to the package's X, which the package no longer makes.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations, product
@@ -47,7 +51,8 @@ from sympspin.exact import nullspace_basis as _nullspace_basis
 from sympspin.forms import PROJECTORS, SpinorForm
 from sympspin.forms import op_X as _op_X
 from sympspin.forms import project as _project
-from sympspin.spinors import DegreeCapError, PolySpinor, SpLieElement, clifford_basis
+from sympspin.spinors import (DegreeCapError, PolySpinor, SpLieElement, _clifford_into,
+                               clifford_basis)
 from sympspin.symplectic import omega_partners, standard_symplectic_form
 
 
@@ -331,6 +336,26 @@ def literal_p21_weyl(W, phi: PolySpinor) -> SpinorForm:
                     key, sign = _slot(m, mm)
                     _add_into(comps, key, spinor_scale(s4, gr_mul(coeff, c * sign)))
     return SpinorForm(W.l, 2, phi.cap, comps)
+
+
+def quadratic_into(s: PolySpinor, terms) -> dict:
+    """The accumulators {slot: {key: [re, im]}} of the quadratic Clifford sums
+    sum_b sum f e_a.(e_b.s) over (slot, a, f) in terms[b], for int f, all
+    over the one denominator s.den.
+
+    Each first product e_b.s is formed once (`clifford_basis`) and put back
+    over s.den by the int s.den // (e_b.s).den; every second product is
+    summed in place by `_clifford_into`.  Nothing is reduced here."""
+    l, cap = s.l, s.cap
+    accs: dict = defaultdict(dict)
+    for b, row in enumerate(terms):
+        if not row:
+            continue
+        eb = clifford_basis(b, s)
+        num, g = eb.num, s.den // eb.den
+        for slot, a, f in row:
+            _clifford_into(accs[slot], num, a, l, cap, g * f)
+    return accs
 
 
 def project(which: str, phi: SpinorForm) -> SpinorForm:

@@ -433,6 +433,18 @@ def test_hostile_replay_exits_two_with_one_line(name, tmp_path, capsys):
     assert out == "" and len(err.splitlines()) == 1
 
 
+def test_replay_with_a_float_cap_exits_two_naming_the_cap(tmp_path, capsys):
+    sigma = ricci_to_json(RicciTensor.random(2, RandomStream(5)))
+    phi = {**poly_spinor_to_json(random_spinor(2, 2, 9, RandomStream(6))), "cap": 9.0}
+    ce = {"check": "theorem9", "l": 2, "sigma": sigma, "phi": phi}
+    path = tmp_path / "ce.json"
+    path.write_text(json.dumps(ce))
+    assert main(["--replay", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert "ValueError: cap must be an int" in err and "9.0" in err
+
+
 def test_module_run_of_bad_replay_writes_one_stderr_line(tmp_path):
     # `python -m sympspin.cli` must not find sympspin.cli imported by the package
     path = tmp_path / "ce.json"

@@ -492,8 +492,11 @@ def _plant_kernel(monkeypatch, kernel) -> None:
 def test_flipped_unit_i_fails_lemma1_and_replays(tmp_path, monkeypatch, capsys):
     # The planted defect: the Clifford kernel multiplies by -i instead of +i
     # for e_i with i < l, so e_i acts as -i x^i and the Clifford commutator
-    # changes sign.  At l = 2, trials = 2 (seed 42) exactly these nine
-    # records fail; lemma1 is the check that decides the unit.
+    # changes sign.  At l = 2, trials = 2 (seed 42) exactly these eleven
+    # records fail; lemma1 is the check that decides the unit.  p20 is the
+    # omega-wedge of Y^2 and the quadratic sums merge mirrored products with
+    # the true relation, so the sign error no longer cancels in p20 and the
+    # eq. 9 and p20 displays fail too.
     kernel = spinors._clifford_into
 
     def flipped(acc, num, i, l, cap, f):
@@ -503,8 +506,9 @@ def test_flipped_unit_i_fails_lemma1_and_replays(tmp_path, monkeypatch, capsys):
     failing, checks = _failing_checks(tmp_path)
     assert failing == {
         "lemma1", "lemma4", "lemma5.idempotency", "lemma5.orthogonality",
-        "theorem9", "theorem9.eq10-display",
-        "corollary11.p21-display", "corollary11.p22-display", "symbol-complex",
+        "theorem9", "theorem9.eq9-display", "theorem9.eq10-display",
+        "corollary11.p20-display", "corollary11.p21-display", "corollary11.p22-display",
+        "symbol-complex",
     }
     _replays_then_heals("lemma1", checks, tmp_path, monkeypatch, capsys)
 
@@ -558,6 +562,22 @@ def test_unscaled_first_products_fail_lemma1_and_replay(tmp_path, monkeypatch, c
         "corollary11.p21-display", "corollary11.p22-display",
     }
     _replays_then_heals("lemma1", checks, tmp_path, monkeypatch, capsys)
+
+
+def test_flipped_merged_partner_scalar_fails_theorem9_and_replays(tmp_path, monkeypatch, capsys):
+    # The planted defect: `_quadratic_into` merges a partner product
+    # e_{a+l}.(e_a.s) into its mirror e_a.(e_{a+l}.s) with the scalar -i f s
+    # in place of i f s.  At l = 2, trials = 2 (seed 42) exactly these four
+    # records fail.  lemma1 forms every product as written, so it passes;
+    # theorem10 and its displays miss it at these draws.
+    scalar = spinors._i_times_into
+    monkeypatch.setattr(spinors, "_i_times_into", lambda acc, num, f: scalar(acc, num, -f))
+    failing, checks = _failing_checks(tmp_path)
+    assert failing == {
+        "theorem9", "theorem9.eq10-display",
+        "corollary11.p21-display", "corollary11.p22-display",
+    }
+    _replays_then_heals("theorem9", checks, tmp_path, monkeypatch, capsys)
 
 
 def test_halved_action_fails_the_corrected_eq9_display(monkeypatch):

@@ -55,8 +55,12 @@ def _cases(l, r):
 
 def _oracle_parts(phi):
     """Every oracle projection of phi, or None when its chain passes the cap.
-    The package computes all the parts of a form at once, so it raises
-    exactly when the oracle's fullest chain (XY, and X^2Y^2 for 2-forms) does."""
+    The package computes all the parts of a form at once and raises when any
+    of its steps does; on these cases that is exactly when the oracle's
+    fullest chain (XY, and X^2Y^2 for 2-forms) does.  The package's X^2Y^2
+    is the omega-wedge of Y^2 and never passes the cap itself, but Y^2 of a
+    2-form has at most the form's degree, so the oracle's X(X(Y^2)) passes it
+    only near the cap, where the package's Y or XY already does."""
     try:
         return {which: oracles.project(which, phi) for which in _names(phi.r)}
     except DegreeCapError:
@@ -117,8 +121,9 @@ def test_projecting_a_form_again_runs_no_x_or_y(l, op_calls):
     one, two = random_form(l, 1, 2, 8, stream), random_form(l, 2, 2, 8, stream)
     for which in PROJECTORS:
         project(which, one if which[1] == "1" else two)
-    # one XY for the 1-form; one Y, Y^2, XY, X(Y^2) and X^2Y^2 for the 2-form
-    assert op_calls == Counter({("Y", 1): 2, ("X", 0): 2, ("Y", 2): 1, ("X", 1): 2})
+    # one XY for the 1-form; one Y, Y^2 and XY for the 2-form, whose X^2Y^2
+    # is the omega-wedge of Y^2 and runs no X
+    assert op_calls == Counter({("Y", 1): 2, ("X", 0): 1, ("Y", 2): 1, ("X", 1): 1})
     first = dict(op_calls)
     for which in PROJECTORS:
         project(which, one if which[1] == "1" else two)
@@ -134,8 +139,8 @@ def test_one_lemma5_trial_builds_one_chain_per_distinct_form(op_calls):
     assert op_calls == Counter({
         ("Y", 2): two_form_chains,
         ("Y", 1): two_form_chains + one_form_xy,
-        ("X", 0): two_form_chains + one_form_xy,
-        ("X", 1): 2 * two_form_chains,
+        ("X", 0): one_form_xy,
+        ("X", 1): two_form_chains,
     })
 
 

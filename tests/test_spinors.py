@@ -267,3 +267,27 @@ def test_spinor_equality_ignores_cap():
     a = PolySpinor.monomial(2, 4, (1, 0))
     b = PolySpinor.monomial(2, 9, (1, 0))
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Sizes are ints
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PolySpinor(2, 9.0, {(1, 0): 1}),
+    lambda: PolySpinor(2, True, {(1, 0): 1}),
+    lambda: PolySpinor(2.0, 9, {(1, 0): 1}),
+    lambda: PolySpinor(True, 9),
+    lambda: random_spinor(2, 3, 9.0, RandomStream(1)),
+    lambda: random_spinor(2.0, 3, 9, RandomStream(1)),
+    lambda: SpinorForm(2, 1.0, 4),
+    lambda: SpinorForm(2, 1, 4.0),
+    lambda: SpinorForm(2.0, 1, 4),
+    lambda: SpinorForm(2, True, 4),
+])
+def test_constructors_refuse_non_int_sizes(build):
+    # a float cap used to pass the range check and die later in the kernel,
+    # and True acted as 1
+    with pytest.raises(ValueError, match="must be (an int|ints)"):
+        build()
