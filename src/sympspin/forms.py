@@ -33,8 +33,8 @@ a form over one denominator, the lcm of theirs, and add every signed e_i.s
 straight into one accumulator per output tuple through the Clifford kernel
 `spinors._clifford_into`, which works on packed monomial keys (one exponent
 field per variable, the total degree on top; see `spinors`).  Each output
-component is reduced to lowest terms once; no spinor is built per
-(component, index) pair.
+component is reduced to lowest terms once (with a final i, if asked, in
+that pass); no spinor is built per (component, index) pair.
 
 Projectors never materialize matrices; they compose X and Y, and each form
 is projected once.  By the Clifford relation that lemma1 decides, X^2 on a
@@ -42,10 +42,12 @@ is projected once.  By the Clifford relation that lemma1 decides, X^2 on a
 runs no X.  A form's private slot `_parts` is empty when it is built; the
 first projection fills it with (p10, p11) of a 1-form, from one XY, or with
 (p20, p21, p22, Y^2) of a 2-form (`_two_form_parts`), from one Y, one Y^2
-and one XY.  Every later `project` of that form reads the slot, so a check
-that asks for all the parts of one form, and then for the parts of each
-part, builds one chain per distinct form.  Forms are immutable, so the
-slot never goes stale; equality, hashing and JSON never read it.
+and one XY, each normalization applied before X: p10 = X((i/l) Y phi) and
+p21 = X((i/(l-1)) Y phi) + p20/(l-1).  Every later `project` of that form
+reads the slot, so a check that asks for all the parts of one form, and then
+for the parts of each part, builds one chain per distinct form.  Forms are
+immutable, so the slot never goes stale; equality, hashing and JSON never
+read it.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import GR_I, GaussianRational, RandomStream, _keyed, parse_indices
+from .exact import GaussianRational, RandomStream, _keyed, parse_indices
 from .spinors import (
     PolySpinor,
     SpLieElement,
@@ -136,7 +138,9 @@ class SpinorForm:
         return cls(s.l, 0, s.cap, {(): s})
 
     def component(self, tup) -> PolySpinor:
-        return self.components.get(tuple(tup), PolySpinor.zero(self.l, self.cap))
+        """The spinor at `tup`, or zero with the form's cap."""
+        s = self.components.get(tuple(tup))
+        return _spinor(self.l, self.cap, {}, 1) if s is None else s
 
     def is_zero(self) -> bool:
         return not self.components
@@ -310,10 +314,12 @@ def _over_one_den(phi: SpinorForm) -> tuple[int, list]:
     return den, [(tup, s.num, f) for (tup, s), f in zip(comps.items(), factors)]
 
 
-def _form_from_accs(l: int, r: int, cap: int, accs: dict, den: int) -> SpinorForm:
-    """The form whose component at each tuple is accs[tup] / den, reduced once
-    per component (`spinors._from_acc`)."""
-    return _form(l, r, cap, {tup: _from_acc(l, cap, acc, den) for tup, acc in accs.items()})
+def _form_from_accs(l: int, r: int, cap: int, accs: dict, den: int,
+                    times_i: bool = False) -> SpinorForm:
+    """The form whose component at each tuple is accs[tup] / den (times i
+    when `times_i`), reduced once per component (`spinors._from_acc`)."""
+    return _form(l, r, cap, {tup: _from_acc(l, cap, acc, den, times_i)
+                             for tup, acc in accs.items()})
 
 
 def op_X(phi: SpinorForm) -> SpinorForm:
@@ -377,7 +383,7 @@ def project(which: str, phi: SpinorForm) -> SpinorForm:
         if phi.r != 1:
             raise ValueError(f"{which} acts on 1-forms, got degree {phi.r}")
         if phi._parts is None:
-            p10 = op_X(op_Y(phi)).scale(GaussianRational(0, Fraction(1, phi.l)))
+            p10 = op_X(op_Y(phi).scale(GaussianRational(0, Fraction(1, phi.l))))
             object.__setattr__(phi, "_parts", (p10, phi - p10))
         return phi._parts[which == "p11"]
     if phi.r != 2:
@@ -392,15 +398,18 @@ def _two_form_parts(phi: SpinorForm) -> tuple[SpinorForm, SpinorForm, SpinorForm
     p20 = (1/l) X^2Y^2, p21 = (i/(l-1)) (XY - i p20) and p22 = Id - p20 - p21;
     these are the only places the two-form normalizations are written.  X^2
     of the 0-form Y^2 phi = s is the omega-wedge (e_j.e_k - e_k.e_j) s =
-    -i omega_jk s on e^j ∧ e^k; Y^2 still runs through the kernel.  phi must
-    be a 2-form with l >= 2, as `project` checks.
+    -i omega_jk s on e^j ∧ e^k; Y^2 still runs through the kernel.  i/(l-1)
+    goes on the 1-form Y phi, before X.  phi must be a 2-form with l >= 2, as
+    `project` checks.
     """
     if phi._parts is None:
+        l, cap = phi.l, phi.cap
         y = op_Y(phi)
         yy = op_Y(y)
-        s = yy.component(()).scale(GaussianRational(0, Fraction(-1, phi.l)))
-        p20 = _form(phi.l, 2, phi.cap, {(a, a + phi.l): s for a in range(phi.l)})
-        p21 = (op_X(y) - p20.scale(GR_I)).scale(GaussianRational(0, Fraction(1, phi.l - 1)))
+        s = yy.component(()).scale(GaussianRational(0, Fraction(-1, l)))
+        p20 = _form(l, 2, cap, {(a, a + l): s for a in range(l)})
+        p21 = (op_X(y.scale(GaussianRational(0, Fraction(1, l - 1))))
+               + p20.scale(Fraction(1, l - 1)))
         object.__setattr__(phi, "_parts", (p20, p21, phi - p20 - p21, yy))
     return phi._parts
 

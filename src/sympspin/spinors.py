@@ -22,12 +22,13 @@ hold.  Tests re-derive the constant by brute force rather than trusting it.
 Every operator on the identity paths has coefficients in {+-1, +-i, integer
 exponents}, so spinors are stored as Gaussian integers over one shared
 denominator (see `PolySpinor`) and the identities are decided in Z[i]:
-`scale` negates or swaps the two parts of each numerator for +-1 and +-i,
-and sums add integers over the lcm of the denominators.  Each result is
-reduced once to lowest terms, so equality stays an exact zero test.  The
-public `PolySpinor(...)` validates its input; results derived from valid
-spinors are built through the unchecked constructors.  The checked Fraction
-arithmetic lives on as the test oracle.
+`scale` negates or swaps the two parts of each numerator for +-1 and +-i
+(over q for +-i/q, and keeps them over q for 1/q), and sums add integers
+over the lcm of the denominators.  Each result is reduced once to lowest
+terms, so equality stays an exact zero test.  The public `PolySpinor(...)`
+validates its input; results derived from valid spinors are built through
+the unchecked constructors.  The checked Fraction arithmetic lives on as
+the test oracle.
 
 A monomial x^alpha is keyed by one packed int: a `FIELD_BITS`-wide field per
 exponent, alpha_v at bit FIELD_BITS * v, and the total degree |alpha| in the
@@ -38,10 +39,11 @@ exponent of a capped spinor carries into the next one.  Every Clifford
 product in the package goes through one kernel, `_clifford_into`, which adds
 f * e_i.s for an int f straight into a dict of [re, im] accumulators; X and Y
 sum whole forms through it over one denominator and reduce once per output
-component (`_from_acc`).  Every quadratic Clifford element sum f e_a.e_b.s
-(`sp_action`, the curvature action and the displays) goes through one more,
-`_quadratic_into`, which forms each first product e_b.s once and merges
-each product with its mirror e_b.e_a.s = e_a.e_b.s + i omega_ab s.
+component (`_from_acc`, which can take a final i in that pass by swapping
+the parts).  Every quadratic Clifford element sum f e_a.e_b.s (`sp_action`,
+the curvature action and the displays) goes through `_quadratic_into`,
+which merges each product with its mirror e_b.e_a.s = e_a.e_b.s + i
+omega_ab s and forms each e_b.s and each e_a.(e_b.s) once for all slots.
 """
 
 from __future__ import annotations
@@ -222,8 +224,9 @@ class PolySpinor:
 
     def scale(self, scalar) -> "PolySpinor":
         """scalar * self; a unit (+-1, +-i) negates or swaps the two parts of
-        each numerator, i/q swaps them over q, and any other scalar p/q
-        multiplies them by the Gaussian integer p over q, then reduces."""
+        each numerator, +-i/q swaps them over q, 1/q keeps them over q, and
+        any other scalar p/q multiplies them by the Gaussian integer p over q;
+        every result over q is reduced."""
         if isinstance(scalar, GaussianRational):
             re, im = scalar.re, scalar.im
         else:
@@ -245,10 +248,14 @@ class PolySpinor:
         p = re.numerator * (q // re.denominator)
         r = im.numerator * (q // im.denominator)
         if not r:
-            out = {a: (x * p, y * p) for a, (x, y) in num.items()}
+            out = num if p == 1 else {a: (x * p, y * p) for a, (x, y) in num.items()}
         elif not p:
-            out = ({a: (-y, x) for a, (x, y) in num.items()} if r == 1
-                   else {a: (-y * r, x * r) for a, (x, y) in num.items()})
+            if r == 1:
+                out = {a: (-y, x) for a, (x, y) in num.items()}
+            elif r == -1:
+                out = {a: (y, -x) for a, (x, y) in num.items()}
+            else:
+                out = {a: (-y * r, x * r) for a, (x, y) in num.items()}
         else:
             out = {a: (x * p - y * r, x * r + y * p) for a, (x, y) in num.items()}
         return _reduced(l, cap, out, self.den * q)
@@ -304,14 +311,19 @@ def _reduced(l: int, cap: int, num: dict, den: int) -> PolySpinor:
     return _spinor(l, cap, num, den)
 
 
-def _from_acc(l: int, cap: int, acc: dict, den: int) -> PolySpinor:
-    """The spinor acc / den from a kernel accumulator {key: [re, im]}, reduced
-    by one gcd (a cancelled [0, 0] leaves it be) in the pass that drops them."""
+def _from_acc(l: int, cap: int, acc: dict, den: int, times_i: bool = False) -> PolySpinor:
+    """The spinor acc / den (i acc / den when `times_i`: the parts swap) from
+    a kernel accumulator {key: [re, im]}, reduced by one gcd (a cancelled
+    [0, 0] leaves it be) in the pass that drops them."""
     g = gcd(den, *chain.from_iterable(acc.values())) if den > 1 else 1
-    if g > 1:
-        return _spinor(l, cap, {a: (re // g, im // g) for a, (re, im) in acc.items()
-                                if re or im}, den // g)
-    return _spinor(l, cap, {a: (re, im) for a, (re, im) in acc.items() if re or im}, den)
+    items = acc.items()
+    if times_i:
+        num = ({a: (-im // g, re // g) for a, (re, im) in items if re or im} if g > 1
+               else {a: (-im, re) for a, (re, im) in items if re or im})
+    else:
+        num = ({a: (re // g, im // g) for a, (re, im) in items if re or im} if g > 1
+               else {a: (re, im) for a, (re, im) in items if re or im})
+    return _spinor(l, cap, num, den // g)
 
 
 def _common_den(dens) -> tuple[int, list[int]]:
@@ -417,6 +429,25 @@ def _i_times_into(acc: dict, num: dict, f: int) -> None:
         cur[1] += re * f
 
 
+def _scatter_into(row, num: dict, i: int, l: int, cap: int, g: int) -> None:
+    """acc += g f e_i.(num) for every (acc, f) in the nonempty `row`: g
+    e_i.(num) is formed once and added, times f, in one pass over its terms."""
+    if len(row) == 1:
+        acc, f = row[0]
+        _clifford_into(acc, num, i, l, cap, g * f)
+        return
+    prod: dict = {}
+    _clifford_into(prod, num, i, l, cap, g)
+    for key, (re, im) in prod.items():
+        for acc, f in row:
+            cur = acc.get(key)
+            if cur is None:
+                acc[key] = [re * f, im * f]
+            else:
+                cur[0] += re * f
+                cur[1] += im * f
+
+
 def _quadratic_into(s: PolySpinor, terms) -> dict:
     """The accumulators {slot: {key: [re, im]}} of the quadratic Clifford sums
     sum_b sum f e_a.(e_b.s) over (slot, a, f) in terms[b], for int f, all
@@ -428,8 +459,9 @@ def _quadratic_into(s: PolySpinor, terms) -> dict:
     longer forms e_a.s, which raises the degree and fails at the cap; nothing
     is ever truncated.  Products without a mirror (lemma1's) stay as written.
     Each first product still needed is formed once (`clifford_basis`) and put
-    back over s.den by the int s.den // (e_b.s).den; every second product is
-    summed in place by `_clifford_into`.  Nothing is reduced here."""
+    back over s.den by the int s.den // (e_b.s).den.  Each e_a.(e_b.s) with
+    a nonzero coefficient in some slot is formed once and added into every
+    such slot (`_scatter_into`).  Nothing is reduced here."""
     l, cap = s.l, s.cap
     rows: list[dict] = [{} for _ in terms]
     for table, row in zip(rows, terms):
@@ -437,18 +469,19 @@ def _quadratic_into(s: PolySpinor, terms) -> dict:
             table[slot, a] = table.get((slot, a), 0) + f
     accs: dict = defaultdict(dict)
     for b in reversed(range(len(rows))):       # a mirror sits in an earlier row
-        table = rows[b]
-        for (slot, a), f in table.items():
+        groups: dict[int, list] = {}
+        for (slot, a), f in rows[b].items():
             if a < b and (g := rows[a].pop((slot, b), None)) is not None:
-                table[slot, a] = f + g
+                f += g
                 if b == a + l:
                     _i_times_into(accs[slot], s.num, g)
-        if any(table.values()):
+            if f:
+                groups.setdefault(a, []).append((accs[slot], f))
+        if groups:
             eb = clifford_basis(b, s)
             num, g = eb.num, s.den // eb.den
-            for (slot, a), f in table.items():
-                if f:
-                    _clifford_into(accs[slot], num, a, l, cap, g * f)
+            for a, row in groups.items():
+                _scatter_into(row, num, a, l, cap, g)
     return accs
 
 
@@ -508,7 +541,8 @@ def sp_action(A: SpLieElement, s: PolySpinor) -> PolySpinor:
     """Infinitesimal metaplectic action: (i/2) * sum_ab A[a][b] e_a.e_b.s.
 
     A is cleared to the ints M = c A once; `_quadratic_into` sums
-    M[a][b] e_a.(e_b.s) over the one denominator 2 c s.den.
+    M[a][b] e_a.(e_b.s) over the one denominator 2 c s.den, and i is taken
+    in the read-off (`_from_acc`).
     """
     if A.l != s.l:
         raise ValueError("mismatched l")
@@ -516,7 +550,7 @@ def sp_action(A: SpLieElement, s: PolySpinor) -> PolySpinor:
     terms = [[(0, a, row[b].numerator * (c // row[b].denominator))
               for a, row in enumerate(A.matrix) if row[b]] for b in range(2 * s.l)]
     acc = _quadratic_into(s, terms).get(0, {})
-    return _from_acc(s.l, s.cap, acc, 2 * c * s.den).scale(GR_I)
+    return _from_acc(s.l, s.cap, acc, 2 * c * s.den, times_i=True)
 
 
 def random_spinor(

@@ -22,22 +22,25 @@ statements.  Two systematic discrepancies are expected and documented:
 All checks are exact zero tests; there are no tolerances anywhere.
 
 Two evaluators are folded, exactly: the action sums c e_i.e_j.phi with the
-real c per slot k < l of the antisymmetric last pair and applies i once, and
-the eq. 11 display sums W^{ijk}_l e_k.e_i.e_j.phi per slot l before the one
-outer Clifford product.  The action and the displays raise no index: they read
+real c per slot k < l of the antisymmetric last pair, and the eq. 11
+display sums W^{ijk}_l e_k.e_i.e_j.phi per slot l before the one outer
+Clifford product.  The action and the displays raise no index: they read
 T^{ij}_{kl} = s_i s_j T_{i*j*kl} off the tensor's lowered int numerators into
 int tables of quadratic Clifford terms, which the one kernel
-`spinors._quadratic_into` sums over one denominator (eq. 11 adds its third
-and outer products through `spinors._clifford_into`); no verdict clears a
-tensor.  Eq. 11 keys its first products by the unordered pair {i*, j*},
-which (C) allows, and the kernel merges mirrored products there and in the
-symmetric tables of the action and eq. 9.  Lemma 1 goes through the same
-kernel, one slot per ordered product e_a.(e_b.s), so none is merged and
-each e_b.s is formed once per trial.  Replay decodes every
-index through `exact.parse_indices`, and a theorem10 tensor as a checked
-`WeylTensor`.
+`spinors._quadratic_into` sums over one denominator, forming each product
+once for all slots (eq. 11 forms its third products e_k.E_ij once for all
+slots l through `spinors._scatter_into`, and adds its outer products
+through `spinors._clifford_into`).  Eq. 11 keys its first products by the
+unordered pair {i*, j*}, which (C) allows, and the kernel merges mirrored
+products there and in the symmetric tables of the action and eq. 9.  The
+final i is taken in the read-off (`spinors._from_acc`); no verdict clears
+a tensor.  Lemma 1 goes through the same kernel, one slot per ordered
+product e_a.(e_b.s), so none is merged and each e_b.s is formed once per
+trial.  Replay decodes every index through `exact.parse_indices`, and a
+theorem10 tensor as a checked `WeylTensor`.
 The theorem checks take p20, p21 and p22 of an action from one Y^2 and one
-XY (`forms._two_form_parts`).
+XY (`forms._two_form_parts`).  Corollary 11 decides its two documented-false
+literal comparisons component by component, up to the first that differs.
 
 Every suite is one entry of the registry SUITES: its checks and paper anchors,
 its requirements, a sampler, one `holds` per check, a decoder from a
@@ -104,6 +107,8 @@ from .spinors import (
     _clifford_into,
     _from_acc,
     _quadratic_into,
+    _scatter_into,
+    _sum,
     poly_spinor_from_json,
     poly_spinor_to_json,
     random_spinor,
@@ -162,7 +167,7 @@ def spinor_curvature_action(T: CurvatureTensor, phi: PolySpinor) -> SpinorForm:
     T^{ij}_{km} = s_i s_j T_{i*j*km}, read off the numerators E = T.den T;
     each slot sums s_i s_j E_{i*j*km} e_i.(e_j.phi) through
     `_quadratic_into` over the one denominator T.den * phi.den and takes i
-    once.
+    in the read-off.
     """
     if not _curvature_type(T):
         raise ValueError("tensor violates the curvature symmetries")
@@ -174,7 +179,7 @@ def spinor_curvature_action(T: CurvatureTensor, phi: PolySpinor) -> SpinorForm:
               for plane in [T.num[ip][jp]] for k, m in pairs if (x := plane[k][m])]
              for jp, sj in partners]
     accs = _quadratic_into(phi, terms)
-    return _form_from_accs(T.l, 2, phi.cap, accs, T.den * phi.den).scale(GR_I)
+    return _form_from_accs(T.l, 2, phi.cap, accs, T.den * phi.den, times_i=True)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +189,8 @@ def spinor_curvature_action(T: CurvatureTensor, phi: PolySpinor) -> SpinorForm:
 # Each display reads its raised tensor off the lowered int numerators:
 # sigma^{ij} = s_i s_j sigma_{i*j*} and W^{ijk}_l = s_i s_j s_k
 # W_{i*j*k*l}.  Each builds an int table of quadratic Clifford terms for
-# `_quadratic_into`, which sums them over one denominator, and i is applied
-# once per component at the end.
+# `_quadratic_into`, which sums them over one denominator, and i is taken
+# in the read-off of each component (`spinors._from_acc`).
 
 
 def literal_p20_ricci(sigma: RicciTensor, phi: PolySpinor) -> SpinorForm:
@@ -199,7 +204,7 @@ def literal_p20_ricci(sigma: RicciTensor, phi: PolySpinor) -> SpinorForm:
     terms = [[(0, i, 2 * (l + 1) * si * sj * x) for i, (ip, si) in enumerate(partners)
               if (x := S[ip][jp])] for jp, sj in partners]
     acc = _quadratic_into(phi, terms).get(0, {})
-    s = _from_acc(l, phi.cap, acc, l * sigma.den * phi.den).scale(GR_I)
+    s = _from_acc(l, phi.cap, acc, l * sigma.den * phi.den, times_i=True)
     return _form(l, 2, phi.cap, {(k, k + l): s for k in range(l)})
 
 
@@ -223,7 +228,7 @@ def literal_p21_ricci(sigma: RicciTensor, phi: PolySpinor) -> SpinorForm:
                         for k in range(2 * l) if k != m]
         terms.append(row)
     accs = _quadratic_into(phi, terms)
-    return _form_from_accs(l, 2, phi.cap, accs, l * sigma.den * phi.den).scale(GR_I)
+    return _form_from_accs(l, 2, phi.cap, accs, l * sigma.den * phi.den, times_i=True)
 
 
 def literal_p21_weyl(W: CurvatureTensor, phi: PolySpinor) -> SpinorForm:
@@ -231,8 +236,9 @@ def literal_p21_weyl(W: CurvatureTensor, phi: PolySpinor) -> SpinorForm:
 
     Folded: s_i s_j e_i.e_j.phi is summed by `_quadratic_into` once per
     unordered {i*, j*} (W is symmetric in its first pair, (C)), then
-    T_l = W^{ijk}_l e_k.e_i.e_j.phi per slot l; the form's slot a < b is
-    e_a.T_b - e_b.T_a.  2i/(1-l) is -2 i over (l-1) W.den phi.den.
+    T_l = W^{ijk}_l e_k.e_i.e_j.phi per slot l, each e_k.E_ij formed once for
+    all l; the form's slot a < b is e_a.T_b - e_b.T_a.  2i/(1-l) is -2 i over
+    (l-1) W.den phi.den.
     """
     l, cap = W.l, phi.cap
     n = 2 * l
@@ -246,15 +252,15 @@ def literal_p21_weyl(W: CurvatureTensor, phi: PolySpinor) -> SpinorForm:
             continue
         block = E[ip][jp]
         for k, (kp, sk) in enumerate(partners):
-            for m, x in enumerate(block[kp]):
-                if x:
-                    _clifford_into(slot[m], eij, k, l, cap, sk * x)
+            row = [(slot[m], sk * x) for m, x in enumerate(block[kp]) if x]
+            if row:
+                _scatter_into(row, eij, k, l, cap, 1)
     accs: dict[tuple[int, int], dict] = {}
     for a, b in combinations(range(n), 2):
         acc = accs[(a, b)] = {}
         _clifford_into(acc, slot[b], a, l, cap, -2)
         _clifford_into(acc, slot[a], b, l, cap, 2)
-    return _form_from_accs(l, 2, cap, accs, (l - 1) * W.den * phi.den).scale(GR_I)
+    return _form_from_accs(l, 2, cap, accs, (l - 1) * W.den * phi.den, times_i=True)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +305,13 @@ def verify_theorem10(W: CurvatureTensor, phi: PolySpinor) -> ActionReport:
     return _theorem_report("theorem10", p20.is_zero() and yy.is_zero(), "weyl", W, phi, verdicts)
 
 
+def _is_sum(phi: SpinorForm, a: SpinorForm, b: SpinorForm, sign: int) -> bool:
+    """phi == a + sign * b for forms of one l and r, component by component,
+    up to the first that differs."""
+    return all(phi.component(t) == _sum(a.component(t), b.component(t), sign)
+               for t in phi.components.keys() | a.components.keys() | b.components.keys())
+
+
 def verify_corollary11(R: CurvatureTensor, phi: PolySpinor) -> ActionReport:
     """Projections of the full action split into Ricci and trace-free parts."""
     _theorem_headroom(phi)
@@ -315,8 +328,8 @@ def verify_corollary11(R: CurvatureTensor, phi: PolySpinor) -> ActionReport:
     lit11 = literal_p21_weyl(W, phi)
     lit11_corr = lit11.scale(_EQ11_CORRECTION)
     verdicts = [(p20 == lit9, p20 == lit9.scale(prefactor)),
-                (p21 == lit10 + lit11, p21 == lit10.scale(prefactor) + lit11_corr),
-                (p22 == act_w - lit11, p22 == act_w - lit11_corr)]
+                (_is_sum(p21, lit10, lit11, 1), p21 == lit10.scale(prefactor) + lit11_corr),
+                (_is_sum(p22, act_w, lit11, -1), p22 == act_w - lit11_corr)]
     return _theorem_report("corollary11", ok, "curvature", R, phi, verdicts)
 
 

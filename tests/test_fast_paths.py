@@ -197,6 +197,30 @@ def test_mixed_denominators_reduce_to_lowest_terms():
     assert sq.den == 2 and sq.num == {_pack((1, 0)): (1, 0)}
 
 
+def test_scale_fast_paths_match_the_fraction_path():
+    # every branch of PolySpinor.scale: the units, +-i/q (a swap over q), 1/q
+    # (the numerators kept over q), p/q and (p + iq)/q, on mixed denominators,
+    # numerators that share a factor with q, and the zero spinor
+    spinors_ = [
+        PolySpinor(2, 5, {(1, 0): GR(F(1, 2), F(1, 3)), (0, 2): F(2, 7)}),
+        PolySpinor(2, 5, {(1, 0): 2, (0, 1): GR(4, -6), (0, 0): GR(0, F(8, 3))}),
+        random_spinor(3, 3, 6, RandomStream(7), terms=5),
+        PolySpinor.zero(2, 5),
+    ]
+    scalars = [1, -1, GR(1), GR(-1), GR(0, 1), GR(0, -1),
+               GR(0, F(1, 4)), GR(0, F(-1, 4)), GR(0, F(-1, 6)), GR(0, F(3, 2)), GR(0, F(-2, 9)),
+               F(1, 2), F(1, 6), GR(F(1, 9)), F(-1, 2), F(3, 4), F(-4, 3), 6,
+               GR(F(2, 3), F(-1, 3)), GR(F(-1, 6), F(5, 6)), GR(2, 1)]
+    for s in spinors_:
+        before = (dict(s.num), s.den)
+        for c in scalars:
+            got = s.scale(c)
+            assert got == oracles.spinor_scale(s, c), (s, c)
+            assert_valid(got)
+            assert got.cap == s.cap
+        assert (s.num, s.den) == before     # a result sharing num leaves s alone
+
+
 def test_form_difference_subtracts_component_by_component():
     stream = RandomStream(5)
     phi = random_form(2, 2, 2, 6, stream, terms_per_component=2)
@@ -575,6 +599,34 @@ def test_flipped_merged_partner_scalar_fails_theorem9_and_replays(tmp_path, monk
     failing, checks = _failing_checks(tmp_path)
     assert failing == {
         "theorem9", "theorem9.eq10-display",
+        "corollary11.p21-display", "corollary11.p22-display",
+    }
+    _replays_then_heals("theorem9", checks, tmp_path, monkeypatch, capsys)
+
+
+def test_read_off_i_with_a_wrong_sign_fails_the_theorems_and_replays(tmp_path, monkeypatch,
+                                                                   capsys):
+    # The planted defect: the read-off that takes the final i of the action,
+    # sp_action and the eq. 9-11 displays (`_from_acc` with times_i) writes
+    # (im, re) in place of (-im, re), so one part gets the wrong sign.  At
+    # l = 2, trials = 2 (seed 42) exactly these six records fail, and
+    # theorem9's counterexample replays.  A consistent -i in every read-off
+    # would scale each of these operators by -1 alike, which no linear verdict
+    # sees; the oracle tests of the action and eq. 11 catch that one.
+    read_off = spinors._from_acc
+
+    def wrong_sign(l, cap, acc, den, times_i=False):
+        s = read_off(l, cap, acc, den)
+        if not times_i:
+            return s
+        return spinors._spinor(l, cap, {a: (im, re) for a, (re, im) in s.num.items()}, s.den)
+
+    for module in (spinors, forms, verify):
+        monkeypatch.setattr(module, "_from_acc", wrong_sign)
+    failing, checks = _failing_checks(tmp_path)
+    assert failing == {
+        "theorem9", "theorem9.eq10-display",
+        "theorem10.eq11-display", "theorem10.eq12-display",
         "corollary11.p21-display", "corollary11.p22-display",
     }
     _replays_then_heals("theorem9", checks, tmp_path, monkeypatch, capsys)

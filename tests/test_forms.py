@@ -287,6 +287,19 @@ def test_zero_form_absorbs_in_addition():
     assert phi + SpinorForm.zero(2, 0, 4) == phi
 
 
+def test_a_missing_component_is_the_zero_spinor_with_the_form_cap():
+    s = random_spinor(2, 2, 5, RandomStream(99), terms=2)
+    phi = SpinorForm(2, 1, 5, {(0,): s})
+    assert phi.component((0,)) is s
+    for tup in ((1,), [3]):
+        zero = phi.component(tup)
+        assert zero.cap == 5 and zero.is_zero() and zero.den == 1
+        assert zero == PolySpinor.zero(2, 5)
+    # a form of any int cap has its zeros, above the spinor field width too
+    wide = SpinorForm(2, 2, 300)
+    assert wide.component((0, 1)).cap == 300 and wide.component((0, 1)).is_zero()
+
+
 def test_wedge_covector_linearity():
     stream = RandomStream(101)
     phi = random_form(2, 1, 2, 6, stream)

@@ -2,7 +2,8 @@
 
 The workloads and the pinned sha256 of each report (every elapsed_ms zeroed)
 are read from `perfbench/workloads.py` and `perfbench/hashes.json`; each is
-checked at seed 42 and at the held-out seed.
+checked at seed 42 and at the held-out seed.  A work guard counts the
+Clifford products the theorems-l3 workload forms.
 """
 
 import importlib.util
@@ -11,6 +12,9 @@ from pathlib import Path
 
 import pytest
 
+import sympspin.forms as forms
+import sympspin.spinors as spinors
+import sympspin.verify as verify
 from sympspin.cli import run_suite
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -26,3 +30,24 @@ def test_workload_report_reproduces_pinned_hash(workload, seed):
     report = run_suite(workloads.run_config(workload, seed))
     assert report.overall == "pass"
     assert workloads.report_hash(report.to_json()) == PINNED["sha256"][workload][str(seed)]
+
+
+# Kernel calls of theorems-l3 at seed 42 once each second product
+# e_a.(e_b.phi) and each eq. 11 product e_k.E_ij is formed once and added into
+# every slot that uses it; forming them per slot again made 13,617.
+THEOREMS_L3_KERNEL_CALLS = 4152
+
+
+def test_theorems_l3_forms_each_product_once(monkeypatch):
+    kernel = spinors._clifford_into
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        kernel(*args)
+
+    for module in (spinors, forms, verify):
+        monkeypatch.setattr(module, "_clifford_into", counted)
+    report = run_suite(workloads.run_config("theorems-l3", 42))
+    assert workloads.report_hash(report.to_json()) == PINNED["sha256"]["theorems-l3"]["42"]
+    assert 0 < calls[0] <= THEOREMS_L3_KERNEL_CALLS
