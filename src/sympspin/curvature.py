@@ -35,12 +35,13 @@ identities are linear and homogeneous, so each check compares numerators.
 
 Random tensors are drawn as exact rational combinations of a nullspace basis
 of the linear constraints, materialized once per l and cached; membership in
-the constraint space is therefore exact by construction.  The first draw
-clears each basis vector to ints, and every draw sums its combination over
-ints.  The constraint
-systems are assembled over the (A)+(C)-reduced coordinates (i <= j, k < l)
-as sparse rows for `exact.nullspace_basis`; elimination over the full
-(2l)^4 coordinates would be needlessly slow at l = 3.
+the constraint space is therefore exact by construction.  Every pivot of the
+constraint rows is +-1, so both bases come out of the elimination as int
+vectors, and every draw sums its combination over ints on the lcm of its
+coefficient denominators, with no clearing pass.  The constraint systems are
+assembled over the (A)+(C)-reduced coordinates (i <= j, k < l) as sparse
+rows for `exact.nullspace_basis`; elimination over the full (2l)^4
+coordinates would be needlessly slow at l = 3.
 """
 
 from __future__ import annotations
@@ -527,35 +528,23 @@ def _expand_var_vector(l: int, variables, vec: dict):
     return out
 
 
-@cache
-def _int_basis(l: int, trace_free: bool):
-    """(variables, [(ints, d)]): each basis vector of `_space_basis` as int
-    numerators over its own denominator d, cleared on the first draw."""
-    basis = _space_basis(l, trace_free)
-    cleared = []
-    for _, vec in basis:
-        d = lcm(*(x.denominator for x in vec.values()))
-        cleared.append(({v: x.numerator * (d // x.denominator) for v, x in vec.items()}, d))
-    return basis[0][0] if basis else None, cleared
-
-
 def _random_combination(l: int, trace_free: bool, stream: RandomStream, bound: int):
     """(num, den) of a random combination of the basis: each coefficient is
     the pair p, q of `next_ratio(bound)`, and the sum runs over ints on the
-    lcm of every q * d; `_tensor` reduces it."""
-    variables, basis = _int_basis(l, trace_free)
+    lcm of every q, as the basis vectors are int vectors; `_tensor` reduces it."""
+    basis = _space_basis(l, trace_free)
     draws = []
-    for vec, d in basis:
+    for _, vec in basis:
         p, q = stream.next_ratio(bound)
         if p:
-            draws.append((p, q * d, vec))
-    den = lcm(*(qd for _, qd, _ in draws))
+            draws.append((p, q, vec))
+    den = lcm(*(q for _, q, _ in draws))
     acc: dict[int, int] = {}
-    for p, qd, vec in draws:
-        f = p * (den // qd)
+    for p, q, vec in draws:
+        f = p * (den // q)
         for var, x in vec.items():
             acc[var] = acc.get(var, 0) + f * x
-    return _expand_var_vector(l, variables, acc), den
+    return _expand_var_vector(l, basis[0][0] if basis else None, acc), den
 
 
 def random_curvature(l: int, seed: int, bound: int = 9) -> CurvatureTensor:

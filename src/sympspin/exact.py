@@ -6,7 +6,9 @@ arbitrary-precision rationals.  Nothing in this module rounds, ever.
 
 `nullspace_basis` is the package's one elimination routine.  It works on
 sparse rows, which is what the curvature constraint systems and the graded
-projector images are; nothing here stores a dense matrix.
+projector images are; nothing here stores a dense matrix.  Its
+back-substitution runs from the highest pivot down, so each row pulls only
+from rows that are already fully reduced.
 """
 
 from __future__ import annotations
@@ -297,13 +299,15 @@ def nullspace_basis(rows: Iterable[dict], ncols: int) -> list[dict]:
 
     Each row maps columns in range(ncols) to nonzero scalars (ints, Fractions
     or Gaussian rationals); absent columns are zero.  The rows are reduced in
-    order, each pivoting on its lowest surviving column, then fully
-    back-substituted.  A pivot of 1 or -1 is its own inverse, so int rows stay
-    ints while every pivot is a unit; any other pivot is inverted as
-    Fraction(1) / p, never rounded.  The basis holds one sparse vector per
-    free column, in increasing column order, with 1 at that column and then
-    the pivots in the order they were found; so its length is the nullity,
-    and ncols minus it is the rank.
+    order, each pivoting on its lowest surviving column.  Then, from the
+    highest pivot down, each pivot row subtracts the finished rows of the
+    other pivot columns it holds, once each, so the work follows the nonzeros
+    rather than the rank squared.  A pivot of 1 or -1 is its own inverse, so
+    int rows stay ints while every pivot is a unit; any other pivot is
+    inverted as Fraction(1) / p, never rounded.  The basis holds one sparse
+    vector per free column, in increasing column order, with 1 at that
+    column and then the pivots in the order they were found; so its length
+    is the nullity, and ncols minus it is the rank.
     """
     pivot_rows: dict[int, dict] = {}
     for row in rows:
@@ -325,25 +329,21 @@ def nullspace_basis(rows: Iterable[dict], ncols: int) -> list[dict]:
                 inv = p if p == 1 or p == -1 else _F1 / p
                 pivot_rows[c] = {cc: vv * inv for cc, vv in row.items()}
                 break
-    # full reduction: eliminate pivot columns from earlier pivot rows, so each
-    # pivot row ends holding its pivot and free columns only
-    order = sorted(pivot_rows)
-    for at in range(len(order) - 1, 0, -1):
-        c = order[at]
-        prow = pivot_rows[c]
-        for c2 in order[:at]:
-            row2 = pivot_rows[c2]
-            f = row2.get(c)
-            if f:
-                row2.pop(c)
-                for cc, vv in prow.items():
-                    if cc == c:
-                        continue
-                    nv = row2.get(cc, 0) - f * vv
-                    if nv:
-                        row2[cc] = nv
-                    else:
-                        row2.pop(cc, None)
+    # full reduction, highest pivot first: every other column of a row lies
+    # above its pivot, so the rows it pulls from are finished, holding their
+    # pivot and free columns only, and no pivot column comes back
+    for c in sorted(pivot_rows, reverse=True):
+        row = pivot_rows[c]
+        for c2 in [cc for cc in row if cc != c and cc in pivot_rows]:
+            f = row.pop(c2)
+            for cc, vv in pivot_rows[c2].items():
+                if cc == c2:
+                    continue
+                nv = row.get(cc, 0) - f * vv
+                if nv:
+                    row[cc] = nv
+                else:
+                    row.pop(cc, None)
     basis = {fcol: {fcol: 1} for fcol in range(ncols) if fcol not in pivot_rows}
     for p, prow in pivot_rows.items():
         for fcol, coeff in prow.items():

@@ -297,15 +297,6 @@ def contract(i: int, phi: SpinorForm) -> SpinorForm:
     return _form(phi.l, phi.r - 1, phi.cap, out)
 
 
-def _accumulate(out: dict, tup: tuple[int, ...], s: PolySpinor) -> None:
-    cur = out.get(tup)
-    tot = s if cur is None else cur + s
-    if tot.is_zero():
-        out.pop(tup, None)
-    else:
-        out[tup] = tot
-
-
 def _over_one_den(phi: SpinorForm) -> tuple[int, list]:
     """(D, [(tup, num, f)]): every component's numerators with the factor f
     that puts them over D, the lcm of the component denominators."""
@@ -417,35 +408,23 @@ def _two_form_parts(phi: SpinorForm) -> tuple[SpinorForm, SpinorForm, SpinorForm
 def sp_action_form(A: SpLieElement, phi: SpinorForm) -> SpinorForm:
     """Infinitesimal sp(2l)-action on a spinor-valued form.
 
-    Acts on the form part through the dual action (A* eta)(v) = -eta(A v),
-    extended as a derivation over the wedge, and on the spinor part through
-    sp_action.
+    Acts on the spinor part through sp_action, component by component, and
+    on the form part through the dual action (A* eta)(v) = -eta(A v),
+    extended as a derivation over the wedge.  With (A v)^t = sum_q c_tq v^q,
+    c_tq = -s_q A[t][q*], that derivation is -sum_{t,q} c_tq e^q ∧ iota_{e_t},
+    built from `contract` and `wedge_covector`, which carry every sign.
     """
     if A.l != phi.l:
         raise ValueError("mismatched l")
     partners = omega_partners(phi.l)
-    out: dict[tuple[int, ...], PolySpinor] = {}
-    for tup, s in phi.components.items():
-        _accumulate(out, tup, sp_action(A, s))
-        for pos, t in enumerate(tup):
-            rest = tup[:pos] + tup[pos + 1:]
-            for q, (qp, sq) in enumerate(partners):
-                # (A v)^t = sum_q c v^q, so A* e^t = -sum_q c e^q
-                c = -sq * A.matrix[t][qp]
-                if not c:
-                    continue
-                ins = _insert_index(q, rest)
-                if ins is None:
-                    continue
-                swap_sign, new = ins
-                # moving e^q back into position pos costs (-1)^pos relative
-                # to the insertion sign computed against the reduced tuple
-                pos_sign = -1 if pos % 2 else 1
-                total = -c * swap_sign * pos_sign
-                term = s.scale(total)
-                if not term.is_zero():
-                    _accumulate(out, new, term)
-    return _form(phi.l, phi.r, phi.cap, out)
+    out = _form(phi.l, phi.r, phi.cap,
+                {tup: sp_action(A, s) for tup, s in phi.components.items()})
+    for t, row in enumerate(A.matrix):
+        inner = contract(t, phi)
+        if inner.components:
+            out = out + wedge_covector([row[qp] if sq > 0 else -row[qp] for qp, sq in partners],
+                                       inner)
+    return out
 
 
 def random_form(

@@ -445,7 +445,8 @@ def _aggregate_displays(per_trial: list[list[tuple]]) -> list[tuple]:
 # theorem trial takes seconds; the fedosov suite (5 connections x 5 points)
 # takes about 0.26 s at l = 3 and 0.86 s at l = 4 (CPython 3.11.7, 2 vCPUs).
 # The set-up does not set the ceiling: both constraint-space bases take about
-# 5 ms at l = 3, 24 ms at l = 4 and 0.11 s at l = 5.  Raising MAX_L waits
+# 4 ms at l = 3, 10 ms at l = 4, 23 ms at l = 5 and 0.16 s at l = 8, in a
+# fresh process (each the sum of the two, best of 11).  Raising MAX_L waits
 # for a work budget that keeps trials times per-trial cost bounded at larger
 # l.  MAX_TRIALS bounds the trial loop: the default run (l = 2) decides 20
 # trials of every suite in under a second, so 1000 keeps even l = 4 runs

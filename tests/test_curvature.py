@@ -1,6 +1,7 @@
 """Curvature-type tensors: symmetries, constraint spaces, Ricci/Weyl split."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 import pytest
 
 import oracles
@@ -27,6 +28,12 @@ from sympspin.curvature import (
     sigma_tilde_of,
     weyl_of,
     weyl_space_basis,
+)
+from sympspin.connections import (
+    Poly,
+    PolynomialConnection,
+    curvature_field_of,
+    evaluate_curvature_at,
 )
 from sympspin.exact import RandomStream, nullspace_basis
 from sympspin.symplectic import raise_lower_index, standard_symplectic_form
@@ -178,7 +185,8 @@ def test_trace_rows_and_bases_match_the_separate_index_walk(l):
 def test_space_bases_match_the_fraction_oracle(l):
     # every pivot of the Bianchi and trace rows is +-1, so the bases come out
     # in ints, equal value for value and in key order to the elimination
-    # before it kept ints, which is fed the same rows as Fractions
+    # before it kept ints, which is fed the same rows as Fractions; the
+    # samplers sum the basis vectors over ints, which relies on the int check
     n = 2 * l
     variables, index = _canonical_vars(n)
     bianchi = [{v: F(x) for v, x in row.items()} for row in _bianchi_rows(n, index)]
@@ -188,6 +196,30 @@ def test_space_bases_match_the_fraction_oracle(l):
         assert [list(v.items()) for v in vectors] == [
             list(v.items()) for v in oracles.nullspace_basis(rows, len(variables))]
         assert all(type(x) is int for v in vectors for x in v.values())
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_curvatures_of_degree_one_connections_span_the_curvature_space(l):
+    # built from outside the Bianchi rows: for each multiset a <= b <= c and
+    # each v, the connection with Gamma_abc = x^v on every permutation of
+    # (a, b, c) has a curvature-type R(0); these span a space of the
+    # dimension of the nullspace of the Bianchi rows, and the basis of that
+    # nullspace adds nothing to their span, so the two spaces are equal
+    n = 2 * l
+    variables, _ = _canonical_vars(n)
+    rows = []
+    for abc in combinations_with_replacement(range(n), 3):
+        for v in range(n):
+            x_v = Poly(n, {tuple(int(u == v) for u in range(n)): 1})
+            conn = PolynomialConnection(l, 1, {idx: x_v for idx in set(permutations(abc))})
+            R = evaluate_curvature_at(curvature_field_of(conn), [0] * n)
+            assert _curvature_type(R), (abc, v)
+            rows.append({var: F(R.num[i][j][k][m])
+                         for var, (i, j, k, m) in enumerate(variables) if R.num[i][j][k][m]})
+    basis = [{var: F(x) for var, x in vec.items()} for _, vec in curvature_space_basis(l)]
+    rank = len(variables) - len(oracles.nullspace_basis(rows, len(variables)))
+    assert rank == len(basis)
+    assert len(oracles.nullspace_basis(rows + basis, len(variables))) == len(variables) - rank
 
 
 def test_extended_bianchi_on_full_basis():

@@ -92,6 +92,17 @@ def test_contract_zero_on_zero_forms():
     assert contract(0, SpinorForm.from_spinor(PolySpinor.one(2, 4))).is_zero()
 
 
+@pytest.mark.parametrize("l", [1, 2])
+def test_wedge_and_contract_refuse_an_index_past_the_basis(l):
+    # index 2l is one past the last basis covector; below 3l it must not wrap
+    phi = random_form(l, 1, 1, 4, RandomStream(43))
+    for i in (2 * l, 3 * l - 1, -1):
+        with pytest.raises(ValueError):
+            wedge(i, phi)
+        with pytest.raises(ValueError):
+            contract(i, phi)
+
+
 # ---------------------------------------------------------------------------
 # X, Y, H
 # ---------------------------------------------------------------------------
@@ -308,6 +319,16 @@ def test_wedge_covector_linearity():
     for i, c in enumerate(xi):
         expect = expect + wedge(i, phi).scale(c)
     assert wedge_covector(xi, phi) == expect
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 4])
+def test_wedge_covector_with_the_zero_covector_is_the_zero_form_one_degree_up(r):
+    # one degree up, as wedge gives, except on top-degree forms, which wedge
+    # keeps at degree 2l
+    phi = random_form(2, r, 2, 6, RandomStream(107 + r))
+    out, ref = wedge_covector([0] * 4, phi), wedge(0, phi)
+    assert out.is_zero() and (out.l, out.r, out.cap) == (2, min(r + 1, 4), 6)
+    assert (ref.r, ref.cap) == (out.r, out.cap)
 
 
 def test_spinor_form_json_round_trip():

@@ -2,11 +2,11 @@
 samplers in `oracles` draw.
 
 `random_curvature` and `random_weyl` read each coefficient as the two
-`next_int` draws of `next_fraction` and sum the integer-cleared basis over
-one lcm; `random_spinor` reads each coefficient as the four draws of
-`next_gaussian` and sums Gaussian integers under packed keys.  Both must make
-the same stream calls in the same order as the oracles, so every draw is
-bit-identical.
+`next_int` draws of `next_fraction` and sum the int basis vectors over the
+lcm of the drawn denominators; `random_spinor` reads each coefficient as the
+four draws of `next_gaussian` and sums Gaussian integers under packed keys.
+Both must make the same stream calls in the same order as the oracles, so
+every draw is bit-identical.
 """
 
 import pytest

@@ -1,6 +1,7 @@
 """Polynomial spinors, Clifford multiplication, and the sp(2l) action."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -244,6 +245,38 @@ def test_dual_action_pairing_invariance():
         av = sp_vector_image(A, v)
         paired = sum(e * x for e, x in zip(eta_star, v)) + sum(e * x for e, x in zip(eta, av))
         assert paired == 0
+
+
+def _wedge_of(indices):
+    """(sign, increasing tuple) of e^{i_1} ∧ ... ∧ e^{i_r}, by counting
+    inversions; None when an index repeats."""
+    if len(set(indices)) < len(indices):
+        return None
+    inversions = sum(a > b for n, a in enumerate(indices) for b in indices[n + 1:])
+    return (-1) ** inversions, tuple(sorted(indices))
+
+
+@pytest.mark.parametrize("l, r", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
+def test_dual_action_on_higher_forms_acts_one_factor_at_a_time(l, r):
+    # the form part of sp_action_form on e^T ⊗ 1 is the derivation that puts
+    # A* e^t, from the explicit omega matrix, in place of each factor e^t
+    one = PolySpinor.one(l, 4)
+    stream = RandomStream(31 + 10 * l + r)
+    for _ in range(2):
+        A = SpLieElement.random(l, stream)
+        for T in combinations(range(2 * l), r):
+            expected = {}
+            for pos, t in enumerate(T):
+                unit = [int(q == t) for q in range(2 * l)]
+                for q, c in enumerate(sp_covector_image(A, unit)):
+                    placed = _wedge_of(T[:pos] + (q,) + T[pos + 1:])
+                    if c and placed:
+                        sign, tup = placed
+                        expected[tup] = expected.get(tup, 0) + sign * c
+            phi = SpinorForm(l, r, 4, {T: one})
+            spinor_part = SpinorForm(l, r, 4, {T: sp_action(A, one)})
+            assert sp_action_form(A, phi) - spinor_part == SpinorForm(
+                l, r, 4, {tup: one.scale(c) for tup, c in expected.items()}), (A.matrix, T)
 
 
 def test_sp_lie_element_requires_symmetry():
