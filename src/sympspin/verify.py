@@ -21,34 +21,20 @@ statements.  Two systematic discrepancies are expected and documented:
 
 All checks are exact zero tests; there are no tolerances anywhere.
 
-Two evaluators are folded, exactly: the action sums c e_i.e_j.phi with the
-real c per slot k < l of the antisymmetric last pair, and the eq. 11
-display sums W^{ijk}_l e_k.e_i.e_j.phi per slot l before the one outer
-Clifford product.  The action and the displays raise no index: they read
-T^{ij}_{kl} = s_i s_j T_{i*j*kl} off the tensor's lowered int numerators into
-int tables of quadratic Clifford terms, which the one kernel
-`spinors._quadratic_into` sums over one denominator, forming each product
-once for all slots (eq. 11 forms its third products e_k.E_ij once for all
-slots l through `spinors._scatter_into`, and adds its outer products
-through `spinors._clifford_into`).  Eq. 11 keys its first products by the
-unordered pair {i*, j*}, which (C) allows, and the kernel merges mirrored
-products there and in the symmetric tables of the action and eq. 9.  The
-final i is taken in the read-off (`spinors._from_acc`); no verdict clears
-a tensor.  Lemma 1 goes through the same kernel, one slot per ordered
-product e_a.(e_b.s), so none is merged and each e_b.s is formed once per
-trial.  Replay decodes every index through `exact.parse_indices`, and a
-theorem10 tensor as a checked `WeylTensor`.
-The theorem checks take p20, p21 and p22 of an action from one Y^2 and one
-XY (`forms._two_form_parts`).  Corollary 11 decides its two documented-false
-literal comparisons component by component, up to the first that differs.
+The action and the displays read T^{ij}_{kl} = s_i s_j T_{i*j*kl} off the
+tensor's lowered int numerators into int tables of quadratic Clifford terms
+for the one kernel `spinors._quadratic_into` and take their final i in the
+read-off (`spinors._from_acc`); no verdict raises an index or clears a
+tensor.  Replay decodes every index through `exact.parse_indices`, and a
+theorem10 tensor as a checked `WeylTensor`.  The theorem checks take p20 and
+p21 of an action from one Y^2 and one XY (`forms._two_form_parts`) and build
+no p22: each verdict on p22 or on a corrected display is an identity
+sum c_k F_k = 0 decided by `forms._vanishes`.
 
-Every suite is one entry of the registry SUITES: its checks and paper anchors,
-its requirements, a sampler, one `holds` per check, a decoder from a
-counterexample back to an instance and, for theorem suites, one `Display` per
-printed display: the only statement of its name, anchor, documented verdict
-and note; a theorem report carries only its verdict pairs, in that order.
-One trial loop runs any suite and one replay re-decides any counterexample;
-the `*_suite` functions are thin entry points into the loop.
+Every suite is one `Suite` entry of the registry SUITES, with its `Check`s
+and, for theorem suites, one `Display` per printed display.  One trial loop
+runs any suite and one replay re-decides any counterexample; the `*_suite`
+functions are thin entry points into the loop.
 """
 
 from __future__ import annotations
@@ -90,6 +76,7 @@ from .forms import (
     _form,
     _form_from_accs,
     _two_form_parts,
+    _vanishes,
     op_X,
     op_Y,
     op_H,
@@ -108,7 +95,6 @@ from .spinors import (
     _from_acc,
     _quadratic_into,
     _scatter_into,
-    _sum,
     poly_spinor_from_json,
     poly_spinor_to_json,
     random_spinor,
@@ -187,10 +173,7 @@ def spinor_curvature_action(T: CurvatureTensor, phi: PolySpinor) -> SpinorForm:
 # ---------------------------------------------------------------------------
 #
 # Each display reads its raised tensor off the lowered int numerators:
-# sigma^{ij} = s_i s_j sigma_{i*j*} and W^{ijk}_l = s_i s_j s_k
-# W_{i*j*k*l}.  Each builds an int table of quadratic Clifford terms for
-# `_quadratic_into`, which sums them over one denominator, and i is taken
-# in the read-off of each component (`spinors._from_acc`).
+# sigma^{ij} = s_i s_j sigma_{i*j*} and W^{ijk}_l = s_i s_j s_k W_{i*j*k*l}.
 
 
 def literal_p20_ricci(sigma: RicciTensor, phi: PolySpinor) -> SpinorForm:
@@ -283,66 +266,70 @@ def _theorem_report(name: str, ok: bool, key: str, T, phi: PolySpinor, verdicts)
 
 
 def verify_theorem9(sigma: RicciTensor, phi: PolySpinor) -> ActionReport:
-    """Ricci-type action lands in the first two summands: p22 of it vanishes."""
+    """Ricci-type action lands in the first two summands: p22 = act - p20 - p21
+    of it vanishes, decided as act = p20 + p21."""
     _theorem_headroom(phi)
-    p20, p21, p22, _ = _two_form_parts(spinor_curvature_action(sigma_tilde_of(sigma), phi))
+    act = spinor_curvature_action(sigma_tilde_of(sigma), phi)
+    p20, p21, _ = _two_form_parts(act)
     prefactor = Fraction(1, 2 * (sigma.l + 1))
     lit9 = literal_p20_ricci(sigma, phi)
     lit10 = literal_p21_ricci(sigma, phi)
-    verdicts = [(p20 == lit9, p20 == lit9.scale(prefactor)),
-                (p21 == lit10, p21 == lit10.scale(prefactor))]
-    return _theorem_report("theorem9", p22.is_zero(), "sigma", sigma, phi, verdicts)
+    verdicts = [(p20 == lit9, _vanishes((prefactor, lit9), (-1, p20))),
+                (p21 == lit10, _vanishes((prefactor, lit10), (-1, p21)))]
+    ok = _vanishes((1, act), (-1, p20), (-1, p21))
+    return _theorem_report("theorem9", ok, "sigma", sigma, phi, verdicts)
 
 
 def verify_theorem10(W: CurvatureTensor, phi: PolySpinor) -> ActionReport:
-    """Trace-free action avoids the first summand, and Y^2 kills it outright."""
+    """Trace-free action avoids the first summand, and Y^2 kills it outright.
+    The corrected eq12, p22 = act - c lit11, is decided as p20 + p21 = c lit11."""
     _theorem_headroom(phi)
-    act = spinor_curvature_action(W, phi)
-    p20, p21, p22, yy = _two_form_parts(act)
+    p20, p21, yy = _two_form_parts(spinor_curvature_action(W, phi))
     lit11 = literal_p21_weyl(W, phi)
-    lit11_corr = lit11.scale(_EQ11_CORRECTION)
-    verdicts = [(p21 == lit11, p21 == lit11_corr), (None, p22 == act - lit11_corr)]
+    verdicts = [(p21 == lit11, _vanishes((_EQ11_CORRECTION, lit11), (-1, p21))),
+                (None, _vanishes((_EQ11_CORRECTION, lit11), (-1, p20), (-1, p21)))]
     return _theorem_report("theorem10", p20.is_zero() and yy.is_zero(), "weyl", W, phi, verdicts)
 
 
-def _is_sum(phi: SpinorForm, a: SpinorForm, b: SpinorForm, sign: int) -> bool:
-    """phi == a + sign * b for forms of one l and r, component by component,
-    up to the first that differs."""
-    return all(phi.component(t) == _sum(a.component(t), b.component(t), sign)
-               for t in phi.components.keys() | a.components.keys() | b.components.keys())
-
-
 def verify_corollary11(R: CurvatureTensor, phi: PolySpinor) -> ActionReport:
-    """Projections of the full action split into Ricci and trace-free parts."""
+    """Projections of the full action split into Ricci and trace-free parts.
+
+    j = 0 and j = 1 are zero tests of the three p2j.  j = 2 is decided as
+    act(R) = act(sigma_tilde) + act(W), which is exact only because the `and`
+    reaches it after j = 0 and j = 1 have held: p22 = act - p20 - p21.  The
+    p22 displays, p22(R) = act(W) - c lit11, read act(R) - p20 - p21 - act(W)
+    + c lit11 = 0."""
     _theorem_headroom(phi)
     sigma = ricci_of(R)
     st = sigma_tilde_of(sigma)
     W = R - st
     act_r, act_s, act_w = (spinor_curvature_action(T, phi) for T in (R, st, W))
-    parts_r, parts_s, parts_w = (_two_form_parts(act)[:3] for act in (act_r, act_s, act_w))
-    ok = all(pr == ps + pw for pr, ps, pw in zip(parts_r, parts_s, parts_w))
-    p20, p21, p22 = parts_r
+    (p20, p21, _), (s20, s21, _), (w20, w21, _) = map(_two_form_parts, (act_r, act_s, act_w))
+    ok = (_vanishes((1, p20), (-1, s20), (-1, w20)) and _vanishes((1, p21), (-1, s21), (-1, w21))
+          and _vanishes((1, act_r), (-1, act_s), (-1, act_w)))
     prefactor = Fraction(1, 2 * (R.l + 1))
     lit9 = literal_p20_ricci(sigma, phi)
     lit10 = literal_p21_ricci(sigma, phi)
     lit11 = literal_p21_weyl(W, phi)
-    lit11_corr = lit11.scale(_EQ11_CORRECTION)
-    verdicts = [(p20 == lit9, p20 == lit9.scale(prefactor)),
-                (_is_sum(p21, lit10, lit11, 1), p21 == lit10.scale(prefactor) + lit11_corr),
-                (_is_sum(p22, act_w, lit11, -1), p22 == act_w - lit11_corr)]
+    p22_of = (1, act_r), (-1, p20), (-1, p21), (-1, act_w)
+    verdicts = [(p20 == lit9, _vanishes((prefactor, lit9), (-1, p20))),
+                (_vanishes((1, lit10), (1, lit11), (-1, p21)),
+                 _vanishes((prefactor, lit10), (_EQ11_CORRECTION, lit11), (-1, p21))),
+                (_vanishes(*p22_of, (1, lit11)), _vanishes(*p22_of, (_EQ11_CORRECTION, lit11)))]
     return _theorem_report("corollary11", ok, "curvature", R, phi, verdicts)
 
 
 def symbol_complex_instance(xi, eta: SpinorForm) -> bool:
-    """p22(xi ∧ p10(eta)) = 0: the degree-one composability at symbol level."""
-    lowered = project("p10", eta)
-    return project("p22", wedge_covector(xi, lowered)).is_zero()
+    """p22(xi ∧ p10(eta)) = 0, the degree-one composability at symbol level,
+    decided as psi = p20 + p21 for psi = xi ∧ p10(eta)."""
+    psi = wedge_covector(xi, project("p10", eta))
+    return _vanishes((1, psi), *((-1, part) for part in _two_form_parts(psi)[:2]))
 
 
 def symbol_negative_control(xi, eta: SpinorForm) -> bool:
     """True when p22(xi ∧ p11(eta)) is nonzero, exhibiting non-vanishing."""
-    rest = project("p11", eta)
-    return not project("p22", wedge_covector(xi, rest)).is_zero()
+    psi = wedge_covector(xi, project("p11", eta))
+    return not _vanishes((1, psi), *((-1, part) for part in _two_form_parts(psi)[:2]))
 
 
 def lemma5_idempotency_instance(one_form, two_form) -> str | None:
@@ -365,14 +352,9 @@ def lemma5_orthogonality_instance(one_form, two_form) -> tuple | None:
 
 
 def lemma5_partition_instance(one_form, two_form) -> str | None:
-    if project("p10", one_form) + project("p11", one_form) != one_form:
+    if not _vanishes((1, project("p10", one_form)), (1, project("p11", one_form)), (-1, one_form)):
         return "one-forms"
-    total = (
-        project("p20", two_form)
-        + project("p21", two_form)
-        + project("p22", two_form)
-    )
-    if total != two_form:
+    if not _vanishes(*((1, project(p, two_form)) for p in ("p20", "p21", "p22")), (-1, two_form)):
         return "two-forms"
     return None
 
@@ -421,14 +403,12 @@ def lemma7_section_instance(sigma: RicciTensor) -> bool:
 
 
 def equivariance_instance(A: SpLieElement, phi: SpinorForm) -> bool:
-    """[action(A), X] = 0 and [action(A), Y] = 0 on a form."""
-    lhs_x = sp_action_form(A, op_X(phi))
-    rhs_x = op_X(sp_action_form(A, phi))
-    if lhs_x != rhs_x:
+    """[action(A), X] = 0 and [action(A), Y] = 0 on a form; the action on
+    phi itself is computed once, for both."""
+    act = sp_action_form(A, phi)
+    if sp_action_form(A, op_X(phi)) != op_X(act):
         return False
-    lhs_y = sp_action_form(A, op_Y(phi))
-    rhs_y = op_Y(sp_action_form(A, phi))
-    return lhs_y == rhs_y
+    return sp_action_form(A, op_Y(phi)) == op_Y(act)
 
 
 def _aggregate_displays(per_trial: list[list[tuple]]) -> list[tuple]:

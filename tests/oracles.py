@@ -34,7 +34,10 @@ the pivots per back-substitution step, and the basis read off column by
 column.  So is the quadratic kernel as it was before it merged mirrored
 products by the Clifford relation (`quadratic_into`): it forms every
 product e_a.(e_b.s) as written.  The two-form projectors here build X^2Y^2
-from two calls to the package's X, which the package no longer makes.
+from two calls to the package's X, which the package no longer makes.  The
+theorem and symbol-complex verdicts are kept here as they were decided
+before the zero test `forms._vanishes`: by building p22, the scaled displays
+and their sums, and comparing forms.
 """
 
 from collections import defaultdict
@@ -43,6 +46,8 @@ from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import lcm
 
+import sympspin.forms as forms
+import sympspin.verify as verify
 from sympspin.connections import ConnectionAxiomReport, Poly, PolynomialConnection, poly_to_json
 from sympspin.curvature import (CurvatureTensor, IdentityCheck, SymmetryReport, _cleared,
                                  _expand_var_vector, _resolve, _tensor)
@@ -766,3 +771,65 @@ def nullspace_basis(rows, ncols: int) -> list[dict]:
                 vec[p] = -coeff
         basis.append(vec)
     return basis
+
+
+# ---------------------------------------------------------------------------
+# The theorem verdicts as decided by building p22 and scaled copies
+# ---------------------------------------------------------------------------
+#
+# Each returns (main verdict, display verdict pairs) of one instance.  Every
+# step is read off `verify` and `forms` when it runs, so a defect planted
+# there reaches these verdicts as it reaches the package's.
+
+
+def _parts(act):
+    return [forms.project(which, act) for which in ("p20", "p21", "p22")]
+
+
+def theorem9_verdicts(sigma, phi):
+    p20, p21, p22 = _parts(verify.spinor_curvature_action(verify.sigma_tilde_of(sigma), phi))
+    prefactor = Fraction(1, 2 * (sigma.l + 1))
+    lit9, lit10 = verify.literal_p20_ricci(sigma, phi), verify.literal_p21_ricci(sigma, phi)
+    return p22.is_zero(), [(p20 == lit9, p20 == lit9.scale(prefactor)),
+                           (p21 == lit10, p21 == lit10.scale(prefactor))]
+
+
+def theorem10_verdicts(W, phi):
+    act = verify.spinor_curvature_action(W, phi)
+    p20, p21, p22 = _parts(act)
+    lit11 = verify.literal_p21_weyl(W, phi)
+    corrected = lit11.scale(verify._EQ11_CORRECTION)
+    ok = p20.is_zero() and forms.op_Y(forms.op_Y(act)).is_zero()
+    return ok, [(p21 == lit11, p21 == corrected), (None, p22 == act - corrected)]
+
+
+def corollary11_verdicts(R, phi):
+    sigma = verify.ricci_of(R)
+    st = verify.sigma_tilde_of(sigma)
+    W = R - st
+    acts = [verify.spinor_curvature_action(T, phi) for T in (R, st, W)]
+    parts = [_parts(act) for act in acts]
+    ok = all(pr == ps + pw for pr, ps, pw in zip(*parts))
+    (p20, p21, p22), act_w = parts[0], acts[2]
+    prefactor = Fraction(1, 2 * (R.l + 1))
+    lit9, lit10 = verify.literal_p20_ricci(sigma, phi), verify.literal_p21_ricci(sigma, phi)
+    lit11 = verify.literal_p21_weyl(W, phi)
+    corrected = lit11.scale(verify._EQ11_CORRECTION)
+    return ok, [(p20 == lit9, p20 == lit9.scale(prefactor)),
+                (p21 == lit10 + lit11, p21 == lit10.scale(prefactor) + corrected),
+                (p22 == act_w - lit11, p22 == act_w - corrected)]
+
+
+def symbol_complex_verdicts(xi, eta):
+    """(p22(xi ∧ p10(eta)) = 0, p22(xi ∧ p11(eta)) != 0)."""
+    def p22(which):
+        return forms.project("p22", forms.wedge_covector(xi, forms.project(which, eta)))
+    return p22("p10").is_zero(), not p22("p11").is_zero()
+
+
+def lemma5_partition_verdict(one_form, two_form):
+    """The degree whose parts do not sum back to the form, by building the sums."""
+    if forms.project("p10", one_form) + forms.project("p11", one_form) != one_form:
+        return "one-forms"
+    parts = [forms.project(which, two_form) for which in ("p20", "p21", "p22")]
+    return None if parts[0] + parts[1] + parts[2] == two_form else "two-forms"

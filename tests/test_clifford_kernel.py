@@ -121,6 +121,19 @@ def test_cap_guard_rejects_caps_past_a_field():
         PolySpinor(2, 4, {(1.0, 0): 1})
 
 
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_x_times_one_at_cap_zero_raises(l):
+    # the constant 1 sits at the cap 0 already, so x^i 1 must raise even
+    # though its key (0) equals the cap's top field exactly
+    one = PolySpinor.one(l, 0)
+    for i in range(l):
+        with pytest.raises(DegreeCapError):
+            clifford_basis(i, one)
+        with pytest.raises(DegreeCapError):
+            one.mult_x(i)
+        assert clifford_basis(i + l, one).is_zero()
+
+
 # ---------------------------------------------------------------------------
 # X and Y
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import oracles
 import sympspin.curvature as curvature
@@ -197,6 +198,28 @@ def test_mixed_denominators_reduce_to_lowest_terms():
     assert sq.den == 2 and sq.num == {_pack((1, 0)): (1, 0)}
 
 
+_PARTS = st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=1, max_size=5)
+
+
+@given(st.sampled_from([2, 3, 6]), _PARTS, st.sampled_from([1, 2, 3, 6]), st.booleans())
+@example(2, [(1, 1), (-3, 0)], 2, False)
+def test_read_offs_leave_lowest_terms_over_small_denominators(den, parts, k, times_i):
+    # k * parts over den, read off by `_from_acc` (times i or not) and, as
+    # numerators free of (0, 0), by `_reduced`: every common factor of k and
+    # den is divided out, den = 2 included, and the values are kept
+    acc = {_pack((a, 1)): [re * k, im * k] for a, (re, im) in enumerate(parts)}
+    num = {key: (re, im) for key, (re, im) in acc.items() if re or im}
+    want = {key: GR(F(-im if times_i else re, den), F(re if times_i else im, den))
+            for key, (re, im) in num.items()}
+    results = [_from_acc(2, 5, acc, den, times_i)]
+    if not times_i:
+        results.append(spinors._reduced(2, 5, num, den))
+    for got in results:
+        assert_valid(got)
+        assert {key: GR(F(re, got.den), F(im, got.den))
+                for key, (re, im) in got.num.items()} == want
+
+
 def test_scale_fast_paths_match_the_fraction_path():
     # every branch of PolySpinor.scale: the units, +-i/q (a swap over q), 1/q
     # (the numerators kept over q), p/q and (p + iq)/q, on mixed denominators,
@@ -301,7 +324,8 @@ def test_two_form_parts_match_separate_projectors(l):
     forms = [random_form(l, 2, 2, 8, stream, terms_per_component=2),
              verify.spinor_curvature_action(random_curvature(l, 70 + l), phi)]
     for form in forms:
-        p20, p21, p22, yy = _two_form_parts(form)
+        p20, p21, yy = _two_form_parts(form)
+        p22 = project("p22", form)       # built from the kept parts on request
         assert yy == op_Y(op_Y(form))
         for which, part in (("p20", p20), ("p21", p21), ("p22", p22)):
             assert part == oracles.project(which, form) == project(which, form)

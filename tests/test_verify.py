@@ -14,9 +14,13 @@ from sympspin.connections import (
     curvature_field_of,
     evaluate_curvature_at,
 )
+import sympspin.verify as verify
 from sympspin.curvature import (
     CurvatureTensor,
     RicciTensor,
+    _lowered_traces,
+    _ricci_entries,
+    _tensor,
     random_curvature,
     random_weyl,
     ricci_of,
@@ -25,6 +29,7 @@ from sympspin.curvature import (
 from sympspin.exact import GaussianRational, RandomStream
 from sympspin.forms import SpinorForm, op_Y, project, spinor_form_to_json
 from sympspin.spinors import DegreeCapError, PolySpinor, clifford_basis, random_spinor
+from sympspin.symplectic import omega_partners
 from sympspin.cli import RunConfig, run_suite
 from sympspin.verify import (
     SUITES,
@@ -288,6 +293,46 @@ def test_suite_reports_deterministic():
 def test_equivariance_suite():
     rep = equivariance_suite(2, 3, 5, 55)
     assert rep.status == "pass"
+
+
+def test_equivariance_computes_the_action_on_the_form_once(monkeypatch):
+    # per instance: the action on X(phi), on phi (shared by the X and Y
+    # halves) and on Y(phi)
+    calls = [0]
+    action = verify.sp_action_form
+
+    def counted(A, phi):
+        calls[0] += 1
+        return action(A, phi)
+
+    monkeypatch.setattr(verify, "sp_action_form", counted)
+    assert equivariance_suite(2, 3, 5, 55).status == "pass"
+    assert calls[0] == 3 * 5
+
+
+# The one-entry changes (index, multiple of R.den) that leave R's Ricci trace
+# asymmetric at exactly the adjacent pair (i, i + 1) while R^{ijkl} omega_kl
+# = 2 sigma^{ij} still holds entry by entry, at l = 2.
+_ADJACENT_ASYMMETRIES = {
+    (0, 1): (((0, 0, 2, 1), 1), ((1, 0, 0, 2), -2)),
+    (1, 2): (((0, 1, 2, 2), 1), ((2, 1, 0, 2), 2)),
+    (2, 3): (((0, 2, 2, 3), 1), ((3, 2, 0, 2), -2)),
+}
+
+
+@pytest.mark.parametrize("pair", list(_ADJACENT_ASYMMETRIES))
+def test_lemma6_refuses_a_ricci_trace_asymmetric_at_an_adjacent_pair(pair):
+    R = random_curvature(2, 3)
+    num = [[[list(row) for row in plane] for plane in block] for block in R.num]
+    for (a, b, c, d), k in _ADJACENT_ASYMMETRIES[pair]:
+        num[a][b][c][d] += k * R.den
+    bent = _tensor(2, num, R.den)
+    sig = _ricci_entries(bent)
+    assert {(i, j) for i in range(4) for j in range(i + 1, 4) if sig[i][j] != sig[j][i]} == {pair}
+    trace = _lowered_traces(bent.num, omega_partners(2), ((2, 3),))[(2, 3)]
+    assert all(trace[u][v] == 2 * sig[u][v] for u in range(4) for v in range(4))
+    assert verify.lemma6_instance(R)
+    assert not verify.lemma6_instance(bent)
 
 
 def test_fedosov_suite():

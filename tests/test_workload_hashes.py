@@ -2,8 +2,8 @@
 
 The workloads and the pinned sha256 of each report (every elapsed_ms zeroed)
 are read from `perfbench/workloads.py` and `perfbench/hashes.json`; each is
-checked at seed 42 and at the held-out seed.  A work guard counts the
-Clifford products the theorems-l3 workload forms.
+checked at seed 42 and at the held-out seed.  Two work guards count the
+Clifford products and the spinor sums the theorems-l3 workload makes.
 """
 
 import importlib.util
@@ -51,3 +51,24 @@ def test_theorems_l3_forms_each_product_once(monkeypatch):
     report = run_suite(workloads.run_config("theorems-l3", 42))
     assert workloads.report_hash(report.to_json()) == PINNED["sha256"]["theorems-l3"]["42"]
     assert 0 < calls[0] <= THEOREMS_L3_KERNEL_CALLS
+
+
+# Spinor sums (`spinors._sum`, the one spinor-sum routine) of theorems-l3 at
+# seed 42 once the two-form verdicts are decided by the zero test
+# `forms._vanishes`, which builds no sum; building p22 and the corrected
+# sums only to compare them made 814.
+THEOREMS_L3_SPINOR_SUMS = 141
+
+
+def test_theorems_l3_builds_no_sum_only_to_compare_it(monkeypatch):
+    add = spinors._sum
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return add(*args)
+
+    monkeypatch.setattr(spinors, "_sum", counted)
+    report = run_suite(workloads.run_config("theorems-l3", 42))
+    assert workloads.report_hash(report.to_json()) == PINNED["sha256"]["theorems-l3"]["42"]
+    assert calls[0] == THEOREMS_L3_SPINOR_SUMS
