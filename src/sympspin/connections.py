@@ -27,13 +27,16 @@ never formed as a field of polynomials, and no Poly arithmetic is done: the
 degree bound D, reads the partials d_v Gamma_ijk off the same integer terms,
 and interns each distinct jet once, by content: a totally symmetric
 connection has at most C(2l+2, 3)(2l+1) of its (2l)^3 + (2l)^4.
-`evaluate_curvature_at` evaluates each distinct jet once, in integers over
-one denominator (`_jets_at`), and assembles R(p) from the display above in
-O(n^5) integer operations, none quadratic where Gamma(p) = 0.  Every
-evaluation feeds the curvature module without synthetic constraint solving.
-The lowering realizes R_ijkl = omega(R(e_k, e_l) e_j, e_i); the
-pair-symmetry identity (C) doubles as the sign oracle for this convention,
-so the test suite failing identity (C) would disprove the sign, not the tests.
+`evaluate_curvature_at` writes the point as p = X/d with integer X,
+evaluates each distinct jet once as an integer sum over one table of
+homogenised monomials X^alpha d^(D-|alpha|), so that Gamma(p) and
+d Gamma(p) are those integers over S = L d^D, and assembles S^2 R(p) from
+the display above in O(n^5) integer operations; R(p) is those integers over
+S^2.  Every evaluation feeds the
+curvature module without synthetic constraint solving.  The lowering realizes
+R_ijkl = omega(R(e_k, e_l) e_j, e_i); the pair-symmetry identity (C) doubles
+as the sign oracle for this convention, so the test suite failing identity
+(C) would disprove the sign, not the tests.
 """
 
 from __future__ import annotations
@@ -392,7 +395,6 @@ def evaluate_curvature_at(field: CurvatureField, point) -> CurvatureTensor:
         raise ValueError("point must have dimension 2l")
     g, dg, scale = _jets_at(field, point)
     s2 = scale * scale
-    quadratic = any(any(row) for plane in g for row in plane)   # Gamma(p) != 0
     entries = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for m, (i, w) in enumerate(omega_partners(field.l)):
         gm, dgm = g[m], [block[m] for block in dg]
@@ -401,7 +403,7 @@ def evaluate_curvature_at(field: CurvatureField, point) -> CurvatureTensor:
             for k, mm in combinations(range(n), 2):
                 # S^2 R^m_jkl; R_ijkl = -s_i R^{i*}_jkl = s_m R^m_jkl for i = m*
                 acc = (dgm[k][mm][j] - dgm[mm][k][j]) * scale
-                for a, (gk, gmm) in enumerate(zip(gm[k], gm[mm]) if quadratic else ()):
+                for a, (gk, gmm) in enumerate(zip(gm[k], gm[mm])):
                     acc += gk * g[a][mm][j] - gmm * g[a][k][j]
                 if acc:
                     x = acc if w > 0 else -acc

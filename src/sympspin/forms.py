@@ -28,14 +28,32 @@ the only nonzero entry omega^{i i*} = s_i of row i.
 A variant with i/(1-l) in the XY term squares to minus itself; the test
 suite pins the idempotent choice.
 
+X and Y are the hot loops of every projector.  They put the components of
+a form over one denominator, the lcm of theirs, and add every signed e_i.s
+straight into one accumulator per output tuple through the Clifford kernel
+`spinors._clifford_into`, which works on packed monomial keys (one exponent
+field per variable, the total degree on top; see `spinors`).  Each output
+component is reduced to lowest terms once (with a final i, if asked, in
+that pass); no spinor is built per (component, index) pair.
+
 Projectors never materialize matrices; they compose X and Y, and each form
-is projected once: a form's private slot `_parts` is empty when it is built,
-and the first projection fills it with (p10, p11) of a 1-form, from one XY,
-or with (p20, p21, Y^2) of a 2-form (`_two_form_parts`); p22 joins them only
-when `project("p22", phi)` asks for it.  Every later `project` of that form
-reads the slot; forms are immutable, so it never goes stale, and equality,
-hashing and JSON never read it.  An identity sum c_k F_k = 0 is decided by
-`_vanishes`, which builds no sum, scaled copy or p22.
+is projected once.  By the Clifford relation that lemma1 decides, X^2 on a
+0-form is the omega-wedge X^2 (1 ⊗ s) = -i sum_a e^a ∧ e^{a+l} ⊗ s, so p20
+runs no X.  A form's private slot `_parts` is empty when it is built; the
+first projection fills it with (p10, p11) of a 1-form, from one XY, or with
+(p20, p21, Y^2) of a 2-form (`_two_form_parts`), from one Y, one Y^2 and
+one XY, each normalization applied before X: p10 = X((i/l) Y phi) and
+p21 = X((i/(l-1)) Y phi) + p20/(l-1).  p22 = phi - p20 - p21 is built, and
+kept as a fourth part, only when `project("p22", phi)` asks for it; the
+theorem verdicts never do.  Every later `project` of that form reads the
+slot, so a check that asks for all the parts of one form, and then for the
+parts of each part, builds one chain per distinct form.  Forms are
+immutable, so the slot never goes stale; equality, hashing and JSON never
+read it.
+
+An identity sum c_k F_k = 0 between forms is decided by `_vanishes`, one
+tuple at a time on Gaussian-integer numerators, so a verdict on p22 or on
+a corrected display builds no sum, scaled copy or p22.
 """
 
 from __future__ import annotations
@@ -169,13 +187,17 @@ class SpinorForm:
                 return _recap_form(self, cap)
             raise ValueError("cannot add forms of different degree")
         out = {t: _recap(s, cap) for t, s in self.components.items()}
-        for t, s in other.components.items():      # `_form` drops the zero sums
+        for t, s in other.components.items():
             cur = out.get(t)
             s = _recap(s, cap)
             if cur is None:
-                out[t] = -s if subtract else s
+                tot = -s if subtract else s
             else:
-                out[t] = cur - s if subtract else cur + s
+                tot = cur - s if subtract else cur + s
+            if tot.is_zero():
+                out.pop(t, None)
+            else:
+                out[t] = tot
         return _form(self.l, self.r, cap, out)
 
     def __neg__(self):
@@ -183,6 +205,8 @@ class SpinorForm:
 
     def scale(self, scalar) -> "SpinorForm":
         g = scalar if isinstance(scalar, GaussianRational) else GaussianRational(scalar)
+        if not g:
+            return SpinorForm(self.l, self.r, self.cap)
         return _form(self.l, self.r, self.cap,
                      {t: s.scale(g) for t, s in self.components.items()})
 
@@ -260,8 +284,9 @@ def wedge_covector(xi, phi: SpinorForm) -> SpinorForm:
         raise ValueError("covector must have length 2l")
     acc = SpinorForm.zero(phi.l, min(phi.r + 1, 2 * phi.l), phi.cap)
     for i, c in enumerate(xi):
-        if c:
-            acc = acc + wedge(i, phi).scale(c)
+        if not c:
+            continue
+        acc = acc + wedge(i, phi).scale(c)
     return acc
 
 
@@ -352,31 +377,33 @@ def project(which: str, phi: SpinorForm) -> SpinorForm:
         raise ValueError(f"unknown projector {which!r}")
     if phi.l < 2:
         raise ValueError("projectors require l >= 2")
-    r = int(which[1])
-    if phi.r != r:
-        raise ValueError(f"{which} acts on {r}-forms, got degree {phi.r}")
-    if r == 1:
+    if which in ("p10", "p11"):
+        if phi.r != 1:
+            raise ValueError(f"{which} acts on 1-forms, got degree {phi.r}")
         if phi._parts is None:
             p10 = op_X(op_Y(phi).scale(GaussianRational(0, Fraction(1, phi.l))))
             object.__setattr__(phi, "_parts", (p10, phi - p10))
         return phi._parts[which == "p11"]
-    parts = _two_form_parts(phi)
+    if phi.r != 2:
+        raise ValueError(f"{which} acts on 2-forms, got degree {phi.r}")
+    p20, p21, yy = _two_form_parts(phi)
     if which != "p22":
-        return parts[which == "p21"]
-    if len(parts) == 3:
-        object.__setattr__(phi, "_parts", parts + (phi - parts[0] - parts[1],))
+        return p21 if which == "p21" else p20
+    if len(phi._parts) == 3:                        # p22 is kept once asked for
+        object.__setattr__(phi, "_parts", (p20, p21, yy, phi - p20 - p21))
     return phi._parts[3]
 
 
-def _two_form_parts(phi: SpinorForm) -> tuple[SpinorForm, ...]:
-    """(p20, p21, Y^2) of a 2-form, from one Y, one Y^2 and one XY, computed
-    on the first call and kept on the form; phi must be a 2-form with l >= 2.
+def _two_form_parts(phi: SpinorForm) -> tuple[SpinorForm, SpinorForm, SpinorForm]:
+    """(p20, p21, Y^2) of a 2-form, from one Y, one Y^2 and one XY,
+    computed on the first call and kept on the form.
 
     p20 = (1/l) X^2Y^2 and p21 = (i/(l-1)) (XY - i p20) are the only places
-    the two-form normalizations are written.  By lemma1's Clifford relation,
-    X^2 of the 0-form Y^2 phi = s is the omega-wedge -i omega_jk s on e^j ∧ e^k,
-    so p20 runs no X; Y^2 stays on the kernel, where a `diff_x` defect shows.
-    p21 = X((i/(l-1)) Y phi) + p20/(l-1).
+    the two-form normalizations are written; p22 = phi - p20 - p21 is left to
+    `project`.  X^2 of the 0-form Y^2 phi = s is the omega-wedge
+    (e_j.e_k - e_k.e_j) s = -i omega_jk s on e^j ∧ e^k; Y^2 still runs
+    through the kernel.  i/(l-1) goes on the 1-form Y phi, before X.  phi
+    must be a 2-form with l >= 2, as `project` checks.
     """
     if phi._parts is None:
         l, cap = phi.l, phi.cap
@@ -387,7 +414,7 @@ def _two_form_parts(phi: SpinorForm) -> tuple[SpinorForm, ...]:
         p21 = (op_X(y.scale(GaussianRational(0, Fraction(1, l - 1))))
                + p20.scale(Fraction(1, l - 1)))
         object.__setattr__(phi, "_parts", (p20, p21, yy))
-    return phi._parts
+    return phi._parts[:3]
 
 
 def _vanishes(*terms) -> bool:
@@ -396,40 +423,33 @@ def _vanishes(*terms) -> bool:
 
     Decided one tuple at a time, up to the first that does not cancel, on
     Gaussian-integer numerators: c = (p + i r)/q times a component num/den
-    adds (p + i r) (D // (q den)) num over the lcm D of the q den.  A first
-    real unit factor has its numerators copied, and a last one opposite to
-    it is compared whole; no spinor, form or scaled copy is built.
+    adds (p + i r) (D // (q den)) num over the lcm D of the q den.  Every
+    term but the last is added into one accumulator per monomial, and the
+    last is taken out of them monomial by monomial, up to the first that
+    does not cancel.  No spinor, form or scaled copy is built.
     """
     scaled = []
     for c, phi in terms:
-        g = c if isinstance(c, GaussianRational) else GaussianRational(c)
-        q = lcm(g.re.denominator, g.im.denominator)
-        if g:
-            scaled.append((int(g.re * q), int(g.im * q), q, phi.components))
+        re, im = (c.re, c.im) if isinstance(c, GaussianRational) else (c, 0)
+        q = lcm(re.denominator, im.denominator)
+        scaled.append((re.numerator * (q // re.denominator), im.numerator * (q // im.denominator),
+                       q, phi.components))
     for tup in set().union(*(comps for *_, comps in scaled)):
         held = [(p, r, q * s.den, s.num) for p, r, q, comps in scaled
                 if (s := comps.get(tup)) is not None]
-        if len(held) == 1:
-            return False        # a nonzero scalar times a nonzero component
-        ms = [(p * f, r * f, num) for (p, r, _, num), f
-              in zip(held, _common_den([d for _, _, d, _ in held])[1])]
-        ms.sort(key=lambda m: m[1] != 0 or m[0] * m[0] != 1)     # real units first
-        (p, r, num), (u, v, last), *ms = ms
-        if r or p * p != 1:
-            acc = {key: (p * x - r * y, p * y + r * x) for key, (x, y) in num.items()}
-        else:
-            acc, u, v, ms = dict(num), u * p, v * p, [(a * p, b * p, n) for a, b, n in ms]
-        for a, b, n in ms:
-            for key, (x, y) in n.items():
+        *held, (u, v, last) = [(p * f, r * f, num) for (p, r, _, num), f
+                               in zip(held, _common_den([d for _, _, d, _ in held])[1])]
+        acc = {}
+        for p, r, num in held:
+            for key, (x, y) in num.items():
                 re, im = acc.get(key, (0, 0))
-                acc[key] = (re + a * x - b * y, im + a * y + b * x)
-        if (u, v) != (-1, 0) or acc != last:
-            for key, (x, y) in last.items():
-                re, im = acc.pop(key, (0, 0))
-                if re + u * x - v * y or im + u * y + v * x:
-                    return False
-            if any(map(any, acc.values())):
+                acc[key] = (re + p * x - r * y, im + p * y + r * x)
+        for key, (x, y) in last.items():
+            re, im = acc.pop(key, (0, 0))
+            if re + u * x - v * y or im + u * y + v * x:
                 return False
+        if any(map(any, acc.values())):
+            return False
     return True
 
 
@@ -465,8 +485,9 @@ def random_form(
     bound: int = 5,
 ) -> SpinorForm:
     """Random degree-r form with a sparse random spinor in every slot."""
-    comps = {tup: random_spinor(l, degree, cap, stream, terms=terms_per_component, bound=bound)
-             for tup in combinations(range(2 * l), r)}
+    comps = {}
+    for tup in combinations(range(2 * l), r):
+        comps[tup] = random_spinor(l, degree, cap, stream, terms=terms_per_component, bound=bound)
     return SpinorForm(l, r, cap, comps)
 
 

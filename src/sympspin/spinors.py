@@ -36,9 +36,14 @@ top field at bit FIELD_BITS * l.  So x^v times a monomial adds a constant to
 its key, the cap test is one comparison with cap << FIELD_BITS * l, and d/dx^v
 reads one field with a shift and a mask.  `MAX_CAP` fills a field, so no
 exponent of a capped spinor carries into the next one.  Every Clifford
-product in the package goes through one kernel, `_clifford_into`, and every
-quadratic sum f e_a.e_b.s (`sp_action`, the curvature action and the
-displays) through `_quadratic_into`; each result is reduced once (`_from_acc`).
+product in the package goes through one kernel, `_clifford_into`, which adds
+f * e_i.s for an int f straight into a dict of [re, im] accumulators; X and Y
+sum whole forms through it over one denominator and reduce once per output
+component (`_from_acc`, which can take a final i in that pass by swapping
+the parts).  Every quadratic Clifford element sum f e_a.e_b.s (`sp_action`,
+the curvature action and the displays) goes through `_quadratic_into`,
+which merges each product with its mirror e_b.e_a.s = e_a.e_b.s + i
+omega_ab s and forms each e_b.s and each e_a.(e_b.s) once for all slots.
 """
 
 from __future__ import annotations

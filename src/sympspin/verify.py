@@ -21,20 +21,36 @@ statements.  Two systematic discrepancies are expected and documented:
 
 All checks are exact zero tests; there are no tolerances anywhere.
 
-The action and the displays read T^{ij}_{kl} = s_i s_j T_{i*j*kl} off the
-tensor's lowered int numerators into int tables of quadratic Clifford terms
-for the one kernel `spinors._quadratic_into` and take their final i in the
-read-off (`spinors._from_acc`); no verdict raises an index or clears a
-tensor.  Replay decodes every index through `exact.parse_indices`, and a
-theorem10 tensor as a checked `WeylTensor`.  The theorem checks take p20 and
-p21 of an action from one Y^2 and one XY (`forms._two_form_parts`) and build
-no p22: each verdict on p22 or on a corrected display is an identity
-sum c_k F_k = 0 decided by `forms._vanishes`.
+Two evaluators are folded, exactly: the action sums c e_i.e_j.phi with the
+real c per slot k < l of the antisymmetric last pair, and the eq. 11
+display sums W^{ijk}_l e_k.e_i.e_j.phi per slot l before the one outer
+Clifford product.  The action and the displays raise no index: they read
+T^{ij}_{kl} = s_i s_j T_{i*j*kl} off the tensor's lowered int numerators into
+int tables of quadratic Clifford terms, which the one kernel
+`spinors._quadratic_into` sums over one denominator, forming each product
+once for all slots (eq. 11 forms its third products e_k.E_ij once for all
+slots l through `spinors._scatter_into`, and adds its outer products
+through `spinors._clifford_into`).  Eq. 11 keys its first products by the
+unordered pair {i*, j*}, which (C) allows, and the kernel merges mirrored
+products there and in the symmetric tables of the action and eq. 9.  The
+final i is taken in the read-off (`spinors._from_acc`); no verdict clears
+a tensor.  Lemma 1 goes through the same kernel, one slot per ordered
+product e_a.(e_b.s), so none is merged and each e_b.s is formed once per
+trial.  Replay decodes every index through `exact.parse_indices`, and a
+theorem10 tensor as a checked `WeylTensor`.
+The theorem checks take p20 and p21 of an action from one Y^2 and one XY
+(`forms._two_form_parts`) and build no p22: each verdict on p22, on a
+corrected display or on a sum of forms is an identity sum c_k F_k = 0,
+decided by `forms._vanishes` component by component, up to the first that
+does not cancel.
 
-Every suite is one `Suite` entry of the registry SUITES, with its `Check`s
-and, for theorem suites, one `Display` per printed display.  One trial loop
-runs any suite and one replay re-decides any counterexample; the `*_suite`
-functions are thin entry points into the loop.
+Every suite is one entry of the registry SUITES: its checks and paper anchors,
+its requirements, a sampler, one `holds` per check, a decoder from a
+counterexample back to an instance and, for theorem suites, one `Display` per
+printed display: the only statement of its name, anchor, documented verdict
+and note; a theorem report carries only its verdict pairs, in that order.
+One trial loop runs any suite and one replay re-decides any counterexample;
+the `*_suite` functions are thin entry points into the loop.
 """
 
 from __future__ import annotations
@@ -173,7 +189,10 @@ def spinor_curvature_action(T: CurvatureTensor, phi: PolySpinor) -> SpinorForm:
 # ---------------------------------------------------------------------------
 #
 # Each display reads its raised tensor off the lowered int numerators:
-# sigma^{ij} = s_i s_j sigma_{i*j*} and W^{ijk}_l = s_i s_j s_k W_{i*j*k*l}.
+# sigma^{ij} = s_i s_j sigma_{i*j*} and W^{ijk}_l = s_i s_j s_k
+# W_{i*j*k*l}.  Each builds an int table of quadratic Clifford terms for
+# `_quadratic_into`, which sums them over one denominator, and i is taken
+# in the read-off of each component (`spinors._from_acc`).
 
 
 def literal_p20_ricci(sigma: RicciTensor, phi: PolySpinor) -> SpinorForm:

@@ -29,8 +29,8 @@ from sympspin.spinors import FIELD_BITS, PolySpinor, random_spinor
 F = Fraction
 GR = GaussianRational
 
-# +-1, +-i/q, p/q and 1 + i
-SCALARS = [1, -1, GR(0, F(1, 3)), GR(0, F(-1, 3)), F(2, 3), F(-5, 4), GR(1, 1)]
+# +-1, +-i/q, p/q, 1 + i, and real and imaginary parts over different denominators
+SCALARS = [1, -1, GR(0, F(1, 3)), GR(0, F(-1, 3)), F(2, 3), F(-5, 4), GR(1, 1), GR(F(1, 2), F(-2, 3))]
 
 
 def _built(terms) -> bool:
@@ -49,6 +49,9 @@ def test_zero_test_matches_building_the_sum(l):
     two = random_form(l, 2, 2, 6, stream, terms_per_component=3).scale(GR(F(3, 7), F(-1, 2)))
     first = min(one.components)
     short = SpinorForm(l, 2, 6, {t: s for t, s in one.components.items() if t != first})
+    # one monomial of one component missing
+    kept = dict(list(one.components[first].coeffs.items())[1:])
+    trimmed = SpinorForm(l, 2, 6, {**one.components, first: PolySpinor(l, 6, kept)})
     zero = SpinorForm.zero(l, 2, 6)
     outcomes = []
     for a in SCALARS:
@@ -60,6 +63,8 @@ def test_zero_test_matches_building_the_sum(l):
                 [(a, one), (-a, two)],                       # unequal forms
                 [(a, one), (-a, short)],                     # a component missing on one side
                 [(a, short), (-a, one)],
+                [(a, one), (-a, trimmed)],                   # a monomial missing on one side
+                [(a, trimmed), (-a, one)],
                 [(a, one), (b, two), (-1, both)],
                 [(a, one), (b, two), (1, both)],
                 [(a, one), (b, short), (-1, both)],
@@ -80,9 +85,8 @@ def test_zero_test_matches_building_the_sum(l):
 
 def test_zero_test_reads_past_a_cancelled_monomial():
     # A = x0 + 2 x1 and B = -x0 on e^0 ∧ e^1, all over 1: A + B leaves a
-    # cancelled x0 in the running sum, which the last term, A + B = 2 x1,
-    # does not hold, so the whole-dict comparison fails and each monomial is
-    # compared instead
+    # cancelled x0 in the running sum, an entry that must read as zero, and
+    # the last term, A + B = 2 x1, does not hold it
     def form(coeffs):
         return SpinorForm(2, 2, 4, {(0, 1): PolySpinor(2, 4, coeffs)})
 
@@ -94,6 +98,8 @@ def test_zero_test_reads_past_a_cancelled_monomial():
         assert _vanishes((-c, total), (c, a), (c, b))
         assert not _vanishes((c, a), (c, b), (-c, a))
         assert not _vanishes((c, a), (c, b), (c, total))
+        assert not _vanishes((c, a), (-c, total))      # x0 is left over
+        assert not _vanishes((c, total), (-c, a))
 
 
 # ---------------------------------------------------------------------------
