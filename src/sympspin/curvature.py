@@ -50,7 +50,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, product
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, neg
 from typing import NamedTuple
 
 from .exact import (
@@ -322,8 +322,7 @@ def _curvature_type(R) -> bool:
     triples = list(combinations(range(len(e)), 3))
     for i, block in enumerate(e):
         for j, plane in enumerate(block):
-            if plane != e[j][i] or any(x != -y for row, col in zip(plane, zip(*plane))
-                                       for x, y in zip(row, col)):
+            if plane != e[j][i] or plane != [list(map(neg, col)) for col in zip(*plane)]:
                 return False
         if any(block[j][k][m] + block[k][m][j] + block[m][j][k] for j, k, m in triples):
             return False

@@ -42,7 +42,7 @@ The theorem checks take p20 and p21 of an action from one Y^2 and one XY
 (`forms._two_form_parts`) and build no p22: each verdict on p22, on a
 corrected display or on a sum of forms is an identity sum c_k F_k = 0,
 decided by `forms._vanishes` component by component, up to the first that
-does not cancel.
+does not cancel.  Corollary 11 builds the chain of act(R) alone.
 
 Every suite is one entry of the registry SUITES: its checks and paper anchors,
 its requirements, a sampler, one `holds` per check, a decoder from a
@@ -313,19 +313,19 @@ def verify_theorem10(W: CurvatureTensor, phi: PolySpinor) -> ActionReport:
 def verify_corollary11(R: CurvatureTensor, phi: PolySpinor) -> ActionReport:
     """Projections of the full action split into Ricci and trace-free parts.
 
-    j = 0 and j = 1 are zero tests of the three p2j.  j = 2 is decided as
-    act(R) = act(sigma_tilde) + act(W), which is exact only because the `and`
-    reaches it after j = 0 and j = 1 have held: p22 = act - p20 - p21.  The
-    p22 displays, p22(R) = act(W) - c lit11, read act(R) - p20 - p21 - act(W)
-    + c lit11 = 0."""
+    p2j(act R) = p2j(act sigma_tilde) + p2j(act W), j = 0, 1, 2, is decided as
+    act(R) = act(sigma_tilde) + act(W): the chain is Q(i)-linear, so that
+    implies j = 0, 1, and where it fails j = 2 (p22 = act - p20 - p21) fails
+    too; the same verdict on every input, and only act(R) gets a chain, for
+    the displays.  The p22 displays, p22(R) = act(W) - c lit11, read
+    act(R) - p20 - p21 - act(W) + c lit11 = 0."""
     _theorem_headroom(phi)
     sigma = ricci_of(R)
     st = sigma_tilde_of(sigma)
     W = R - st
     act_r, act_s, act_w = (spinor_curvature_action(T, phi) for T in (R, st, W))
-    (p20, p21, _), (s20, s21, _), (w20, w21, _) = map(_two_form_parts, (act_r, act_s, act_w))
-    ok = (_vanishes((1, p20), (-1, s20), (-1, w20)) and _vanishes((1, p21), (-1, s21), (-1, w21))
-          and _vanishes((1, act_r), (-1, act_s), (-1, act_w)))
+    p20, p21, _ = _two_form_parts(act_r)
+    ok = _vanishes((1, act_r), (-1, act_s), (-1, act_w))
     prefactor = Fraction(1, 2 * (R.l + 1))
     lit9 = literal_p20_ricci(sigma, phi)
     lit10 = literal_p21_ricci(sigma, phi)

@@ -7,7 +7,8 @@ theorem10, corollary11, symbol-complex and lemma5 partition verdicts it
 decides are checked against `oracles`, which keeps the formulas that built
 p22, the scaled displays and their sums, on random instances at l = 2 and 3,
 healthy and under planted defects.  Defects that only the p21 normalization or the p22
-subtraction would show still fail their checks.
+subtraction would show still fail their checks, and an action that is not
+additive in the tensor fails corollary11, decided on its three actions alone.
 """
 
 import json
@@ -157,6 +158,14 @@ def _halved_action(monkeypatch):
                         lambda T, phi: action(T, phi).scale(F(1, 2)))
 
 
+def _action_without_den(monkeypatch):
+    # act(T) times T.den is not additive in T: act(R) != act(sigma_tilde) +
+    # act(W) once the three tensors have different denominators
+    action = verify.spinor_curvature_action
+    monkeypatch.setattr(verify, "spinor_curvature_action",
+                        lambda T, phi: action(T, phi).scale(T.den))
+
+
 def _unscaled_common_den(monkeypatch):
     monkeypatch.setattr(spinors, "_common_den", lambda dens: (lcm(*dens), [1] * len(dens)))
     monkeypatch.setattr(forms, "_common_den", spinors._common_den)
@@ -170,6 +179,7 @@ DEFECTS = {
     "halved-action": _halved_action,
     "doubled-p21": lambda monkeypatch: monkeypatch.setattr(forms, "Fraction", _HalfBecomesOne),
     "unscaled-common-den": _unscaled_common_den,
+    "action-without-T.den": _action_without_den,
 }
 
 
@@ -214,7 +224,7 @@ def test_zero_test_verdicts_match_the_built_forms(l, defect, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Defects in the p21 normalization and the p22 subtraction
+# Defects in the p21 normalization, the p22 subtraction and the action's additivity
 # ---------------------------------------------------------------------------
 
 
@@ -252,6 +262,26 @@ def test_p22_with_a_flipped_sign_fails_lemma5_and_replays(tmp_path, monkeypatch,
     ce_path = tmp_path / "ce.json"
     ce_path.write_text(json.dumps(next(c["counterexample"] for c in checks
                                        if c["name"] == "lemma5.partition-of-identity")))
+    capsys.readouterr()
+    assert main(["--replay", str(ce_path)]) == 1
+    assert json.loads(capsys.readouterr().out)["reproduced"] is True
+    monkeypatch.undo()
+    assert main(["--replay", str(ce_path)]) == 0
+
+
+def test_a_non_additive_action_fails_corollary11_and_replays(tmp_path, monkeypatch, capsys):
+    # corollary11 decides act(R) = act(sigma_tilde) + act(W) as one zero test;
+    # an action that forgets T.den breaks it, and its counterexample replays
+    _action_without_den(monkeypatch)
+    report_path = tmp_path / "report.json"
+    argv = ["--l", "2", "--trials", "2", "--suite", "corollary11", "--format", "json",
+            "--out", str(report_path)]
+    assert main(argv) == 1
+    checks = json.loads(report_path.read_text())["checks"]
+    main_check = next(c for c in checks if c["name"] == "corollary11")
+    assert main_check["status"] == "fail"
+    ce_path = tmp_path / "ce.json"
+    ce_path.write_text(json.dumps(main_check["counterexample"]))
     capsys.readouterr()
     assert main(["--replay", str(ce_path)]) == 1
     assert json.loads(capsys.readouterr().out)["reproduced"] is True

@@ -2,8 +2,9 @@
 
 The workloads and the pinned sha256 of each report (every elapsed_ms zeroed)
 are read from `perfbench/workloads.py` and `perfbench/hashes.json`; each is
-checked at seed 42 and at the held-out seed.  Two work guards count the
-Clifford products and the spinor sums the theorems-l3 workload makes.
+checked at seed 42 and at the held-out seed.  Three work guards count the
+Clifford products, the spinor sums and the projector chains the theorems-l3
+workload makes.
 """
 
 import importlib.util
@@ -34,8 +35,10 @@ def test_workload_report_reproduces_pinned_hash(workload, seed):
 
 # Kernel calls of theorems-l3 at seed 42 once each second product
 # e_a.(e_b.phi) and each eq. 11 product e_k.E_ij is formed once and added into
-# every slot that uses it; forming them per slot again made 13,617.
-THEOREMS_L3_KERNEL_CALLS = 4152
+# every slot that uses it, and corollary11 runs one projector chain per
+# instance; forming the products per slot again made 13,617, and three chains
+# per corollary11 instance 4,152.
+THEOREMS_L3_KERNEL_CALLS = 3624
 
 
 def test_theorems_l3_forms_each_product_once(monkeypatch):
@@ -56,8 +59,9 @@ def test_theorems_l3_forms_each_product_once(monkeypatch):
 # Spinor sums (`spinors._sum`, the one spinor-sum routine) of theorems-l3 at
 # seed 42 once the two-form verdicts are decided by the zero test
 # `forms._vanishes`, which builds no sum; building p22 and the corrected
-# sums only to compare them made 814.
-THEOREMS_L3_SPINOR_SUMS = 141
+# sums only to compare them made 814, and the chains of act(sigma_tilde) and
+# act(W) in corollary11 141.
+THEOREMS_L3_SPINOR_SUMS = 129
 
 
 def test_theorems_l3_builds_no_sum_only_to_compare_it(monkeypatch):
@@ -72,3 +76,25 @@ def test_theorems_l3_builds_no_sum_only_to_compare_it(monkeypatch):
     report = run_suite(workloads.run_config("theorems-l3", 42))
     assert workloads.report_hash(report.to_json()) == PINNED["sha256"]["theorems-l3"]["42"]
     assert calls[0] == THEOREMS_L3_SPINOR_SUMS
+
+
+# Projector chains (first fills of a form's parts by `forms._two_form_parts`)
+# of theorems-l3 at seed 42 once corollary11 decides its main check on its
+# three actions and builds the chain of act(R) alone; a chain for each of the
+# three actions made 25.
+THEOREMS_L3_CHAINS = 17
+
+
+def test_theorems_l3_runs_one_chain_per_corollary11_instance(monkeypatch):
+    two_form_parts = forms._two_form_parts
+    chains = [0]
+
+    def counted(phi):
+        chains[0] += phi._parts is None
+        return two_form_parts(phi)
+
+    for module in (forms, verify):
+        monkeypatch.setattr(module, "_two_form_parts", counted)
+    report = run_suite(workloads.run_config("theorems-l3", 42))
+    assert workloads.report_hash(report.to_json()) == PINNED["sha256"]["theorems-l3"]["42"]
+    assert chains[0] == THEOREMS_L3_CHAINS
