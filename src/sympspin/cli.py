@@ -206,8 +206,8 @@ def _build_parser():
     parser.add_argument("--max-degree", type=int, default=6, dest="max_degree",
                         help="maximum sampled spinor degree (default 6)")
     parser.add_argument("--pad", type=int, default=6,
-                        help="a gate (default 6), not headroom: theorem suites and "
-                             "symbol-complex need >= 6; each sampler fixes its own cap")
+                        help="a gate kept in the report config (default 6): theorem "
+                             "suites and symbol-complex need >= 6; it sets no degree cap")
     parser.add_argument("--trials", type=int, default=20,
                         help="random trials per check (default 20)")
     parser.add_argument("--seed", type=int, default=42,

@@ -308,12 +308,23 @@ def nullspace_basis(rows: Iterable[dict], ncols: int) -> list[dict]:
     vector per free column, in increasing column order, with 1 at that
     column and then the pivots in the order they were found; so its length
     is the nullity, and ncols minus it is the rank.
+
+    `while row:` is the package's one loop that ends only because its work
+    shrinks: each step's lowest column must lie above the last step's, or
+    RuntimeError is raised rather than spinning.  Every other loop walks a
+    finite collection: `forms._insert_index` a tuple,
+    `symplectic.raise_lower_index` the nesting of its tensor, and replay's
+    size check (`verify._check_replay_sizes`) a decoded JSON tree.
     """
     pivot_rows: dict[int, dict] = {}
     for row in rows:
         row = dict(row)
+        last = -1
         while row:
             c = min(row)
+            if c <= last:
+                raise RuntimeError(f"row reduction made no progress at column {c}")
+            last = c
             if c in pivot_rows:
                 f = row.pop(c)
                 for cc, vv in pivot_rows[c].items():

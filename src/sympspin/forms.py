@@ -66,6 +66,7 @@ from .exact import GaussianRational, RandomStream, _keyed, parse_indices
 from .spinors import (
     PolySpinor,
     SpLieElement,
+    _check_legacy_cap,
     _clifford_into,
     _common_den,
     _from_acc,
@@ -103,11 +104,11 @@ class SpinorForm:
     Both leave `_parts` empty; `project` fills it once.
     """
 
-    __slots__ = ("l", "r", "cap", "components", "_parts")
+    __slots__ = ("l", "r", "components", "_parts")
 
-    def __init__(self, l: int, r: int, cap: int, components: dict | None = None):
-        if not all(type(x) is int for x in (l, r, cap)):
-            raise ValueError(f"l, r and cap must be ints, got {(l, r, cap)!r}")
+    def __init__(self, l: int, r: int, components: dict | None = None):
+        if not all(type(x) is int for x in (l, r)):
+            raise ValueError(f"l and r must be ints, got {(l, r)!r}")
         if not (0 <= r <= 2 * l):
             raise ValueError(f"form degree {r} out of range for l={l}")
         clean: dict[tuple[int, ...], PolySpinor] = {}
@@ -122,13 +123,10 @@ class SpinorForm:
                     raise ValueError(f"tuple {tup} must be strictly increasing")
                 if s.l != l:
                     raise ValueError("component spinor has wrong l")
-                if s.cap != cap:
-                    raise ValueError("component spinors must share the cap")
                 if not s.is_zero():
                     clean[tup] = s
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "cap", cap)
         object.__setattr__(self, "components", clean)
         object.__setattr__(self, "_parts", None)
 
@@ -136,18 +134,18 @@ class SpinorForm:
         raise AttributeError("SpinorForm is immutable")
 
     @classmethod
-    def zero(cls, l: int, r: int, cap: int) -> "SpinorForm":
-        return cls(l, r, cap)
+    def zero(cls, l: int, r: int) -> "SpinorForm":
+        return cls(l, r)
 
     @classmethod
     def from_spinor(cls, s: PolySpinor) -> "SpinorForm":
         """A 0-form."""
-        return cls(s.l, 0, s.cap, {(): s})
+        return cls(s.l, 0, {(): s})
 
     def component(self, tup) -> PolySpinor:
-        """The spinor at `tup`, or zero with the form's cap."""
+        """The spinor at `tup`, or zero."""
         s = self.components.get(tuple(tup))
-        return _spinor(self.l, self.cap, {}, 1) if s is None else s
+        return _spinor(self.l, {}, 1) if s is None else s
 
     def is_zero(self) -> bool:
         return not self.components
@@ -178,18 +176,16 @@ class SpinorForm:
         """self + other or self - other, component by component."""
         if self.l != other.l:
             raise ValueError("cannot add forms over different spaces")
-        cap = max(self.cap, other.cap)
         if self.r != other.r:
             # a zero form has no intrinsic degree; let it absorb into the other
             if self.is_zero():
-                return _recap_form(-other if subtract else other, cap)
+                return -other if subtract else other
             if other.is_zero():
-                return _recap_form(self, cap)
+                return self
             raise ValueError("cannot add forms of different degree")
-        out = {t: _recap(s, cap) for t, s in self.components.items()}
+        out = dict(self.components)
         for t, s in other.components.items():
             cur = out.get(t)
-            s = _recap(s, cap)
             if cur is None:
                 tot = -s if subtract else s
             else:
@@ -198,7 +194,7 @@ class SpinorForm:
                 out.pop(t, None)
             else:
                 out[t] = tot
-        return _form(self.l, self.r, cap, out)
+        return _form(self.l, self.r, out)
 
     def __neg__(self):
         return self.scale(-1)
@@ -206,9 +202,8 @@ class SpinorForm:
     def scale(self, scalar) -> "SpinorForm":
         g = scalar if isinstance(scalar, GaussianRational) else GaussianRational(scalar)
         if not g:
-            return SpinorForm(self.l, self.r, self.cap)
-        return _form(self.l, self.r, self.cap,
-                     {t: s.scale(g) for t, s in self.components.items()})
+            return SpinorForm(self.l, self.r)
+        return _form(self.l, self.r, {t: s.scale(g) for t, s in self.components.items()})
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction, GaussianRational)):
@@ -217,40 +212,18 @@ class SpinorForm:
 
     __rmul__ = __mul__
 
-    def max_spinor_degree(self) -> int:
-        if not self.components:
-            return -1
-        return max(s.degree() for s in self.components.values())
 
-    def headroom(self) -> int:
-        return self.cap - max(0, self.max_spinor_degree())
-
-
-def _form(l: int, r: int, cap: int, components: dict) -> SpinorForm:
+def _form(l: int, r: int, components: dict) -> SpinorForm:
     """The unchecked constructor: every key must be a strictly increasing
-    r-tuple of indices below 2l and every value a valid spinor over l with
-    this cap, as every operator result on valid forms is.  Zero components
-    are dropped, as the public constructor drops them."""
+    r-tuple of indices below 2l and every value a valid spinor over l, as
+    every operator result on valid forms is.  Zero components are dropped,
+    as the public constructor drops them."""
     phi = object.__new__(SpinorForm)
     object.__setattr__(phi, "l", l)
     object.__setattr__(phi, "r", r)
-    object.__setattr__(phi, "cap", cap)
     object.__setattr__(phi, "components", {t: s for t, s in components.items() if s.num})
     object.__setattr__(phi, "_parts", None)
     return phi
-
-
-def _recap(s: PolySpinor, cap: int) -> PolySpinor:
-    """s with the cap raised to `cap`; a valid spinor stays valid."""
-    if s.cap == cap:
-        return s
-    return _spinor(s.l, cap, s.num, s.den)
-
-
-def _recap_form(phi: SpinorForm, cap: int) -> SpinorForm:
-    if phi.cap == cap:
-        return phi
-    return _form(phi.l, phi.r, cap, {t: _recap(s, cap) for t, s in phi.components.items()})
 
 
 def _insert_index(i: int, tup: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
@@ -269,20 +242,20 @@ def wedge(i: int, phi: SpinorForm) -> SpinorForm:
     if not (0 <= i < 2 * phi.l):
         raise ValueError(f"covector index {i} out of range")
     if phi.r == 2 * phi.l:
-        return SpinorForm.zero(phi.l, phi.r, phi.cap)
+        return SpinorForm.zero(phi.l, phi.r)
     out = {}
     for tup, s in phi.components.items():
         if i not in tup:
             sign, new = _insert_index(i, tup)
             out[new] = s if sign == 1 else -s
-    return _form(phi.l, phi.r + 1, phi.cap, out)
+    return _form(phi.l, phi.r + 1, out)
 
 
 def wedge_covector(xi, phi: SpinorForm) -> SpinorForm:
     """Left wedge by the covector with coefficient list xi."""
     if len(xi) != 2 * phi.l:
         raise ValueError("covector must have length 2l")
-    acc = SpinorForm.zero(phi.l, min(phi.r + 1, 2 * phi.l), phi.cap)
+    acc = SpinorForm.zero(phi.l, min(phi.r + 1, 2 * phi.l))
     for i, c in enumerate(xi):
         if not c:
             continue
@@ -295,13 +268,13 @@ def contract(i: int, phi: SpinorForm) -> SpinorForm:
     if not (0 <= i < 2 * phi.l):
         raise ValueError(f"vector index {i} out of range")
     if phi.r == 0:
-        return SpinorForm.zero(phi.l, 0, phi.cap)
+        return SpinorForm.zero(phi.l, 0)
     out = {}
     for tup, s in phi.components.items():
         if i in tup:
             pos = tup.index(i)
             out[tup[:pos] + tup[pos + 1:]] = -s if pos % 2 else s
-    return _form(phi.l, phi.r - 1, phi.cap, out)
+    return _form(phi.l, phi.r - 1, out)
 
 
 def _over_one_den(phi: SpinorForm) -> tuple[int, list]:
@@ -312,12 +285,10 @@ def _over_one_den(phi: SpinorForm) -> tuple[int, list]:
     return den, [(tup, s.num, f) for (tup, s), f in zip(comps.items(), factors)]
 
 
-def _form_from_accs(l: int, r: int, cap: int, accs: dict, den: int,
-                    times_i: bool = False) -> SpinorForm:
+def _form_from_accs(l: int, r: int, accs: dict, den: int, times_i: bool = False) -> SpinorForm:
     """The form whose component at each tuple is accs[tup] / den (times i
     when `times_i`), reduced once per component (`spinors._from_acc`)."""
-    return _form(l, r, cap, {tup: _from_acc(l, cap, acc, den, times_i)
-                             for tup, acc in accs.items()})
+    return _form(l, r, {tup: _from_acc(l, acc, den, times_i) for tup, acc in accs.items()})
 
 
 def op_X(phi: SpinorForm) -> SpinorForm:
@@ -326,9 +297,9 @@ def op_X(phi: SpinorForm) -> SpinorForm:
     Summed in place: every -sign * e_i.s lands in its output tuple's
     accumulator over one denominator, and each output component is reduced
     once."""
-    l, cap = phi.l, phi.cap
+    l = phi.l
     if phi.r == 2 * l:
-        return SpinorForm.zero(l, phi.r, cap)
+        return SpinorForm.zero(l, phi.r)
     den, comps = _over_one_den(phi)
     accs: dict[tuple[int, ...], dict] = {}
     for tup, num, f in comps:
@@ -337,17 +308,17 @@ def op_X(phi: SpinorForm) -> SpinorForm:
             if ins is None:
                 continue
             sign, new = ins
-            _clifford_into(accs.setdefault(new, {}), num, i, l, cap, -f if sign == 1 else f)
-    return _form_from_accs(l, phi.r + 1, cap, accs, den)
+            _clifford_into(accs.setdefault(new, {}), num, i, l, -f if sign == 1 else f)
+    return _form_from_accs(l, phi.r + 1, accs, den)
 
 
 def op_Y(phi: SpinorForm) -> SpinorForm:
     """Y = sum_i s_i (iota_{e_i} .) ⊗ e_{i*}. ; zero on 0-forms.
 
     Summed in place over one denominator, as `op_X` is."""
-    l, cap = phi.l, phi.cap
+    l = phi.l
     if phi.r == 0:
-        return SpinorForm.zero(l, 0, cap)
+        return SpinorForm.zero(l, 0)
     partners = omega_partners(l)
     den, comps = _over_one_den(phi)
     accs: dict[tuple[int, ...], dict] = {}
@@ -357,8 +328,8 @@ def op_Y(phi: SpinorForm) -> SpinorForm:
             if pos % 2:
                 sign = -sign
             acc = accs.setdefault(tup[:pos] + tup[pos + 1:], {})
-            _clifford_into(acc, num, j, l, cap, f if sign > 0 else -f)
-    return _form_from_accs(l, phi.r - 1, cap, accs, den)
+            _clifford_into(acc, num, j, l, f if sign > 0 else -f)
+    return _form_from_accs(l, phi.r - 1, accs, den)
 
 
 def op_H(phi: SpinorForm) -> SpinorForm:
@@ -406,11 +377,11 @@ def _two_form_parts(phi: SpinorForm) -> tuple[SpinorForm, SpinorForm, SpinorForm
     must be a 2-form with l >= 2, as `project` checks.
     """
     if phi._parts is None:
-        l, cap = phi.l, phi.cap
+        l = phi.l
         y = op_Y(phi)
         yy = op_Y(y)
         s = yy.component(()).scale(GaussianRational(0, Fraction(-1, l)))
-        p20 = _form(l, 2, cap, {(a, a + l): s for a in range(l)})
+        p20 = _form(l, 2, {(a, a + l): s for a in range(l)})
         p21 = (op_X(y.scale(GaussianRational(0, Fraction(1, l - 1))))
                + p20.scale(Fraction(1, l - 1)))
         object.__setattr__(phi, "_parts", (p20, p21, yy))
@@ -465,8 +436,7 @@ def sp_action_form(A: SpLieElement, phi: SpinorForm) -> SpinorForm:
     if A.l != phi.l:
         raise ValueError("mismatched l")
     partners = omega_partners(phi.l)
-    out = _form(phi.l, phi.r, phi.cap,
-                {tup: sp_action(A, s) for tup, s in phi.components.items()})
+    out = _form(phi.l, phi.r, {tup: sp_action(A, s) for tup, s in phi.components.items()})
     for t, row in enumerate(A.matrix):
         inner = contract(t, phi)
         if inner.components:
@@ -479,7 +449,6 @@ def random_form(
     l: int,
     r: int,
     degree: int,
-    cap: int,
     stream: RandomStream,
     terms_per_component: int = 4,
     bound: int = 5,
@@ -487,8 +456,8 @@ def random_form(
     """Random degree-r form with a sparse random spinor in every slot."""
     comps = {}
     for tup in combinations(range(2 * l), r):
-        comps[tup] = random_spinor(l, degree, cap, stream, terms=terms_per_component, bound=bound)
-    return SpinorForm(l, r, cap, comps)
+        comps[tup] = random_spinor(l, degree, stream, terms=terms_per_component, bound=bound)
+    return SpinorForm(l, r, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +470,15 @@ def spinor_form_to_json(phi: SpinorForm) -> dict:
     for tup in sorted(phi.components):
         inner = poly_spinor_to_json(phi.components[tup])
         comps.append({"tuple": [t + 1 for t in tup], "terms": inner["terms"]})
-    return {"l": phi.l, "r": phi.r, "cap": phi.cap, "components": comps}
+    return {"l": phi.l, "r": phi.r, "components": comps}
 
 
 def spinor_form_from_json(obj: dict) -> SpinorForm:
+    """An older file's "cap" is checked, on its own and against every
+    component's terms (`spinors._check_legacy_cap`)."""
+    _check_legacy_cap(obj)
     items = _keyed(obj["components"], "tuple", lambda t: parse_indices(t, obj["r"], 2 * obj["l"]))
-    comps = {tup: poly_spinor_from_json({"l": obj["l"], "cap": obj["cap"], "terms": item["terms"]})
+    legacy = {"cap": obj["cap"]} if "cap" in obj else {}
+    comps = {tup: poly_spinor_from_json({"l": obj["l"], "terms": item["terms"], **legacy})
              for tup, item in items.items()}
-    return SpinorForm(obj["l"], obj["r"], obj["cap"], comps)
+    return SpinorForm(obj["l"], obj["r"], comps)

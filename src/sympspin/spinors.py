@@ -1,14 +1,17 @@
 """Polynomial symplectic spinors and the symplectic Clifford multiplication.
 
 A spinor is a polynomial in l variables with Gaussian-rational coefficients,
-truncated at a hard total-degree cap.  The Clifford action of the basis is
+an element of the polynomial model of the metaplectic representation.  The
+Clifford action of the basis is
 
     e_i . f = i * x^i * f          (0 <= i < l,   degree +1)
     e_{i+l} . f = df / dx^i        (0 <= i < l,   degree -1)
 
-so the commutator of two basis actions is -i * omega(e_a, e_b) * Id.  The cap
-exists to make every computation finite; exceeding it raises, it never
-truncates silently, because a truncated spinor would fake an identity check.
+so the commutator of two basis actions is -i * omega(e_a, e_b) * Id.  No
+spinor carries a degree bound of its own; the one bound is `MAX_CAP`, the
+largest total degree whose exponents fit the packed key (below).  A product
+that would reach past it raises `DegreeCapError`; it never truncates
+silently, because a truncated spinor would fake an identity check.
 
 The quadratic elements x ∨ y of the symmetric square of R^{2l} act on spinors
 through two Clifford multiplications; `sp_action` realizes that infinitesimal
@@ -33,9 +36,9 @@ the test oracle.
 A monomial x^alpha is keyed by one packed int: a `FIELD_BITS`-wide field per
 exponent, alpha_v at bit FIELD_BITS * v, and the total degree |alpha| in the
 top field at bit FIELD_BITS * l.  So x^v times a monomial adds a constant to
-its key, the cap test is one comparison with cap << FIELD_BITS * l, and d/dx^v
-reads one field with a shift and a mask.  `MAX_CAP` fills a field, so no
-exponent of a capped spinor carries into the next one.  Every Clifford
+its key, the bound test is one comparison with MAX_CAP << FIELD_BITS * l,
+and d/dx^v reads one field with a shift and a mask.  `MAX_CAP` fills a
+field, so no exponent of a spinor carries into the next one.  Every Clifford
 product in the package goes through one kernel, `_clifford_into`, which adds
 f * e_i.s for an int f straight into a dict of [re, im] accumulators; X and Y
 sum whole forms through it over one denominator and reduce once per output
@@ -83,7 +86,7 @@ _F0 = Fraction(0)
 
 FIELD_BITS = 8                      # width of one exponent field of a packed key
 _FIELD_MASK = (1 << FIELD_BITS) - 1
-MAX_CAP = _FIELD_MASK               # the largest cap whose exponents fit a field
+MAX_CAP = _FIELD_MASK               # the largest degree whose exponents fit a field
 
 
 def _pack(alpha) -> int:
@@ -100,11 +103,11 @@ def _unpack(key: int, l: int) -> tuple[int, ...]:
 
 
 class DegreeCapError(ValueError):
-    """A Clifford multiplication tried to exceed the spinor degree cap."""
+    """A spinor would pass total degree `MAX_CAP`, the field bound of its keys."""
 
 
 class PolySpinor:
-    """Sparse polynomial in l variables over Q(i), total degree <= cap.
+    """Sparse polynomial in l variables over Q(i), total degree <= MAX_CAP.
 
     The coefficient of x^alpha is (re + i im) / den, stored as the pair of
     ints num[key] = (re, im) under the packed key of alpha (`_pack`), over
@@ -112,33 +115,30 @@ class PolySpinor:
 
         den >= 1,   gcd(den, every part) == 1,   no (0, 0) is stored.
 
-    So equality of (num, den) is equality of spinors.  The cap participates
-    in arithmetic checks but not in equality.  `coeffs` is a read-only view
-    of the same coefficients as GaussianRational values keyed by exponent
-    tuples, built on each read.
+    So equality of (num, den) is equality of spinors.  `coeffs` is a
+    read-only view of the same coefficients as GaussianRational values keyed
+    by exponent tuples, built on each read.
 
-    The public constructor checks every exponent tuple against l and the cap,
-    the cap against `MAX_CAP`, and coerces every coefficient.  Arithmetic on
-    valid spinors builds its results through the unchecked constructors
+    The public constructor checks every exponent tuple against l and
+    `MAX_CAP`, and coerces every coefficient.  Arithmetic on valid spinors
+    builds its results through the unchecked constructors
     `_spinor` (for results that are in lowest terms by construction) and
     `_reduced` (for the others).
     """
 
-    __slots__ = ("l", "cap", "num", "den")
+    __slots__ = ("l", "num", "den")
 
-    def __init__(self, l: int, cap: int, coeffs: dict | None = None):
+    def __init__(self, l: int, coeffs: dict | None = None):
         if type(l) is not int or l < 1:
             raise ValueError(f"l must be an int >= 1, got {l!r}")
-        if type(cap) is not int or not 0 <= cap <= MAX_CAP:
-            raise ValueError(f"cap must be an int in 0..{MAX_CAP}, got {cap!r}")
         clean: dict[int, GaussianRational] = {}
         if coeffs:
             for alpha, c in coeffs.items():
                 if len(alpha) != l or any(type(a) is not int or a < 0 for a in alpha):
                     raise ValueError(f"bad exponent tuple {alpha}")
-                if sum(alpha) > cap:
+                if sum(alpha) > MAX_CAP:
                     raise DegreeCapError(
-                        f"monomial {alpha} exceeds degree cap {cap}"
+                        f"monomial {alpha} exceeds degree {MAX_CAP}"
                     )
                 g = c if isinstance(c, GaussianRational) else GaussianRational(c)
                 if g:
@@ -146,7 +146,6 @@ class PolySpinor:
         # over the lcm of the reduced denominators, (num, den) is in lowest terms
         den = lcm(*(x.denominator for g in clean.values() for x in (g.re, g.im)))
         _set(self, "l", l)
-        _set(self, "cap", cap)
         _set(self, "num", {
             a: (g.re.numerator * (den // g.re.denominator),
                 g.im.numerator * (den // g.im.denominator))
@@ -166,16 +165,16 @@ class PolySpinor:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, l: int, cap: int) -> "PolySpinor":
-        return cls(l, cap)
+    def zero(cls, l: int) -> "PolySpinor":
+        return cls(l)
 
     @classmethod
-    def one(cls, l: int, cap: int) -> "PolySpinor":
-        return cls(l, cap, {(0,) * l: GR_ONE})
+    def one(cls, l: int) -> "PolySpinor":
+        return cls(l, {(0,) * l: GR_ONE})
 
     @classmethod
-    def monomial(cls, l: int, cap: int, alpha, coeff=GR_ONE) -> "PolySpinor":
-        return cls(l, cap, {tuple(alpha): coeff})
+    def monomial(cls, l: int, alpha, coeff=GR_ONE) -> "PolySpinor":
+        return cls(l, {tuple(alpha): coeff})
 
     # -- structure ----------------------------------------------------------
 
@@ -188,9 +187,6 @@ class PolySpinor:
         if not self.num:
             return -1
         return max(self.num) >> FIELD_BITS * self.l
-
-    def headroom(self) -> int:
-        return self.cap - max(0, self.degree())
 
     def __eq__(self, other):
         if not isinstance(other, PolySpinor):
@@ -219,8 +215,7 @@ class PolySpinor:
         return _sum(self, other, -1)
 
     def __neg__(self):
-        return _spinor(self.l, self.cap,
-                       {a: (-re, -im) for a, (re, im) in self.num.items()}, self.den)
+        return _spinor(self.l, {a: (-re, -im) for a, (re, im) in self.num.items()}, self.den)
 
     def scale(self, scalar) -> "PolySpinor":
         """scalar * self; a unit (+-1, +-i) negates or swaps the two parts of
@@ -231,19 +226,19 @@ class PolySpinor:
             re, im = scalar.re, scalar.im
         else:
             re, im = _as_fraction(scalar), _F0
-        l, cap, num = self.l, self.cap, self.num
+        l, num = self.l, self.num
         if not im:
             if not re:
-                return _spinor(l, cap, {}, 1)
+                return _spinor(l, {}, 1)
             if re == 1:
                 return self
             if re == -1:
                 return -self
         elif not re:
             if im == 1:
-                return _spinor(l, cap, {a: (-y, x) for a, (x, y) in num.items()}, self.den)
+                return _spinor(l, {a: (-y, x) for a, (x, y) in num.items()}, self.den)
             if im == -1:
-                return _spinor(l, cap, {a: (y, -x) for a, (x, y) in num.items()}, self.den)
+                return _spinor(l, {a: (y, -x) for a, (x, y) in num.items()}, self.den)
         q = lcm(re.denominator, im.denominator)
         p = re.numerator * (q // re.denominator)
         r = im.numerator * (q // im.denominator)
@@ -258,7 +253,7 @@ class PolySpinor:
                 out = {a: (-y * r, x * r) for a, (x, y) in num.items()}
         else:
             out = {a: (x * p - y * r, x * r + y * p) for a, (x, y) in num.items()}
-        return _reduced(l, cap, out, self.den * q)
+        return _reduced(l, out, self.den * q)
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction, GaussianRational)):
@@ -270,8 +265,8 @@ class PolySpinor:
     # -- basic calculus -----------------------------------------------------
 
     def mult_x(self, var: int) -> "PolySpinor":
-        """Multiply by the coordinate x^var (degree +1, cap-checked): e_var
-        without its factor i."""
+        """Multiply by the coordinate x^var (degree +1, checked against
+        `MAX_CAP`): e_var without its factor i."""
         if not 0 <= var < self.l:
             raise ValueError(f"variable {var} out of range for l={self.l}")
         return clifford_basis(var, self).scale(-GR_I)
@@ -287,19 +282,18 @@ _set = object.__setattr__
 _new = object.__new__
 
 
-def _spinor(l: int, cap: int, num: dict, den: int) -> PolySpinor:
-    """The unchecked constructor: `num` must already be valid for (l, cap),
-    and (num, den) in lowest terms, as every unit multiple of a valid spinor
+def _spinor(l: int, num: dict, den: int) -> PolySpinor:
+    """The unchecked constructor: `num` must already be valid for l, and
+    (num, den) in lowest terms, as every unit multiple of a valid spinor
     is."""
     s = _new(PolySpinor)
     _set(s, "l", l)
-    _set(s, "cap", cap)
     _set(s, "num", num)
     _set(s, "den", den)
     return s
 
 
-def _reduced(l: int, cap: int, num: dict, den: int) -> PolySpinor:
+def _reduced(l: int, num: dict, den: int) -> PolySpinor:
     """The unchecked constructor for a result that may share a factor with
     its denominator (`num` valid and free of (0, 0)): one gcd divides it out,
     and the zero spinor ends with den == 1."""
@@ -308,10 +302,10 @@ def _reduced(l: int, cap: int, num: dict, den: int) -> PolySpinor:
         if g > 1:
             den //= g
             num = {a: (re // g, im // g) for a, (re, im) in num.items()}
-    return _spinor(l, cap, num, den)
+    return _spinor(l, num, den)
 
 
-def _from_acc(l: int, cap: int, acc: dict, den: int, times_i: bool = False) -> PolySpinor:
+def _from_acc(l: int, acc: dict, den: int, times_i: bool = False) -> PolySpinor:
     """The spinor acc / den (i acc / den when `times_i`: the parts swap) from
     a kernel accumulator {key: [re, im]}, reduced by one gcd (a cancelled
     [0, 0] leaves it be) in the pass that drops them."""
@@ -323,7 +317,7 @@ def _from_acc(l: int, cap: int, acc: dict, den: int, times_i: bool = False) -> P
     else:
         num = ({a: (re // g, im // g) for a, (re, im) in items if re or im} if g > 1
                else {a: (re, im) for a, (re, im) in items if re or im})
-    return _spinor(l, cap, num, den // g)
+    return _spinor(l, num, den // g)
 
 
 def _common_den(dens) -> tuple[int, list[int]]:
@@ -354,7 +348,7 @@ def _sum(s: PolySpinor, t: PolySpinor, sign: int) -> PolySpinor:
             out[a] = (re, im)
         else:
             del out[a]
-    return _reduced(s.l, max(s.cap, t.cap), out, den)
+    return _reduced(s.l, out, den)
 
 
 # ---------------------------------------------------------------------------
@@ -372,24 +366,24 @@ def _clifford_steps(l: int) -> tuple[tuple[int | None, int], ...]:
             + tuple((FIELD_BITS * v, (1 << FIELD_BITS * v) + top) for v in range(l)))
 
 
-def _clifford_into(acc: dict, num: dict, i: int, l: int, cap: int, f: int) -> None:
+def _clifford_into(acc: dict, num: dict, i: int, l: int, f: int) -> None:
     """acc += f * e_i.(num): the Clifford product of the basis vector e_i with
     the numerators `num` ({key: (re, im)}, or an accumulator) of a spinor over
     l variables, times the int f, summed in place into `acc` ({key: [re, im]}).
 
     e_i = i x^i (i < l) sends re + i im to -im + i re under the shifted key,
-    and raises DegreeCapError when any term would pass `cap`, whether or not
-    it would later cancel; e_{v+l} = d/dx^v multiplies by the exponent of
+    and raises DegreeCapError when any term would pass `MAX_CAP`, whether or
+    not it would later cancel; e_{v+l} = d/dx^v multiplies by the exponent of
     x^v.  Nothing is reduced here; `_from_acc` does it once per result.
     """
     shift, step = _clifford_steps(l)[i]
     get = acc.get
     if shift is None:
-        top = cap << FIELD_BITS * l
+        top = MAX_CAP << FIELD_BITS * l
         for key, (re, im) in num.items():
             if key >= top:
                 raise DegreeCapError(
-                    f"x^{i} * monomial {_unpack(key, l)} would exceed cap {cap}")
+                    f"x^{i} * monomial {_unpack(key, l)} would exceed degree {MAX_CAP}")
             key += step
             cur = get(key)
             if cur is None:
@@ -417,8 +411,8 @@ def clifford_basis(i: int, s: PolySpinor) -> PolySpinor:
     if not (0 <= i < 2 * l):
         raise ValueError(f"basis index {i} out of range for l={l}")
     acc: dict = {}
-    _clifford_into(acc, s.num, i, l, s.cap, 1)
-    return _from_acc(l, s.cap, acc, s.den)
+    _clifford_into(acc, s.num, i, l, 1)
+    return _from_acc(l, acc, s.den)
 
 
 def _i_times_into(acc: dict, num: dict, f: int) -> None:
@@ -429,15 +423,15 @@ def _i_times_into(acc: dict, num: dict, f: int) -> None:
         cur[1] += re * f
 
 
-def _scatter_into(row, num: dict, i: int, l: int, cap: int, g: int) -> None:
+def _scatter_into(row, num: dict, i: int, l: int, g: int) -> None:
     """acc += g f e_i.(num) for every (acc, f) in the nonempty `row`: g
     e_i.(num) is formed once and added, times f, in one pass over its terms."""
     if len(row) == 1:
         acc, f = row[0]
-        _clifford_into(acc, num, i, l, cap, g * f)
+        _clifford_into(acc, num, i, l, g * f)
         return
     prod: dict = {}
-    _clifford_into(prod, num, i, l, cap, g)
+    _clifford_into(prod, num, i, l, g)
     for key, (re, im) in prod.items():
         for acc, f in row:
             cur = acc.get(key)
@@ -456,13 +450,13 @@ def _quadratic_into(s: PolySpinor, terms) -> dict:
     Where one slot holds f e_a.(e_b.s), a < b, and its mirror g e_b.(e_a.s),
     the Clifford relation merges them into (f + g) e_a.(e_b.s), plus the
     scalar i g s for a partner pair b = a + l.  So a merged partner pair no
-    longer forms e_a.s, which raises the degree and fails at the cap; nothing
-    is ever truncated.  Products without a mirror (lemma1's) stay as written.
+    longer forms e_a.s, which raises the degree and fails at `MAX_CAP`;
+    nothing is ever truncated.  Products without a mirror (lemma1's) stay as written.
     Each first product still needed is formed once (`clifford_basis`) and put
     back over s.den by the int s.den // (e_b.s).den.  Each e_a.(e_b.s) with
     a nonzero coefficient in some slot is formed once and added into every
     such slot (`_scatter_into`).  Nothing is reduced here."""
-    l, cap = s.l, s.cap
+    l = s.l
     rows: list[dict] = [{} for _ in terms]
     for table, row in zip(rows, terms):
         for slot, a, f in row:
@@ -481,7 +475,7 @@ def _quadratic_into(s: PolySpinor, terms) -> dict:
             eb = clifford_basis(b, s)
             num, g = eb.num, s.den // eb.den
             for a, row in groups.items():
-                _scatter_into(row, num, a, l, cap, g)
+                _scatter_into(row, num, a, l, g)
     return accs
 
 
@@ -550,13 +544,12 @@ def sp_action(A: SpLieElement, s: PolySpinor) -> PolySpinor:
     terms = [[(0, a, row[b].numerator * (c // row[b].denominator))
               for a, row in enumerate(A.matrix) if row[b]] for b in range(2 * s.l)]
     acc = _quadratic_into(s, terms).get(0, {})
-    return _from_acc(s.l, s.cap, acc, 2 * c * s.den, times_i=True)
+    return _from_acc(s.l, acc, 2 * c * s.den, times_i=True)
 
 
 def random_spinor(
     l: int,
     degree: int,
-    cap: int,
     stream: RandomStream,
     terms: int = 6,
     bound: int = 5,
@@ -568,10 +561,8 @@ def random_spinor(
     lcm of their denominators under packed keys and reduced once."""
     if type(l) is not int or l < 1:
         raise ValueError(f"l must be an int >= 1, got {l!r}")
-    if type(cap) is not int or not 0 <= cap <= MAX_CAP:
-        raise ValueError(f"cap must be an int in 0..{MAX_CAP}, got {cap!r}")
-    if degree > cap:
-        raise ValueError("degree must not exceed cap")
+    if degree > MAX_CAP:
+        raise ValueError(f"degree must not exceed {MAX_CAP}")
     draws = []
     for _ in range(terms):
         remaining = stream.next_int(0, degree)
@@ -590,12 +581,13 @@ def random_spinor(
         cur = acc.setdefault(key, [0, 0])
         cur[0] += re * (den // re_den)
         cur[1] += im * (den // im_den)
-    return _from_acc(l, cap, acc, den)
+    return _from_acc(l, acc, den)
 
 
 # ---------------------------------------------------------------------------
-# JSON wire format: {"l": int, "cap": int, "terms": [{"alpha": [...],
-#                    "re": "p/q", "im": "p/q"}]}
+# JSON wire format: {"l": int, "terms": [{"alpha": [...], "re": "p/q",
+#                    "im": "p/q"}]}.  Older files also carry "cap": int; it
+# sets nothing, and a decoder that meets it checks it (`_check_legacy_cap`).
 # ---------------------------------------------------------------------------
 
 
@@ -604,10 +596,25 @@ def poly_spinor_to_json(s: PolySpinor) -> dict:
         {"alpha": list(alpha), "re": str(c.re), "im": str(c.im)}
         for alpha, c in sorted(s.coeffs.items())
     ]
-    return {"l": s.l, "cap": s.cap, "terms": terms}
+    return {"l": s.l, "terms": terms}
+
+
+def _check_legacy_cap(obj: dict, alphas=()) -> None:
+    """Input validation of an older file's optional "cap": an int in
+    0..MAX_CAP that is at least the degree of every term in `alphas`."""
+    if "cap" not in obj:
+        return
+    cap = obj["cap"]
+    if type(cap) is not int or not 0 <= cap <= MAX_CAP:
+        raise ValueError(f"cap must be an int in 0..{MAX_CAP}, got {cap!r}")
+    for alpha in alphas:
+        if sum(alpha) > cap:
+            raise DegreeCapError(f"monomial {alpha} exceeds degree cap {cap}")
 
 
 def poly_spinor_from_json(obj: dict) -> PolySpinor:
     coeffs = {alpha: GaussianRational(parse_rational(t["re"]), parse_rational(t["im"]))
               for alpha, t in _keyed(obj["terms"], "alpha").items()}
-    return PolySpinor(obj["l"], obj["cap"], coeffs)
+    s = PolySpinor(obj["l"], coeffs)
+    _check_legacy_cap(obj, coeffs)
+    return s

@@ -104,7 +104,6 @@ from .forms import (
     wedge_covector,
 )
 from .spinors import (
-    DegreeCapError,
     PolySpinor,
     SpLieElement,
     _clifford_into,
@@ -173,15 +172,13 @@ def spinor_curvature_action(T: CurvatureTensor, phi: PolySpinor) -> SpinorForm:
     """
     if not _curvature_type(T):
         raise ValueError("tensor violates the curvature symmetries")
-    if phi.headroom() < 2:
-        raise DegreeCapError("action needs spinor headroom >= 2")
     partners = omega_partners(T.l)
     pairs = list(combinations(range(2 * T.l), 2))
     terms = [[((k, m), i, si * sj * x) for i, (ip, si) in enumerate(partners)
               for plane in [T.num[ip][jp]] for k, m in pairs if (x := plane[k][m])]
              for jp, sj in partners]
     accs = _quadratic_into(phi, terms)
-    return _form_from_accs(T.l, 2, phi.cap, accs, T.den * phi.den, times_i=True)
+    return _form_from_accs(T.l, 2, accs, T.den * phi.den, times_i=True)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +203,8 @@ def literal_p20_ricci(sigma: RicciTensor, phi: PolySpinor) -> SpinorForm:
     terms = [[(0, i, 2 * (l + 1) * si * sj * x) for i, (ip, si) in enumerate(partners)
               if (x := S[ip][jp])] for jp, sj in partners]
     acc = _quadratic_into(phi, terms).get(0, {})
-    s = _from_acc(l, phi.cap, acc, l * sigma.den * phi.den, times_i=True)
-    return _form(l, 2, phi.cap, {(k, k + l): s for k in range(l)})
+    s = _from_acc(l, acc, l * sigma.den * phi.den, times_i=True)
+    return _form(l, 2, {(k, k + l): s for k in range(l)})
 
 
 def literal_p21_ricci(sigma: RicciTensor, phi: PolySpinor) -> SpinorForm:
@@ -230,7 +227,7 @@ def literal_p21_ricci(sigma: RicciTensor, phi: PolySpinor) -> SpinorForm:
                         for k in range(2 * l) if k != m]
         terms.append(row)
     accs = _quadratic_into(phi, terms)
-    return _form_from_accs(l, 2, phi.cap, accs, l * sigma.den * phi.den, times_i=True)
+    return _form_from_accs(l, 2, accs, l * sigma.den * phi.den, times_i=True)
 
 
 def literal_p21_weyl(W: CurvatureTensor, phi: PolySpinor) -> SpinorForm:
@@ -242,7 +239,7 @@ def literal_p21_weyl(W: CurvatureTensor, phi: PolySpinor) -> SpinorForm:
     all l; the form's slot a < b is e_a.T_b - e_b.T_a.  2i/(1-l) is -2 i over
     (l-1) W.den phi.den.
     """
-    l, cap = W.l, phi.cap
+    l = W.l
     n = 2 * l
     partners = omega_partners(l)
     E = W.num
@@ -256,23 +253,18 @@ def literal_p21_weyl(W: CurvatureTensor, phi: PolySpinor) -> SpinorForm:
         for k, (kp, sk) in enumerate(partners):
             row = [(slot[m], sk * x) for m, x in enumerate(block[kp]) if x]
             if row:
-                _scatter_into(row, eij, k, l, cap, 1)
+                _scatter_into(row, eij, k, l, 1)
     accs: dict[tuple[int, int], dict] = {}
     for a, b in combinations(range(n), 2):
         acc = accs[(a, b)] = {}
-        _clifford_into(acc, slot[b], a, l, cap, -2)
-        _clifford_into(acc, slot[a], b, l, cap, 2)
-    return _form_from_accs(l, 2, cap, accs, (l - 1) * W.den * phi.den, times_i=True)
+        _clifford_into(acc, slot[b], a, l, -2)
+        _clifford_into(acc, slot[a], b, l, 2)
+    return _form_from_accs(l, 2, accs, (l - 1) * W.den * phi.den, times_i=True)
 
 
 # ---------------------------------------------------------------------------
 # Per-instance verdicts
 # ---------------------------------------------------------------------------
-
-
-def _theorem_headroom(phi: PolySpinor) -> None:
-    if phi.headroom() < 6:
-        raise DegreeCapError("theorem check needs spinor headroom >= 6")
 
 
 def _theorem_report(name: str, ok: bool, key: str, T, phi: PolySpinor, verdicts) -> ActionReport:
@@ -287,7 +279,6 @@ def _theorem_report(name: str, ok: bool, key: str, T, phi: PolySpinor, verdicts)
 def verify_theorem9(sigma: RicciTensor, phi: PolySpinor) -> ActionReport:
     """Ricci-type action lands in the first two summands: p22 = act - p20 - p21
     of it vanishes, decided as act = p20 + p21."""
-    _theorem_headroom(phi)
     act = spinor_curvature_action(sigma_tilde_of(sigma), phi)
     p20, p21, _ = _two_form_parts(act)
     prefactor = Fraction(1, 2 * (sigma.l + 1))
@@ -302,7 +293,6 @@ def verify_theorem9(sigma: RicciTensor, phi: PolySpinor) -> ActionReport:
 def verify_theorem10(W: CurvatureTensor, phi: PolySpinor) -> ActionReport:
     """Trace-free action avoids the first summand, and Y^2 kills it outright.
     The corrected eq12, p22 = act - c lit11, is decided as p20 + p21 = c lit11."""
-    _theorem_headroom(phi)
     p20, p21, yy = _two_form_parts(spinor_curvature_action(W, phi))
     lit11 = literal_p21_weyl(W, phi)
     verdicts = [(p21 == lit11, _vanishes((_EQ11_CORRECTION, lit11), (-1, p21))),
@@ -319,7 +309,6 @@ def verify_corollary11(R: CurvatureTensor, phi: PolySpinor) -> ActionReport:
     too; the same verdict on every input, and only act(R) gets a chain, for
     the displays.  The p22 displays, p22(R) = act(W) - c lit11, read
     act(R) - p20 - p21 - act(W) + c lit11 = 0."""
-    _theorem_headroom(phi)
     sigma = ricci_of(R)
     st = sigma_tilde_of(sigma)
     W = R - st
@@ -525,7 +514,7 @@ def _lemma1_holds(instance):
     need = {p for a, b in pairs for p in ((a, b), (b, a))}
     accs = _quadratic_into(s, [[(ab, ab[0], 1) for ab in need if ab[1] == c]
                                for c in range(2 * s.l)])
-    product = {ab: _from_acc(s.l, s.cap, acc, s.den) for ab, acc in accs.items()}
+    product = {ab: _from_acc(s.l, acc, s.den) for ab, acc in accs.items()}
     partners = omega_partners(s.l)
     for a, b in pairs:
         partner, sign = partners[a]     # omega(e_a, e_b) = sign at b = partner, else 0
@@ -624,7 +613,7 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
         "lemma1",
         (Check("lemma1", "e_a.e_b.s - e_b.e_a.s = -i omega(e_a, e_b) s", _lemma1_holds),),
         # a spinor and every ordered pair of basis vectors
-        sample=lambda l, degree, stream: (random_spinor(l, degree, degree + 2, stream),
+        sample=lambda l, degree, stream: (random_spinor(l, degree, stream),
                                           [(a, b) for a in range(2 * l) for b in range(2 * l)]),
         decode=lambda ce: (poly_spinor_from_json(ce["spinor"]),
                            [parse_indices([ce["a"], ce["b"]], 2, 2 * ce["l"])]),
@@ -634,8 +623,7 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
     Suite(
         "lemma4",
         (Check("lemma4", "XY + YX = i (r - l) Id on degree-r forms", _lemma4_holds),),
-        sample=lambda l, degree, stream: [random_form(l, r, degree, degree + 2, stream)
-                                          for r in (0, 1, 2)],
+        sample=lambda l, degree, stream: [random_form(l, r, degree, stream) for r in (0, 1, 2)],
         decode=lambda ce: [spinor_form_from_json(ce["form"])],
         run=lambda l, degree, trials, seed: [lemma4_suite(l, degree, trials, seed)],
         min_l=2,
@@ -653,8 +641,8 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
                   lambda forms: _lemma5_payload(
                       "degree", lemma5_partition_instance(*forms), forms)),
         ),
-        sample=lambda l, degree, stream: (random_form(l, 1, degree, degree + 8, stream),
-                                          random_form(l, 2, degree, degree + 8, stream)),
+        sample=lambda l, degree, stream: (random_form(l, 1, degree, stream),
+                                          random_form(l, 2, degree, stream)),
         decode=lambda ce: (spinor_form_from_json(ce["one_form"]),
                            spinor_form_from_json(ce["two_form"])),
         run=lambda l, degree, trials, seed: lemma5_suite(l, degree, trials, seed),
@@ -689,7 +677,7 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
         (Check("theorem9", "p22 of the Ricci-type spinor action vanishes",
                lambda inst: _theorem(verify_theorem9(*inst))),),
         sample=lambda l, degree, stream: (RicciTensor.random(l, stream),
-                                          random_spinor(l, degree, degree + 6, stream)),
+                                          random_spinor(l, degree, stream)),
         decode=lambda ce: _theorem_decode(ce, "sigma", ricci_from_json),
         run=lambda l, degree, trials, seed: [theorem9_suite(l, degree, trials, seed)],
         min_l=2,
@@ -705,7 +693,7 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
         (Check("theorem10", "p20 and Y^2 of the trace-free spinor action vanish",
                lambda inst: _theorem(verify_theorem10(*inst))),),
         sample=lambda l, degree, stream: (random_weyl(l, _seed(stream)),
-                                          random_spinor(l, degree, degree + 6, stream)),
+                                          random_spinor(l, degree, stream)),
         # the theorem is about trace-free tensors only: refuse any other
         decode=lambda ce: _theorem_decode(
             ce, "weyl", lambda obj: WeylTensor(obj["l"], curvature_from_json(obj).entries)),
@@ -727,7 +715,7 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
                "p2j(action R) = p2j(action sigma_tilde) + p2j(action W), j = 0,1,2",
                lambda inst: _theorem(verify_corollary11(*inst))),),
         sample=lambda l, degree, stream: (random_curvature(l, _seed(stream)),
-                                          random_spinor(l, degree, degree + 6, stream)),
+                                          random_spinor(l, degree, stream)),
         decode=lambda ce: _theorem_decode(ce, "curvature", curvature_from_json),
         run=lambda l, degree, trials, seed: [corollary11_suite(l, degree, trials, seed)],
         min_l=2,
@@ -756,7 +744,7 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
                   witness=True),
         ),
         sample=lambda l, degree, stream: ([stream.next_fraction(5) for _ in range(2 * l)],
-                                          random_form(l, 1, degree, degree + 6, stream)),
+                                          random_form(l, 1, degree, stream)),
         decode=lambda ce: (_rationals(ce["xi"]), spinor_form_from_json(ce["eta"])),
         run=lambda l, degree, trials, seed: symbol_complex_suite(l, degree, trials, seed),
         min_l=2,
@@ -788,7 +776,7 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
                lambda inst: None if equivariance_instance(*inst)
                else _equivariance_payload(inst)),),
         sample=lambda l, degree, stream: (SpLieElement.random(l, stream),
-                                          random_form(l, 1, degree, degree + 4, stream)),
+                                          random_form(l, 1, degree, stream)),
         decode=lambda ce: (
             SpLieElement(ce["l"], [_rationals(row) for row in ce["matrix"]]),
             spinor_form_from_json(ce["form"]),

@@ -56,8 +56,8 @@ from sympspin.exact import nullspace_basis as _nullspace_basis
 from sympspin.forms import PROJECTORS, SpinorForm
 from sympspin.forms import op_X as _op_X
 from sympspin.forms import project as _project
-from sympspin.spinors import (DegreeCapError, PolySpinor, SpLieElement, _clifford_into,
-                               clifford_basis)
+from sympspin.spinors import (MAX_CAP, DegreeCapError, PolySpinor, SpLieElement,
+                               _clifford_into, clifford_basis)
 from sympspin.symplectic import omega_partners, standard_symplectic_form
 
 
@@ -100,7 +100,7 @@ def sp_bracket(A: SpLieElement, B: SpLieElement) -> SpLieElement:
 
 def clifford_vector(v, s: PolySpinor) -> PolySpinor:
     """Clifford action of an arbitrary vector, extended linearly."""
-    acc = PolySpinor.zero(s.l, s.cap)
+    acc = PolySpinor.zero(s.l)
     for i, c in enumerate(v):
         if c:
             acc = acc + clifford_basis(i, s).scale(c)
@@ -111,7 +111,7 @@ def parity_decompose(s: PolySpinor) -> tuple[PolySpinor, PolySpinor]:
     """Split into (even, odd) total-degree parts; the parts sum to s."""
     even = {a: c for a, c in s.coeffs.items() if sum(a) % 2 == 0}
     odd = {a: c for a, c in s.coeffs.items() if sum(a) % 2 == 1}
-    return PolySpinor(s.l, s.cap, even), PolySpinor(s.l, s.cap, odd)
+    return PolySpinor(s.l, even), PolySpinor(s.l, odd)
 
 
 def raise_lower_index(tensor, slot: int, direction: str):
@@ -160,7 +160,7 @@ def op_X(phi: SpinorForm) -> SpinorForm:
     checked sum per (component, index) pair."""
     l = phi.l
     if phi.r == 2 * l:
-        return SpinorForm.zero(l, phi.r, phi.cap)
+        return SpinorForm.zero(l, phi.r)
     out: dict = {}
     for tup, s in phi.components.items():
         for i in range(2 * l):
@@ -169,7 +169,7 @@ def op_X(phi: SpinorForm) -> SpinorForm:
             pos = sum(1 for t in tup if t < i)      # e^i moves past pos indices
             term = clifford(i, s)
             _add_into(out, tup[:pos] + (i,) + tup[pos:], term if pos % 2 else spinor_neg(term))
-    return SpinorForm(l, phi.r + 1, phi.cap, out)
+    return SpinorForm(l, phi.r + 1, out)
 
 
 def op_Y(phi: SpinorForm) -> SpinorForm:
@@ -177,7 +177,7 @@ def op_Y(phi: SpinorForm) -> SpinorForm:
     matrix with checked arithmetic."""
     l = phi.l
     if phi.r == 0:
-        return SpinorForm.zero(l, 0, phi.cap)
+        return SpinorForm.zero(l, 0)
     upper = standard_symplectic_form(l).omega_upper
     out: dict = {}
     for tup, s in phi.components.items():
@@ -188,7 +188,7 @@ def op_Y(phi: SpinorForm) -> SpinorForm:
                 w = upper[i][j]
                 if w:
                     _add_into(out, reduced, spinor_scale(clifford(j, s), w * contraction_sign))
-    return SpinorForm(l, phi.r - 1, phi.cap, out)
+    return SpinorForm(l, phi.r - 1, out)
 
 
 # ---------------------------------------------------------------------------
@@ -209,26 +209,26 @@ def spinor_add(s: PolySpinor, t: PolySpinor) -> PolySpinor:
     for a, c in t.coeffs.items():
         cur = out.get(a, GaussianRational(0))
         out[a] = GaussianRational(cur.re + c.re, cur.im + c.im)
-    return PolySpinor(s.l, max(s.cap, t.cap), out)
+    return PolySpinor(s.l, out)
 
 
 def spinor_neg(s: PolySpinor) -> PolySpinor:
-    return PolySpinor(s.l, s.cap, {a: GaussianRational(-c.re, -c.im) for a, c in s.coeffs.items()})
+    return PolySpinor(s.l, {a: GaussianRational(-c.re, -c.im) for a, c in s.coeffs.items()})
 
 
 def spinor_scale(s: PolySpinor, scalar) -> PolySpinor:
-    return PolySpinor(s.l, s.cap, {a: gr_mul(c, scalar) for a, c in s.coeffs.items()})
+    return PolySpinor(s.l, {a: gr_mul(c, scalar) for a, c in s.coeffs.items()})
 
 
 def spinor_mult_x(s: PolySpinor, var: int) -> PolySpinor:
     out = {}
     for a, c in s.coeffs.items():
-        if sum(a) + 1 > s.cap:
-            raise DegreeCapError(f"x^{var} * monomial {a} would exceed cap {s.cap}")
+        if sum(a) + 1 > MAX_CAP:
+            raise DegreeCapError(f"x^{var} * monomial {a} would exceed degree {MAX_CAP}")
         b = list(a)
         b[var] += 1
         out[tuple(b)] = c
-    return PolySpinor(s.l, s.cap, out)
+    return PolySpinor(s.l, out)
 
 
 def spinor_diff_x(s: PolySpinor, var: int) -> PolySpinor:
@@ -238,7 +238,7 @@ def spinor_diff_x(s: PolySpinor, var: int) -> PolySpinor:
             b = list(a)
             b[var] -= 1
             out[tuple(b)] = gr_mul(c, a[var])
-    return PolySpinor(s.l, s.cap, out)
+    return PolySpinor(s.l, out)
 
 
 def clifford(i: int, s: PolySpinor) -> PolySpinor:
@@ -273,7 +273,7 @@ def spinor_curvature_action(T, phi: PolySpinor) -> SpinorForm:
             if c and k != m:
                 key, sign = _slot(k, m)
                 _add_into(comps, key, spinor_scale(s_ij, gr_mul(half_i, c * sign)))
-    return SpinorForm(T.l, 2, phi.cap, comps)
+    return SpinorForm(T.l, 2, comps)
 
 
 def literal_p20_ricci(sigma, phi: PolySpinor) -> SpinorForm:
@@ -293,7 +293,7 @@ def literal_p20_ricci(sigma, phi: PolySpinor) -> SpinorForm:
                 key, sign = _slot(k, m)
                 scalar = gr_mul(coeff, sig_up[i][j] * lo[k][m] * sign)
                 _add_into(comps, key, spinor_scale(s_ij, scalar))
-    return SpinorForm(sigma.l, 2, phi.cap, comps)
+    return SpinorForm(sigma.l, 2, comps)
 
 
 def literal_p21_ricci(sigma, phi: PolySpinor) -> SpinorForm:
@@ -319,7 +319,7 @@ def literal_p21_ricci(sigma, phi: PolySpinor) -> SpinorForm:
                 term = clifford(i, clifford(j, phi))
                 scalar = GaussianRational(0, -c * lo[k][m] * sign / sigma.l)
                 _add_into(comps, key, spinor_scale(term, scalar))
-    return SpinorForm(sigma.l, 2, phi.cap, comps)
+    return SpinorForm(sigma.l, 2, comps)
 
 
 def literal_p21_weyl(W, phi: PolySpinor) -> SpinorForm:
@@ -340,7 +340,7 @@ def literal_p21_weyl(W, phi: PolySpinor) -> SpinorForm:
                 if c and m != mm:
                     key, sign = _slot(m, mm)
                     _add_into(comps, key, spinor_scale(s4, gr_mul(coeff, c * sign)))
-    return SpinorForm(W.l, 2, phi.cap, comps)
+    return SpinorForm(W.l, 2, comps)
 
 
 def quadratic_into(s: PolySpinor, terms) -> dict:
@@ -351,7 +351,7 @@ def quadratic_into(s: PolySpinor, terms) -> dict:
     Each first product e_b.s is formed once (`clifford_basis`) and put back
     over s.den by the int s.den // (e_b.s).den; every second product is
     summed in place by `_clifford_into`.  Nothing is reduced here."""
-    l, cap = s.l, s.cap
+    l = s.l
     accs: dict = defaultdict(dict)
     for b, row in enumerate(terms):
         if not row:
@@ -359,7 +359,7 @@ def quadratic_into(s: PolySpinor, terms) -> dict:
         eb = clifford_basis(b, s)
         num, g = eb.num, s.den // eb.den
         for slot, a, f in row:
-            _clifford_into(accs[slot], num, a, l, cap, g * f)
+            _clifford_into(accs[slot], num, a, l, g * f)
     return accs
 
 
@@ -667,11 +667,11 @@ def random_combination(l: int, basis, stream: RandomStream, bound: int):
     return _expand_var_vector(l, basis[0][0] if basis else None, ints), den
 
 
-def random_spinor(l, degree, cap, stream: RandomStream, terms=6, bound=5) -> PolySpinor:
+def random_spinor(l, degree, stream: RandomStream, terms=6, bound=5) -> PolySpinor:
     """The sampler summed over `next_gaussian` draws and built through the
     public constructor."""
-    if degree > cap:
-        raise ValueError("degree must not exceed cap")
+    if degree > MAX_CAP:
+        raise ValueError(f"degree must not exceed {MAX_CAP}")
     coeffs: dict[tuple[int, ...], GaussianRational] = {}
     for _ in range(terms):
         remaining = stream.next_int(0, degree)
@@ -685,10 +685,10 @@ def random_spinor(l, degree, cap, stream: RandomStream, terms=6, bound=5) -> Pol
             c = GR_ONE
         key = tuple(alpha)
         coeffs[key] = coeffs.get(key, GR_ZERO) + c
-    return PolySpinor(l, cap, coeffs)
+    return PolySpinor(l, coeffs)
 
 
-def graded_basis(l: int, r: int, degree: int, cap: int) -> list[SpinorForm]:
+def graded_basis(l: int, r: int, degree: int) -> list[SpinorForm]:
     """Basis of Lambda^r ⊗ (spinors of exact total degree `degree`)."""
     def monomials(vars_left, total):
         if vars_left == 1:
@@ -698,7 +698,7 @@ def graded_basis(l: int, r: int, degree: int, cap: int) -> list[SpinorForm]:
             for rest in monomials(vars_left - 1, total - e):
                 yield (e,) + rest
 
-    return [SpinorForm(l, r, cap, {tup: PolySpinor.monomial(l, cap, alpha)})
+    return [SpinorForm(l, r, {tup: PolySpinor.monomial(l, alpha)})
             for tup in combinations(range(2 * l), r) for alpha in monomials(l, degree)]
 
 
@@ -707,9 +707,8 @@ def graded_projector_rank(which: str, l: int, degree: int) -> int:
     each image of a graded basis element is one sparse row, keyed by the
     (tuple, monomial) pairs it occupies, and the rank of those rows is the
     projector's rank."""
-    cap = degree + 8
     r = 1 if which in ("p10", "p11") else 2
-    images = [_project(which, b) for b in graded_basis(l, r, degree, cap)]
+    images = [_project(which, b) for b in graded_basis(l, r, degree)]
     columns: dict[tuple, int] = {}
     rows = [
         {columns.setdefault((tup, alpha), len(columns)): c

@@ -52,7 +52,7 @@ def test_criterion_01_lemma1_clifford_commutator():
         space = standard_symplectic_form(l)
         stream = RandomStream(1000 + l)
         for _ in range(20):
-            s = random_spinor(l, 6, 8, stream)
+            s = random_spinor(l, 6, stream)
             for a in range(2 * l):
                 for b in range(2 * l):
                     resid = (
@@ -73,7 +73,7 @@ def test_criterion_02_lemma4_h_eigenvalue():
         stream = RandomStream(2000 + l)
         for r in (0, 1, 2):
             for _ in range(20):
-                phi = random_form(l, r, 6, 8, stream)
+                phi = random_form(l, r, 6, stream)
                 assert op_H(phi) == phi.scale(GaussianRational(0, r - l))
     elapsed = time.time() - t0
     assert elapsed < 10
@@ -128,7 +128,7 @@ def test_criterion_06_theorem9():
     stream = RandomStream(6001)
     for _ in range(20):
         sigma = RicciTensor.random(2, stream)
-        phi = random_spinor(2, 4, 10, stream)
+        phi = random_spinor(2, 4, stream)
         assert verify_theorem9(sigma, phi).status == "pass"
     elapsed = time.time() - t0
     assert elapsed < 120
@@ -141,7 +141,7 @@ def test_criterion_07_theorem10():
     stream = RandomStream(7001)
     for _ in range(20):
         W = random_weyl(2, stream.next_int(0, 2**31 - 1))
-        phi = random_spinor(2, 4, 10, stream)
+        phi = random_spinor(2, 4, stream)
         assert verify_theorem10(W, phi).status == "pass"
     _announce(7, "theorem10", time.time() - t0)
 
@@ -154,7 +154,7 @@ def test_criterion_08_corollary11_additivity_and_displays():
     display_verdicts = set()
     for _ in range(20):
         R = random_curvature(2, stream.next_int(0, 2**31 - 1))
-        phi = random_spinor(2, 4, 10, stream)
+        phi = random_spinor(2, 4, stream)
         rep = verify_corollary11(R, phi)
         assert rep.status == "pass"
         for d, verdict in zip(SUITES["corollary11"].displays, rep.displays, strict=True):

@@ -396,7 +396,7 @@ HOSTILE_REPLAYS = {
     # is outside its hypothesis, not a counterexample
     "not-weyl": json.dumps({"check": "theorem10", "l": 2,
                             "weyl": curvature_to_json(random_curvature(2, 5)),
-                            "phi": poly_spinor_to_json(random_spinor(2, 2, 8, RandomStream(5)))}),
+                            "phi": poly_spinor_to_json(random_spinor(2, 2, RandomStream(5)))}),
     # indices must be ints in 1..2l: true would read as 1, and 99 ends deep
     # inside the check
     "bool-index": json.dumps({**_LEMMA1_CE, "a": True}),
@@ -409,10 +409,10 @@ HOSTILE_REPLAYS = {
     # connection cases reuse `conn`, bound in "zero-index-connection")
     "repeated-alpha-spinor": json.dumps({
         "check": "theorem9", "l": 2, "sigma": ricci_to_json(RicciTensor.random(2, RandomStream(5))),
-        "phi": {**(phi := poly_spinor_to_json(random_spinor(2, 2, 8, RandomStream(6)))),
+        "phi": {**(phi := poly_spinor_to_json(random_spinor(2, 2, RandomStream(6)))),
                 "terms": _repeat_first(phi["terms"])}}),
     "repeated-tuple-form": json.dumps({"check": "lemma4", "l": 2, "form": {
-        **(form := spinor_form_to_json(random_form(2, 1, 2, 4, RandomStream(7)))),
+        **(form := spinor_form_to_json(random_form(2, 1, 2, RandomStream(7)))),
         "components": _repeat_first(form["components"])}}),
     "repeated-ijkl-curvature": json.dumps({"check": "lemma6", "l": 2, "curvature": {
         **(R := curvature_to_json(random_curvature(2, 5))), "entries": _repeat_first(R["entries"])}}),
@@ -435,7 +435,7 @@ def test_hostile_replay_exits_two_with_one_line(name, tmp_path, capsys):
 
 def test_replay_with_a_float_cap_exits_two_naming_the_cap(tmp_path, capsys):
     sigma = ricci_to_json(RicciTensor.random(2, RandomStream(5)))
-    phi = {**poly_spinor_to_json(random_spinor(2, 2, 9, RandomStream(6))), "cap": 9.0}
+    phi = {**poly_spinor_to_json(random_spinor(2, 2, RandomStream(6))), "cap": 9.0}
     ce = {"check": "theorem9", "l": 2, "sigma": sigma, "phi": phi}
     path = tmp_path / "ce.json"
     path.write_text(json.dumps(ce))
@@ -443,6 +443,20 @@ def test_replay_with_a_float_cap_exits_two_naming_the_cap(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
     assert "ValueError: cap must be an int" in err and "9.0" in err
+
+
+def test_replay_with_a_legacy_cap_below_a_term_exits_two(tmp_path, capsys):
+    # an old file's cap is still checked: the x^2 term of this spinor is past cap 1
+    spinor = {"l": 2, "cap": 1, "terms": [{"alpha": [0, 1], "re": "1", "im": "0"},
+                                          {"alpha": [2, 0], "re": "1/2", "im": "0"}]}
+    path = tmp_path / "ce.json"
+    path.write_text(json.dumps({**_LEMMA1_CE, "spinor": spinor}))
+    assert main(["--replay", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert "DegreeCapError" in err and "cap 1" in err
+    path.write_text(json.dumps({**_LEMMA1_CE, "spinor": {**spinor, "cap": 2}}))
+    assert main(["--replay", str(path)]) == 0
 
 
 def test_module_run_of_bad_replay_writes_one_stderr_line(tmp_path):

@@ -17,17 +17,18 @@ import pytest
 import oracles
 from sympspin.exact import GaussianRational, RandomStream
 from sympspin.forms import SpinorForm, _two_form_parts, op_X, op_Y, random_form
-from sympspin.spinors import DegreeCapError, PolySpinor, _from_acc, _quadratic_into, random_spinor
+from sympspin.spinors import (MAX_CAP, DegreeCapError, PolySpinor, _from_acc, _quadratic_into,
+                               random_spinor)
 
 F = Fraction
 GR = GaussianRational
 
 
-def _mixed_spinor(l, seed, cap=8):
+def _mixed_spinor(l, seed):
     """A random spinor whose coefficients sit over different denominators, so
     that a first product e_b.s can reduce to a smaller denominator."""
-    s = random_spinor(l, 3, cap, RandomStream(seed), terms=6)
-    s = s + PolySpinor.monomial(l, cap, (1,) + (0,) * (l - 1), GR(F(1, 6), F(-5, 4)))
+    s = random_spinor(l, 3, RandomStream(seed), terms=6)
+    s = s + PolySpinor.monomial(l, (1,) + (0,) * (l - 1), GR(F(1, 6), F(-5, 4)))
     assert len({x.denominator for c in s.coeffs.values() for x in (c.re, c.im) if x}) > 1
     return s
 
@@ -77,12 +78,12 @@ TABLES = {"symmetric": _symmetric, "asymmetric": _asymmetric,
 
 
 def _spinors(accs, s):
-    return {slot: _from_acc(s.l, s.cap, acc, s.den) for slot, acc in accs.items()}
+    return {slot: _from_acc(s.l, acc, s.den) for slot, acc in accs.items()}
 
 
 def _assert_same_slots(fast, naive, s):
     fast, naive = _spinors(fast, s), _spinors(naive, s)
-    zero = PolySpinor.zero(s.l, s.cap)
+    zero = PolySpinor.zero(s.l)
     for slot in fast.keys() | naive.keys():
         assert fast.get(slot, zero) == naive.get(slot, zero), slot
 
@@ -93,26 +94,30 @@ def test_merged_quadratic_sums_match_the_literal_kernel(l, table):
     stream = RandomStream(900 + 10 * l + len(table))
     for trial in range(4):
         terms = TABLES[table](l, stream, 3)
-        for s in (_mixed_spinor(l, 950 + trial), PolySpinor.zero(l, 8)):
+        for s in (_mixed_spinor(l, 950 + trial), PolySpinor.zero(l)):
             _assert_same_slots(_quadratic_into(s, terms), oracles.quadratic_into(s, terms), s)
 
 
 @pytest.mark.parametrize("l", [2, 3])
 def test_a_merged_partner_product_never_truncates_at_the_cap(l):
-    # At the cap the literal e_{a+l}.(e_a.s) raises; the merged pair needs
-    # only e_a.(e_{a+l}.s), and equals the literal sum taken with room to spare.
-    top = PolySpinor.monomial(l, 4, (0,) * (l - 1) + (4,), GR(F(2, 3), 1))
-    s = random_spinor(l, 3, 4, RandomStream(970 + l), terms=6) + top
-    assert s.headroom() == 0
+    # At degree MAX_CAP the literal e_{a+l}.(e_a.s) raises; the merged pair
+    # needs only e_a.(e_{a+l}.s), and equals the literal sum: the oracle's on
+    # the low part, and by hand on the top monomial x^alpha, where
+    # e_a.(e_{a+l}.x^alpha) = i alpha_a x^alpha and e_{a+l}.(e_a.x^alpha) =
+    # i (alpha_a + 1) x^alpha, so the table below gives i (|alpha| - 2l) x^alpha.
+    top = PolySpinor.monomial(l, (0,) * (l - 1) + (MAX_CAP,), GR(F(2, 3), 1))
+    low = random_spinor(l, 3, RandomStream(970 + l), terms=6)
+    s = low + top
+    assert s.degree() == MAX_CAP
     terms = [[] for _ in range(2 * l)]
     for a in range(l):
         terms[a + l].append((0, a, 3))
         terms[a].append((0, a + l, -2))
     with pytest.raises(DegreeCapError):
         oracles.quadratic_into(s, terms)
-    roomy = PolySpinor(l, 6, s.coeffs)
-    want = _from_acc(l, 6, oracles.quadratic_into(roomy, terms)[0], roomy.den)
-    got = _from_acc(l, 4, _quadratic_into(s, terms)[0], s.den)
+    want = (_from_acc(l, oracles.quadratic_into(low, terms)[0], low.den)
+            + top.scale(GR(0, MAX_CAP - 2 * l)))
+    got = _from_acc(l, _quadratic_into(s, terms)[0], s.den)
     assert got == want
 
 
@@ -123,11 +128,11 @@ def _literal_p20(phi):
 @pytest.mark.parametrize("l", [2, 3, 4])
 def test_omega_wedge_p20_matches_x_squared_of_y_squared(l):
     stream = RandomStream(980 + l)
-    no_partner_pair = random_form(l, 2, 2, 8, stream, terms_per_component=2)
-    no_partner_pair = SpinorForm(l, 2, 8, {t: s for t, s in no_partner_pair.components.items()
-                                           if t[1] != t[0] + l})
-    cases = [SpinorForm.zero(l, 2, 8), no_partner_pair]
-    cases += [random_form(l, 2, 3, 8, stream, terms_per_component=3) for _ in range(3)]
+    no_partner_pair = random_form(l, 2, 2, stream, terms_per_component=2)
+    no_partner_pair = SpinorForm(l, 2, {t: s for t, s in no_partner_pair.components.items()
+                                        if t[1] != t[0] + l})
+    cases = [SpinorForm.zero(l, 2), no_partner_pair]
+    cases += [random_form(l, 2, 3, stream, terms_per_component=3) for _ in range(3)]
     for phi in cases:
         p20 = _two_form_parts(phi)[0]
         assert p20 == _literal_p20(phi)

@@ -55,6 +55,7 @@ from sympspin.forms import (
     wedge_covector,
 )
 from sympspin.spinors import (
+    MAX_CAP,
     DegreeCapError,
     PolySpinor,
     FIELD_BITS,
@@ -79,14 +80,14 @@ SCALARS = [
 def assert_valid(x) -> None:
     """A spinor x is in lowest terms (int parts, den >= 1, gcd(den, every
     part) == 1, no (0, 0) stored) and equals its re-validated copy; a form x
-    stores only valid nonzero components with its cap and equals its
+    stores only valid nonzero components and equals its
     re-validated copy."""
     if isinstance(x, SpinorForm):
-        assert x == SpinorForm(x.l, x.r, x.cap, x.components)
+        assert x == SpinorForm(x.l, x.r, x.components)
         for tup, s in x.components.items():
             assert type(tup) is tuple and len(tup) == x.r
             assert list(tup) == sorted(set(tup)) and all(0 <= t < 2 * x.l for t in tup)
-            assert s.l == x.l and s.cap == x.cap and not s.is_zero()
+            assert s.l == x.l and not s.is_zero()
             assert_valid(s)
         return
     parts = [v for pair in x.num.values() for v in pair]
@@ -94,15 +95,15 @@ def assert_valid(x) -> None:
     assert all(type(v) is int for v in parts)
     assert all(pair != (0, 0) for pair in x.num.values())
     assert gcd(x.den, *parts) == 1
-    assert x == PolySpinor(x.l, x.cap, x.coeffs)
+    assert x == PolySpinor(x.l, x.coeffs)
     for c in x.coeffs.values():
         assert type(c) is GaussianRational and c
         assert type(c.re) is Fraction and type(c.im) is Fraction
 
 
-def sample_spinors(l, seed, count=3, degree=3, cap=7):
+def sample_spinors(l, seed, count=3, degree=3):
     stream = RandomStream(seed)
-    return [random_spinor(l, degree, cap, stream, terms=5) for _ in range(count)]
+    return [random_spinor(l, degree, stream, terms=5) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -146,37 +147,37 @@ def test_spinor_arithmetic_matches_checked_oracle(l):
 @pytest.mark.parametrize("l", [2, 3])
 def test_clifford_raises_at_the_cap(l):
     for i in range(l):
-        top = PolySpinor.monomial(l, 4, (4,) + (0,) * (l - 1), GR(F(2, 3), 1))
+        top = PolySpinor.monomial(l, (MAX_CAP,) + (0,) * (l - 1), GR(F(2, 3), 1))
         with pytest.raises(DegreeCapError):
             clifford_basis(i, top)
-        # momentum generators lower the degree, so the cap never stops them
+        # momentum generators lower the degree, so MAX_CAP never stops them
         assert_valid(clifford_basis(i + l, top))
 
 
-def _kernel_sum(l, cap, i, terms):
+def _kernel_sum(l, i, terms):
     """sum of f * e_i.s over the (int f, spinor s) pairs of `terms`, summed
     through the Clifford kernel over one denominator and reduced once."""
     den, factors = _common_den([s.den for _, s in terms])
     acc = {}
     for (f, s), g in zip(terms, factors):
-        _clifford_into(acc, s.num, i, l, cap, f * g)
-    return _from_acc(l, cap, acc, den)
+        _clifford_into(acc, s.num, i, l, f * g)
+    return _from_acc(l, acc, den)
 
 
 def test_mixed_denominators_reduce_to_lowest_terms():
-    s = PolySpinor(2, 5, {(1, 0): GR(F(1, 2), F(1, 3)), (0, 2): F(2, 7)})
-    t = PolySpinor(2, 5, {(1, 0): GR(F(-1, 6), 0), (0, 2): F(1, 14)})
+    s = PolySpinor(2, {(1, 0): GR(F(1, 2), F(1, 3)), (0, 2): F(2, 7)})
+    t = PolySpinor(2, {(1, 0): GR(F(-1, 6), 0), (0, 2): F(1, 14)})
     cases = [
-        (s - s, PolySpinor.zero(2, 5)),
-        (s + (-s), PolySpinor.zero(2, 5)),
-        (s + s.scale(-1), PolySpinor.zero(2, 5)),
-        (_kernel_sum(2, 5, 3, [(1, s), (-2, s), (1, s)]), PolySpinor.zero(2, 5)),
+        (s - s, PolySpinor.zero(2)),
+        (s + (-s), PolySpinor.zero(2)),
+        (s + s.scale(-1), PolySpinor.zero(2)),
+        (_kernel_sum(2, 3, [(1, s), (-2, s), (1, s)]), PolySpinor.zero(2)),
         (s + t, oracles.spinor_add(s, t)),
         (s - t, oracles.spinor_add(s, oracles.spinor_neg(t))),
-        (_kernel_sum(2, 5, 3, [(3, s), (-5, t)]),
+        (_kernel_sum(2, 3, [(3, s), (-5, t)]),
          oracles.spinor_add(oracles.spinor_scale(oracles.clifford(3, s), 3),
                             oracles.spinor_scale(oracles.clifford(3, t), -5))),
-        (_kernel_sum(2, 5, 0, [(2, s), (7, t)]),
+        (_kernel_sum(2, 0, [(2, s), (7, t)]),
          oracles.spinor_add(oracles.spinor_scale(oracles.clifford(0, s), 2),
                             oracles.spinor_scale(oracles.clifford(0, t), 7))),
         (s.scale(GR(1, 1)), oracles.spinor_scale(s, GR(1, 1))),
@@ -188,13 +189,13 @@ def test_mixed_denominators_reduce_to_lowest_terms():
     # the monomial 1 packs to the key 0
     assert _pack((0, 0)) == 0
     # 1/6 + 1/3 = 1/2: the sum's lowest terms have a smaller denominator
-    half = PolySpinor(2, 5, {(0, 0): F(1, 6)}) + PolySpinor(2, 5, {(0, 0): F(1, 3)})
+    half = PolySpinor(2, {(0, 0): F(1, 6)}) + PolySpinor(2, {(0, 0): F(1, 3)})
     assert half.den == 2 and half.num == {0: (1, 0)}
     # (1 + i)(1 - i) / 2 = 1: a non-unit Gaussian scalar must reduce too
-    one = PolySpinor(2, 5, {(0, 0): GR(F(1, 2), F(-1, 2))}).scale(GR(1, 1))
+    one = PolySpinor(2, {(0, 0): GR(F(1, 2), F(-1, 2))}).scale(GR(1, 1))
     assert one.den == 1 and one.num == {0: (1, 0)}
     # d/dx^0 (x^0)^2 / 4 = x^0 / 2: the exponent 2 shares a factor with den 4
-    sq = clifford_basis(2, PolySpinor(2, 5, {(2, 0): F(1, 4)}))
+    sq = clifford_basis(2, PolySpinor(2, {(2, 0): F(1, 4)}))
     assert sq.den == 2 and sq.num == {_pack((1, 0)): (1, 0)}
 
 
@@ -211,9 +212,9 @@ def test_read_offs_leave_lowest_terms_over_small_denominators(den, parts, k, tim
     num = {key: (re, im) for key, (re, im) in acc.items() if re or im}
     want = {key: GR(F(-im if times_i else re, den), F(re if times_i else im, den))
             for key, (re, im) in num.items()}
-    results = [_from_acc(2, 5, acc, den, times_i)]
+    results = [_from_acc(2, acc, den, times_i)]
     if not times_i:
-        results.append(spinors._reduced(2, 5, num, den))
+        results.append(spinors._reduced(2, num, den))
     for got in results:
         assert_valid(got)
         assert {key: GR(F(re, got.den), F(im, got.den))
@@ -225,10 +226,10 @@ def test_scale_fast_paths_match_the_fraction_path():
     # (the numerators kept over q), p/q and (p + iq)/q, on mixed denominators,
     # numerators that share a factor with q, and the zero spinor
     spinors_ = [
-        PolySpinor(2, 5, {(1, 0): GR(F(1, 2), F(1, 3)), (0, 2): F(2, 7)}),
-        PolySpinor(2, 5, {(1, 0): 2, (0, 1): GR(4, -6), (0, 0): GR(0, F(8, 3))}),
-        random_spinor(3, 3, 6, RandomStream(7), terms=5),
-        PolySpinor.zero(2, 5),
+        PolySpinor(2, {(1, 0): GR(F(1, 2), F(1, 3)), (0, 2): F(2, 7)}),
+        PolySpinor(2, {(1, 0): 2, (0, 1): GR(4, -6), (0, 0): GR(0, F(8, 3))}),
+        random_spinor(3, 3, RandomStream(7), terms=5),
+        PolySpinor.zero(2),
     ]
     scalars = [1, -1, GR(1), GR(-1), GR(0, 1), GR(0, -1),
                GR(0, F(1, 4)), GR(0, F(-1, 4)), GR(0, F(-1, 6)), GR(0, F(3, 2)), GR(0, F(-2, 9)),
@@ -240,52 +241,50 @@ def test_scale_fast_paths_match_the_fraction_path():
             got = s.scale(c)
             assert got == oracles.spinor_scale(s, c), (s, c)
             assert_valid(got)
-            assert got.cap == s.cap
         assert (s.num, s.den) == before     # a result sharing num leaves s alone
 
 
 def test_form_difference_subtracts_component_by_component():
     stream = RandomStream(5)
-    phi = random_form(2, 2, 2, 6, stream, terms_per_component=2)
-    psi = random_form(2, 2, 2, 8, stream, terms_per_component=2)
+    phi = random_form(2, 2, 2, stream, terms_per_component=2)
+    psi = random_form(2, 2, 2, stream, terms_per_component=2)
     diff = phi - psi
-    assert diff == phi + psi.scale(-1) and diff.cap == 8
+    assert diff == phi + psi.scale(-1)
     assert_valid(diff)
     assert (phi - phi).is_zero()
-    zero = SpinorForm.zero(2, 0, 9)
+    zero = SpinorForm.zero(2, 0)
     assert phi - zero == phi + zero and (zero - phi) == -phi + zero
-    assert (zero - phi).cap == 9
 
 
 @pytest.mark.parametrize("l", [2, 3])
 def test_form_operator_results_are_valid_forms(l):
     # the operators build their results through the unchecked _form
     stream = RandomStream(110 + l)
-    one = random_form(l, 1, 2, 7, stream, terms_per_component=2)
-    two = random_form(l, 2, 2, 9, stream, terms_per_component=2)
+    one = random_form(l, 1, 2, stream, terms_per_component=2)
+    two = random_form(l, 2, 2, stream, terms_per_component=2)
     xi = [stream.next_fraction(3) for _ in range(2 * l)]
     A = SpLieElement.random(l, stream)
     results = [op_X(one), op_Y(one), op_X(two), op_Y(two), op_H(one), wedge(1, one),
                wedge_covector(xi, one), contract(0, two), contract(2 * l - 1, one),
                sp_action_form(A, one), one + one, one - one, two - one.scale(0),
-               one + SpinorForm.zero(l, 2, 12), one.scale(GR(F(1, 2), -3)), one.scale(0)]
+               one + SpinorForm.zero(l, 2), one.scale(GR(F(1, 2), -3)), one.scale(0)]
     results += [project(p, one) for p in ("p10", "p11")]
     results += [project(p, two) for p in ("p20", "p21", "p22")]
     for phi in results:
         assert_valid(phi)
     assert (one - one).components == {} and one.scale(0).components == {}
-    assert (one + SpinorForm.zero(l, 2, 12)).cap == 12
+    assert one + SpinorForm.zero(l, 2) == one
     # the unchecked constructor still drops zero components
-    s = random_spinor(l, 1, 5, stream, terms=2)
-    kept = _form(l, 1, 5, {(0,): s, (1,): PolySpinor.zero(l, 5)})
-    assert kept.components == {(0,): s} and kept == SpinorForm(l, 1, 5, {(0,): s})
+    s = random_spinor(l, 1, stream, terms=2)
+    kept = _form(l, 1, {(0,): s, (1,): PolySpinor.zero(l)})
+    assert kept.components == {(0,): s} and kept == SpinorForm(l, 1, {(0,): s})
 
 
-def test_sum_keeps_the_larger_cap():
-    s = PolySpinor.monomial(2, 3, (3, 0))
-    t = PolySpinor.monomial(2, 6, (0, 5), GR_I)
+def test_sum_of_spinors_of_different_degrees():
+    s = PolySpinor.monomial(2, (3, 0))
+    t = PolySpinor.monomial(2, (0, 5), GR_I)
     total = s + t
-    assert total.cap == 6 and total == oracles.spinor_add(s, t)
+    assert total.degree() == 5 and total == oracles.spinor_add(s, t)
     assert_valid(total)
 
 
@@ -301,7 +300,7 @@ def _tensors(l, seed):
 
 @pytest.mark.parametrize("l", [2, 3])
 def test_folded_action_matches_unfolded_oracle(l):
-    phi = random_spinor(l, 2, 8, RandomStream(20 + l), terms=3)
+    phi = random_spinor(l, 2, RandomStream(20 + l), terms=3)
     for T in _tensors(l, 40 + l):
         act = verify.spinor_curvature_action(T, phi)
         assert act == oracles.spinor_curvature_action(T, phi)
@@ -310,7 +309,7 @@ def test_folded_action_matches_unfolded_oracle(l):
 
 @pytest.mark.parametrize("l", [2, 3])
 def test_folded_eq11_display_matches_unfolded_oracle(l):
-    phi = random_spinor(l, 2 if l == 2 else 1, 8, RandomStream(30 + l), terms=3 if l == 2 else 2)
+    phi = random_spinor(l, 2 if l == 2 else 1, RandomStream(30 + l), terms=3 if l == 2 else 2)
     W = random_weyl(l, 50 + l)
     lit = verify.literal_p21_weyl(W, phi)
     assert lit == oracles.literal_p21_weyl(W, phi)
@@ -320,8 +319,8 @@ def test_folded_eq11_display_matches_unfolded_oracle(l):
 @pytest.mark.parametrize("l", [2, 3])
 def test_two_form_parts_match_separate_projectors(l):
     stream = RandomStream(60 + l)
-    phi = random_spinor(l, 2, 8, stream, terms=3)
-    forms = [random_form(l, 2, 2, 8, stream, terms_per_component=2),
+    phi = random_spinor(l, 2, stream, terms=3)
+    forms = [random_form(l, 2, 2, stream, terms_per_component=2),
              verify.spinor_curvature_action(random_curvature(l, 70 + l), phi)]
     for form in forms:
         p20, p21, yy = _two_form_parts(form)
@@ -330,7 +329,7 @@ def test_two_form_parts_match_separate_projectors(l):
         for which, part in (("p20", p20), ("p21", p21), ("p22", p22)):
             assert part == oracles.project(which, form) == project(which, form)
             assert_valid(part)
-    one_form = random_form(l, 1, 2, 8, stream, terms_per_component=2)
+    one_form = random_form(l, 1, 2, stream, terms_per_component=2)
     for which in ("p10", "p11"):
         assert project(which, one_form) == oracles.project(which, one_form)
 
@@ -488,7 +487,7 @@ def test_the_verifiers_clear_no_tensor(monkeypatch):
 
     stream = RandomStream(170)
     sigma, W, R = RicciTensor.random(2, stream), random_weyl(2, 171), random_curvature(2, 172)
-    phi = random_spinor(2, 2, 8, stream)
+    phi = random_spinor(2, 2, stream)
 
     def refuse(*args):
         raise AssertionError("a verifier cleared a tensor")
@@ -547,8 +546,8 @@ def test_flipped_unit_i_fails_lemma1_and_replays(tmp_path, monkeypatch, capsys):
     # eq. 9 and p20 displays fail too.
     kernel = spinors._clifford_into
 
-    def flipped(acc, num, i, l, cap, f):
-        kernel(acc, num, i, l, cap, -f if i < l else f)
+    def flipped(acc, num, i, l, f):
+        kernel(acc, num, i, l, -f if i < l else f)
 
     _plant_kernel(monkeypatch, flipped)
     failing, checks = _failing_checks(tmp_path)
@@ -599,7 +598,7 @@ def test_unscaled_first_products_fail_lemma1_and_replay(tmp_path, monkeypatch, c
             if row:
                 eb = clifford_basis(b, s)
                 for slot, a, f in row:
-                    _clifford_into(accs[slot], eb.num, a, s.l, s.cap, f)
+                    _clifford_into(accs[slot], eb.num, a, s.l, f)
         return accs
 
     for module in (spinors, verify):
@@ -639,11 +638,11 @@ def test_read_off_i_with_a_wrong_sign_fails_the_theorems_and_replays(tmp_path, m
     # sees; the oracle tests of the action and eq. 11 catch that one.
     read_off = spinors._from_acc
 
-    def wrong_sign(l, cap, acc, den, times_i=False):
-        s = read_off(l, cap, acc, den)
+    def wrong_sign(l, acc, den, times_i=False):
+        s = read_off(l, acc, den)
         if not times_i:
             return s
-        return spinors._spinor(l, cap, {a: (im, re) for a, (re, im) in s.num.items()}, s.den)
+        return spinors._spinor(l, {a: (im, re) for a, (re, im) in s.num.items()}, s.den)
 
     for module in (spinors, forms, verify):
         monkeypatch.setattr(module, "_from_acc", wrong_sign)
@@ -663,7 +662,7 @@ def test_halved_action_fails_the_corrected_eq9_display(monkeypatch):
     # compares p20 with the normalized printed formula, turns false.
     stream = RandomStream(9)
     sigma = RicciTensor.random(2, stream)
-    phi = random_spinor(2, 3, 9, stream)
+    phi = random_spinor(2, 3, stream)
     healthy = verify.verify_theorem9(sigma, phi)
     assert healthy.status == "pass" and healthy.displays[0][1] is True
 

@@ -3,7 +3,7 @@
 The parts of a form are computed on its first projection and read back on
 every later one.  These tests pin three things: the kept parts equal the
 naive projectors of `oracles` (on zero forms, mixed denominators and forms
-at and near their cap); repeated projections run no X or Y; and the memo hides no
+at and near the degree bound MAX_CAP); repeated projections run no X or Y; and the memo hides no
 defect, since a wrong normalization still fails lemma5 and replays.
 """
 
@@ -25,7 +25,7 @@ from sympspin.forms import (
     spinor_form_from_json,
     spinor_form_to_json,
 )
-from sympspin.spinors import DegreeCapError
+from sympspin.spinors import MAX_CAP, DegreeCapError, PolySpinor
 from sympspin.verify import lemma5_suite
 
 F = Fraction
@@ -38,29 +38,36 @@ def _names(r):
 
 def _mixed(l, r, seed):
     """A form whose components sit over different denominators."""
-    phi = random_form(l, r, 2, 9, RandomStream(seed), terms_per_component=3)
+    phi = random_form(l, r, 2, RandomStream(seed), terms_per_component=3)
     scales = [F(1, 2), GR(F(2, 3), F(-1, 5)), 7, GR(0, F(3, 4)), F(-5, 9)]
-    return SpinorForm(l, r, 9, {t: s.scale(scales[n % len(scales)])
-                                for n, (t, s) in enumerate(sorted(phi.components.items()))})
+    return SpinorForm(l, r, {t: s.scale(scales[n % len(scales)])
+                             for n, (t, s) in enumerate(sorted(phi.components.items()))})
 
 
 def _cases(l, r):
-    yield SpinorForm.zero(l, r, 6)
-    yield random_form(l, r, 3, 9, RandomStream(400 + 10 * l + r), terms_per_component=3)
+    yield SpinorForm.zero(l, r)
+    yield random_form(l, r, 3, RandomStream(400 + 10 * l + r), terms_per_component=3)
     yield _mixed(l, r, 500 + 10 * l + r)
-    for headroom in range(4):        # headroom 0: a form at its cap
-        yield random_form(l, r, 4, 4 + headroom, RandomStream(600 + headroom),
-                          terms_per_component=2)
+    for headroom in range(4):        # headroom 0: a form that may reach MAX_CAP
+        phi = random_form(l, r, 4, RandomStream(600 + headroom), terms_per_component=2)
+        yield _times_x0_to_the(MAX_CAP - 4 - headroom, phi)
+
+
+def _times_x0_to_the(d, phi):
+    """phi with every component multiplied by x^0 to the d."""
+    return SpinorForm(phi.l, phi.r, {
+        t: PolySpinor(phi.l, {(a[0] + d,) + a[1:]: c for a, c in s.coeffs.items()})
+        for t, s in phi.components.items()})
 
 
 def _oracle_parts(phi):
-    """Every oracle projection of phi, or None when its chain passes the cap.
+    """Every oracle projection of phi, or None when its chain passes MAX_CAP.
     The package computes all the parts of a form at once and raises when any
     of its steps does; on these cases that is exactly when the oracle's
     fullest chain (XY, and X^2Y^2 for 2-forms) does.  The package's X^2Y^2
-    is the omega-wedge of Y^2 and never passes the cap itself, but Y^2 of a
+    is the omega-wedge of Y^2 and never passes the bound itself, but Y^2 of a
     2-form has at most the form's degree, so the oracle's X(X(Y^2)) passes it
-    only near the cap, where the package's Y or XY already does."""
+    only near the bound, where the package's Y or XY already does."""
     try:
         return {which: oracles.project(which, phi) for which in _names(phi.r)}
     except DegreeCapError:
@@ -88,7 +95,7 @@ def test_memoized_projections_match_the_oracle(l, r):
 
 def test_the_memo_stays_out_of_equality_and_json():
     # a form is unhashable (it defines __eq__ alone), so hashing is moot
-    phi = random_form(2, 2, 3, 9, RandomStream(700))
+    phi = random_form(2, 2, 3, RandomStream(700))
     twin = spinor_form_from_json(spinor_form_to_json(phi))
     project("p21", phi)
     assert phi._parts is not None and twin._parts is None
@@ -118,7 +125,7 @@ def op_calls(monkeypatch):
 @pytest.mark.parametrize("l", [2, 3])
 def test_projecting_a_form_again_runs_no_x_or_y(l, op_calls):
     stream = RandomStream(800 + l)
-    one, two = random_form(l, 1, 2, 8, stream), random_form(l, 2, 2, 8, stream)
+    one, two = random_form(l, 1, 2, stream), random_form(l, 2, 2, stream)
     for which in PROJECTORS:
         project(which, one if which[1] == "1" else two)
     # one XY for the 1-form; one Y, Y^2 and XY for the 2-form, whose X^2Y^2

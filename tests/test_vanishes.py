@@ -45,15 +45,15 @@ def _built(terms) -> bool:
 @pytest.mark.parametrize("l", [2, 3])
 def test_zero_test_matches_building_the_sum(l):
     stream = RandomStream(900 + l)
-    one = random_form(l, 2, 2, 6, stream, terms_per_component=2)
+    one = random_form(l, 2, 2, stream, terms_per_component=2)
     # components over other denominators than those of `one`
-    two = random_form(l, 2, 2, 6, stream, terms_per_component=3).scale(GR(F(3, 7), F(-1, 2)))
+    two = random_form(l, 2, 2, stream, terms_per_component=3).scale(GR(F(3, 7), F(-1, 2)))
     first = min(one.components)
-    short = SpinorForm(l, 2, 6, {t: s for t, s in one.components.items() if t != first})
+    short = SpinorForm(l, 2, {t: s for t, s in one.components.items() if t != first})
     # one monomial of one component missing
     kept = dict(list(one.components[first].coeffs.items())[1:])
-    trimmed = SpinorForm(l, 2, 6, {**one.components, first: PolySpinor(l, 6, kept)})
-    zero = SpinorForm.zero(l, 2, 6)
+    trimmed = SpinorForm(l, 2, {**one.components, first: PolySpinor(l, kept)})
+    zero = SpinorForm.zero(l, 2)
     outcomes = []
     for a in SCALARS:
         for b in SCALARS:
@@ -89,7 +89,7 @@ def test_zero_test_reads_past_a_cancelled_monomial():
     # cancelled x0 in the running sum, an entry that must read as zero, and
     # the last term, A + B = 2 x1, does not hold it
     def form(coeffs):
-        return SpinorForm(2, 2, 4, {(0, 1): PolySpinor(2, 4, coeffs)})
+        return SpinorForm(2, 2, {(0, 1): PolySpinor(2, coeffs)})
 
     a, b = form({(1, 0): 1, (0, 1): 2}), form({(1, 0): -1})
     total = a + b
@@ -125,8 +125,8 @@ def _plant_kernel(monkeypatch, kernel):
 
 def _flipped_unit_i(monkeypatch):
     kernel = spinors._clifford_into
-    _plant_kernel(monkeypatch, lambda acc, num, i, l, cap, f:
-                  kernel(acc, num, i, l, cap, -f if i < l else f))
+    _plant_kernel(monkeypatch, lambda acc, num, i, l, f:
+                  kernel(acc, num, i, l, -f if i < l else f))
 
 
 def _diff_x_wrong_field(monkeypatch):
@@ -142,11 +142,11 @@ def _diff_x_wrong_field(monkeypatch):
 def _read_off_i_sign(monkeypatch):
     read_off = spinors._from_acc
 
-    def wrong_sign(l, cap, acc, den, times_i=False):
-        s = read_off(l, cap, acc, den)
+    def wrong_sign(l, acc, den, times_i=False):
+        s = read_off(l, acc, den)
         if not times_i:
             return s
-        return spinors._spinor(l, cap, {a: (im, re) for a, (re, im) in s.num.items()}, s.den)
+        return spinors._spinor(l, {a: (im, re) for a, (re, im) in s.num.items()}, s.den)
 
     for module in (spinors, forms, verify):
         monkeypatch.setattr(module, "_from_acc", wrong_sign)
@@ -197,9 +197,9 @@ def test_zero_test_verdicts_match_the_built_forms(l, defect, monkeypatch):
     for trial in range(2):
         sigma = RicciTensor.random(l, stream)
         W, R = random_weyl(l, 940 + trial), random_curvature(l, 950 + trial)
-        phi = random_spinor(l, degree, degree + 6, stream)
+        phi = random_spinor(l, degree, stream)
         xi = [stream.next_fraction(5) for _ in range(2 * l)]
-        eta = random_form(l, 1, degree, degree + 6, stream)
+        eta = random_form(l, 1, degree, stream)
         for decide, oracle, instance in (
                 (verify.verify_theorem9, oracles.theorem9_verdicts, (sigma, phi)),
                 (verify.verify_theorem10, oracles.theorem10_verdicts, (W, phi)),
@@ -210,7 +210,7 @@ def test_zero_test_verdicts_match_the_built_forms(l, defect, monkeypatch):
         symbol = (verify.symbol_complex_instance(xi, eta), verify.symbol_negative_control(xi, eta))
         assert symbol == oracles.symbol_complex_verdicts(xi, eta)
         results.append((all(symbol), []))
-        one_form, two_form = eta, random_form(l, 2, degree, degree + 6, stream)
+        one_form, two_form = eta, random_form(l, 2, degree, stream)
         # the verdict, not the degree it names: with `_common_den` unscaled,
         # p11 = phi - p10 and the zero test misread in step, so only the
         # two-form sum shows it, where the built sums fail at the one-forms

@@ -27,8 +27,8 @@ from sympspin.curvature import (
     sigma_tilde_of,
 )
 from sympspin.exact import GaussianRational, RandomStream
-from sympspin.forms import SpinorForm, op_Y, project, spinor_form_to_json
-from sympspin.spinors import DegreeCapError, PolySpinor, clifford_basis, random_spinor
+from sympspin.forms import SpinorForm, op_Y, project, spinor_form_from_json, spinor_form_to_json
+from sympspin.spinors import MAX_CAP, DegreeCapError, PolySpinor, clifford_basis, random_spinor
 from sympspin.symplectic import omega_partners
 from sympspin.cli import RunConfig, run_suite
 from sympspin.verify import (
@@ -54,12 +54,12 @@ F = Fraction
 
 
 def test_action_of_zero_tensor():
-    phi = random_spinor(2, 3, 9, RandomStream(1))
+    phi = random_spinor(2, 3, RandomStream(1))
     assert spinor_curvature_action(CurvatureTensor.zero(2), phi).is_zero()
 
 
 def test_action_additive_in_tensor_slot():
-    phi = random_spinor(2, 3, 9, RandomStream(2))
+    phi = random_spinor(2, 3, RandomStream(2))
     R = random_curvature(2, 71)
     sigma = ricci_of(R)
     st = sigma_tilde_of(sigma)
@@ -69,7 +69,7 @@ def test_action_additive_in_tensor_slot():
 
 
 def test_action_requires_headroom():
-    phi = PolySpinor.monomial(2, 1, (1, 0))
+    phi = PolySpinor.monomial(2, (MAX_CAP - 1, 0))
     with pytest.raises(DegreeCapError):
         spinor_curvature_action(random_curvature(2, 3), phi)
 
@@ -89,27 +89,28 @@ def _naive_action(R, phi):
         if not c:
             continue
         spin = clifford_basis(i, clifford_basis(j, phi)).scale(half_i * c)
-        raw[(k, m)] = raw.get((k, m), PolySpinor.zero(phi.l, phi.cap)) + spin
+        raw[(k, m)] = raw.get((k, m), PolySpinor.zero(phi.l)) + spin
     canon = {}
     for (k, m), s in raw.items():
         if k == m or s.is_zero():
             continue
         if k < m:
-            canon[(k, m)] = canon.get((k, m), PolySpinor.zero(phi.l, phi.cap)) + s
+            canon[(k, m)] = canon.get((k, m), PolySpinor.zero(phi.l)) + s
         else:
-            canon[(m, k)] = canon.get((m, k), PolySpinor.zero(phi.l, phi.cap)) - s
+            canon[(m, k)] = canon.get((m, k), PolySpinor.zero(phi.l)) - s
     canon = {t: s for t, s in canon.items() if not s.is_zero()}
-    return SpinorForm(phi.l, 2, phi.cap, canon)
+    return SpinorForm(phi.l, 2, canon)
 
 
 def test_action_matches_naive_loop_oracle():
     R = random_curvature(2, 13579)
-    phi = random_spinor(2, 3, 9, RandomStream(2468))
+    phi = random_spinor(2, 3, RandomStream(2468))
     assert spinor_curvature_action(R, phi) == _naive_action(R, phi)
 
 
 # Golden: the action of the constant-coefficient flat-model curvature on the
-# constant spinor, recorded after agreement with the naive loop oracle.
+# constant spinor, recorded after agreement with the naive loop oracle, when
+# forms still carried a "cap"; the writer no longer emits that key.
 GOLDEN_ACTION = {
     "l": 2,
     "r": 2,
@@ -137,10 +138,11 @@ def test_action_golden_constant_connection():
             gamma[perm] = Poly.const(4, val)
     conn = PolynomialConnection(2, 0, gamma)
     R = evaluate_curvature_at(curvature_field_of(conn), [0, 0, 0, 0])
-    phi = PolySpinor.one(2, 8)
+    phi = PolySpinor.one(2)
     act = spinor_curvature_action(R, phi)
     assert act == _naive_action(R, phi)
-    assert spinor_form_to_json(act) == GOLDEN_ACTION
+    assert spinor_form_to_json(act) == {k: v for k, v in GOLDEN_ACTION.items() if k != "cap"}
+    assert spinor_form_from_json(GOLDEN_ACTION) == act
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +159,7 @@ def test_theorem9_instances():
     stream = RandomStream(42)
     for _ in range(3):
         sigma = RicciTensor.random(2, stream)
-        phi = random_spinor(2, 4, 10, stream)
+        phi = random_spinor(2, 4, stream)
         rep = verify_theorem9(sigma, phi)
         assert rep.status == "pass"
         verdicts = _named_verdicts("theorem9", rep)
@@ -174,7 +176,7 @@ def test_display_verdicts_and_across_trials():
 
 
 def test_theorem9_zero_ricci_everything_vanishes():
-    phi = random_spinor(2, 4, 10, RandomStream(7))
+    phi = random_spinor(2, 4, RandomStream(7))
     rep = verify_theorem9(RicciTensor.zero(2), phi)
     assert rep.status == "pass"
 
@@ -183,7 +185,7 @@ def test_theorem10_instances():
     stream = RandomStream(43)
     for seed in (601, 602):
         W = random_weyl(2, seed)
-        phi = random_spinor(2, 4, 10, stream)
+        phi = random_spinor(2, 4, stream)
         rep = verify_theorem10(W, phi)
         assert rep.status == "pass"
         verdicts = _named_verdicts("theorem10", rep)
@@ -194,7 +196,7 @@ def test_theorem10_instances():
 
 def test_theorem10_y_squared_annihilates_action():
     W = random_weyl(2, 777)
-    phi = random_spinor(2, 4, 10, RandomStream(8))
+    phi = random_spinor(2, 4, RandomStream(8))
     act = spinor_curvature_action(W, phi)
     assert op_Y(op_Y(act)).is_zero()
     assert project("p20", act).is_zero()
@@ -203,7 +205,7 @@ def test_theorem10_y_squared_annihilates_action():
 def test_corollary11_additivity_and_displays():
     stream = RandomStream(44)
     R = random_curvature(2, 999)
-    phi = random_spinor(2, 4, 10, stream)
+    phi = random_spinor(2, 4, stream)
     rep = verify_corollary11(R, phi)
     assert rep.status == "pass"
     verdicts = _named_verdicts("corollary11", rep)
@@ -217,14 +219,14 @@ def test_corollary11_additivity_and_displays():
 def test_corollary11_pure_ricci_kills_p22():
     sigma = RicciTensor.random(2, RandomStream(9))
     st = sigma_tilde_of(sigma)
-    phi = random_spinor(2, 4, 10, RandomStream(10))
+    phi = random_spinor(2, 4, RandomStream(10))
     act = spinor_curvature_action(st, phi)
     assert project("p22", act).is_zero()
 
 
 def test_corollary11_pure_weyl_kills_p20():
     W = random_weyl(2, 31337)
-    phi = random_spinor(2, 4, 10, RandomStream(11))
+    phi = random_spinor(2, 4, RandomStream(11))
     act = spinor_curvature_action(W, phi)
     assert project("p20", act).is_zero()
 
@@ -241,7 +243,7 @@ def test_symbol_complex_and_negative_control():
     assert negative.status == "pass"
     assert negative.witness is not None
     # the recorded witness genuinely exhibits a nonzero p22(xi ^ p11(eta))
-    from sympspin.forms import spinor_form_from_json, wedge_covector
+    from sympspin.forms import wedge_covector
 
     xi = [F(x) for x in negative.witness["xi"]]
     eta = spinor_form_from_json(negative.witness["eta"])
